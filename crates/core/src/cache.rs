@@ -39,8 +39,9 @@
 
 use crate::state::DetectionResult;
 use fetch_binary::{Binary, Section, SectionKind};
-use fetch_x64::{decode, Op, Reg};
+use fetch_x64::{decode, Op, Reg, MAX_INST_LEN};
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
@@ -57,6 +58,12 @@ const DOMAIN_SECTION: u64 = 0x7365_6374_6275_6631; // "sectbuf1"
 const DOMAIN_SEM: u64 = 0x7365_6d73_7765_6570; // "semsweep"
 /// Domain tag of the symbol-table digest.
 const DOMAIN_SYMBOLS: u64 = 0x7379_6d74_6162_6c31; // "symtabl1"
+/// Stands in for a masked `mov reg, imm` in the semantic sweep; far
+/// above any enum discriminant a derived `Op` hash opens with.
+const MASKED_MOV: u64 = 0x6d61_736b_6d6f_7631; // "maskmov1"
+/// Bytes past a bucket's end its semantic sweep can read: an instruction
+/// decoded at the bucket's last byte is at most [`MAX_INST_LEN`] long.
+const SEM_LOOKAHEAD: u64 = MAX_INST_LEN as u64 - 1;
 
 pub(crate) struct Fnv(u64);
 
@@ -83,9 +90,38 @@ impl Fnv {
         self.0 ^= v;
         self.0 = self.0.wrapping_mul(FNV_PRIME);
     }
+}
 
-    pub(crate) fn finish(&self) -> u64 {
+/// Every integer write is one FNV step, so hashing a typed value through
+/// its derived `Hash` (the [`Op`] of each swept instruction) costs a few
+/// multiplies rather than a formatted string.
+impl Hasher for Fnv {
+    fn finish(&self) -> u64 {
         self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.bytes(bytes);
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.u64(v.into());
+    }
+
+    fn write_u16(&mut self, v: u16) {
+        self.u64(v.into());
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.u64(v.into());
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.u64(v);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.u64(v as u64);
     }
 }
 
@@ -182,13 +218,23 @@ pub struct SectionDigest {
 /// covered text buckets can replay through a rewarmed
 /// [`fetch_disasm::RecEngine`] instead of a cold one.
 ///
+/// Byte dependency of `sem`, exactly: a covered `[start, end)` bucket's
+/// `sem` reads the section bytes in `[start, end + MAX_INST_LEN − 1)`
+/// (the sweep decodes only from inside the bucket, and no instruction is
+/// longer than [`fetch_x64::MAX_INST_LEN`]) plus every section's
+/// `[addr, addr + len)` span (the address-likeness test of the masking
+/// rule), and nothing else. That one dependency is two rules. It is the
+/// straddle rule: an instruction crossing `end` is hashed by its raw
+/// bytes, unmasked, so the following bytes it covers stay exact. And it
+/// is the reuse rule of [`ImageDigest::compute_from`]: a predecessor's
+/// `sem` is copied when the section spans are unchanged and no
+/// raw-changed bucket overlaps the range. Gap buckets hash raw outright.
+///
 /// Known residual risk, deliberately accepted (mirroring
 /// `RecEngine::plan_extension`): the sweep projects each bucket at its
-/// own phase, while a real walk may enter bytes at another phase. An
-/// instruction straddling a bucket boundary is therefore hashed by its
-/// raw bytes (no masking), and gap buckets use raw hashing outright;
-/// the differential property suite (`fetch-core/tests/proptest_delta.rs`)
-/// enforces the remaining tail.
+/// own phase, while a real walk may enter bytes at another phase; the
+/// differential property suite (`fetch-core/tests/proptest_delta.rs`)
+/// enforces that tail.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ImageDigest {
     /// Whole-image fingerprint of the bytes the digest was computed
@@ -217,6 +263,26 @@ impl ImageDigest {
     /// not recomputed, so the digest stays usable whichever keyspace the
     /// caller lives in.
     pub fn compute(binary: &Binary, image: u64) -> ImageDigest {
+        ImageDigest::compute_from(None, binary, image)
+    }
+
+    /// [`ImageDigest::compute`] given the digest of a predecessor
+    /// version: returns exactly what `compute(binary, image)` returns,
+    /// but skips the work `prev` already proves done.
+    ///
+    /// - **Bucket geometry** reads only the section shapes and the
+    ///   `.eh_frame` bytes. When every section's `(kind, addr, len)` and
+    ///   every `.eh_frame` section's raw hash match `prev`, the `.text`
+    ///   partition is copied instead of re-parsing `.eh_frame`.
+    /// - **A covered bucket's `sem`** is copied from `prev` when the
+    ///   geometry was reused and no bucket whose raw hash moved overlaps
+    ///   the bytes that `sem` reads (see [`ImageDigest`]); every other
+    ///   bucket is swept.
+    ///
+    /// Raw hashes are always recomputed; they are what proves the reuse.
+    /// A `prev` whose buckets do not tile their section (a digest no
+    /// `compute` produced) is ignored.
+    pub fn compute_from(prev: Option<&ImageDigest>, binary: &Binary, image: u64) -> ImageDigest {
         let mut symbols = Fnv::new(DOMAIN_SYMBOLS);
         symbols.u64(binary.symbols.len() as u64);
         for sym in &binary.symbols {
@@ -224,25 +290,25 @@ impl ImageDigest {
             symbols.u64(sym.addr);
             symbols.u64(sym.size);
         }
-        let sections = binary
+        let mut sections: Vec<SectionDigest> = binary
             .sections
             .iter()
-            .map(|s| {
-                let mut raw = Fnv::new(DOMAIN_SECTION);
-                raw.bytes(&s.bytes);
-                SectionDigest {
-                    kind: s.kind,
-                    addr: s.addr,
-                    len: s.bytes.len() as u64,
-                    raw: raw.finish(),
-                    buckets: if s.kind == SectionKind::Text {
-                        text_buckets(binary, s)
-                    } else {
-                        Vec::new()
-                    },
-                }
+            .map(|s| SectionDigest {
+                kind: s.kind,
+                addr: s.addr,
+                len: s.bytes.len() as u64,
+                raw: raw_hash(&s.bytes),
+                buckets: Vec::new(),
             })
             .collect();
+        let prev = prev.filter(|p| same_geometry(p, &sections));
+        let spans: Vec<(u64, u64)> = binary.sections.iter().map(|s| (s.addr, s.end())).collect();
+        for (i, s) in binary.sections.iter().enumerate() {
+            if s.kind == SectionKind::Text {
+                let prev_buckets = prev.map(|p| p.sections[i].buckets.as_slice());
+                sections[i].buckets = text_buckets(binary, s, &spans, prev_buckets);
+            }
+        }
         ImageDigest {
             image,
             entry: binary.entry,
@@ -380,11 +446,79 @@ pub fn diff_digests(old: &ImageDigest, new: &ImageDigest) -> DigestDiff {
     }
 }
 
-/// Partitions `.text` into FDE-range buckets: the binary's (merged,
-/// clamped) FDE `[pc_begin, pc_end)` ranges as covered buckets, the
-/// bytes between them as gap buckets — together tiling the section
-/// exactly.
-fn text_buckets(binary: &Binary, text: &Section) -> Vec<BucketDigest> {
+fn raw_hash(bytes: &[u8]) -> u64 {
+    let mut h = Fnv::new(DOMAIN_SECTION);
+    h.bytes(bytes);
+    h.finish()
+}
+
+/// Whether `prev`'s bucket geometry still describes sections of the
+/// given shape: same section list, same `.eh_frame` bytes, and `prev`'s
+/// buckets tile each `.text` section exactly.
+fn same_geometry(prev: &ImageDigest, sections: &[SectionDigest]) -> bool {
+    prev.sections.len() == sections.len()
+        && prev.sections.iter().zip(sections).all(|(p, n)| {
+            p.kind == n.kind
+                && p.addr == n.addr
+                && p.len == n.len
+                && (n.kind != SectionKind::EhFrame || p.raw == n.raw)
+                && (n.kind != SectionKind::Text || tiles(&p.buckets, n.addr, n.len))
+        })
+}
+
+fn tiles(buckets: &[BucketDigest], addr: u64, len: u64) -> bool {
+    let mut pos = addr;
+    for b in buckets {
+        if b.start != pos || b.end <= b.start {
+            return false;
+        }
+        pos = b.end;
+    }
+    Some(pos) == addr.checked_add(len)
+}
+
+/// Digests `.text` bucket by bucket. Without `prev`, the buckets are the
+/// binary's (merged, clamped) FDE `[pc_begin, pc_end)` ranges as covered
+/// buckets and the bytes between them as gap buckets — together tiling
+/// the section exactly. With `prev` (geometry already checked by
+/// [`same_geometry`]), its partition is kept and each covered bucket's
+/// `sem` is reused unless a raw-changed bucket starts before its sweep's
+/// reach, `end + SEM_LOOKAHEAD`.
+fn text_buckets(
+    binary: &Binary,
+    text: &Section,
+    spans: &[(u64, u64)],
+    prev: Option<&[BucketDigest]>,
+) -> Vec<BucketDigest> {
+    // Both hashes of every bucket are (re)computed or reused below.
+    let mut buckets = match prev {
+        Some(prev) => prev.to_vec(),
+        None => fde_partition(binary, text),
+    };
+    for b in &mut buckets {
+        b.raw = raw_hash(&text.bytes[(b.start - text.addr) as usize..(b.end - text.addr) as usize]);
+    }
+    // Walk backwards so the nearest raw-changed bucket at or after each
+    // one is known when its `sem` is decided.
+    let mut next_change = u64::MAX;
+    for (i, b) in buckets.iter_mut().enumerate().rev() {
+        let old = prev.map(|p| p[i]);
+        if old.is_none_or(|o| o.raw != b.raw) {
+            next_change = b.start;
+        }
+        b.sem = match old {
+            // Gap bytes have no FDE structure to reason from: exact or
+            // nothing.
+            _ if !b.covered => b.raw,
+            Some(o) if next_change >= b.end.saturating_add(SEM_LOOKAHEAD) => o.sem,
+            _ => sem_fingerprint(text, spans, b.start, b.end),
+        };
+    }
+    buckets
+}
+
+/// The FDE-range partition of `.text`, hashes left zero.
+fn fde_partition(binary: &Binary, text: &Section) -> Vec<BucketDigest> {
     let text_end = text.end();
     let mut ranges: Vec<(u64, u64)> = match binary.eh_frame() {
         Ok(eh) => eh
@@ -405,48 +539,26 @@ fn text_buckets(binary: &Binary, text: &Section) -> Vec<BucketDigest> {
             _ => merged.push((s, e)),
         }
     }
+    let bucket = |start, end, covered| BucketDigest {
+        start,
+        end,
+        covered,
+        raw: 0,
+        sem: 0,
+    };
     let mut buckets = Vec::with_capacity(merged.len() * 2 + 1);
     let mut pos = text.addr;
     for (s, e) in merged {
         if pos < s {
-            buckets.push(bucket_digest(binary, text, pos, s, false));
+            buckets.push(bucket(pos, s, false));
         }
-        buckets.push(bucket_digest(binary, text, s, e, true));
+        buckets.push(bucket(s, e, true));
         pos = e;
     }
     if pos < text_end {
-        buckets.push(bucket_digest(binary, text, pos, text_end, false));
+        buckets.push(bucket(pos, text_end, false));
     }
     buckets
-}
-
-fn bucket_digest(
-    binary: &Binary,
-    text: &Section,
-    start: u64,
-    end: u64,
-    covered: bool,
-) -> BucketDigest {
-    let lo = (start - text.addr) as usize;
-    let hi = (end - text.addr) as usize;
-    let bytes = &text.bytes[lo..hi];
-    let mut raw = Fnv::new(DOMAIN_SECTION);
-    raw.bytes(bytes);
-    let raw = raw.finish();
-    let sem = if covered {
-        sem_fingerprint(binary, text, start, end)
-    } else {
-        // Gap bytes have no FDE structure to reason from: exact or
-        // nothing.
-        raw
-    };
-    BucketDigest {
-        start,
-        end,
-        covered,
-        raw,
-        sem,
-    }
 }
 
 /// Whether a `mov reg, imm` immediate could be an address some layer
@@ -454,56 +566,48 @@ fn bucket_digest(
 /// values are never emitted by `Inst::const_operands`, and the sole
 /// value-sensitive non-address consumer — the `error`-status slice —
 /// reads `edi` only, which the masking rule excludes by register.)
-fn imm_is_address_like(binary: &Binary, imm: i32) -> bool {
-    if imm <= 0 {
-        return false;
-    }
-    let v = imm as u64;
-    binary.sections.iter().any(|s| v >= s.addr && v < s.end())
+fn imm_is_address_like(spans: &[(u64, u64)], imm: i32) -> bool {
+    imm > 0
+        && spans
+            .iter()
+            .any(|&(lo, hi)| (lo..hi).contains(&(imm as u64)))
 }
 
 /// The immediate-masked linear-sweep projection of a covered bucket:
-/// hash each decoded instruction's offset, length, and operation, with
-/// delta-maskable `MovRI` immediates replaced by a canonical token.
-/// Undecodable bytes hash as (offset, raw byte) and advance one byte;
-/// an instruction straddling the bucket end hashes its raw bytes
-/// unmasked (cross-bucket bytes must stay exact — see the residual-risk
-/// note on [`ImageDigest`]).
-fn sem_fingerprint(binary: &Binary, text: &Section, start: u64, end: u64) -> u64 {
-    use std::fmt::Write as _;
+/// hash each decoded instruction's offset, length, and typed operation,
+/// with delta-maskable `MovRI` immediates dropped (a tag plus width and
+/// register stand in). Undecodable bytes hash as (offset, raw byte) and
+/// advance one byte; an instruction straddling the bucket end hashes its
+/// raw bytes unmasked (see the byte-dependency note on [`ImageDigest`]).
+fn sem_fingerprint(text: &Section, spans: &[(u64, u64)], start: u64, end: u64) -> u64 {
     let mut h = Fnv::new(DOMAIN_SEM);
-    let mut buf = String::new();
     let mut pos = start;
     while pos < end {
-        match decode(text.slice_from(pos).expect("bucket in section"), pos) {
+        let off = (pos - text.addr) as usize;
+        match decode(&text.bytes[off..], pos) {
+            Ok(inst) if inst.end() > end => {
+                let hi = (inst.end().min(text.end()) - text.addr) as usize;
+                h.u64(0x5354_5244); // "STRD": straddling marker
+                h.u64(pos - start);
+                h.bytes(&text.bytes[off..hi]);
+                pos = inst.end();
+            }
             Ok(inst) => {
-                if inst.end() > end {
-                    let lo = (pos - text.addr) as usize;
-                    let hi = (inst.end().min(text.end()) - text.addr) as usize;
-                    h.u64(0x5354_5244); // "STRD": straddling marker
-                    h.u64(pos - start);
-                    h.bytes(&text.bytes[lo..hi]);
-                    pos = inst.end();
-                    continue;
-                }
                 h.u64(pos - start);
                 h.u64(inst.len as u64);
-                buf.clear();
                 match inst.op {
                     Op::MovRI(w, reg, imm)
-                        if reg != Reg::Rdi && !imm_is_address_like(binary, imm) =>
+                        if reg != Reg::Rdi && !imm_is_address_like(spans, imm) =>
                     {
-                        let _ = write!(buf, "MovRI({w:?}, {reg:?}, #)");
+                        h.u64(MASKED_MOV);
+                        w.hash(&mut h);
+                        reg.hash(&mut h);
                     }
-                    ref op => {
-                        let _ = write!(buf, "{op:?}");
-                    }
+                    op => op.hash(&mut h),
                 }
-                h.bytes(buf.as_bytes());
                 pos = inst.end();
             }
             Err(_) => {
-                let off = (pos - text.addr) as usize;
                 h.u64(0x4241_4442); // "BADB": undecodable-byte marker
                 h.u64(pos - start);
                 h.u64(text.bytes[off] as u64);
@@ -1088,6 +1192,45 @@ mod tests {
             content_fingerprint(&image.to_binary())
         );
     }
+
+    /// `sem` hashes are persisted, so their scheme — the sweep plus the
+    /// derived `Hash` of the typed `Op` — must not drift silently.
+    #[test]
+    fn structural_sem_hash_is_pinned_and_masks_only_data_immediates() {
+        let spans = [(0x1000, 0x1100)];
+        let sem = |mov: [u8; 5]| {
+            // push rbp; mov rbp, rsp; <mov>; pop rbp; ret
+            let mut bytes = vec![0x55, 0x48, 0x89, 0xe5];
+            bytes.extend_from_slice(&mov);
+            bytes.extend_from_slice(&[0x5d, 0xc3]);
+            let end = 0x1000 + bytes.len() as u64;
+            sem_fingerprint(
+                &Section::new(SectionKind::Text, 0x1000, bytes),
+                &spans,
+                0x1000,
+                end,
+            )
+        };
+        let eax_42 = sem([0xb8, 42, 0, 0, 0]);
+        assert_eq!(
+            eax_42, PINNED_SEM,
+            "the sem hash scheme changed: bump serial::RESULT_VERSION so digests \
+             stored under the old scheme read back digest-less"
+        );
+        assert_eq!(eax_42, sem([0xb8, 43, 0, 0, 0]), "data immediate masked");
+        assert_ne!(
+            sem([0xbf, 42, 0, 0, 0]),
+            sem([0xbf, 43, 0, 0, 0]),
+            "rdi immediates stay exact"
+        );
+        assert_ne!(
+            sem([0xb8, 0x10, 0x10, 0, 0]),
+            sem([0xb8, 0x11, 0x10, 0, 0]),
+            "address-like immediates stay exact"
+        );
+    }
+
+    const PINNED_SEM: u64 = 0xa1a2_6511_c492_cfec;
 
     #[test]
     fn cache_is_keyed_by_pipeline_id_too() {

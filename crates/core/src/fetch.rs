@@ -143,7 +143,9 @@ impl Fetch {
     /// recompute for local patches, plain cold otherwise. The outcome's
     /// result is byte-identical to [`Fetch::detect_image`] on `image`;
     /// the returned digest describes `image` and should be persisted so
-    /// the *next* version can delta against this one.
+    /// the *next* version can delta against this one. It is derived from
+    /// `prev_digest` through [`ImageDigest::compute_from`], so only the
+    /// buckets the patch touched are swept.
     pub fn detect_delta(
         &self,
         prev_result: &Arc<DetectionResult>,
@@ -153,7 +155,7 @@ impl Fetch {
     ) -> (DeltaOutcome, ImageDigest) {
         engine.set_intra_jobs(self.intra_jobs);
         let binary = image.to_binary();
-        let digest = ImageDigest::compute(&binary, image_fingerprint(image));
+        let digest = ImageDigest::compute_from(prev_digest, &binary, image_fingerprint(image));
         let out = run_delta(
             &self.pipeline(),
             prev_result,

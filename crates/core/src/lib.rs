@@ -212,9 +212,19 @@
 //!    a `sem` hash of a masked linear sweep — `mov reg, imm`
 //!    immediates that no layer can observe (non-`rdi`, not
 //!    section-address-like) are elided, so data-constant patches hash
-//!    equal. Digests travel with results: the serial format ([`serialize_result_with_digest`],
-//!    version [`RESULT_VERSION`]) embeds them, and pre-digest
-//!    ([`RESULT_VERSION_V1`]) blobs still read back (digest `None`).
+//!    equal. The sweep hashes each instruction's typed [`fetch_x64::Op`]
+//!    through its derived `Hash`. Given the predecessor's digest,
+//!    [`ImageDigest::compute_from`] returns the same digest for a
+//!    fraction of the work: it keeps the predecessor's bucket geometry
+//!    when no section shape and no `.eh_frame` byte moved, and its `sem`
+//!    for every covered bucket whose bytes, plus the
+//!    `MAX_INST_LEN − 1` bytes after it, are unchanged. A one-function
+//!    patch re-sweeps one bucket. Digests travel with results: the serial
+//!    format ([`serialize_result_with_digest`], version
+//!    [`RESULT_VERSION`]) embeds them, and older blobs still read back
+//!    with digest `None` — pre-digest ([`RESULT_VERSION_V1`]) ones, and
+//!    [`RESULT_VERSION_V2`]/[`RESULT_VERSION_V3`] ones whose `sem` used
+//!    another hash scheme.
 //! 2. **Diff.** [`diff_digests`] classifies a version pair:
 //!    [`DigestDiff::Identical`], [`DigestDiff::LocalText`] (only text
 //!    bucket contents moved — with the changed windows, a semantic
@@ -232,7 +242,7 @@
 //!    property-tested in `tests/proptest_delta.rs`).
 //!
 //! ```
-//! use fetch_core::{DeltaClass, Fetch, ImageDigest};
+//! use fetch_core::{image_fingerprint, DeltaClass, Fetch, ImageDigest};
 //! use fetch_binary::{write_elf, ElfImage};
 //! use fetch_disasm::RecEngine;
 //! use fetch_synth::{patch_function, synthesize, PatchKind, SynthConfig};
@@ -251,11 +261,14 @@
 //! let v2_image = ElfImage::parse(write_elf(&patched.binary)).unwrap();
 //!
 //! // Delta answers from the old result without re-running a layer...
-//! let (out, _v2_digest) =
+//! let (out, v2_digest) =
 //!     fetch.detect_delta(&v1, Some(&v1_digest), &v2_image, &mut engine);
 //! assert_eq!(out.class, DeltaClass::SectionReuse);
 //! // ...and is byte-identical to a cold run on the new version.
 //! assert_eq!(*out.result, fetch.detect(&patched.binary));
+//! // The incrementally derived digest is the full one.
+//! let full = ImageDigest::compute(&patched.binary, image_fingerprint(&v2_image));
+//! assert_eq!(v2_digest, full);
 //! ```
 //!
 //! # Examples
@@ -327,7 +340,7 @@ pub use pointer_scan::{
 pub use serial::{
     deserialize_result, deserialize_result_full, intern_layer_name, serialize_result,
     serialize_result_legacy, serialize_result_with_digest, SerialError, RESULT_MAGIC,
-    RESULT_VERSION, RESULT_VERSION_V1, RESULT_VERSION_V2,
+    RESULT_VERSION, RESULT_VERSION_V1, RESULT_VERSION_V2, RESULT_VERSION_V3,
 };
 pub use state::{DetectionResult, DetectionState, FrameTable, LayerTrace, Provenance};
 pub use strategy::{

@@ -32,17 +32,25 @@ use crate::cache::{BucketDigest, ImageDigest, SectionDigest};
 use crate::pipeline::KNOWN_LAYERS;
 use crate::state::{DetectionResult, LayerTrace, Provenance};
 use fetch_binary::SectionKind;
+use std::hash::Hasher as _;
 
 /// Magic bytes opening every serialized [`DetectionResult`].
 pub const RESULT_MAGIC: [u8; 4] = *b"FRES";
-/// Current format version: v3 adds the pointer-scan work counters
+/// Current format version. v4 keeps the v3 layout; it marks digests
+/// whose bucket `sem` hashes are structural (the typed instruction, not
+/// its `Debug` text). v3 added the pointer-scan work counters
 /// (`bytes_scanned`, `candidates_checked`) to each trace entry; v2
-/// appended an optional [`ImageDigest`] after the trace. Readers
-/// accept [`RESULT_VERSION_V2`] and [`RESULT_VERSION_V1`] encodings
-/// too — older traces decode with zeroed scan counters (and v1 with
-/// `digest = None`) and heal on their next write; versions beyond
+/// appended an optional [`ImageDigest`] after the trace. Readers accept
+/// [`RESULT_VERSION_V3`], [`RESULT_VERSION_V2`] and [`RESULT_VERSION_V1`]
+/// encodings too: their results decode (pre-v3 traces with zeroed scan
+/// counters), their digests read as `None` — an old-scheme `sem` must
+/// never be diffed against, or copied next to, a structural one — and
+/// the entry heals on its next write. Versions beyond
 /// [`RESULT_VERSION`] are rejected.
-pub const RESULT_VERSION: u16 = 3;
+pub const RESULT_VERSION: u16 = 4;
+/// The last format version with `Debug`-text digests, still accepted on
+/// read (digest dropped).
+pub const RESULT_VERSION_V3: u16 = 3;
 /// The pre-scan-counter format version, still accepted on read.
 pub const RESULT_VERSION_V2: u16 = 2;
 /// The pre-digest format version, still accepted on read.
@@ -221,6 +229,37 @@ pub fn serialize_result_with_digest(
     result: &DetectionResult,
     digest: Option<&ImageDigest>,
 ) -> Result<Vec<u8>, SerialError> {
+    encode(result, digest, RESULT_VERSION)
+}
+
+/// Encodes `result` in an *older* accepted format `version` — no
+/// per-trace scan counters before v3, and no digest slot at all in
+/// [`RESULT_VERSION_V1`] (`digest` is dropped there). This exists for
+/// compatibility testing and migration tooling: it produces exactly the
+/// blobs old stores hold, so readers can be exercised against them
+/// without keeping binary fixtures around.
+///
+/// # Errors
+///
+/// [`SerialError::UnsupportedVersion`] when `version` is not an older
+/// accepted version, and [`SerialError::UnknownLayerName`] under the
+/// same conditions as [`serialize_result`].
+pub fn serialize_result_legacy(
+    result: &DetectionResult,
+    digest: Option<&ImageDigest>,
+    version: u16,
+) -> Result<Vec<u8>, SerialError> {
+    if !(RESULT_VERSION_V1..RESULT_VERSION).contains(&version) {
+        return Err(SerialError::UnsupportedVersion(version));
+    }
+    encode(result, digest, version)
+}
+
+fn encode(
+    result: &DetectionResult,
+    digest: Option<&ImageDigest>,
+    version: u16,
+) -> Result<Vec<u8>, SerialError> {
     for name in result
         .layers
         .iter()
@@ -232,7 +271,7 @@ pub fn serialize_result_with_digest(
     }
     let mut w = Writer(Vec::with_capacity(64 + result.starts.len() * 9));
     w.0.extend_from_slice(&RESULT_MAGIC);
-    w.u16(RESULT_VERSION);
+    w.u16(version);
     w.count(result.starts.len());
     for (&addr, &prov) in &result.starts {
         w.u64(addr);
@@ -251,10 +290,13 @@ pub fn serialize_result_with_digest(
         w.u64(t.starts_after as u64);
         w.u64(t.decode_hits);
         w.u64(t.decode_misses);
-        w.u64(t.bytes_scanned);
-        w.u64(t.candidates_checked);
+        if version >= RESULT_VERSION_V3 {
+            w.u64(t.bytes_scanned);
+            w.u64(t.candidates_checked);
+        }
     }
     match digest {
+        _ if version < RESULT_VERSION_V2 => {}
         None => w.u8(0),
         Some(d) => {
             w.u8(1);
@@ -278,64 +320,6 @@ pub fn serialize_result_with_digest(
                 }
             }
         }
-    }
-    let sum = checksum(&w.0);
-    w.u64(sum);
-    Ok(w.0)
-}
-
-/// Encodes `result` in an *older* accepted format `version` — no
-/// per-trace scan counters (pre-v3), and no digest presence byte for
-/// [`RESULT_VERSION_V1`]. This exists for compatibility testing and
-/// migration tooling: it produces exactly the blobs old stores hold, so
-/// readers can be exercised against them without keeping binary
-/// fixtures around.
-///
-/// # Errors
-///
-/// [`SerialError::UnsupportedVersion`] when `version` is not an older
-/// accepted version, and [`SerialError::UnknownLayerName`] under the
-/// same conditions as [`serialize_result`].
-pub fn serialize_result_legacy(
-    result: &DetectionResult,
-    version: u16,
-) -> Result<Vec<u8>, SerialError> {
-    if !(RESULT_VERSION_V1..RESULT_VERSION).contains(&version) {
-        return Err(SerialError::UnsupportedVersion(version));
-    }
-    for name in result
-        .layers
-        .iter()
-        .chain(result.trace.iter().map(|t| &t.name))
-    {
-        if intern_layer_name(name).is_none() {
-            return Err(SerialError::UnknownLayerName((*name).to_string()));
-        }
-    }
-    let mut w = Writer(Vec::new());
-    w.0.extend_from_slice(&RESULT_MAGIC);
-    w.u16(version);
-    w.count(result.starts.len());
-    for (&addr, &prov) in &result.starts {
-        w.u64(addr);
-        w.u8(provenance_tag(prov));
-    }
-    w.count(result.layers.len());
-    for name in &result.layers {
-        w.str(name);
-    }
-    w.count(result.trace.len());
-    for t in &result.trace {
-        w.str(t.name);
-        w.u64(t.wall_nanos);
-        w.delta(&t.added);
-        w.delta(&t.removed);
-        w.u64(t.starts_after as u64);
-        w.u64(t.decode_hits);
-        w.u64(t.decode_misses);
-    }
-    if version >= RESULT_VERSION_V2 {
-        w.u8(0); // no digest
     }
     let sum = checksum(&w.0);
     w.u64(sum);
@@ -407,16 +391,16 @@ impl<'a> Reader<'a> {
 /// Decodes a [`DetectionResult`] previously encoded by
 /// [`serialize_result`], verifying magic, version, checksum, and every
 /// structural invariant (strictly ascending address lists, in-vocabulary
-/// layer names, no trailing bytes). Accepts both the current and the
-/// pre-digest v1 format; any attached digest is dropped — use
+/// layer names, no trailing bytes). Accepts the current and every older
+/// format; any attached digest is dropped — use
 /// [`deserialize_result_full`] to keep it.
 pub fn deserialize_result(bytes: &[u8]) -> Result<DetectionResult, SerialError> {
     deserialize_result_full(bytes).map(|(result, _)| result)
 }
 
 /// Decodes a [`DetectionResult`] together with the [`ImageDigest`] it
-/// was persisted with. Pre-digest (v1) encodings decode with
-/// `digest = None` — a serving layer recomputes and re-persists the
+/// was persisted with. Encodings older than [`RESULT_VERSION`] decode
+/// with `digest = None` — a serving layer recomputes and re-persists the
 /// digest on its next write (store healing).
 pub fn deserialize_result_full(
     bytes: &[u8],
@@ -470,7 +454,7 @@ pub fn deserialize_result_full(
         let decode_hits = r.u64()?;
         let decode_misses = r.u64()?;
         // Pre-v3 traces predate the scan counters: decode as zero.
-        let (bytes_scanned, candidates_checked) = if version >= RESULT_VERSION {
+        let (bytes_scanned, candidates_checked) = if version >= RESULT_VERSION_V3 {
             (r.u64()?, r.u64()?)
         } else {
             (0, 0)
@@ -499,6 +483,9 @@ pub fn deserialize_result_full(
     if r.pos != payload.len() {
         return Err(SerialError::Corrupt("trailing bytes after encoding"));
     }
+    // An older digest is validated above but dropped: its `sem` hashes
+    // use another scheme.
+    let digest = digest.filter(|_| version == RESULT_VERSION);
     Ok((
         DetectionResult {
             starts,
@@ -586,7 +573,7 @@ mod tests {
     }
 
     fn encode_legacy(result: &DetectionResult, version: u16) -> Vec<u8> {
-        serialize_result_legacy(result, version).unwrap()
+        serialize_result_legacy(result, None, version).unwrap()
     }
 
     #[test]
@@ -595,7 +582,7 @@ mod tests {
         let result = Pipeline::parse("FDE+Rec").unwrap().run(&case.binary);
         for bad in [0, RESULT_VERSION, RESULT_VERSION + 1] {
             assert_eq!(
-                serialize_result_legacy(&result, bad),
+                serialize_result_legacy(&result, None, bad),
                 Err(SerialError::UnsupportedVersion(bad))
             );
         }
@@ -661,6 +648,31 @@ mod tests {
         assert_eq!(old, result);
         assert!(od.is_none());
         assert_eq!(deserialize_result(&v1).unwrap(), result);
+    }
+
+    #[test]
+    fn v2_and_v3_digests_read_back_as_digestless() {
+        let case = synthesize(&SynthConfig::small(47));
+        let result = Pipeline::fetch().run(&case.binary);
+        let digest =
+            crate::ImageDigest::compute(&case.binary, crate::content_fingerprint(&case.binary));
+        for version in [RESULT_VERSION_V2, RESULT_VERSION_V3] {
+            let old = serialize_result_legacy(&result, Some(&digest), version).unwrap();
+            assert_ne!(
+                old,
+                encode_legacy(&result, version),
+                "the v{version} blob carries the digest"
+            );
+            let (back, d) = deserialize_result_full(&old).unwrap();
+            assert_eq!(back, result, "the v{version} result is kept");
+            assert!(d.is_none(), "a v{version} digest uses the old sem scheme");
+        }
+        // v3 is v4's layout: only the version number tells them apart.
+        let v3 = serialize_result_legacy(&result, Some(&digest), RESULT_VERSION_V3).unwrap();
+        let v4 = serialize_result_with_digest(&result, Some(&digest)).unwrap();
+        assert_eq!(v3[6..v3.len() - 8], v4[6..v4.len() - 8]);
+        let (back, _) = deserialize_result_full(&v3).unwrap();
+        assert!(trace_fields_equal(&back, &result), "v3 keeps scan counters");
     }
 
     #[test]

@@ -57,6 +57,7 @@ impl std::error::Error for JsonError {}
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -142,9 +143,28 @@ impl<'a> Parser<'a> {
         Ok(v)
     }
 
+    /// Advances over a run of plain string characters — one slice scan
+    /// to the next quote, backslash or control byte — and returns it.
+    /// Those delimiters are ASCII, so the run ends on a UTF-8 boundary.
+    fn plain_run(&mut self) -> &'a str {
+        let start = self.pos;
+        self.pos += self.bytes[start..]
+            .iter()
+            .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+            .unwrap_or(self.bytes.len() - start);
+        &self.text[start..self.pos]
+    }
+
     fn string(&mut self) -> Result<String, JsonError> {
         self.eat(b'"', "expected string")?;
-        let mut out = String::new();
+        // An escape-free string — every multi-MiB inline payload — is
+        // one scan and one copy.
+        let run = self.plain_run();
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(run.to_owned());
+        }
+        let mut out = String::from(run);
         loop {
             match self.peek() {
                 None => return self.err("unterminated string"),
@@ -194,27 +214,7 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(c) if c < 0x20 => return self.err("control character in string"),
-                Some(_) => {
-                    // Copy the whole run of plain characters in one go —
-                    // the delimiters checked below are ASCII, so the run
-                    // always ends on a UTF-8 boundary. (Per-character
-                    // validation here would make string parsing
-                    // quadratic; multi-MiB inline payloads hit that.)
-                    let start = self.pos;
-                    while let Some(c) = self.peek() {
-                        if c == b'"' || c == b'\\' || c < 0x20 {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    let run = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| {
-                        JsonError {
-                            at: start,
-                            what: "invalid UTF-8",
-                        }
-                    })?;
-                    out.push_str(run);
-                }
+                Some(_) => out.push_str(self.plain_run()),
             }
         }
     }
@@ -274,6 +274,7 @@ impl Json {
     /// trailing garbage rejected).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -438,6 +439,27 @@ mod tests {
         assert_eq!(v.as_str(), Some("aA😀\t"));
         assert!(Json::parse(r#""\ud83d""#).is_err(), "unpaired surrogate");
         assert!(Json::parse("\"ab").is_err(), "unterminated");
+    }
+
+    #[test]
+    fn escapes_after_a_long_plain_run() {
+        let plain = "ab😀".repeat(20_000);
+        let v = Json::parse(&format!(r#""{plain}\n\"\u00e9/""#)).unwrap();
+        assert_eq!(v.as_str(), Some(format!("{plain}\n\"é/").as_str()));
+        let v = Json::parse(&format!(r#"["{plain}","{plain}\t"]"#)).unwrap();
+        assert_eq!(
+            v,
+            Json::Arr(vec![Json::str(&plain), Json::str(format!("{plain}\t"))])
+        );
+        assert!(
+            Json::parse(&format!("\"{plain}\\q\"")).is_err(),
+            "bad escape"
+        );
+        assert!(
+            Json::parse(&format!("\"{plain}\n\"")).is_err(),
+            "raw control byte"
+        );
+        assert!(Json::parse(&format!("\"{plain}")).is_err(), "unterminated");
     }
 
     #[test]

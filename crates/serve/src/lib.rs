@@ -38,7 +38,10 @@
 //!   ([`fetch_core::run_delta`]): verbatim reuse when the persisted
 //!   [`fetch_core::ImageDigest`] proves the patch answer-preserving
 //!   (source `"delta"`, `stats.delta` counters), decode-warm or cold
-//!   otherwise — always byte-identical to a cold `analyze`.
+//!   otherwise — always byte-identical to a cold `analyze`. The new
+//!   version's digest is derived from the predecessor's
+//!   ([`fetch_core::ImageDigest::compute_from`]), so a one-function patch
+//!   re-sweeps one bucket.
 //! * [`store`] — [`ResultStore`]: one atomic, versioned, checksummed
 //!   file per `(content fingerprint, pipeline id)`, holding the full
 //!   [`fetch_core::DetectionResult`] *including its trace* and the
@@ -47,8 +50,9 @@
 //!   recovery sweep (orphaned temps reaped, invalid entries
 //!   quarantined); a [`store::GcPolicy`] bounds the store by entries /
 //!   bytes / age. A corrupted file is rejected and healed, never
-//!   misread; pre-digest entries load digest-less and heal on the next
-//!   warm analyze.
+//!   misread; entries older than the current result format (pre-digest,
+//!   or with an older `sem` hash scheme) load digest-less and heal on
+//!   the next warm analyze.
 //! * [`server`] — the transports: a Unix-socket accept loop feeding a
 //!   bounded worker pool with per-connection deadlines and `busy` load
 //!   shedding, a directory queue (`in/*.json` → `out/*.json`, bad files

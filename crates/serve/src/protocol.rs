@@ -412,10 +412,11 @@ fn decode_hex(s: &str) -> Option<Vec<u8>> {
             _ => None,
         }
     };
-    s.as_bytes()
-        .chunks_exact(2)
-        .map(|pair| Some(digit(pair[0])? << 4 | digit(pair[1])?))
-        .collect()
+    let mut out = Vec::with_capacity(s.len() / 2);
+    for pair in s.as_bytes().chunks_exact(2) {
+        out.push(digit(pair[0])? << 4 | digit(pair[1])?);
+    }
+    Some(out)
 }
 
 /// Renders bytes as lowercase hex (the `bytes_hex` request form).

@@ -53,7 +53,7 @@ use crate::protocol::{
     Request, RequestCounters, ServeSource, StatsReply,
 };
 use crate::store::{GcPolicy, ResultStore};
-use fetch_binary::ElfImage;
+use fetch_binary::{Binary, ElfImage};
 use fetch_core::{
     image_fingerprint, run_delta, AnalysisCache, CacheCapacity, DeltaClass, DetectionResult,
     Flight, ImageDigest, Pipeline,
@@ -648,9 +648,9 @@ impl AnalysisService {
     }
 
     /// Runs the pipeline on a borrowed pool engine.
-    fn compute(&self, pipeline: &Pipeline, image: &ElfImage) -> fetch_core::DetectionResult {
+    fn compute(&self, pipeline: &Pipeline, binary: &Binary) -> fetch_core::DetectionResult {
         let mut engine = self.borrow_engine();
-        let result = pipeline.run_with_engine(&image.to_binary(), &mut engine);
+        let result = pipeline.run_with_engine(binary, &mut engine);
         self.engines
             .lock()
             .unwrap_or_else(|p| p.into_inner())
@@ -773,7 +773,8 @@ impl AnalysisService {
                         ));
                     }
                     self.counters.cold.fetch_add(1, Ordering::Relaxed);
-                    let result = Arc::new(self.compute(pipeline, &image));
+                    let binary = image.to_binary();
+                    let result = Arc::new(self.compute(pipeline, &binary));
                     // Publish to cache and waiters first; digest + disk
                     // after, so coalesced repliers never block on them.
                     let result = guard.complete(result);
@@ -781,7 +782,7 @@ impl AnalysisService {
                         .coalesce_leader_us
                         .record(t_join.elapsed().as_micros() as u64);
                     self.obs.record_layer_walls(&result);
-                    let digest = Arc::new(ImageDigest::compute(&image.to_binary(), fingerprint));
+                    let digest = Arc::new(ImageDigest::compute(&binary, fingerprint));
                     let result =
                         self.publish_digest(req_id, fingerprint, &pipeline_id, result, digest);
                     return Ok(AnalyzeReply {
@@ -872,15 +873,18 @@ impl AnalysisService {
                 }
             });
 
+        // Only the buckets the patch touched are swept: the rest of the
+        // digest is copied from the predecessor's.
         let binary = image.to_binary();
-        let new_digest = ImageDigest::compute(&binary, fingerprint);
+        let prev_digest = prev.as_ref().and_then(|(_, d)| d.as_deref());
+        let new_digest = ImageDigest::compute_from(prev_digest, &binary, fingerprint);
         let mut engine = self.borrow_engine();
         let (result, class, sections_reused) = match &prev {
-            Some((prev_result, prev_digest)) => {
+            Some((prev_result, _)) => {
                 let out = run_delta(
                     pipeline,
                     prev_result,
-                    prev_digest.as_deref(),
+                    prev_digest,
                     &binary,
                     &new_digest,
                     &mut engine,

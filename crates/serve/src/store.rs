@@ -807,7 +807,7 @@ mod tests {
     }
 
     /// The serial-blob checksum (FNV-1a, domain `"serial1v"`),
-    /// replicated so the test below can forge a pre-digest (v1) blob.
+    /// replicated so the test below can forge older-format blobs.
     /// Drifts loudly: if core changes its checksum this test fails.
     fn serial_checksum(payload: &[u8]) -> u64 {
         const PRIME: u64 = 0x1000_0000_01b3;
@@ -829,7 +829,7 @@ mod tests {
 
     #[test]
     fn digests_persist_and_v1_entries_load_digestless_then_heal() {
-        use fetch_core::{ImageDigest, RESULT_VERSION_V1};
+        use fetch_core::{ImageDigest, RESULT_VERSION_V1, RESULT_VERSION_V3};
         let dir = scratch_dir("digest");
         let case = synthesize(&SynthConfig::small(57));
         let pipeline = Pipeline::fetch();
@@ -847,35 +847,41 @@ mod tests {
         // The digest-blind accessor still works on a digest-ful entry.
         assert_eq!(store.load(fp, &pipeline.id()).unwrap().unwrap(), result);
 
-        // Rewrite the entry's blob as a pre-digest v1 encoding — the
-        // shape of an entry persisted before digests (and the v3 scan
-        // counters) existed. The forged blob's checksum is re-derived
-        // locally so a drift in core's checksum fails here loudly.
+        // Rewrite the entry's blob as an older encoding: a pre-digest v1
+        // one (no digest, no v3 scan counters), then a v3 one whose
+        // digest hashed `sem` by the old scheme. The forged blob's
+        // checksum is re-derived locally so a drift in core's checksum
+        // fails here loudly.
         let path = store.path_for(fp, &pipeline.id());
         let file = fs::read(&path).unwrap();
         let id_len = u16::from_le_bytes(file[14..16].try_into().unwrap()) as usize;
         let blob_at = 16 + id_len;
-        let v1 = fetch_core::serialize_result_legacy(&result, RESULT_VERSION_V1).unwrap();
-        let sum = serial_checksum(&v1[..v1.len() - 8]).to_le_bytes();
-        assert_eq!(v1[v1.len() - 8..], sum, "core checksum drifted");
-        let mut forged = file[..blob_at].to_vec();
-        forged.extend_from_slice(&v1);
-        fs::write(&path, &forged).unwrap();
+        for (version, old_digest) in [
+            (RESULT_VERSION_V1, None),
+            (RESULT_VERSION_V3, Some(&digest)),
+        ] {
+            let old = fetch_core::serialize_result_legacy(&result, old_digest, version).unwrap();
+            let sum = serial_checksum(&old[..old.len() - 8]).to_le_bytes();
+            assert_eq!(old[old.len() - 8..], sum, "core checksum drifted");
+            let mut forged = file[..blob_at].to_vec();
+            forged.extend_from_slice(&old);
+            fs::write(&path, &forged).unwrap();
 
-        // A restart's recovery sweep must keep the v1 entry...
-        let restarted = ResultStore::open(&dir).unwrap();
-        assert_eq!(restarted.stats().unwrap().quarantined, 0);
-        // ...and it loads with no digest.
-        let (old, od) = restarted.load_full(fp, &pipeline.id()).unwrap().unwrap();
-        assert_eq!(old, result);
-        assert!(od.is_none(), "pre-digest entries read as digest-less");
+            // A restart's recovery sweep must keep the old entry...
+            let restarted = ResultStore::open(&dir).unwrap();
+            assert_eq!(restarted.stats().unwrap().quarantined, 0);
+            // ...and it loads with no digest.
+            let (back, od) = restarted.load_full(fp, &pipeline.id()).unwrap().unwrap();
+            assert_eq!(back, result);
+            assert!(od.is_none(), "v{version} entries read as digest-less");
 
-        // Healing: a re-save with the digest upgrades the entry.
-        restarted
-            .save_with_digest(fp, &pipeline.id(), &result, Some(&digest))
-            .unwrap();
-        let (_, healed) = restarted.load_full(fp, &pipeline.id()).unwrap().unwrap();
-        assert_eq!(healed.as_ref(), Some(&digest));
+            // Healing: a re-save with the digest upgrades the entry.
+            restarted
+                .save_with_digest(fp, &pipeline.id(), &result, Some(&digest))
+                .unwrap();
+            let (_, healed) = restarted.load_full(fp, &pipeline.id()).unwrap().unwrap();
+            assert_eq!(healed.as_ref(), Some(&digest));
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 
