@@ -35,7 +35,9 @@
 //!   asserted `==` the cold result), plus the `concurrency` subgroup —
 //!   warm p50/p95 latency vs client count against one shared service,
 //!   and the coalescing guarantee (8 concurrent submits of one uncached
-//!   image → exactly 1 cold compute, asserted, every reply identical).
+//!   image → exactly 1 cold compute, asserted, every reply identical),
+//!   plus `reply_render_us`: the p50 of rendering the large-corpus
+//!   analyze reply to its protocol line (`Reply::to_line_with`).
 //! * `delta` — versioned re-analysis on the large corpus binary: a
 //!   one-function neutral patch answered through
 //!   [`fetch_core::run_delta`]'s section-reuse tier vs a cold run
@@ -694,10 +696,40 @@ fn main() {
             coalesce_stats.cold
         );
 
+        // Reply render: the large-corpus analyze reply streamed to its
+        // protocol line, the last step before the socket write.
+        let reply = warm_service.handle(Request::Analyze {
+            input: AnalyzeInput::Bytes(elf_bytes.clone()),
+            pipeline: Pipeline::fetch(),
+        });
+        let Reply::Analyze(analyzed) = &reply else {
+            panic!("serve group: unexpected reply {reply:?}");
+        };
+        let mut render_us: Vec<f64> = (0..reps.max(31) as u64)
+            .map(|req_id| {
+                let t = Instant::now();
+                let line = std::hint::black_box(&reply).to_line_with(req_id);
+                let us = t.elapsed().as_secs_f64() * 1e6;
+                std::hint::black_box(line);
+                us
+            })
+            .collect();
+        render_us.sort_by(|a, b| a.total_cmp(b));
+        let reply_render_us = percentile(&render_us, 0.50);
+        let line = reply.to_line_with(0);
+        assert_eq!(
+            fetch_serve::json::Json::parse(&line)
+                .expect("the rendered reply parses")
+                .get("result"),
+            Some(&fetch_serve::protocol::result_json(&analyzed.result)),
+            "the streamed reply must carry the tree form's result"
+        );
+
         let _ = write!(
             json,
             "  \"serve\": {{\n    \"image_bytes\": {},\n    \
              \"cold_submit_us\": {cold_us:.1},\n    \
+             \"reply_render_us\": {reply_render_us:.1},\n    \
              \"cache_hit_us\": {cache_us:.1},\n    \
              \"store_hit_us\": {store_us:.1},\n    \
              \"cache_hit_speedup\": {cache_speedup:.1},\n    \
@@ -712,7 +744,7 @@ fn main() {
         println!(
             " serve: cold {cold_us:.1} µs, cache hit {cache_us:.1} µs ({cache_speedup:.0}x), \
              store hit {store_us:.1} µs ({store_speedup:.0}x); coalesce@{coalesce_clients}: \
-             {} cold, {} coalesced",
+             {} cold, {} coalesced; reply render {reply_render_us:.1} µs",
             coalesce_stats.cold, coalesce_stats.coalesced,
         );
         let _ = std::fs::remove_dir_all(&base);

@@ -85,7 +85,6 @@ fn start_daemon(
                 &service,
                 &ServerOptions {
                     socket: Some(socket),
-                    poll: Some(Duration::from_millis(1)),
                     jobs: Some(jobs),
                     ..ServerOptions::default()
                 },

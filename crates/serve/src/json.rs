@@ -5,17 +5,24 @@
 //! hand-rolls its wire format on this module: a [`Json`] tree with a
 //! strict recursive-descent parser ([`Json::parse`]: depth-limited,
 //! full string escapes incl. surrogate pairs, one value per input) and
-//! a *deterministic* compact renderer (the `Display` impl) — object
-//! keys are stored in a `BTreeMap`, so the same value always renders to
-//! the same bytes. That determinism is load-bearing: the end-to-end
-//! smoke test asserts a cache/store hit renders the byte-identical
-//! `result` object a cold run rendered.
+//! one *deterministic* compact renderer (the `Display` impl, which
+//! appends the whole tree into one `String` with no per-node
+//! temporaries) — object keys are stored in a `BTreeMap`, so the same
+//! value always renders to the same bytes. That determinism is
+//! load-bearing: the end-to-end smoke test asserts a cache/store hit
+//! renders the byte-identical `result` object a cold run rendered.
+//!
+//! The hot analyze reply is not built as a tree at all:
+//! [`crate::protocol::Reply::to_line_with`] streams it field by field
+//! in key order through this module's string escaper and number writer.
+//! A property test pins that stream byte-identical to rendering the
+//! tree form.
 //!
 //! Numbers are `f64`; values that must survive above 2^53 (content
 //! fingerprints) travel as hex *strings* at the protocol layer.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -345,63 +352,87 @@ impl Json {
     }
 }
 
-fn escape_into(out: &mut String, s: &str) {
+/// Appends `s` as a quoted JSON string: `"`, `\\`, `\n`, `\r`, `\t`
+/// get their short escapes, other control characters `\u00XX`, and
+/// every run of plain characters is copied in one `push_str`.
+pub(crate) fn escape_into(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    let mut rest = s;
+    // The delimiters are ASCII, so every split lands on a UTF-8 boundary.
+    while let Some(at) = rest
+        .bytes()
+        .position(|c| c == b'"' || c == b'\\' || c < 0x20)
+    {
+        out.push_str(&rest[..at]);
+        match rest.as_bytes()[at] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            c => {
+                let _ = write!(out, "\\u{c:04x}");
             }
-            c => out.push(c),
+        }
+        rest = &rest[at + 1..];
+    }
+    out.push_str(rest);
+    out.push('"');
+}
+
+/// Appends a number the way [`Json::Num`] renders: integral values under
+/// 2^53 without a fractional part, everything else through `f64`'s
+/// shortest round-trip `Display`.
+pub(crate) fn write_num(out: &mut String, v: f64) {
+    let _ = if v.fract() == 0.0 && v.abs() < (1u64 << 53) as f64 {
+        write!(out, "{}", v as i64)
+    } else {
+        write!(out, "{v}")
+    };
+}
+
+impl Json {
+    /// Appends the compact, deterministic rendering (object keys in
+    /// `BTreeMap` order) to `out`.
+    fn write_to(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(v) => write_num(out, *v),
+            Json::Str(s) => escape_into(out, s),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    item.write_to(out);
+                }
+                out.push(']');
+            }
+            Json::Obj(map) => {
+                out.push('{');
+                for (i, (k, v)) in map.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    escape_into(out, k);
+                    out.push(':');
+                    v.write_to(out);
+                }
+                out.push('}');
+            }
         }
     }
-    out.push('"');
 }
 
 impl fmt::Display for Json {
     /// Compact, deterministic rendering (object keys in `BTreeMap`
     /// order; integral numbers without a fractional part).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(v) if v.fract() == 0.0 && v.abs() < (1u64 << 53) as f64 => {
-                write!(f, "{}", *v as i64)
-            }
-            Json::Num(v) => write!(f, "{v}"),
-            Json::Str(s) => {
-                let mut out = String::with_capacity(s.len() + 2);
-                escape_into(&mut out, s);
-                f.write_str(&out)
-            }
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Obj(map) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in map.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    let mut key = String::with_capacity(k.len() + 2);
-                    escape_into(&mut key, k);
-                    write!(f, "{key}:{v}")?;
-                }
-                f.write_str("}")
-            }
-        }
+        let mut out = String::new();
+        self.write_to(&mut out);
+        f.write_str(&out)
     }
 }
 
@@ -460,6 +491,16 @@ mod tests {
             "raw control byte"
         );
         assert!(Json::parse(&format!("\"{plain}")).is_err(), "unterminated");
+    }
+
+    #[test]
+    fn escape_into_pins_every_escape_form() {
+        let mut out = String::from("x");
+        escape_into(&mut out, "a\"b\\c\nd\re\tf\u{1}g\u{1f}hé\u{7f}");
+        assert_eq!(out, "x\"a\\\"b\\\\c\\nd\\re\\tf\\u0001g\\u001fhé\u{7f}\"");
+        out.clear();
+        escape_into(&mut out, "");
+        assert_eq!(out, r#""""#);
     }
 
     #[test]

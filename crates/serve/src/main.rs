@@ -4,7 +4,7 @@
 //! ```text
 //! fetch-serve daemon [--socket PATH] [--queue DIR] [--stdio]
 //!                    [--store DIR] [--cache-capacity N] [--cache-bytes B]
-//!                    [--jobs N] [--intra-jobs N] [--queue-depth N]
+//!                    [--poll-ms M] [--jobs N] [--intra-jobs N] [--queue-depth N]
 //!                    [--io-timeout-ms M]
 //!                    [--store-max-entries N] [--store-max-bytes B]
 //!                    [--store-max-age-secs S] [--fault-plan SPEC]
@@ -18,6 +18,10 @@
 //! sends one request line and prints the reply line (`--subscribe`
 //! keeps printing telemetry events until the daemon goes away) — small
 //! enough for shell scripting, no client library needed.
+//!
+//! `--poll-ms` sets how often the `--queue` directory is polled
+//! (default 20 ms). It is the queue's interval only: the socket
+//! transport blocks in `accept()` and never polls.
 //!
 //! `--fault-plan` (or the `FETCH_FAULT_PLAN` env var; the flag wins)
 //! arms deterministic fault injection — see [`fetch_serve::fault`] for
@@ -47,7 +51,8 @@ fn usage() -> ! {
          [--store-max-entries N] [--store-max-bytes B] [--store-max-age-secs S]\n                     \
          [--fault-plan SPEC] [--log-level LEVEL]\n  \
          fetch-serve client --socket PATH (--analyze FILE [--pipeline SPEC | --tool NAME]\n                     \
-         | --query FP [--pipeline SPEC] | --stats | --metrics | --subscribe | --shutdown | --json LINE)"
+         | --query FP [--pipeline SPEC] | --stats | --metrics | --subscribe | --shutdown | --json LINE)\n\n  \
+         --poll-ms M: poll interval of the --queue directory (default 20); the socket never polls"
     );
     exit(2)
 }
@@ -111,7 +116,9 @@ fn daemon(args: &[String]) {
             "--poll-ms" => {
                 let ms: u64 = flag_value(args, &mut i, "--poll-ms")
                     .parse()
-                    .unwrap_or_else(|_| fail("--poll-ms takes milliseconds"));
+                    .unwrap_or_else(|_| {
+                        fail("--poll-ms takes the queue poll interval in milliseconds")
+                    });
                 opts.poll = Some(std::time::Duration::from_millis(ms));
             }
             "--jobs" => {

@@ -58,8 +58,9 @@
 //! before the payload is materialized, never by an allocation or a
 //! silent truncation.
 
-use crate::json::{obj, Json};
-use fetch_core::{CacheStats, DetectionResult, LayerTrace, Pipeline, Tool};
+use crate::json::{escape_into, obj, write_num, Json};
+use fetch_core::{CacheStats, DetectionResult, LayerTrace, Pipeline, Provenance, Tool};
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -252,6 +253,62 @@ pub struct AnalyzeReply {
     pub result: Arc<DetectionResult>,
 }
 
+impl AnalyzeReply {
+    /// Streams the reply line in the key order the tree form's
+    /// `BTreeMap` renders: `fingerprint, ok, pipeline, req_id,
+    /// result{layers, start_count, starts}, source, wall_us`.
+    fn to_line_with(&self, req_id: u64) -> String {
+        let result = &self.result;
+        let mut out = String::with_capacity(
+            160 + self.pipeline_id.len() + 16 * result.layers.len() + 32 * result.starts.len(),
+        );
+        out.push_str("{\"fingerprint\":\"");
+        push_hex(&mut out, self.fingerprint);
+        out.push_str("\",\"ok\":true,\"pipeline\":");
+        escape_into(&mut out, &self.pipeline_id);
+        let _ = write!(out, ",\"req_id\":{req_id},\"result\":{{\"layers\":[");
+        for (i, layer) in result.layers.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            escape_into(&mut out, layer);
+        }
+        let _ = write!(
+            out,
+            "],\"start_count\":{},\"starts\":[",
+            result.starts.len()
+        );
+        // Each provenance's quoted token, rendered on first use: one
+        // `Display` per distinct provenance, not one per start.
+        let mut tokens: Vec<(Provenance, String)> = Vec::new();
+        for (i, (addr, prov)) in result.starts.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("[\"");
+            push_hex(&mut out, *addr);
+            out.push_str("\",");
+            let at = match tokens.iter().position(|(p, _)| p == prov) {
+                Some(at) => at,
+                None => {
+                    let mut quoted = String::new();
+                    escape_into(&mut quoted, &prov.to_string());
+                    tokens.push((*prov, quoted));
+                    tokens.len() - 1
+                }
+            };
+            out.push_str(&tokens[at].1);
+            out.push(']');
+        }
+        out.push_str("]},\"source\":");
+        escape_into(&mut out, self.source.token());
+        out.push_str(",\"wall_us\":");
+        write_num(&mut out, self.wall_us);
+        out.push('}');
+        out
+    }
+}
+
 /// Persistent-store statistics for the `stats` reply.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
@@ -383,9 +440,23 @@ impl Reply {
     }
 }
 
-/// Renders a `u64` identifier as the protocol's hex-string form.
+/// Renders a `u64` identifier as the protocol's hex-string form
+/// (`0x`, then lowercase digits without leading zeros — `{v:#x}`).
 pub fn hex_u64(v: u64) -> String {
-    format!("{v:#x}")
+    let mut out = String::with_capacity(18);
+    push_hex(&mut out, v);
+    out
+}
+
+/// Appends [`hex_u64`]'s form of `v` to `out` (a digit loop: `{:#x}`
+/// through the formatter costs several times more per start).
+fn push_hex(out: &mut String, v: u64) {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    out.push_str("0x");
+    let digits = (64 - v.leading_zeros()).max(1).div_ceil(4);
+    for i in (0..digits).rev() {
+        out.push(DIGITS[(v >> (4 * i)) as usize & 0xf] as char);
+    }
 }
 
 /// Parses the protocol's hex-string identifier form (`0x` optional).
@@ -640,7 +711,14 @@ impl Reply {
     /// Renders the reply as one protocol line with the monotonic
     /// `req_id` stamped into the envelope — every reply the daemon
     /// writes goes through here.
+    ///
+    /// An analyze reply — the hot path — is streamed straight into one
+    /// buffer instead of being built as a [`Json`] tree; its bytes are
+    /// pinned identical to rendering the tree form.
     pub fn to_line_with(&self, req_id: u64) -> String {
+        if let Reply::Analyze(a) = self {
+            return a.to_line_with(req_id);
+        }
         let mut json = self.to_json();
         if let Json::Obj(map) = &mut json {
             map.insert("req_id".to_string(), Json::int(req_id));
@@ -773,6 +851,7 @@ fn layer_event(reply: &AnalyzeReply, index: usize, t: &LayerTrace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn requests_round_trip_through_lines() {
@@ -943,9 +1022,108 @@ mod tests {
         assert!(!Reply::Shutdown.to_line().contains("req_id"));
     }
 
+    const PROVENANCES: [Provenance; 10] = [
+        Provenance::Fde,
+        Provenance::Symbol,
+        Provenance::CallTarget,
+        Provenance::PointerScan,
+        Provenance::TailCallFix,
+        Provenance::Prologue,
+        Provenance::TailHeuristic,
+        Provenance::LinearScan,
+        Provenance::Thunk,
+        Provenance::Alignment,
+    ];
+
+    /// Layer names, plain and hostile (a name is escaped like any string).
+    const LAYER_NAMES: [&str; 7] = ["FDE", "Rec", "Xref", "TcallFix", "q\"b\\", "\u{1}é", ""];
+
+    /// Characters pipeline ids are drawn from: JSON escapes, control
+    /// characters, DEL, multi-byte UTF-8 and plain ASCII.
+    const ID_CHARS: [char; 14] = [
+        '"', '\\', '\n', '\r', '\t', '\u{1}', '\u{1f}', '\u{7f}', 'é', '😀', 'F', '+', ' ', '/',
+    ];
+
+    /// `wall_us` values of every rendering class: integral, fractional,
+    /// at or above 2^53, and subnormal.
+    fn arb_wall_us() -> impl Strategy<Value = f64> {
+        (0u8..4, any::<u64>()).prop_map(|(class, bits)| match class {
+            0 => (bits % 1_000_000_000) as f64,
+            1 => (bits >> 11) as f64 / (1u64 << 40) as f64,
+            2 => (1u64 << 53) as f64 + (bits >> 8) as f64 * 1024.0,
+            _ => f64::from_bits(bits & ((1 << 52) - 1)),
+        })
+    }
+
+    fn arb_analyze_reply() -> impl Strategy<Value = AnalyzeReply> {
+        let starts = |len| proptest::collection::vec((any::<u64>(), 0..PROVENANCES.len()), len);
+        (
+            prop_oneof![starts(0..4), starts(0..3001)],
+            proptest::collection::vec(0..LAYER_NAMES.len(), 0..6),
+            proptest::collection::vec(0..ID_CHARS.len(), 0..24),
+            any::<u64>(),
+            0..5usize,
+            arb_wall_us(),
+        )
+            .prop_map(
+                |(starts, layers, id, fingerprint, source, wall_us)| AnalyzeReply {
+                    req_id: 0,
+                    fingerprint,
+                    pipeline_id: id.into_iter().map(|c| ID_CHARS[c]).collect(),
+                    source: [
+                        ServeSource::Cold,
+                        ServeSource::CacheHit,
+                        ServeSource::StoreHit,
+                        ServeSource::Coalesced,
+                        ServeSource::Delta,
+                    ][source],
+                    wall_us,
+                    result: Arc::new(DetectionResult {
+                        starts: starts
+                            .into_iter()
+                            .map(|(addr, p)| (addr, PROVENANCES[p]))
+                            .collect(),
+                        layers: layers.into_iter().map(|l| LAYER_NAMES[l]).collect(),
+                        trace: Vec::new(),
+                    }),
+                },
+            )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The streamed analyze line is byte-identical to rendering the
+        /// tree form with `req_id` stamped in, parses back, re-renders
+        /// to itself, and carries `result_json`'s `result`.
+        #[test]
+        fn streamed_analyze_reply_matches_the_tree_form(
+            reply in arb_analyze_reply(),
+            req_id in 0u64..(1 << 53),
+        ) {
+            let result = reply.result.clone();
+            let reply = Reply::Analyze(reply);
+            let line = reply.to_line_with(req_id);
+
+            let mut tree = reply.to_json();
+            if let Json::Obj(map) = &mut tree {
+                map.insert("req_id".to_string(), Json::int(req_id));
+            }
+            prop_assert_eq!(&line, &tree.to_string());
+
+            let parsed = Json::parse(&line).expect("the streamed line parses");
+            prop_assert_eq!(&parsed.to_string(), &line);
+            prop_assert_eq!(parsed.get("result"), Some(&result_json(&result)));
+            for key in ["fingerprint", "ok", "pipeline", "req_id", "source", "wall_us"] {
+                prop_assert_eq!(parsed.get(key), tree.get(key), "{}", key);
+            }
+        }
+    }
+
     #[test]
     fn hex_helpers_round_trip() {
-        for v in [0u64, 1, 0xdead_beef, u64::MAX] {
+        for v in [0u64, 1, 0xf, 0x10, 0xdead_beef, 1 << 63, u64::MAX] {
+            assert_eq!(hex_u64(v), format!("{v:#x}"));
             assert_eq!(parse_hex_u64(&hex_u64(v)), Some(v));
         }
         assert_eq!(parse_hex_u64("1234"), Some(0x1234));

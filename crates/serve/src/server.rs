@@ -1,8 +1,10 @@
-//! Transports of the daemon: a Unix-domain socket accept loop feeding a
+//! Transports of the daemon: a Unix-domain socket acceptor feeding a
 //! bounded worker pool, a directory-queue intake, and a stdio mode —
 //! all driving one shared [`AnalysisService`].
 //!
-//! * **Socket** (`--socket <path>`): clients connect and exchange one
+//! * **Socket** (`--socket <path>`): the thread that calls [`serve`]
+//!   blocks in `accept()` — a connection is handed on the moment it
+//!   arrives, with no idle poll in front of it. Clients exchange one
 //!   JSON line per request/reply. Accepted connections land on a
 //!   bounded pending queue ([`ServerOptions::queue_depth`]) drained by
 //!   [`ServerOptions::jobs`] worker threads; when the queue is full the
@@ -12,18 +14,26 @@
 //!   or stalled client can never hold a worker forever. A `subscribe`
 //!   request hands the connection's write half to the telemetry hub; it
 //!   then receives event lines until it disconnects.
-//! * **Directory queue** (`--queue <dir>`): files dropped into
-//!   `<dir>/in/*.json` (one request line each) are handled in filename
-//!   order on the accept thread (keeping queue semantics deterministic
-//!   under any worker count); the reply is written atomically to
-//!   `<dir>/out/<same name>` and the input file removed — input removal
-//!   happens *after* the reply is durably in `out/`, so a crash between
-//!   the two re-processes the request instead of losing it. Producers
-//!   should write-then-rename into `in/`; a file that does not parse
-//!   gets one grace poll (an in-place writer is not eaten mid-write),
-//!   and is then *quarantined*: moved to `<dir>/failed/<same name>`
-//!   with a structured error reply in `out/` — never deleted silently,
-//!   never retried forever.
+//! * **Directory queue** (`--queue <dir>`): a directory cannot be
+//!   waited on without OS-specific APIs, so the queue runs on its own
+//!   thread that polls every [`ServerOptions::poll`]. Files dropped
+//!   into `<dir>/in/*.json` (one request line each) are handled in
+//!   filename order on that one thread (keeping queue semantics
+//!   deterministic under any worker count); the reply is written
+//!   atomically to `<dir>/out/<same name>` and the input file removed
+//!   — input removal happens *after* the reply is durably in `out/`, so
+//!   a crash between the two re-processes the request instead of losing
+//!   it. Producers should write-then-rename into `in/`; a file that
+//!   does not parse gets one grace poll (an in-place writer is not eaten
+//!   mid-write), and is then *quarantined*: moved to
+//!   `<dir>/failed/<same name>` with a structured error reply in `out/`
+//!   — never deleted silently, never retried forever.
+//! * **Shutdown**: the transport that handles `shutdown` — a socket
+//!   worker or the queue thread — writes its reply, then opens one
+//!   connection to the daemon's own socket to wake the blocked acceptor.
+//!   The acceptor drops every connection it accepts once shutdown is
+//!   requested, the queue thread stops at its next poll, the workers
+//!   drain what is pending, and [`serve`] returns.
 //! * **Stdio** (`--stdio`): one request line per stdin line, one reply
 //!   line per stdout line, until EOF or `shutdown` — the
 //!   inetd/subprocess shape, and the fallback transport everywhere.
@@ -48,6 +58,8 @@ use fetch_obs::{logmsg, LogLevel};
 use std::fs;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
+#[cfg(unix)]
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// Default worker-pool size for the socket transport.
@@ -65,7 +77,8 @@ pub struct ServerOptions {
     /// Directory-queue root (`in/`, `out/` and `failed/` are created
     /// beneath it).
     pub queue: Option<PathBuf>,
-    /// Idle poll interval (default 20 ms).
+    /// Poll interval of the directory queue (default 20 ms). Only the
+    /// queue polls: the socket acceptor blocks until a client connects.
     pub poll: Option<Duration>,
     /// Socket worker threads (default [`DEFAULT_JOBS`], min 1).
     pub jobs: Option<usize>,
@@ -170,9 +183,7 @@ pub fn serve(service: &AnalysisService, opts: &ServerOptions) -> io::Result<Serv
         Some(path) => {
             // A stale socket file from a dead daemon would fail bind.
             let _ = fs::remove_file(path);
-            let listener = std::os::unix::net::UnixListener::bind(path)?;
-            listener.set_nonblocking(true)?;
-            Some(listener)
+            Some(std::os::unix::net::UnixListener::bind(path)?)
         }
         None => None,
     };
@@ -191,95 +202,71 @@ pub fn serve(service: &AnalysisService, opts: &ServerOptions) -> io::Result<Serv
     }
 
     let mut summary = ServeSummary::default();
-    // Unparseable queue files seen once, awaiting their grace poll.
-    let mut deferred = std::collections::HashSet::new();
 
     #[cfg(unix)]
     {
         let jobs = opts.jobs.unwrap_or(DEFAULT_JOBS).max(1);
         let depth = opts.queue_depth.unwrap_or(DEFAULT_QUEUE_DEPTH).max(1);
         let pending = ConnQueue::new(depth);
-        let result = std::thread::scope(|scope| -> io::Result<()> {
+        let stop = StopSignal {
+            socket: opts.socket.as_deref(),
+            raised: AtomicBool::new(false),
+        };
+        std::thread::scope(|scope| -> io::Result<()> {
+            let (pending, stop) = (&pending, &stop);
             let workers: Vec<_> = (0..jobs)
                 .map(|_| {
-                    let pending = &pending;
                     scope.spawn(move || {
                         while let Some((queued_at, stream)) = pending.pop() {
                             service
                                 .obs()
                                 .queue_wait_us
                                 .record(queued_at.elapsed().as_micros() as u64);
-                            if let Err(e) = handle_connection(service, stream, io_timeout) {
+                            if let Err(e) = handle_connection(service, stream, io_timeout, stop) {
                                 logmsg!(LogLevel::Warn, 0, "fetch-serve: connection error: {e}");
                             }
                         }
                     })
                 })
                 .collect();
-            let run = (|| -> io::Result<()> {
-                while !service.shutdown_requested() {
-                    let mut progress = false;
-                    if let Some(listener) = &listener {
-                        loop {
-                            match listener.accept() {
-                                Ok((stream, _addr)) => {
-                                    progress = true;
-                                    match pending.try_push(stream) {
-                                        Ok(()) => summary.connections += 1,
-                                        Err(stream) => {
-                                            summary.shed += 1;
-                                            let req_id = service.next_req_id();
-                                            service.note_shed_busy();
-                                            shed_connection(stream, io_timeout, req_id);
-                                        }
-                                    }
-                                    if service.shutdown_requested() {
-                                        break;
-                                    }
-                                }
-                                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                                Err(e) => return Err(e),
-                            }
-                        }
-                    }
-                    if service.shutdown_requested() {
-                        break;
-                    }
-                    if let Some(queue) = &opts.queue {
-                        let (handled, quarantined) = poll_queue(service, queue, &mut deferred)?;
-                        summary.queue_files += handled;
-                        summary.queue_quarantined += quarantined;
-                        progress |= handled + quarantined > 0;
-                    }
-                    if !progress && !service.shutdown_requested() {
-                        std::thread::sleep(poll);
-                    }
+            let queue_thread = opts.queue.as_deref().map(|queue| {
+                scope.spawn(move || {
+                    let counts = run_queue(service, queue, poll, || stop.raised());
+                    // Shutdown or an error ended the queue: the acceptor
+                    // must stop too.
+                    stop.raise();
+                    counts
+                })
+            });
+            let accepted = match &listener {
+                Some(listener) => {
+                    let out =
+                        accept_loop(service, listener, pending, io_timeout, stop, &mut summary);
+                    // The acceptor is done (shutdown or an accept error):
+                    // the queue thread stops at its next poll, and nobody
+                    // needs to wake the acceptor any more.
+                    stop.raised.store(true, Ordering::SeqCst);
+                    out
                 }
-                Ok(())
-            })();
-            // Shutdown (or an accept error): drain the pool either way.
+                None => Ok(()),
+            };
+            let queued = queue_thread.map(|t| t.join().expect("serve queue thread panicked"));
+            // Drain the pool either way.
             pending.close();
             for worker in workers {
                 worker.join().expect("serve worker panicked");
             }
-            run
-        });
-        result?;
+            accepted?;
+            if let Some(counts) = queued {
+                (summary.queue_files, summary.queue_quarantined) = counts?;
+            }
+            Ok(())
+        })?;
     }
     #[cfg(not(unix))]
-    {
-        while !service.shutdown_requested() {
-            let mut progress = false;
-            if let Some(queue) = &opts.queue {
-                let (handled, quarantined) = poll_queue(service, queue, &mut deferred)?;
-                summary.queue_files += handled;
-                summary.queue_quarantined += quarantined;
-                progress |= handled + quarantined > 0;
-            }
-            if !progress && !service.shutdown_requested() {
-                std::thread::sleep(poll);
-            }
-        }
+    if let Some(queue) = &opts.queue {
+        (summary.queue_files, summary.queue_quarantined) =
+            run_queue(service, queue, poll, || false)?;
     }
 
     #[cfg(unix)]
@@ -289,19 +276,110 @@ pub fn serve(service: &AnalysisService, opts: &ServerOptions) -> io::Result<Serv
     Ok(summary)
 }
 
+/// How the transport threads of one [`serve`] call tell each other to
+/// stop. The first transport to stop raises it; a raise from anywhere
+/// but the acceptor also opens one connection to the socket, because
+/// the acceptor is blocked in `accept()` and only looks at the signal
+/// when a connection arrives. The listener outlives every thread that
+/// can raise, so the wake-up connect only fails when the socket file
+/// was removed under the daemon.
+#[cfg(unix)]
+struct StopSignal<'a> {
+    /// The listening socket to wake, when the daemon has one.
+    socket: Option<&'a Path>,
+    raised: AtomicBool,
+}
+
+#[cfg(unix)]
+impl StopSignal<'_> {
+    fn raised(&self) -> bool {
+        self.raised.load(Ordering::SeqCst)
+    }
+
+    /// Raises the signal; the first raise wakes the acceptor.
+    fn raise(&self) {
+        if self.raised.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        if let Some(path) = self.socket {
+            if let Err(e) = std::os::unix::net::UnixStream::connect(path) {
+                logmsg!(
+                    LogLevel::Warn,
+                    0,
+                    "fetch-serve: shutdown wake-up connect to {} failed: {e}",
+                    path.display()
+                );
+            }
+        }
+    }
+}
+
+/// The socket acceptor: blocks in `accept()` and hands each connection
+/// to the worker pool, shedding it with `busy` when the pending queue is
+/// full. Once shutdown is requested or `stop` is raised, the connection
+/// that woke it (the wake-up connect, or a late client) is dropped and
+/// the loop ends.
+#[cfg(unix)]
+fn accept_loop(
+    service: &AnalysisService,
+    listener: &std::os::unix::net::UnixListener,
+    pending: &ConnQueue,
+    io_timeout: Duration,
+    stop: &StopSignal,
+    summary: &mut ServeSummary,
+) -> io::Result<()> {
+    loop {
+        let (stream, _addr) = listener.accept()?;
+        if service.shutdown_requested() || stop.raised() {
+            return Ok(());
+        }
+        match pending.try_push(stream) {
+            Ok(()) => summary.connections += 1,
+            Err(stream) => {
+                summary.shed += 1;
+                let req_id = service.next_req_id();
+                service.note_shed_busy();
+                shed_connection(stream, io_timeout, req_id);
+            }
+        }
+    }
+}
+
+/// The directory-queue loop: drains `<queue>/in` in filename order until
+/// shutdown or `stopped()`, sleeping `poll` after a pass that found
+/// nothing to do. Returns the `(handled, quarantined)` totals.
+fn run_queue(
+    service: &AnalysisService,
+    queue: &Path,
+    poll: Duration,
+    stopped: impl Fn() -> bool,
+) -> io::Result<(u64, u64)> {
+    // Unparseable queue files seen once, awaiting their grace poll.
+    let mut deferred = std::collections::HashSet::new();
+    let (mut handled, mut quarantined) = (0, 0);
+    while !service.shutdown_requested() && !stopped() {
+        let (h, q) = poll_queue(service, queue, &mut deferred)?;
+        handled += h;
+        quarantined += q;
+        if h + q == 0 && !service.shutdown_requested() {
+            std::thread::sleep(poll);
+        }
+    }
+    Ok((handled, quarantined))
+}
+
 /// Answers a shed connection with a structured `busy` error, best
 /// effort under a short deadline — load shedding must never block the
 /// accept loop.
 #[cfg(unix)]
 fn shed_connection(stream: std::os::unix::net::UnixStream, io_timeout: Duration, req_id: u64) {
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_write_timeout(Some(io_timeout.min(Duration::from_millis(250))));
     let mut stream = stream;
     let reply = Reply::error(
         ErrorCode::Busy,
         "daemon at capacity (pending-connection queue full); retry later",
     );
-    let _ = write_line(&mut stream, &reply.to_line_with(req_id));
+    let _ = write_line(&mut stream, reply.to_line_with(req_id));
 }
 
 /// Reads one request line through the [`MAX_LINE_BYTES`] cap.
@@ -334,8 +412,8 @@ fn handle_connection(
     service: &AnalysisService,
     stream: std::os::unix::net::UnixStream,
     io_timeout: Duration,
+    stop: &StopSignal,
 ) -> io::Result<()> {
-    stream.set_nonblocking(false)?;
     // A silent or stalled client is disconnected, not waited on.
     stream.set_read_timeout(Some(io_timeout))?;
     stream.set_write_timeout(Some(io_timeout))?;
@@ -355,7 +433,7 @@ fn handle_connection(
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 service.note_rejected_too_large();
                 let reply = Reply::error(ErrorCode::TooLarge, e.to_string());
-                let _ = write_line(&mut writer, &reply.to_line_with(service.next_req_id()));
+                let _ = write_line(&mut writer, reply.to_line_with(service.next_req_id()));
                 return Ok(());
             }
             // Timed out mid-silence: drop the connection.
@@ -375,11 +453,7 @@ fn handle_connection(
         let req_id = service.next_req_id();
         match parse_request(&line) {
             Ok(Request::Subscribe) => {
-                write_checked(
-                    service,
-                    &mut writer,
-                    &Reply::Subscribed.to_line_with(req_id),
-                )?;
+                write_checked(service, &mut writer, Reply::Subscribed.to_line_with(req_id))?;
                 // The write timeout stays armed on the parked half: a
                 // subscriber that stops reading makes broadcast() error
                 // out and be dropped, instead of wedging the daemon on
@@ -390,8 +464,15 @@ fn handle_connection(
             Ok(request) => {
                 let shutdown = matches!(request, Request::Shutdown);
                 let reply = service.handle_with_id(req_id, request);
-                write_checked(service, &mut writer, &reply.to_line_with(req_id))?;
-                if shutdown || service.shutdown_requested() {
+                let written = write_checked(service, &mut writer, reply.to_line_with(req_id));
+                if shutdown {
+                    // Reply first, then wake the acceptor — even when
+                    // the write failed, or the daemon never exits.
+                    stop.raise();
+                    return written;
+                }
+                written?;
+                if service.shutdown_requested() {
                     return Ok(());
                 }
             }
@@ -399,7 +480,7 @@ fn handle_connection(
                 if e.code == ErrorCode::TooLarge {
                     service.note_rejected_too_large();
                 }
-                write_checked(service, &mut writer, &Reply::from(e).to_line_with(req_id))?
+                write_checked(service, &mut writer, Reply::from(e).to_line_with(req_id))?
             }
         }
     }
@@ -408,7 +489,11 @@ fn handle_connection(
 /// [`write_line`] behind the `conn.write` fault site, timed into the
 /// `fetch_reply_write_us` histogram.
 #[cfg(unix)]
-fn write_checked(service: &AnalysisService, writer: &mut impl Write, line: &str) -> io::Result<()> {
+fn write_checked(
+    service: &AnalysisService,
+    writer: &mut impl Write,
+    line: String,
+) -> io::Result<()> {
     if service.faults().fire(FaultPlan::CONN_WRITE).is_some() {
         return Err(FaultPlan::injected_error(FaultPlan::CONN_WRITE));
     }
@@ -421,9 +506,11 @@ fn write_checked(service: &AnalysisService, writer: &mut impl Write, line: &str)
     out
 }
 
-fn write_line(writer: &mut impl Write, line: &str) -> io::Result<()> {
+/// Writes `line` and its newline in one `write_all`, so a reader is
+/// woken once per reply, not once for the line and again for `\n`.
+fn write_line(writer: &mut impl Write, mut line: String) -> io::Result<()> {
+    line.push('\n');
     writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
     writer.flush()
 }
 
@@ -587,7 +674,7 @@ pub fn serve_io(
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 service.note_rejected_too_large();
                 let reply = Reply::error(ErrorCode::TooLarge, e.to_string());
-                write_line(output, &reply.to_line_with(service.next_req_id()))?;
+                write_line(output, reply.to_line_with(service.next_req_id()))?;
                 break;
             }
             Err(e) => return Err(e),
@@ -599,12 +686,12 @@ pub fn serve_io(
         let req_id = service.next_req_id();
         match parse_request(&line) {
             Ok(Request::Subscribe) => {
-                write_line(output, &Reply::Subscribed.to_line_with(req_id))?;
+                write_line(output, Reply::Subscribed.to_line_with(req_id))?;
                 service.telemetry().subscribe(Box::new(output.clone()));
             }
             Ok(request) => {
                 let reply = service.handle_with_id(req_id, request);
-                write_line(output, &reply.to_line_with(req_id))?;
+                write_line(output, reply.to_line_with(req_id))?;
                 if service.shutdown_requested() {
                     break;
                 }
@@ -613,7 +700,7 @@ pub fn serve_io(
                 if e.code == ErrorCode::TooLarge {
                     service.note_rejected_too_large();
                 }
-                write_line(output, &Reply::from(e).to_line_with(req_id))?
+                write_line(output, Reply::from(e).to_line_with(req_id))?
             }
         }
     }

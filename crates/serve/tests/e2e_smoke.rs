@@ -19,6 +19,7 @@ use fetch_synth::{synthesize, SynthConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 fn scratch_dir(name: &str) -> PathBuf {
@@ -41,7 +42,6 @@ fn start_daemon(
                 &service,
                 &ServerOptions {
                     socket: Some(socket),
-                    poll: Some(Duration::from_millis(2)),
                     ..ServerOptions::default()
                 },
             )
@@ -267,5 +267,128 @@ fn daemon_rejects_malformed_requests_and_keeps_serving() {
     let bye = roundtrip(&socket, &Request::Shutdown);
     assert_eq!(bye.get("ok").and_then(Json::as_bool), Some(true));
     daemon.join().expect("daemon thread").expect("serve loop");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Runs `serve` over `opts` on a daemon thread and returns once the
+/// socket accepts; the daemon's result lands on the returned channel.
+fn spawn_daemon(opts: ServerOptions) -> mpsc::Receiver<std::io::Result<ServeSummary>> {
+    let socket = opts.socket.clone().expect("a socket daemon");
+    let (done_tx, done) = mpsc::channel();
+    std::thread::spawn(move || {
+        let out = AnalysisService::new(&ServeConfig::default())
+            .and_then(|service| serve(&service, &opts));
+        let _ = done_tx.send(out);
+    });
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while UnixStream::connect(&socket).is_err() {
+        assert!(Instant::now() < deadline, "daemon never listened");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    done
+}
+
+/// The watchdog: fails the test unless the daemon thread reports that
+/// `serve` returned within 2 s of `sent` (the shutdown request).
+fn expect_exit_within_2s(
+    done: &mpsc::Receiver<std::io::Result<ServeSummary>>,
+    sent: Instant,
+) -> ServeSummary {
+    done.recv_timeout(Duration::from_secs(2).saturating_sub(sent.elapsed()))
+        .expect("serve did not return within 2 s of the shutdown request")
+        .expect("serve loop")
+}
+
+/// Shuts a daemon down over its socket, or — with `queue_file` — by
+/// dropping a `shutdown` file into its queue, and checks that `serve`
+/// returns within 2 s. No other connection is made until it has: any
+/// connection wakes a blocked acceptor and would hide a missing
+/// wake-up.
+fn shutdown_returns_promptly(name: &str, with_queue: bool, queue_file: bool) {
+    let dir = scratch_dir(name);
+    let socket = dir.join("fetch.sock");
+    let queue = dir.join("q");
+    let done = spawn_daemon(ServerOptions {
+        socket: Some(socket.clone()),
+        queue: with_queue.then(|| queue.clone()),
+        ..ServerOptions::default()
+    });
+    // One answered request first: the acceptor is back in accept().
+    assert!(roundtrip(&socket, &Request::Stats).get("cache").is_some());
+
+    let sent = Instant::now();
+    if queue_file {
+        let tmp = queue.join("stop.tmp");
+        std::fs::write(&tmp, format!("{}\n", Request::Shutdown.to_line())).unwrap();
+        std::fs::rename(&tmp, queue.join("in/00-stop.json")).unwrap();
+    } else {
+        let bye = roundtrip(&socket, &Request::Shutdown);
+        assert_eq!(bye.get("shutdown").and_then(Json::as_bool), Some(true));
+    }
+    let summary = expect_exit_within_2s(&done, sent);
+    if queue_file {
+        assert_eq!(summary.queue_files, 1);
+        let reply = std::fs::read_to_string(queue.join("out/00-stop.json")).unwrap();
+        assert!(reply.contains("\"shutdown\":true"), "{reply}");
+    }
+    assert!(!socket.exists(), "socket file removed on shutdown");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn shutdown_over_the_socket_returns_promptly() {
+    shutdown_returns_promptly("stop-socket", false, false);
+}
+
+#[test]
+fn shutdown_over_the_socket_with_a_queue_returns_promptly() {
+    shutdown_returns_promptly("stop-socket-queue", true, false);
+}
+
+#[test]
+fn shutdown_as_a_queue_file_returns_promptly() {
+    shutdown_returns_promptly("stop-queue-file", true, true);
+}
+
+/// A client that connects once the daemon has answered `shutdown` sees
+/// EOF or a refused connection — never a reply, never a hang — whether
+/// it lands before the acceptor wakes, in the listen backlog after the
+/// acceptor has stopped, or after the socket file is gone.
+#[test]
+fn client_connecting_after_shutdown_is_turned_away() {
+    let dir = scratch_dir("stop-late");
+    let socket = dir.join("fetch.sock");
+    let done = spawn_daemon(ServerOptions {
+        socket: Some(socket.clone()),
+        ..ServerOptions::default()
+    });
+    let bye = roundtrip(&socket, &Request::Shutdown);
+    let sent = Instant::now();
+    assert_eq!(bye.get("shutdown").and_then(Json::as_bool), Some(true));
+    let turned_away = || {
+        let Ok(mut stream) = UnixStream::connect(&socket) else {
+            return; // refused, or the socket file is already gone
+        };
+        stream
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        let _ = stream.write_all(format!("{}\n", Request::Stats.to_line()).as_bytes());
+        let mut line = String::new();
+        match BufReader::new(stream).read_line(&mut line) {
+            Ok(0) => {}
+            Ok(_) => panic!("a client connecting after shutdown was served: {line}"),
+            Err(e) => assert!(
+                !matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ),
+                "a client connecting after shutdown hung: {e}"
+            ),
+        }
+    };
+    turned_away();
+    turned_away();
+    expect_exit_within_2s(&done, sent);
+    turned_away();
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -202,7 +202,6 @@ fn drive_socket(spec: &str, elf: &[u8], reference: &str, dir: &Path) {
                 &service,
                 &ServerOptions {
                     socket: Some(socket.clone()),
-                    poll: Some(Duration::from_millis(2)),
                     ..ServerOptions::default()
                 },
             )
