@@ -3,13 +3,15 @@
 //! incremental-recursion engine against its from-scratch reference.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fetch_core::{
-    CallFrameRepair, DetectionState, FdeSeeds, PointerScan, Provenance, SafeRecursion, Strategy,
-};
+use fetch_core::{CallFrameRepair, DetectionState, LayerSpec, Provenance};
 use fetch_disasm::{recursive_disassemble, sweep_tolerant, ErrorCallPolicy, RecOptions};
 use fetch_synth::{synthesize, SynthConfig};
 use std::collections::BTreeSet;
 use std::hint::black_box;
+
+const FDE: LayerSpec = LayerSpec::FdeSeeds;
+const REC: LayerSpec = LayerSpec::SafeRecursion(ErrorCallPolicy::SliceZero);
+const XREF: LayerSpec = LayerSpec::PointerScan;
 
 fn pipeline_stages(c: &mut Criterion) {
     let mut cfg = SynthConfig::small(2002);
@@ -32,7 +34,7 @@ fn pipeline_stages(c: &mut Criterion) {
     group.bench_function("fde_seeds", |b| {
         b.iter(|| {
             let mut st = DetectionState::new(bin);
-            FdeSeeds.apply(&mut st);
+            FDE.apply(&mut st);
             black_box(st.starts().len())
         })
     });
@@ -40,8 +42,8 @@ fn pipeline_stages(c: &mut Criterion) {
     group.bench_function("safe_recursion", |b| {
         b.iter(|| {
             let mut st = DetectionState::new(bin);
-            FdeSeeds.apply(&mut st);
-            SafeRecursion::default().apply(&mut st);
+            FDE.apply(&mut st);
+            REC.apply(&mut st);
             black_box(st.rec().disasm.len())
         })
     });
@@ -49,9 +51,9 @@ fn pipeline_stages(c: &mut Criterion) {
     group.bench_function("pointer_scan", |b| {
         b.iter(|| {
             let mut st = DetectionState::new(bin);
-            FdeSeeds.apply(&mut st);
-            SafeRecursion::default().apply(&mut st);
-            PointerScan.apply(&mut st);
+            FDE.apply(&mut st);
+            REC.apply(&mut st);
+            XREF.apply(&mut st);
             black_box(st.starts().len())
         })
     });
@@ -59,9 +61,9 @@ fn pipeline_stages(c: &mut Criterion) {
     group.bench_function("call_frame_repair", |b| {
         b.iter(|| {
             let mut st = DetectionState::new(bin);
-            FdeSeeds.apply(&mut st);
-            SafeRecursion::default().apply(&mut st);
-            PointerScan.apply(&mut st);
+            FDE.apply(&mut st);
+            REC.apply(&mut st);
+            XREF.apply(&mut st);
             black_box(CallFrameRepair::default().repair(&mut st).merged.len())
         })
     });
@@ -94,8 +96,8 @@ fn incremental_rerun(c: &mut Criterion) {
 
     let prepared = {
         let mut st = DetectionState::new(bin);
-        FdeSeeds.apply(&mut st);
-        SafeRecursion::default().apply(&mut st);
+        FDE.apply(&mut st);
+        REC.apply(&mut st);
         st
     };
     // A few genuinely new seeds the FDE+Rec state has not explored.
@@ -123,8 +125,8 @@ fn incremental_rerun(c: &mut Criterion) {
 
     group.bench_function("from_scratch", |b| {
         let mut reference = DetectionState::new_reference(bin);
-        FdeSeeds.apply(&mut reference);
-        SafeRecursion::default().apply(&mut reference);
+        FDE.apply(&mut reference);
+        REC.apply(&mut reference);
         b.iter(|| {
             let mut st = reference.clone();
             for &a in &extra {
@@ -155,8 +157,8 @@ fn noreturn_fixpoint(c: &mut Criterion) {
     group.bench_function("engine", |b| {
         b.iter(|| {
             let mut st = DetectionState::new(bin);
-            FdeSeeds.apply(&mut st);
-            SafeRecursion::default().apply(&mut st);
+            FDE.apply(&mut st);
+            REC.apply(&mut st);
             black_box(st.rec().noreturn.len())
         })
     });
@@ -164,8 +166,8 @@ fn noreturn_fixpoint(c: &mut Criterion) {
     group.bench_function("from_scratch", |b| {
         b.iter(|| {
             let mut st = DetectionState::new_reference(bin);
-            FdeSeeds.apply(&mut st);
-            SafeRecursion::default().apply(&mut st);
+            FDE.apply(&mut st);
+            REC.apply(&mut st);
             black_box(st.rec().noreturn.len())
         })
     });

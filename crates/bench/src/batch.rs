@@ -27,7 +27,7 @@
 //!   (the engine's binary fingerprint resets it between binaries —
 //!   soundness never depends on the shard layout). Item callbacks
 //!   receive `&mut RecEngine` and thread it through
-//!   [`fetch_core::run_stack_cached`], `run_tool_with_engine`, or
+//!   [`fetch_core::Pipeline::run_with_engine`], `run_tool_with_engine`, or
 //!   [`fetch_core::DetectionState::with_engine`].
 //! * **Panic containment.** A panicking item is caught in the worker,
 //!   converted into an error, and reported by [`BatchDriver::try_run`]
@@ -38,14 +38,15 @@
 //!
 //! ```
 //! use fetch_bench::BatchDriver;
-//! use fetch_core::{run_stack_cached, FdeSeeds, SafeRecursion};
+//! use fetch_core::Pipeline;
 //! use fetch_synth::{synthesize, SynthConfig};
 //!
 //! let cases: Vec<_> = (0..4u64)
 //!     .map(|s| synthesize(&SynthConfig::small(s)))
 //!     .collect();
+//! let fde_rec = Pipeline::parse("FDE+Rec").unwrap();
 //! let lens = BatchDriver::new(2).run(&cases, |engine, case| {
-//!     run_stack_cached(&case.binary, &[&FdeSeeds, &SafeRecursion::default()], engine).len()
+//!     fde_rec.run_with_engine(&case.binary, engine).len()
 //! });
 //! assert_eq!(lens.len(), cases.len());
 //! ```
@@ -81,16 +82,12 @@ impl std::error::Error for BatchError {}
 #[derive(Debug, Clone)]
 pub struct BatchDriver {
     jobs: usize,
-    intra_jobs: usize,
 }
 
 impl BatchDriver {
     /// A driver running `jobs` workers (clamped to at least one).
     pub fn new(jobs: usize) -> BatchDriver {
-        BatchDriver {
-            jobs: jobs.max(1),
-            intra_jobs: 1,
-        }
+        BatchDriver { jobs: jobs.max(1) }
     }
 
     /// A single-worker driver — the serial reference the differential
@@ -100,33 +97,14 @@ impl BatchDriver {
     }
 
     /// A driver sized from [`crate::BenchOpts::jobs`] (the `--jobs`
-    /// flag; defaults to the machine's available parallelism), with the
-    /// per-worker engines' intra-binary shard count taken from
-    /// `--intra-jobs`. The two axes compose: `jobs` workers each run
-    /// `intra_jobs`-way sharded walks, and output stays byte-identical
-    /// for every combination.
+    /// flag; defaults to the machine's available parallelism).
     pub fn from_opts(opts: &crate::BenchOpts) -> BatchDriver {
-        BatchDriver::new(opts.jobs).with_intra_jobs(opts.intra_jobs)
-    }
-
-    /// Sets the intra-binary shard count every worker engine is
-    /// configured with (see [`RecEngine::set_intra_jobs`]); `0` or `1`
-    /// keeps the walks serial.
-    pub fn with_intra_jobs(mut self, intra_jobs: usize) -> BatchDriver {
-        self.intra_jobs = intra_jobs;
-        self
+        BatchDriver::new(opts.jobs)
     }
 
     /// The configured worker count.
     pub fn jobs(&self) -> usize {
         self.jobs
-    }
-
-    /// One freshly configured per-worker engine.
-    fn worker_engine(&self) -> RecEngine {
-        let mut engine = RecEngine::new();
-        engine.set_intra_jobs(self.intra_jobs);
-        engine
     }
 
     /// Maps `f` over `items`, returning results in item order. Each
@@ -182,7 +160,7 @@ impl BatchDriver {
     {
         let jobs = self.jobs.min(items.len()).max(1);
         if jobs == 1 {
-            return run_shard_serial(self.worker_engine(), items, &f);
+            return run_shard_serial(RecEngine::new(), items, &f);
         }
 
         let abort = AtomicBool::new(false);
@@ -191,7 +169,7 @@ impl BatchDriver {
             for worker in 0..jobs {
                 let tx = tx.clone();
                 let (f, abort) = (&f, &abort);
-                let mut engine = self.worker_engine();
+                let mut engine = RecEngine::new();
                 scope.spawn(move || {
                     for index in (worker..items.len()).step_by(jobs) {
                         if abort.load(Ordering::Relaxed) {

@@ -19,7 +19,7 @@ use fetch_core::{CallFrameRepair, DetectionState, LayerTrace, Pipeline};
 use fetch_metrics::TextTable;
 
 fn main() {
-    let opts = opts_from_args();
+    let opts = opts_from_args(&[]);
     banner("Ablation — Algorithm 1 criteria");
     let cases = dataset2(&opts);
 

@@ -7,7 +7,7 @@ use fetch_bench::{banner, compare_line, dataset2, opts_from_args, paper, BatchDr
 use fetch_core::Pipeline;
 
 fn main() {
-    let opts = opts_from_args();
+    let opts = opts_from_args(&[]);
     banner("§V-A — errors introduced by FDEs themselves");
     let cases = dataset2(&opts);
     let fde_only = Pipeline::parse("FDE").expect("spec parses");

@@ -152,11 +152,8 @@ fn run_panel(
 }
 
 fn main() {
-    let opts = opts_from_args();
-    let panel = std::env::args()
-        .skip_while(|a| a != "--panel")
-        .nth(1)
-        .unwrap_or_else(|| "all".into());
+    let opts = opts_from_args(&["--panel"]);
+    let panel = opts.local("--panel").unwrap_or("all");
     let cases = dataset2(&opts);
     let driver = BatchDriver::from_opts(&opts);
 

@@ -11,7 +11,7 @@ use fetch_core::Pipeline;
 use std::collections::BTreeSet;
 
 fn main() {
-    let opts = opts_from_args();
+    let opts = opts_from_args(&[]);
     banner("§V-C — Algorithm 1 evaluation (call-frame repair)");
     let cases = dataset2(&opts);
 

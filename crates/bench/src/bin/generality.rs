@@ -13,7 +13,7 @@ use fetch_ehframe::{Pdata, RuntimeFunction};
 use fetch_x64::{decode, Op};
 
 fn main() {
-    let opts = opts_from_args();
+    let opts = opts_from_args(&[]);
     banner("§VII-B — generality: PE .pdata-style coverage");
     let cases = dataset2(&opts);
 

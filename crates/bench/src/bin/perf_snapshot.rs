@@ -11,12 +11,10 @@
 //!
 //! Seven further groups:
 //!
-//! * `intra` — the intra-binary layer-parallelism group: the full
-//!   pipeline over the large corpus at `--intra-jobs 1` vs `--intra-jobs
-//!   <nproc>`, per-layer walls for both, asserted byte-identical
-//!   results, the large total asserted under the 10 ms budget, and the
-//!   small/medium/large `insts_per_sec` curve with its flatness ratio
-//!   (min/max). The flatness floor is machine-tolerant (see
+//! * `scaling` — the full pipeline over the large corpus once more: its
+//!   per-layer walls, the large total asserted under the 10 ms budget,
+//!   and the small/medium/large `insts_per_sec` curve with its flatness
+//!   ratio (min/max). The flatness floor is machine-tolerant (see
 //!   `--flatness-floor`): on a single-core host the small corpus is
 //!   cache-resident while the large one is not, so the curve bends at
 //!   the L2 cliff no matter how the work is scheduled.
@@ -50,7 +48,7 @@
 //!   analyzed through the fully instrumented serve answer path
 //!   (counters, latency histograms, spans, layer-wall recording all
 //!   live), with the instrumented per-layer total asserted under the
-//!   same 10 ms budget as the `intra` group and the overhead vs the
+//!   same 10 ms budget as the `scaling` group and the overhead vs the
 //!   bare pipeline published; plus the micro-costs of one histogram
 //!   observation and of one full registry snapshot + text exposition.
 //! * `batch_serial` / `batch_parallel` — the [`BatchDriver`] sweeping
@@ -161,7 +159,7 @@ fn main() {
 
     let mut large_best: Option<PipelineRun> = None;
     let mut ips_curve: Vec<(&str, f64)> = Vec::new();
-    let mut json = String::from("{\n  \"schema\": \"fetch-perf-snapshot/v4\",\n  \"corpora\": [\n");
+    let mut json = String::from("{\n  \"schema\": \"fetch-perf-snapshot/v5\",\n  \"corpora\": [\n");
     for (ci, (name, seed, n_funcs)) in corpora.iter().enumerate() {
         let mut cfg = SynthConfig::small(*seed);
         cfg.n_funcs = *n_funcs;
@@ -251,17 +249,13 @@ fn main() {
         json.push_str("  ],\n");
     }
 
-    // Intra group: the same full pipeline over the large corpus with the
-    // engine's intra-binary walk sharding at 1 worker vs all of them.
-    // Worker count is an execution knob, not an analysis input, so the
-    // two runs must produce byte-identical `DetectionResult`s — asserted
-    // on the wall-free result, the same equality the proptest and CI
-    // determinism suites check. The large total must fit the 10 ms
-    // budget at full width. The `insts_per_sec` curve (denominator:
-    // Rec + Xref, the layers that scale with code size) is published
-    // with its flatness ratio; the asserted floor is machine-tolerant
-    // because on few-core hosts the small corpus runs L2-resident while
-    // the large one does not — a cache cliff no schedule flattens.
+    // Scaling group: the same full pipeline over the large corpus once
+    // more. The large total must fit the 10 ms budget. The
+    // `insts_per_sec` curve (denominator: Rec + Xref, the layers that
+    // scale with code size) is published with its flatness ratio; the
+    // asserted floor is machine-tolerant because on few-core hosts the
+    // small corpus runs L2-resident while the large one does not — a
+    // cache cliff no schedule flattens.
     {
         let mut cfg = SynthConfig::small(9003);
         cfg.n_funcs = 900;
@@ -270,46 +264,21 @@ fn main() {
         cfg.rates.error_calls = 0.10;
         let case = synthesize(&cfg);
 
-        let run_at = |intra_jobs: usize| {
-            let mut best: Option<PipelineRun> = None;
-            let mut result = None;
-            for _ in 0..reps {
-                let mut engine = RecEngine::new();
-                engine.set_intra_jobs(intra_jobs);
-                let mut st = DetectionState::with_engine(&case.binary, engine);
-                Pipeline::fetch().apply(&mut st);
-                let insts = st.rec().disasm.len();
-                let detected = st.starts().len();
-                let trace = std::mem::take(&mut st.trace);
-                let run = PipelineRun {
-                    peak_starts: trace.iter().map(|t| t.starts_after).max().unwrap_or(0),
-                    trace,
-                    insts,
-                    detected,
-                };
-                if best.as_ref().is_none_or(|b| total_us(&run) < total_us(b)) {
-                    best = Some(run);
-                }
-                result = Some(st.into_result());
+        let mut best: Option<PipelineRun> = None;
+        for _ in 0..reps {
+            let run = run_once(&case.binary);
+            if best.as_ref().is_none_or(|b| total_us(&run) < total_us(b)) {
+                best = Some(run);
             }
-            (best.expect("reps >= 1"), result.expect("reps >= 1"))
-        };
-        let (serial_run, serial_result) = run_at(1);
-        let (parallel_run, parallel_result) = run_at(jobs);
-        assert_eq!(
-            serial_result, parallel_result,
-            "intra determinism violated: --intra-jobs 1 and --intra-jobs {jobs} disagree"
-        );
-
-        let serial_total = total_us(&serial_run);
-        let parallel_total = total_us(&parallel_run);
+        }
+        let run = best.expect("reps >= 1");
+        let run_total = total_us(&run);
         // The budget gate is min-over-every-large-run in this process
-        // (the corpora loop's best plus both intra runs): the metric of
+        // (the corpora loop's best plus this group's): the metric of
         // record is the machine's capability, and single runs on a
         // shared host routinely inflate 10-40% in noise phases.
-        let best_large_total = total_us(large_best.as_ref().expect("large corpus ran"))
-            .min(serial_total)
-            .min(parallel_total);
+        let best_large_total =
+            total_us(large_best.as_ref().expect("large corpus ran")).min(run_total);
         assert!(
             best_large_total < 10_000.0,
             "large corpus must analyze in under 10 ms \
@@ -334,36 +303,24 @@ fn main() {
              (small {ips_s:.0}, medium {ips_m:.0}, large {ips_l:.0})"
         );
 
-        let stage_json = |run: &PipelineRun| {
-            let stage = |ix: usize| run.trace[ix].wall_us();
-            format!(
-                "{{ \"fde\": {:.1}, \"rec\": {:.1}, \"xref\": {:.1}, \"repair\": {:.1}, \
-                 \"total\": {:.1} }}",
-                stage(0),
-                stage(1),
-                stage(2),
-                stage(3),
-                total_us(run),
-            )
-        };
-        let speedup = serial_total / parallel_total.max(1e-9);
+        let stage = |ix: usize| run.trace[ix].wall_us();
         let _ = write!(
             json,
-            "  \"intra\": {{\n    \"corpus\": \"large\",\n    \
-             \"serial\": {{ \"intra_jobs\": 1, \"stage_wall_us\": {} }},\n    \
-             \"parallel\": {{ \"intra_jobs\": {jobs}, \"stage_wall_us\": {} }},\n    \
-             \"speedup\": {speedup:.2},\n    \"byte_identical\": true,\n    \
+            "  \"scaling\": {{\n    \"corpus\": \"large\",\n    \
+             \"stage_wall_us\": {{ \"fde\": {:.1}, \"rec\": {:.1}, \"xref\": {:.1}, \
+             \"repair\": {:.1}, \"total\": {run_total:.1} }},\n    \
              \"budget_us\": 10000.0,\n    \"best_total_us\": {best_large_total:.1},\n    \
              \"insts_per_sec\": {{ \"small\": {ips_s:.0}, \"medium\": {ips_m:.0}, \
              \"large\": {ips_l:.0} }},\n    \
              \"flatness\": {flatness:.3},\n    \"flatness_floor\": {flatness_floor:.2}\n  }},\n",
-            stage_json(&serial_run),
-            stage_json(&parallel_run),
+            stage(0),
+            stage(1),
+            stage(2),
+            stage(3),
         );
         println!(
-            " intra: large total {parallel_total:.1} µs @ {jobs} jobs (serial {serial_total:.1} µs, \
-             {speedup:.2}x), results byte-identical; ips flatness {flatness:.2} \
-             (floor {flatness_floor:.2})"
+            " scaling: large total {run_total:.1} µs (best {best_large_total:.1} µs); \
+             ips flatness {flatness:.2} (floor {flatness_floor:.2})"
         );
     }
 
@@ -907,7 +864,7 @@ fn main() {
     // registry-backed counters, per-source latency histograms, and
     // layer-wall recording. The instrumented per-layer total (read
     // back *from* the layer-wall histograms — the instrumentation
-    // measuring itself) must still fit the intra group's 10 ms budget;
+    // measuring itself) must still fit the scaling group's 10 ms budget;
     // the delta vs the bare pipeline is published, not asserted (on a
     // shared host it is noise-dominated). Micro-costs are measured
     // directly: one histogram observation and one full snapshot +

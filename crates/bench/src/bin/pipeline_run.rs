@@ -22,7 +22,7 @@ use fetch_core::{content_fingerprint, AnalysisCache, Pipeline};
 use fetch_metrics::{evaluate, Aggregate, TextTable};
 
 fn main() {
-    let opts = opts_from_args();
+    let opts = opts_from_args(&[]);
     let pipeline = opts.pipeline.clone().unwrap_or_else(Pipeline::fetch);
     banner(&format!("Custom pipeline over Dataset 2 — {pipeline}"));
     let cases = dataset2(&opts);

@@ -10,7 +10,7 @@ use fetch_core::Pipeline;
 use fetch_metrics::evaluate;
 
 fn main() {
-    let opts = opts_from_args();
+    let opts = opts_from_args(&[]);
     banner("Q1 — coverage of function starts using FDEs alone (§IV-B)");
     let cases = dataset2(&opts);
     let fde_only = Pipeline::parse("FDE").expect("spec parses");

@@ -9,7 +9,7 @@ use fetch_binary::Reach;
 use fetch_core::{Pipeline, Provenance};
 
 fn main() {
-    let opts = opts_from_args();
+    let opts = opts_from_args(&[]);
     banner("Q3/§IV-E — function-pointer detection on top of FDE+Rec");
     let cases = dataset2(&opts);
     let pipeline = Pipeline::parse("FDE+Rec+Xref").expect("spec parses");

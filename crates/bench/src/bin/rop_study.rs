@@ -10,7 +10,7 @@ use fetch_bench::{banner, compare_line, dataset2, opts_from_args, paper, BatchDr
 use fetch_core::Fetch;
 
 fn main() {
-    let opts = opts_from_args();
+    let opts = opts_from_args(&[]);
     banner("§V-A — ROP gadget surface at FDE false starts");
     let cases = dataset2(&opts);
 

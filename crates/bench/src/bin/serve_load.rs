@@ -4,8 +4,7 @@
 //! the end-to-end serving numbers *including* the transport hop
 //! (`perf_snapshot`'s `serve` group measures the same path in-process).
 //!
-//! The run has seven phases over one daemon lifetime plus two
-//! restarts:
+//! The run has six phases over one daemon lifetime plus a restart:
 //!
 //! 1. **cold** — every corpus binary submitted once (all misses);
 //! 2. **warm** — `--rounds` more sweeps (bounded-cache hits, or
@@ -23,12 +22,7 @@
 //!    rewritten) through `reanalyze`: the restarted daemon must answer
 //!    from the delta path (`source: "delta"`, `stats.delta` counters),
 //!    byte-identical to an independent cold analysis of the patched
-//!    bytes;
-//! 7. **intra sweep** — a third daemon over a *fresh* store with its
-//!    workers' intra-binary shard width forced wide (`--intra-jobs`,
-//!    defaulting to 4 when left at 1) recomputes every corpus binary
-//!    cold: shard width is an execution knob, so each reply must be
-//!    byte-identical to the width-1 cold sweep.
+//!    bytes.
 //!
 //! Every reply's rendered `result` object is asserted byte-identical to
 //! the cold reply for that binary — warm, coalesced, and persisted
@@ -52,10 +46,10 @@
 //! [--scale N] [--funcs F] [--rounds R] [--cache-capacity N] [--jobs N]
 //! [--metrics-out FILE]`
 //!
-//! `--metrics-out FILE` writes the final daemon's Prometheus-style
-//! metrics exposition to `FILE` before shutdown (the CI nightly
-//! publishes it to the job summary; the chaos smoke greps it for the
-//! per-site fault counters).
+//! `--metrics-out FILE` writes the restarted daemon's Prometheus-style
+//! metrics exposition to `FILE` after the rebuild sweep, before its
+//! shutdown (the CI nightly publishes it to the job summary; the chaos
+//! smoke greps it for the per-site fault counters).
 
 #![cfg(unix)]
 
@@ -214,26 +208,15 @@ fn report(label: &str, mut latencies: Vec<f64>) {
 }
 
 fn main() {
-    let opts = opts_from_args();
+    let opts = opts_from_args(&["--rounds", "--metrics-out"]);
     let jobs = opts.jobs;
-    let mut rounds = 2usize;
-    let mut metrics_out: Option<PathBuf> = None;
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        if args[i] == "--rounds" {
-            i += 1;
-            rounds = args[i].parse().expect("--rounds takes a positive integer");
-            assert!(rounds >= 1);
-        }
-        if args[i] == "--metrics-out" {
-            i += 1;
-            metrics_out = Some(PathBuf::from(
-                args.get(i).expect("--metrics-out takes a file path"),
-            ));
-        }
-        i += 1;
-    }
+    let rounds: usize = opts.local("--rounds").map_or(2, |r| {
+        r.parse()
+            .ok()
+            .filter(|r| *r >= 1)
+            .expect("--rounds takes a positive integer")
+    });
+    let metrics_out = opts.local("--metrics-out").map(PathBuf::from);
 
     let base = std::env::temp_dir().join(format!("fetch-serve-load-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
@@ -543,36 +526,8 @@ fn main() {
             "every neutral rebuild must be answered from the delta path"
         );
     }
-    roundtrip(&socket, &Request::Shutdown.to_line());
-    daemon.join().expect("daemon").expect("serve loop");
-
-    // Phase 7: intra-jobs sweep — same corpus, fresh store, workers
-    // analyzing with a sharded recursive walk. Every answer must match
-    // the width-1 cold sweep byte-for-byte (shard width never leaks
-    // into results); the fresh store guarantees the replies really come
-    // from wide cold computes, not cache or store reuse.
-    let intra_jobs = if opts.intra_jobs > 1 {
-        opts.intra_jobs
-    } else {
-        4
-    };
-    let intra_socket = base.join("fetch-intra.sock");
-    let intra_config = ServeConfig {
-        store_dir: Some(base.join("store-intra")),
-        cache_capacity: CacheCapacity::UNBOUNDED,
-        intra_jobs,
-        faults: faults.clone(),
-        ..ServeConfig::default()
-    };
-    let daemon = start_daemon(intra_socket.clone(), intra_config, jobs);
-    let (wide, _) = sweep(&intra_socket, Some(&cold_results));
-    report(&format!("intra={intra_jobs}"), wide);
-    println!(
-        "  intra sweep: {} cold recomputes at shard width {intra_jobs},          all byte-identical to width 1",
-        cases.len()
-    );
     if let Some(path) = &metrics_out {
-        let (_, metrics) = roundtrip(&intra_socket, &Request::Metrics.to_line());
+        let (_, metrics) = roundtrip(&socket, &Request::Metrics.to_line());
         let text = metrics
             .get("text")
             .and_then(Json::as_str)
@@ -580,16 +535,16 @@ fn main() {
         std::fs::write(path, text).expect("write --metrics-out file");
         println!("  metrics: exposition written to {}", path.display());
     }
-    roundtrip(&intra_socket, &Request::Shutdown.to_line());
+    roundtrip(&socket, &Request::Shutdown.to_line());
     daemon.join().expect("daemon").expect("serve loop");
 
     println!(
         "  total: {:.2} s wall for {} requests",
         t_total.elapsed().as_secs_f64(),
-        lines.len() * (rounds + 3 + CLIENT_COUNTS.iter().sum::<usize>())
+        lines.len() * (rounds + 2 + CLIENT_COUNTS.iter().sum::<usize>())
             + rebuilds.len()
             + coalesce_clients
-            + 10,
+            + 8,
     );
     if !faults.is_empty() {
         println!(

@@ -7,7 +7,7 @@ use fetch_bench::{banner, compare_line, dataset1, opts_from_args, BatchDriver};
 use fetch_metrics::{fde_symbol_coverage, TextTable};
 
 fn main() {
-    let opts = opts_from_args();
+    let opts = opts_from_args(&[]);
     banner("Table I — wild binaries (Dataset 1): EHF presence and FDE coverage");
     let cases = dataset1(&opts);
 

@@ -8,7 +8,7 @@ use fetch_synth::corpus::DATASET2;
 use std::collections::BTreeSet;
 
 fn main() {
-    let opts = opts_from_args();
+    let opts = opts_from_args(&[]);
     banner("Table II — self-built programs (Dataset 2): EHF and FDE ratio");
     let cases = dataset2(&opts);
 

@@ -8,7 +8,7 @@ use fetch_tools::{run_tool_with_engine, Tool};
 use std::collections::BTreeMap;
 
 fn main() {
-    let opts = opts_from_args();
+    let opts = opts_from_args(&[]);
     banner("Table III — FETCH vs. existing tools (FP/FN per opt level)");
     let cases = dataset2(&opts);
     println!(

@@ -23,7 +23,7 @@ struct Counts {
 }
 
 fn main() {
-    let opts = opts_from_args();
+    let opts = opts_from_args(&[]);
     banner("Table IV — stack-height analyses vs. CFI baseline");
     let cases = dataset2(&opts);
 

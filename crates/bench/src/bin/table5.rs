@@ -11,7 +11,7 @@ use fetch_tools::{run_tool, Tool};
 use std::time::Instant;
 
 fn main() {
-    let opts = opts_from_args();
+    let opts = opts_from_args(&[]);
     banner("Table V — average time per binary");
     let mut cases = dataset2(&opts);
     cases.truncate(40); // a sample is enough for stable averages

@@ -21,10 +21,10 @@
 //!   [`fetch_core::AnalysisCache`] (LRU eviction past it), consumed by
 //!   the serving harnesses (`serve_load`, `perf_snapshot`). Default:
 //!   unbounded.
-//! * `--intra-jobs <N>` — worker threads for the *intra-binary* sharded
-//!   recursive walk (default 1 = serial). Orthogonal to `--jobs`
-//!   (across-binary parallelism); composes with it, and the determinism
-//!   guarantee below covers both knobs.
+//!
+//! Any other argument is an error naming it, unless the harness declares
+//! it as one of its own flags (`fig5 --panel`, `serve_load --rounds` and
+//! `--metrics-out`; see [`opts_from`]).
 //!
 //! **Determinism guarantee:** every harness output is byte-identical for
 //! every `--jobs` value. The [`BatchDriver`] shards deterministically and
@@ -63,12 +63,9 @@ pub struct BenchOpts {
     /// Entry bound of the serving cache (`--cache-capacity N`; `None` =
     /// unbounded), consumed by the serving harnesses.
     pub cache_capacity: Option<usize>,
-    /// Worker threads for the *intra-binary* sharded recursive walk
-    /// (`--intra-jobs N`; default 1 = serial). Orthogonal to `--jobs`,
-    /// which parallelizes *across* binaries; harness output is
-    /// byte-identical at every setting (see
-    /// [`fetch_core::Fetch::intra_jobs`]).
-    pub intra_jobs: usize,
+    /// `(flag, value)` of every harness-local flag given, in
+    /// command-line order (see [`opts_from`] and [`BenchOpts::local`]).
+    pub local_flags: Vec<(String, String)>,
 }
 
 impl Default for BenchOpts {
@@ -81,8 +78,19 @@ impl Default for BenchOpts {
             jobs: default_jobs(),
             pipeline: None,
             cache_capacity: None,
-            intra_jobs: 1,
+            local_flags: Vec::new(),
         }
+    }
+}
+
+impl BenchOpts {
+    /// The last value given for the harness-local `flag`.
+    pub fn local(&self, flag: &str) -> Option<&str> {
+        self.local_flags
+            .iter()
+            .rev()
+            .find(|(f, _)| f == flag)
+            .map(|(_, v)| v.as_str())
     }
 }
 
@@ -100,12 +108,15 @@ pub fn default_jobs() -> usize {
 pub const MAX_FUNC_SCALE: f64 = 1000.0;
 
 /// Parses harness options from an argument slice (`args[0]` is the
-/// program name). Non-positive `--scale`, `--funcs`, or `--jobs` values
-/// are rejected — a zero scale would divide the corpus by zero
-/// downstream, a zero worker count would deadlock a fixed-shard driver —
-/// as are non-finite or implausibly large (> [`MAX_FUNC_SCALE`])
-/// `--funcs` multipliers.
-pub fn opts_from(args: &[String]) -> Result<BenchOpts, String> {
+/// program name). `local` names the harness's own flags, each taking one
+/// value; their values land in [`BenchOpts::local_flags`]. Any other
+/// argument the shared flags do not cover is rejected with an error
+/// naming it, so a typo (`--job 4`) never runs silently with defaults.
+/// Non-positive `--scale`, `--funcs`, or `--jobs` values are rejected
+/// too — a zero scale would divide the corpus by zero downstream, a zero
+/// worker count would deadlock a fixed-shard driver — as are non-finite
+/// or implausibly large (> [`MAX_FUNC_SCALE`]) `--funcs` multipliers.
+pub fn opts_from(args: &[String], local: &[&str]) -> Result<BenchOpts, String> {
     fn positive<T: std::str::FromStr + PartialOrd + Default>(
         flag: &str,
         value: Option<&String>,
@@ -152,10 +163,6 @@ pub fn opts_from(args: &[String]) -> Result<BenchOpts, String> {
                     "a positive integer",
                 )?);
             }
-            "--intra-jobs" => {
-                i += 1;
-                opts.intra_jobs = positive("--intra-jobs", args.get(i), "a positive integer")?;
-            }
             "--pipeline" => {
                 i += 1;
                 let spec = args.get(i).ok_or_else(|| {
@@ -166,18 +173,25 @@ pub fn opts_from(args: &[String]) -> Result<BenchOpts, String> {
                     fetch_core::Pipeline::parse(spec).map_err(|e| format!("--pipeline: {e}"))?;
                 opts.pipeline = Some(pipeline);
             }
-            _ => {}
+            flag if local.contains(&flag) => {
+                i += 1;
+                let value = args
+                    .get(i)
+                    .ok_or_else(|| format!("{flag} takes a value, got nothing"))?;
+                opts.local_flags.push((flag.to_string(), value.clone()));
+            }
+            other => return Err(format!("unknown argument {other:?}")),
         }
         i += 1;
     }
     Ok(opts)
 }
 
-/// Parses harness options from `std::env::args`, exiting with a usage
-/// error on invalid values.
-pub fn opts_from_args() -> BenchOpts {
+/// Parses harness options from `std::env::args` (see [`opts_from`]),
+/// exiting with a usage error on invalid or unknown arguments.
+pub fn opts_from_args(local: &[&str]) -> BenchOpts {
     let args: Vec<String> = std::env::args().collect();
-    opts_from(&args).unwrap_or_else(|e| {
+    opts_from(&args, local).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2);
     })
@@ -340,10 +354,14 @@ pub mod paper {
 mod tests {
     use super::*;
 
-    fn parse(extra: &[&str]) -> Result<BenchOpts, String> {
+    fn parse_with(extra: &[&str], local: &[&str]) -> Result<BenchOpts, String> {
         let mut args = vec!["bench".to_string()];
         args.extend(extra.iter().map(|s| s.to_string()));
-        opts_from(&args)
+        opts_from(&args, local)
+    }
+
+    fn parse(extra: &[&str]) -> Result<BenchOpts, String> {
+        parse_with(extra, &[])
     }
 
     #[test]
@@ -363,17 +381,16 @@ mod tests {
     }
 
     #[test]
-    fn intra_jobs_parses_and_rejects_non_positive() {
-        assert_eq!(parse(&[]).unwrap().intra_jobs, 1);
-        assert_eq!(parse(&["--intra-jobs", "4"]).unwrap().intra_jobs, 4);
-        for bad in [
-            vec!["--intra-jobs", "0"],
-            vec!["--intra-jobs", "-2"],
-            vec!["--intra-jobs", "all"],
-            vec!["--intra-jobs"],
+    fn unknown_arguments_are_rejected() {
+        // A removed flag, a typo, and a stray value are each named.
+        for (bad, named) in [
+            (vec!["--intra-jobs", "4"], "\"--intra-jobs\""),
+            (vec!["--job", "4"], "\"--job\""),
+            (vec!["--jobs", "2", "4"], "\"4\""),
+            (vec!["4"], "\"4\""),
         ] {
             let err = parse(&bad).expect_err(&format!("{bad:?} must be rejected"));
-            assert!(err.contains("--intra-jobs"), "{err}");
+            assert!(err.contains(named), "{err}");
         }
     }
 
@@ -421,11 +438,17 @@ mod tests {
     }
 
     #[test]
-    fn unknown_flags_are_ignored() {
-        // Bin-specific flags (--panel, --out, …) pass through the shared
-        // parser untouched.
-        let opts = parse(&["--panel", "b", "--jobs", "2"]).unwrap();
+    fn declared_harness_flags_are_accepted() {
+        // A harness-local flag passes only where the harness declares
+        // it, and its value is handed back.
+        let err = parse(&["--panel", "b", "--jobs", "2"]).expect_err("undeclared");
+        assert!(err.contains("\"--panel\""), "{err}");
+        let opts = parse_with(&["--panel", "b", "--jobs", "2"], &["--panel"]).unwrap();
         assert_eq!(opts.jobs, 2);
+        assert_eq!(opts.local("--panel"), Some("b"));
+        assert_eq!(opts.local("--rounds"), None);
+        let err = parse_with(&["--panel"], &["--panel"]).expect_err("missing value");
+        assert!(err.contains("--panel takes a value"), "{err}");
     }
 
     #[test]

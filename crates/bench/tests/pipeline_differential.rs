@@ -2,23 +2,20 @@
 //! byte-identical to the pre-refactor hand-assembled stacks.
 //!
 //! Before the `Pipeline` subsystem, every Table III tool model was an
-//! imperative `run_stack_cached` call over a hardcoded `&[&dyn Strategy]`
-//! slice, and `Fetch` sequenced its four layers by hand. This suite
-//! re-states those stacks literally (the golden side) and pins
-//! [`Pipeline::for_tool`] / [`Fetch`] to them over the determinism
-//! corpus: identical starts, provenance, layer order, and deterministic
-//! trace deltas, for every tool, with shared and fresh engines.
+//! imperative call over a hardcoded slice of layer objects, and `Fetch`
+//! sequenced its four layers by hand. Once the nine stacks became data
+//! (and the static [`Tool::pipeline_id`] strings pinned each stack's
+//! composition), a differential against those literal stacks had done
+//! its job. What remains is its output: a golden snapshot of every
+//! tool's canonical projection over the determinism corpus, recorded
+//! while the literal stacks still existed and were proven equal, and
+//! checked here with shared and fresh engines.
 
 use fetch_bench::{dataset2, BenchOpts};
-use fetch_core::{
-    run_stack, run_stack_cached, AlignmentSplit, ByteWeight, CallFrameRepair, ControlFlowRepair,
-    DetectionResult, EntrySeed, FdeSeeds, Fetch, FlirtSignatures, FunctionMerge, LinearScanStarts,
-    NucleusScan, PointerScan, PrologueMatch, SafeRecursion, Strategy, TailCallHeuristic,
-    ThunkHeuristic, Tool, ToolStyle,
-};
-use fetch_disasm::RecEngine;
+use fetch_core::{DetectionResult, Fetch, LayerSpec, Pipeline, Tool};
+use fetch_disasm::{ErrorCallPolicy, RecEngine};
 use fetch_synth::corpus::CorpusScale;
-use fetch_tools::{angr_rejects, run_tool_with_engine};
+use fetch_tools::{run_tool, run_tool_with_engine};
 
 /// The same corpus shape the batch-determinism suite sweeps.
 fn determinism_corpus() -> Vec<fetch_binary::TestCase> {
@@ -32,124 +29,86 @@ fn determinism_corpus() -> Vec<fetch_binary::TestCase> {
     dataset2(&opts)
 }
 
-/// The pre-refactor tool stacks, verbatim: each is the `&[&dyn Strategy]`
-/// slice the old `fetch-tools` builders assembled imperatively.
-fn legacy_stack(tool: Tool) -> Vec<Box<dyn Strategy>> {
-    match tool {
-        Tool::Dyninst => vec![
-            Box::new(EntrySeed),
-            Box::new(SafeRecursion::default()),
-            Box::new(PrologueMatch {
-                style: ToolStyle::Radare,
-            }),
-            Box::new(PrologueMatch {
-                style: ToolStyle::Angr,
-            }),
-        ],
-        Tool::Bap => vec![Box::new(EntrySeed), Box::new(ByteWeight)],
-        Tool::Radare2 => vec![
-            Box::new(EntrySeed),
-            Box::new(SafeRecursion::default()),
-            Box::new(PrologueMatch {
-                style: ToolStyle::Radare,
-            }),
-        ],
-        Tool::Nucleus => vec![Box::new(EntrySeed), Box::new(NucleusScan)],
-        Tool::IdaPro => vec![
-            Box::new(EntrySeed),
-            Box::new(SafeRecursion::default()),
-            Box::new(FlirtSignatures),
-        ],
-        Tool::BinaryNinja => vec![
-            Box::new(EntrySeed),
-            Box::new(SafeRecursion::default()),
-            Box::new(TailCallHeuristic {
-                style: ToolStyle::Ghidra,
-            }),
-            Box::new(PrologueMatch {
-                style: ToolStyle::Angr,
-            }),
-            Box::new(AlignmentSplit),
-        ],
-        Tool::Ghidra => vec![
-            Box::new(FdeSeeds),
-            Box::new(SafeRecursion::default()),
-            Box::new(ControlFlowRepair),
-            Box::new(ThunkHeuristic),
-            Box::new(PrologueMatch {
-                style: ToolStyle::Ghidra,
-            }),
-        ],
-        Tool::Angr => vec![
-            Box::new(FdeSeeds),
-            Box::new(SafeRecursion::default()),
-            Box::new(FunctionMerge),
-            Box::new(PrologueMatch {
-                style: ToolStyle::Angr,
-            }),
-            Box::new(LinearScanStarts),
-            Box::new(AlignmentSplit),
-        ],
-        // The old `Fetch::apply_pipeline` sequence: FDE, Rec, Xref,
-        // TcallFix.
-        Tool::Fetch => vec![
-            Box::new(FdeSeeds),
-            Box::new(SafeRecursion::default()),
-            Box::new(PointerScan),
-            Box::new(CallFrameRepair::default()),
-        ],
-    }
-}
-
-fn run_legacy(tool: Tool, binary: &fetch_binary::Binary) -> Option<DetectionResult> {
-    if tool == Tool::Angr && angr_rejects(binary) {
-        return None;
-    }
-    let stack = legacy_stack(tool);
-    let refs: Vec<&dyn Strategy> = stack.iter().map(|s| s.as_ref()).collect();
-    Some(run_stack(binary, &refs))
+/// The fully deterministic projection of a result: starts with
+/// provenance, layer order, and each trace entry's
+/// `(name, added, removed, starts_after)`.
+fn canonical(r: &DetectionResult) -> String {
+    let deltas: Vec<_> = r
+        .trace
+        .iter()
+        .map(|t| (t.name, &t.added, &t.removed, t.starts_after))
+        .collect();
+    format!("{:?} | {:?} | {:?}", r.starts, r.layers, deltas)
 }
 
 /// Strict canonical comparison: `==` (starts, layers, deterministic
-/// trace deltas) plus a rendering of the fully deterministic projection,
-/// so a `PartialEq` bug could not silently weaken the suite.
+/// trace deltas) plus the rendered [`canonical`] projection, so a
+/// `PartialEq` bug could not silently weaken the suite.
 fn assert_identical(a: &DetectionResult, b: &DetectionResult, what: &str) {
     assert_eq!(a, b, "{what}: results diverged");
-    let canon = |r: &DetectionResult| {
-        let deltas: Vec<_> = r
-            .trace
-            .iter()
-            .map(|t| (t.name, &t.added, &t.removed, t.starts_after))
-            .collect();
-        format!("{:?} | {:?} | {:?}", r.starts, r.layers, deltas)
-    };
-    assert_eq!(canon(a), canon(b), "{what}: canonical form diverged");
+    assert_eq!(
+        canonical(a),
+        canonical(b),
+        "{what}: canonical form diverged"
+    );
 }
+
+/// FNV-1a (64-bit) over `bytes`, continuing from `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// FNV-1a of one line per corpus binary: the [`canonical`] projection,
+/// or `rejected` where the tool model refuses the binary.
+fn snapshot(results: impl Iterator<Item = Option<DetectionResult>>) -> u64 {
+    results.fold(0xcbf2_9ce4_8422_2325, |h, r| {
+        let line = r.as_ref().map_or_else(|| "rejected".to_string(), canonical);
+        fnv1a(fnv1a(h, line.as_bytes()), b"\n")
+    })
+}
+
+/// Each tool's [`snapshot`] over the determinism corpus, recorded from
+/// the literal pre-refactor stacks (which matched `Pipeline::for_tool`
+/// byte for byte when they were deleted).
+const GOLDEN: [(Tool, u64); 9] = [
+    (Tool::Dyninst, 0x25a0_35ed_5a7e_c121),
+    (Tool::Bap, 0x7977_a0dd_a02a_837d),
+    (Tool::Radare2, 0xdf06_32a8_9b7c_c979),
+    (Tool::Nucleus, 0x6ecf_7e00_e00c_62f7),
+    (Tool::IdaPro, 0xe60e_3cfc_9490_4412),
+    (Tool::BinaryNinja, 0x85ad_5141_1f9a_b9ea),
+    (Tool::Ghidra, 0xbb1f_1eb3_924c_7c7f),
+    (Tool::Angr, 0x0695_3731_e79c_3c33),
+    (Tool::Fetch, 0xa0e4_7850_d573_4752),
+];
 
 #[test]
 fn for_tool_pipelines_match_pre_refactor_stacks() {
     let cases = determinism_corpus();
-    assert!(cases.len() >= 8, "corpus too small to be representative");
-    for tool in Tool::ALL {
+    assert_eq!(cases.len(), 45, "the golden snapshot covers 45 binaries");
+    for (tool, golden) in GOLDEN {
         // One engine carried across the whole corpus per tool — the
-        // production configuration of the batch driver.
+        // production configuration of the batch driver — and a fresh
+        // engine per binary.
         let mut engine = RecEngine::new();
-        for case in &cases {
-            let declarative = run_tool_with_engine(tool, &case.binary, &mut engine);
-            let legacy = run_legacy(tool, &case.binary);
-            match (declarative, legacy) {
-                (Some(d), Some(l)) => {
-                    assert_identical(&d, &l, &format!("{tool} on {}", case.binary.name))
-                }
-                (None, None) => {}
-                (d, l) => panic!(
-                    "{tool} on {}: loader-failure model diverged ({} vs {})",
-                    case.binary.name,
-                    d.is_some(),
-                    l.is_some()
-                ),
-            }
-        }
+        let shared = snapshot(
+            cases
+                .iter()
+                .map(|c| run_tool_with_engine(tool, &c.binary, &mut engine)),
+        );
+        let fresh = snapshot(cases.iter().map(|c| run_tool(tool, &c.binary)));
+        assert_eq!(
+            shared, golden,
+            "{tool} (shared engine) drifted from the golden snapshot"
+        );
+        assert_eq!(
+            fresh, golden,
+            "{tool} (fresh engines) drifted from the golden snapshot"
+        );
     }
 }
 
@@ -165,19 +124,18 @@ fn fetch_entry_points_match_pre_refactor_sequence() {
         let fetch = Fetch {
             skip_pointer_scan: skip_scan,
             skip_repair,
-            ..Fetch::default()
         };
-        let mut legacy_layers: Vec<&dyn Strategy> = vec![&FdeSeeds];
-        let rec = SafeRecursion::default();
-        legacy_layers.push(&rec);
+        let mut legacy_layers = vec![
+            LayerSpec::FdeSeeds,
+            LayerSpec::SafeRecursion(ErrorCallPolicy::SliceZero),
+        ];
         if !skip_scan {
-            legacy_layers.push(&PointerScan);
+            legacy_layers.push(LayerSpec::PointerScan);
         }
-        let repair = CallFrameRepair::default();
         if !skip_repair {
-            legacy_layers.push(&repair);
+            legacy_layers.push(LayerSpec::CallFrameRepair);
         }
-        let legacy = run_stack_cached(&case.binary, &legacy_layers, &mut engine);
+        let legacy = Pipeline::new(legacy_layers).run_with_engine(&case.binary, &mut engine);
         assert_identical(
             &fetch.detect(&case.binary),
             &legacy,

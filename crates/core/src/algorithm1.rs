@@ -20,7 +20,6 @@
 //! are removed, mirroring the paper's 3-false-positive fix.
 
 use crate::state::{DetectionState, Provenance};
-use crate::strategy::Strategy;
 use fetch_analyses::{validate_calling_convention_cached, CallConvVerdict};
 use fetch_disasm::{ErrorCallPolicy, XrefKind};
 use std::collections::BTreeSet;
@@ -293,21 +292,10 @@ impl CallFrameRepair {
     }
 }
 
-impl Strategy for CallFrameRepair {
-    fn name(&self) -> &'static str {
-        "TcallFix"
-    }
-
-    fn apply(&self, state: &mut DetectionState<'_>) {
-        self.repair(state);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pointer_scan::PointerScan;
-    use crate::strategy::{FdeSeeds, SafeRecursion, Strategy};
+    use crate::Pipeline;
     use fetch_binary::TestCase;
     use fetch_synth::{synthesize, SynthConfig};
 
@@ -322,9 +310,7 @@ mod tests {
 
     fn run_pipeline(case: &TestCase) -> (DetectionState<'_>, RepairReport) {
         let mut state = DetectionState::new(&case.binary);
-        FdeSeeds.apply(&mut state);
-        SafeRecursion::default().apply(&mut state);
-        PointerScan.apply(&mut state);
+        Pipeline::parse("FDE+Rec+Xref").unwrap().apply(&mut state);
         let report = CallFrameRepair::default().repair(&mut state);
         (state, report)
     }
@@ -416,8 +402,7 @@ mod tests {
         cfg.rates.rbp_frame = 0.5; // many frame-pointer functions
         let case = synthesize(&cfg);
         let mut state = DetectionState::new(&case.binary);
-        FdeSeeds.apply(&mut state);
-        SafeRecursion::default().apply(&mut state);
+        Pipeline::parse("FDE+Rec").unwrap().apply(&mut state);
         let report = CallFrameRepair::default().repair(&mut state);
         assert!(report.skipped_incomplete > 10, "rbp frames are skipped");
     }

@@ -35,11 +35,6 @@ pub struct Fetch {
     pub skip_pointer_scan: bool,
     /// Skip Algorithm 1 (ablation knob).
     pub skip_repair: bool,
-    /// Worker threads for the intra-binary sharded recursive walk
-    /// (`0` or `1` = serial). An execution knob, not an analysis input:
-    /// results are byte-identical at every setting, and the pipeline id
-    /// does not include it (see [`RecEngine::set_intra_jobs`]).
-    pub intra_jobs: usize,
 }
 
 impl Fetch {
@@ -87,7 +82,6 @@ impl Fetch {
     /// [`DetectionState::with_engine`]). Result-identical to
     /// [`Fetch::detect`].
     pub fn detect_with_engine(&self, binary: &Binary, engine: &mut RecEngine) -> DetectionResult {
-        engine.set_intra_jobs(self.intra_jobs);
         self.pipeline().run_with_engine(binary, engine)
     }
 
@@ -117,7 +111,6 @@ impl Fetch {
         cache: &AnalysisCache,
     ) -> Arc<DetectionResult> {
         cache.get_or_compute(image_fingerprint(image), self.pipeline_id(), || {
-            engine.set_intra_jobs(self.intra_jobs);
             self.pipeline().run_with_engine(&image.to_binary(), engine)
         })
     }
@@ -132,7 +125,6 @@ impl Fetch {
         cache: &AnalysisCache,
     ) -> Arc<DetectionResult> {
         cache.get_or_compute(content_fingerprint(binary), self.pipeline_id(), || {
-            engine.set_intra_jobs(self.intra_jobs);
             self.pipeline().run_with_engine(binary, engine)
         })
     }
@@ -153,7 +145,6 @@ impl Fetch {
         image: &ElfImage,
         engine: &mut RecEngine,
     ) -> (DeltaOutcome, ImageDigest) {
-        engine.set_intra_jobs(self.intra_jobs);
         let binary = image.to_binary();
         let digest = ImageDigest::compute_from(prev_digest, &binary, image_fingerprint(image));
         let out = run_delta(
@@ -182,7 +173,6 @@ impl Fetch {
         binary: &Binary,
         engine: &mut RecEngine,
     ) -> (DetectionResult, RepairReport) {
-        engine.set_intra_jobs(self.intra_jobs);
         let mut state = DetectionState::with_engine(binary, std::mem::take(engine));
         self.pipeline().apply(&mut state);
         let report = state.take_repair_report().unwrap_or_default();
@@ -207,7 +197,6 @@ mod tests {
                 let f = Fetch {
                     skip_pointer_scan,
                     skip_repair,
-                    ..Fetch::new()
                 };
                 assert_eq!(f.pipeline_id(), f.pipeline().id());
             }
@@ -252,26 +241,6 @@ mod tests {
                 part_starts.contains(fp),
                 "unexplained false positive {fp:#x}"
             );
-        }
-    }
-
-    #[test]
-    fn intra_jobs_is_invisible_in_results() {
-        // The sharded walk is an execution strategy, not an analysis
-        // input: every worker count produces the serial result.
-        let mut cfg = SynthConfig::small(84);
-        cfg.n_funcs = 120;
-        cfg.rates.split_cold = 0.1;
-        cfg.rates.mislabeled_fdes = 1;
-        let case = synthesize(&cfg);
-        let serial = Fetch::new().detect(&case.binary);
-        for jobs in [2, 3, 7] {
-            let sharded = Fetch {
-                intra_jobs: jobs,
-                ..Fetch::new()
-            }
-            .detect(&case.binary);
-            assert_eq!(sharded, serial, "intra_jobs={jobs} drifted");
         }
     }
 

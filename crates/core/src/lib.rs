@@ -6,15 +6,15 @@
 //!
 //! ## Layers
 //!
-//! *Safe* (correctness-preserving):
-//! [`FdeSeeds`] (`FDE`), [`SymbolSeeds`], [`SafeRecursion`] (`Rec`),
-//! [`PointerScan`] (`Xref`, §IV-E), [`CallFrameRepair`] (`TcallFix`,
-//! Algorithm 1 of §V-B).
+//! Every layer is a [`LayerSpec`] variant; [`LayerSpec::apply`] runs it.
 //!
-//! *Unsafe* (tool heuristics, modeled for the Figure 5 study):
-//! [`PrologueMatch`] (`Fsig`), [`TailCallHeuristic`] (`Tcall`),
-//! [`LinearScanStarts`] (`Scan`), [`ControlFlowRepair`] (`CFR`),
-//! [`FunctionMerge`] (`Fmerg`), [`ThunkHeuristic`], [`AlignmentSplit`].
+//! *Safe* (correctness-preserving): `FDE` seeds, `Sym` seeds, `Entry`,
+//! `Rec` (safe recursion), `Xref` (pointer scan, §IV-E) and `TcallFix`
+//! ([`CallFrameRepair`], Algorithm 1 of §V-B).
+//!
+//! *Unsafe* (tool heuristics, modeled for the Figure 5 study): `Fsig`
+//! (prologue matching), `Tcall` (tail-call heuristic), `Scan`, `CFR`,
+//! `Fmerg`, `Thunk`, `Align`, `ByteWeight`, `Nucleus` and `Flirt`.
 //!
 //! The [`Fetch`] type wires the optimal stack together.
 //!
@@ -46,39 +46,16 @@
 //! re-runs ([`DetectionState::new_reference`]); a property test over
 //! random corpora and random layer stacks enforces the equivalence.
 //!
-//! The engine can also outlive a single state: [`run_stack_cached`] and
-//! [`Fetch::detect_with_engine`] thread a caller-owned
-//! [`fetch_disasm::RecEngine`] through the run, so several stacks (e.g.
-//! all nine tool models of `fetch-tools`) analysing the same binary share
-//! one decode cache. A second property test proves sharing an engine
-//! across different stacks changes no result.
-//!
-//! ## Intra-binary parallelism: shard → merge → identical result
-//!
-//! The layer pipeline for one binary is inherently sequential (each
-//! layer consumes the previous layer's starts), so the remaining
-//! parallelism *inside* one analysis lives in the recursive walk:
-//! [`fetch_disasm::RecEngine::set_intra_jobs`] splits a walk's seed
-//! set across worker shards. Each shard runs a *scout* pass that
-//! decodes its seeds' reachable code into a private fork of the shared
-//! decode cache; the engine then absorbs the forks and *replays* the
-//! walk serially over now-cached instructions. Replay re-establishes
-//! the serial walk's exact visit order and tie-breaks, so the decoded
-//! set, jump-table resolutions, and every downstream verdict are
-//! byte-identical at every width — shard width is an execution knob,
-//! never an analysis input. A property test
-//! (`proptest_intra`) asserts sharded ≡ serial over random corpora,
-//! and the CI determinism job diffs full harness outputs at
-//! `--intra-jobs 1` vs `N`.
-//!
-//! Intra-binary sharding composes with the two outer levels of
-//! parallelism — the batch driver's per-binary workers
-//! (`BatchDriver --jobs` in `fetch-bench`) and the serving daemon's
-//! worker pool (`fetch-serve --jobs`) — because each worker owns its
-//! engine: widths multiply, determinism guarantees stack. On corpora
-//! of small binaries prefer outer parallelism (per-binary workers
-//! amortize better than per-walk shards); reach for `intra_jobs > 1`
-//! when single large binaries dominate latency.
+//! The engine can also outlive a single state:
+//! [`Pipeline::run_with_engine`] and [`Fetch::detect_with_engine`]
+//! thread a caller-owned [`fetch_disasm::RecEngine`] through the run, so
+//! several stacks (e.g. all nine tool models of `fetch-tools`) analysing
+//! the same binary share one decode cache. A second property test
+//! proves sharing an engine across different stacks changes no result.
+//! Parallelism lives outside one analysis — the batch driver's
+//! per-binary workers (`BatchDriver --jobs` in `fetch-bench`) and the
+//! serving daemon's worker pool (`fetch-serve --jobs`) — and each worker
+//! owns its engine. The walk for one binary stays serial.
 //!
 //! ## Pipelines: spec → executor → trace → cache
 //!
@@ -91,10 +68,10 @@
 //!    [`Pipeline::parse`]. [`Pipeline::fetch`] is the paper's optimal
 //!    stack; [`Pipeline::for_tool`] holds all nine Table III tool
 //!    stacks as declarative data.
-//! 2. **Executor** — [`Pipeline::apply`] instantiates each spec's
-//!    strategy and runs it through the one traced step,
-//!    [`DetectionState::apply_layer`]. Every entry point (`Fetch`
-//!    detectors, tool models, ad-hoc [`run_stack`] slices) funnels
+//! 2. **Executor** — [`Pipeline::apply`] runs each spec through the
+//!    one traced step, [`LayerSpec::apply`], which dispatches by `match`
+//!    to the layer's body. Every entry point (`Fetch` detectors, tool
+//!    models, ad-hoc `Pipeline::parse("FDE+Rec+…")` stacks) funnels
 //!    through that step, so layer names in
 //!    [`DetectionResult::layers`] can never drift from what ran.
 //! 3. **Trace** — the executor records a [`LayerTrace`] per layer (wall
@@ -328,14 +305,11 @@ pub use cache::{
 };
 pub use delta::{run_delta, DeltaClass, DeltaOutcome};
 pub use fetch::Fetch;
-pub use heuristics::{
-    code_gaps, AlignmentSplit, ByteWeight, ControlFlowRepair, FlirtSignatures, FunctionMerge,
-    LinearScanStarts, NucleusScan, PrologueMatch, TailCallHeuristic, ThunkHeuristic, ToolStyle,
-};
+pub use heuristics::{code_gaps, ToolStyle};
 pub use pipeline::{LayerSpec, Pipeline, PipelineParseError, Tool, KNOWN_LAYERS};
 pub use pointer_scan::{
     collect_data_pointers, collect_data_pointers_counted, validate_candidate,
-    validate_candidate_indexed, OwnerIndex, PointerScan, ValidationError,
+    validate_candidate_indexed, OwnerIndex, ValidationError,
 };
 pub use serial::{
     deserialize_result, deserialize_result_full, intern_layer_name, serialize_result,
@@ -343,6 +317,3 @@ pub use serial::{
     RESULT_VERSION, RESULT_VERSION_V1, RESULT_VERSION_V2, RESULT_VERSION_V3,
 };
 pub use state::{DetectionResult, DetectionState, FrameTable, LayerTrace, Provenance};
-pub use strategy::{
-    run_stack, run_stack_cached, EntrySeed, FdeSeeds, SafeRecursion, Strategy, SymbolSeeds,
-};

@@ -3,9 +3,9 @@
 //!
 //! A [`Pipeline`] is an ordered list of [`LayerSpec`]s — pure data with a
 //! stable textual [`Pipeline::id`] that round-trips through
-//! [`Pipeline::parse`]. One executor ([`Pipeline::apply`], built on
-//! [`DetectionState::apply_layer`]) turns specs into strategy
-//! applications, recording a [`crate::LayerTrace`] per layer, so every
+//! [`Pipeline::parse`]. One executor ([`Pipeline::apply`], built on the
+//! traced step [`LayerSpec::apply`]) dispatches each spec to its layer
+//! body, recording a [`crate::LayerTrace`] per layer, so every
 //! caller — the FETCH detector, the nine Table III tool models, the
 //! bench harnesses, ad-hoc `--pipeline` experiments — shares one
 //! sequencing/bookkeeping/instrumentation path instead of hand-rolling
@@ -16,13 +16,10 @@
 //! keys memoized results by `(binary fingerprint, pipeline id)`.
 
 use crate::algorithm1::CallFrameRepair;
-use crate::heuristics::{
-    AlignmentSplit, ByteWeight, ControlFlowRepair, FlirtSignatures, FunctionMerge,
-    LinearScanStarts, NucleusScan, PrologueMatch, TailCallHeuristic, ThunkHeuristic, ToolStyle,
-};
-use crate::pointer_scan::PointerScan;
-use crate::state::{DetectionResult, DetectionState};
-use crate::strategy::{EntrySeed, FdeSeeds, SafeRecursion, Strategy, SymbolSeeds};
+use crate::heuristics::{self, ToolStyle};
+use crate::pointer_scan::pointer_scan;
+use crate::state::{diff_starts, DetectionResult, DetectionState, LayerTrace};
+use crate::strategy;
 use fetch_binary::Binary;
 use fetch_disasm::{ErrorCallPolicy, RecEngine};
 use std::fmt;
@@ -127,9 +124,8 @@ impl fmt::Display for Tool {
     }
 }
 
-/// One serializable strategy-layer specification. The data half of the
-/// [`crate::Strategy`] trait: a spec names a layer and its configuration,
-/// [`LayerSpec::apply`] instantiates and runs it.
+/// One serializable strategy-layer specification: a spec names a layer
+/// and its configuration, [`LayerSpec::apply`] runs it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LayerSpec {
     /// `FDE`: seed starts from every FDE `PC Begin` (§IV-B).
@@ -241,7 +237,24 @@ impl LayerSpec {
     /// [`DetectionResult::layers`] — the paper's label, shared by every
     /// configuration of a layer (`Fsig` for all three styles).
     pub fn name(&self) -> &'static str {
-        self.with_strategy(|s| s.name())
+        match self {
+            LayerSpec::FdeSeeds => "FDE",
+            LayerSpec::SymbolSeeds => "Sym",
+            LayerSpec::EntrySeed => "Entry",
+            LayerSpec::SafeRecursion(_) => "Rec",
+            LayerSpec::PointerScan => "Xref",
+            LayerSpec::CallFrameRepair => "TcallFix",
+            LayerSpec::PrologueMatch(_) => "Fsig",
+            LayerSpec::TailCallHeuristic(_) => "Tcall",
+            LayerSpec::LinearScanStarts => "Scan",
+            LayerSpec::ControlFlowRepair => "CFR",
+            LayerSpec::FunctionMerge => "Fmerg",
+            LayerSpec::ThunkHeuristic => "Thunk",
+            LayerSpec::AlignmentSplit => "Align",
+            LayerSpec::ByteWeight => "ByteWeight",
+            LayerSpec::NucleusScan => "Nucleus",
+            LayerSpec::FlirtSignatures => "Flirt",
+        }
     }
 
     /// Whether the layer's output is invariant under the semantic
@@ -286,32 +299,60 @@ impl LayerSpec {
         }
     }
 
-    /// Applies the specified layer to `state` through the traced
-    /// executor step ([`DetectionState::apply_layer`]).
+    /// The one traced executor step: runs the layer on `state`, then
+    /// records its name and a [`LayerTrace`] (wall time, exact start
+    /// delta with provenance, decode-cache and pointer-scan work) in
+    /// lockstep. Every pipeline path — [`Pipeline::apply`] and the
+    /// `Fetch` entry points — funnels through here, so
+    /// [`DetectionResult::layers`] can never skip or double-count a
+    /// layer the way hand-pushed names could.
     pub fn apply(&self, state: &mut DetectionState<'_>) {
-        self.with_strategy(|s| state.apply_layer(s));
+        let before = state.starts.clone();
+        let (hits0, misses0) = state.engine_decode_stats();
+        let (bytes0, cands0) = state.scan_stats();
+        let t = std::time::Instant::now();
+        self.run_body(state);
+        let wall_nanos = t.elapsed().as_nanos() as u64;
+        let (hits1, misses1) = state.engine_decode_stats();
+        let (bytes1, cands1) = state.scan_stats();
+        let (added, removed) = diff_starts(&before, &state.starts);
+        state.layers.push(self.name());
+        state.trace.push(LayerTrace {
+            name: self.name(),
+            wall_nanos,
+            added,
+            removed,
+            starts_after: state.starts.len(),
+            decode_hits: hits1 - hits0,
+            decode_misses: misses1 - misses0,
+            bytes_scanned: bytes1 - bytes0,
+            candidates_checked: cands1 - cands0,
+        });
     }
 
-    /// Instantiates the strategy this spec describes and hands it to
-    /// `f` (strategies are zero-/small-sized, so this is allocation-free).
-    fn with_strategy<R>(&self, f: impl FnOnce(&dyn Strategy) -> R) -> R {
+    /// The layer's body, untraced.
+    fn run_body(&self, state: &mut DetectionState<'_>) {
         match *self {
-            LayerSpec::FdeSeeds => f(&FdeSeeds),
-            LayerSpec::SymbolSeeds => f(&SymbolSeeds),
-            LayerSpec::EntrySeed => f(&EntrySeed),
-            LayerSpec::SafeRecursion(error_policy) => f(&SafeRecursion { error_policy }),
-            LayerSpec::PointerScan => f(&PointerScan),
-            LayerSpec::CallFrameRepair => f(&CallFrameRepair::default()),
-            LayerSpec::PrologueMatch(style) => f(&PrologueMatch { style }),
-            LayerSpec::TailCallHeuristic(style) => f(&TailCallHeuristic { style }),
-            LayerSpec::LinearScanStarts => f(&LinearScanStarts),
-            LayerSpec::ControlFlowRepair => f(&ControlFlowRepair),
-            LayerSpec::FunctionMerge => f(&FunctionMerge),
-            LayerSpec::ThunkHeuristic => f(&ThunkHeuristic),
-            LayerSpec::AlignmentSplit => f(&AlignmentSplit),
-            LayerSpec::ByteWeight => f(&ByteWeight),
-            LayerSpec::NucleusScan => f(&NucleusScan),
-            LayerSpec::FlirtSignatures => f(&FlirtSignatures),
+            LayerSpec::FdeSeeds => strategy::fde_seeds(state),
+            LayerSpec::SymbolSeeds => strategy::symbol_seeds(state),
+            LayerSpec::EntrySeed => strategy::entry_seed(state),
+            LayerSpec::SafeRecursion(policy) => state.run_recursion(true, policy),
+            LayerSpec::PointerScan => {
+                pointer_scan(state);
+            }
+            LayerSpec::CallFrameRepair => {
+                CallFrameRepair::default().repair(state);
+            }
+            LayerSpec::PrologueMatch(style) => heuristics::prologue_match(state, style),
+            LayerSpec::TailCallHeuristic(style) => heuristics::tail_call_heuristic(state, style),
+            LayerSpec::LinearScanStarts => heuristics::linear_scan_starts(state),
+            LayerSpec::ControlFlowRepair => heuristics::control_flow_repair(state),
+            LayerSpec::FunctionMerge => heuristics::function_merge(state),
+            LayerSpec::ThunkHeuristic => heuristics::thunk_heuristic(state),
+            LayerSpec::AlignmentSplit => heuristics::alignment_split(state),
+            LayerSpec::ByteWeight => heuristics::byte_weight(state),
+            LayerSpec::NucleusScan => heuristics::nucleus_scan(state),
+            LayerSpec::FlirtSignatures => heuristics::flirt_signatures(state),
         }
     }
 }
@@ -549,8 +590,10 @@ impl Pipeline {
     }
 
     /// Runs the pipeline through a caller-owned [`RecEngine`], so the
-    /// decode cache survives across stacks and binaries (see
-    /// [`crate::run_stack_cached`] for the soundness argument).
+    /// decode cache survives across stacks run over the same binary (the
+    /// cross-tool sharing the batch driver builds on). Observationally
+    /// identical to [`Pipeline::run`]: the engine's binary fingerprint
+    /// and option/seed checks guarantee stale state is never consulted.
     pub fn run_with_engine(&self, binary: &Binary, engine: &mut RecEngine) -> DetectionResult {
         let mut state = DetectionState::with_engine(binary, std::mem::take(engine));
         self.apply(&mut state);
@@ -577,7 +620,6 @@ impl FromStr for Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::run_stack;
     use fetch_synth::{synthesize, SynthConfig};
 
     #[test]
@@ -688,11 +730,14 @@ mod tests {
 
     #[test]
     fn spec_names_match_strategy_names() {
-        // The executor records Strategy::name(); the spec's name()
-        // accessor must agree so declarative callers can predict labels.
+        // The executor records each layer's name(); declarative callers
+        // predict labels from it, and the serializer interns it back.
+        let case = synthesize(&SynthConfig::small(11));
         for (_, spec) in KNOWN_LAYERS {
-            let via_strategy = spec.with_strategy(|s| s.name());
-            assert_eq!(spec.name(), via_strategy);
+            let result = Pipeline::new(vec![*spec]).run(&case.binary);
+            assert_eq!(result.layers, [spec.name()]);
+            assert_eq!(result.trace[0].name, spec.name());
+            assert_eq!(crate::intern_layer_name(spec.name()), Some(spec.name()));
         }
     }
 
@@ -700,7 +745,10 @@ mod tests {
     fn pipeline_run_matches_ad_hoc_stack() {
         let case = synthesize(&SynthConfig::small(11));
         let declarative = Pipeline::parse("FDE+Rec").unwrap().run(&case.binary);
-        let ad_hoc = run_stack(&case.binary, &[&FdeSeeds, &SafeRecursion::default()]);
+        let mut state = DetectionState::new(&case.binary);
+        LayerSpec::FdeSeeds.apply(&mut state);
+        LayerSpec::SafeRecursion(ErrorCallPolicy::SliceZero).apply(&mut state);
+        let ad_hoc = state.into_result();
         assert_eq!(declarative, ad_hoc);
         assert_eq!(declarative.layers, ["FDE", "Rec"]);
     }

@@ -8,7 +8,6 @@
 //! classes; survivors become new function starts.
 
 use crate::state::{DetectionState, Provenance};
-use crate::strategy::Strategy;
 use fetch_analyses::{validate_calling_convention_cached, CallConvVerdict};
 use fetch_binary::Binary;
 use fetch_disasm::FunctionBody;
@@ -333,104 +332,89 @@ pub fn validate_candidate_explore(
     Ok(())
 }
 
-/// `Xref`: the §IV-E pointer-scan strategy layer.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PointerScan;
-
-impl PointerScan {
-    /// Runs the scan, returning accepted candidates.
-    pub fn scan(&self, state: &mut DetectionState<'_>) -> Vec<u64> {
-        if state.rec.disasm.is_empty() {
-            state.run_recursion(true, fetch_disasm::ErrorCallPolicy::SliceZero);
+/// `Xref`: the §IV-E pointer-scan strategy layer. Runs the scan,
+/// returning accepted candidates.
+pub(crate) fn pointer_scan(state: &mut DetectionState<'_>) -> Vec<u64> {
+    if state.rec.disasm.is_empty() {
+        state.run_recursion(true, fetch_disasm::ErrorCallPolicy::SliceZero);
+    }
+    let mut accepted = Vec::new();
+    // The binary (and so `.text`) is immutable for the whole scan;
+    // hoist it out of the per-candidate loop.
+    let binary = state.binary;
+    let text = binary.text();
+    loop {
+        // (Re)collect candidates: data pointers + code constants,
+        // both memoized on the state (the data half never changes;
+        // the code half is invalidated by each recursion).
+        let mut candidates: Vec<u64> = state.data_pointers().keys().copied().collect();
+        candidates.extend(state.code_constants().iter().copied());
+        candidates.sort_unstable();
+        candidates.dedup();
+        // Flattened start set: the precheck and exploration loops
+        // probe it per candidate/branch, where a slice search beats
+        // a B-tree walk.
+        let starts: Vec<u64> = state.start_set().iter().copied().collect();
+        let mut stop_calls: Vec<u64> = state.rec.noreturn.iter().copied().collect();
+        stop_calls.extend(state.error_funcs.iter().copied());
+        stop_calls.sort_unstable();
+        stop_calls.dedup();
+        // Pass 1 — owner-free prechecks (callconv + plausibility),
+        // where most candidates die. The extents/owner index is
+        // only built below when something survives, which skips the
+        // rebuild entirely on rounds that accept nothing new.
+        let mut survivors = Vec::new();
+        let mut checked = 0u64;
+        for c in candidates {
+            if starts.binary_search(&c).is_ok() || !text.contains(c) {
+                continue;
+            }
+            checked += 1;
+            if validate_candidate_precheck(binary, c, &state.rec.disasm, &stop_calls).is_ok() {
+                survivors.push(c);
+            }
         }
-        let mut accepted = Vec::new();
-        // The binary (and so `.text`) is immutable for the whole scan;
-        // hoist it out of the per-candidate loop.
-        let binary = state.binary;
-        let text = binary.text();
-        loop {
-            // (Re)collect candidates: data pointers + code constants,
-            // both memoized on the state (the data half never changes;
-            // the code half is invalidated by each recursion).
-            let mut candidates: Vec<u64> = state.data_pointers().keys().copied().collect();
-            candidates.extend(state.code_constants().iter().copied());
-            candidates.sort_unstable();
-            candidates.dedup();
-            // Flattened start set: the precheck and exploration loops
-            // probe it per candidate/branch, where a slice search beats
-            // a B-tree walk.
-            let starts: Vec<u64> = state.start_set().iter().copied().collect();
-            let mut stop_calls: Vec<u64> = state.rec.noreturn.iter().copied().collect();
-            stop_calls.extend(state.error_funcs.iter().copied());
-            stop_calls.sort_unstable();
-            stop_calls.dedup();
-            // Pass 1 — owner-free prechecks (callconv + plausibility),
-            // where most candidates die. The extents/owner index is
-            // only built below when something survives, which skips the
-            // rebuild entirely on rounds that accept nothing new.
-            let mut survivors = Vec::new();
-            let mut checked = 0u64;
-            for c in candidates {
-                if starts.binary_search(&c).is_ok() || !text.contains(c) {
-                    continue;
-                }
-                checked += 1;
-                if validate_candidate_precheck(binary, c, &state.rec.disasm, &stop_calls).is_ok() {
-                    survivors.push(c);
+        state.note_candidates_checked(checked);
+        // Pass 2 — conservative exploration against the per-round
+        // ownership snapshot, built once for all survivors.
+        let mut new_this_round = Vec::new();
+        if !survivors.is_empty() {
+            let extents = state.extents();
+            let owners = OwnerIndex::build(&extents);
+            for c in survivors {
+                if validate_candidate_explore(
+                    binary,
+                    c,
+                    &state.rec.disasm,
+                    &owners,
+                    &starts,
+                    &stop_calls,
+                )
+                .is_ok()
+                {
+                    new_this_round.push(c);
                 }
             }
-            state.note_candidates_checked(checked);
-            // Pass 2 — conservative exploration against the per-round
-            // ownership snapshot, built once for all survivors.
-            let mut new_this_round = Vec::new();
-            if !survivors.is_empty() {
-                let extents = state.extents();
-                let owners = OwnerIndex::build(&extents);
-                for c in survivors {
-                    if validate_candidate_explore(
-                        binary,
-                        c,
-                        &state.rec.disasm,
-                        &owners,
-                        &starts,
-                        &stop_calls,
-                    )
-                    .is_ok()
-                    {
-                        new_this_round.push(c);
-                    }
-                }
-            }
-            if new_this_round.is_empty() {
-                break;
-            }
-            for &c in &new_this_round {
-                state.add_start(c, Provenance::PointerScan);
-            }
-            accepted.extend(new_this_round);
-            // Update the collection with code discovered from the newly
-            // accepted pointers (the paper's "update the pointer
-            // collection" step).
-            state.run_recursion(true, fetch_disasm::ErrorCallPolicy::SliceZero);
         }
-        accepted
+        if new_this_round.is_empty() {
+            break;
+        }
+        for &c in &new_this_round {
+            state.add_start(c, Provenance::PointerScan);
+        }
+        accepted.extend(new_this_round);
+        // Update the collection with code discovered from the newly
+        // accepted pointers (the paper's "update the pointer
+        // collection" step).
+        state.run_recursion(true, fetch_disasm::ErrorCallPolicy::SliceZero);
     }
-}
-
-impl Strategy for PointerScan {
-    fn name(&self) -> &'static str {
-        "Xref"
-    }
-
-    fn apply(&self, state: &mut DetectionState<'_>) {
-        self.scan(state);
-    }
+    accepted
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::{run_stack, FdeSeeds, SafeRecursion};
+    use crate::Pipeline;
     use fetch_binary::{FuncKind, Reach};
     use fetch_synth::{synthesize, SynthConfig};
 
@@ -448,8 +432,7 @@ mod tests {
         // must contain every pointer-only function's entry.
         let case = pointered_case();
         let mut state = DetectionState::new(&case.binary);
-        FdeSeeds.apply(&mut state);
-        SafeRecursion::default().apply(&mut state);
+        Pipeline::parse("FDE+Rec").unwrap().apply(&mut state);
         let mut candidates: std::collections::BTreeSet<u64> = collect_data_pointers(&case.binary)
             .keys()
             .copied()
@@ -479,9 +462,8 @@ mod tests {
     fn scan_recovers_pointer_only_functions_without_false_positives() {
         let case = pointered_case();
         let mut state = DetectionState::new(&case.binary);
-        FdeSeeds.apply(&mut state);
-        SafeRecursion::default().apply(&mut state);
-        let accepted = PointerScan.scan(&mut state);
+        Pipeline::parse("FDE+Rec").unwrap().apply(&mut state);
+        let accepted = pointer_scan(&mut state);
         // Every accepted pointer is a true function start (the paper:
         // "+154 starts without introducing new false positives").
         for a in &accepted {
@@ -507,10 +489,7 @@ mod tests {
     #[test]
     fn full_stack_runs_clean() {
         let case = pointered_case();
-        let r = run_stack(
-            &case.binary,
-            &[&FdeSeeds, &SafeRecursion::default(), &PointerScan],
-        );
+        let r = Pipeline::parse("FDE+Rec+Xref").unwrap().run(&case.binary);
         assert_eq!(r.layers, vec!["FDE", "Rec", "Xref"]);
     }
 }

@@ -24,7 +24,7 @@
 //!   -wrong result.
 //! * **Closed vocabulary.** Layer names are interned back to the
 //!   `&'static str` table of [`crate::KNOWN_LAYERS`] display names; a
-//!   result produced by an out-of-vocabulary custom [`crate::Strategy`]
+//!   result carrying an out-of-vocabulary layer name (built by hand)
 //!   is rejected at *serialization* time (`UnknownLayerName`) rather
 //!   than producing bytes no reader can load.
 
@@ -142,7 +142,7 @@ fn provenance_from_tag(tag: u8) -> Result<Provenance, SerialError> {
 
 /// Interns a parsed layer name back to the `&'static str` the executor
 /// records — the display names of the [`KNOWN_LAYERS`] vocabulary.
-/// `None` for out-of-vocabulary names (custom strategies).
+/// `None` for out-of-vocabulary names.
 pub fn intern_layer_name(name: &str) -> Option<&'static str> {
     KNOWN_LAYERS
         .iter()
@@ -214,8 +214,8 @@ fn section_kind_from_tag(tag: u8) -> Result<SectionKind, SerialError> {
 ///
 /// # Errors
 ///
-/// [`SerialError::UnknownLayerName`] when the result was produced by a
-/// custom strategy whose name is outside [`KNOWN_LAYERS`] — such bytes
+/// [`SerialError::UnknownLayerName`] when the result carries a layer
+/// name outside [`KNOWN_LAYERS`] — such bytes
 /// could never be interned back, so they are refused up front.
 pub fn serialize_result(result: &DetectionResult) -> Result<Vec<u8>, SerialError> {
     serialize_result_with_digest(result, None)
@@ -724,15 +724,16 @@ mod tests {
 
     #[test]
     fn layer_vocabulary_is_closed() {
-        struct Custom;
-        impl crate::Strategy for Custom {
-            fn name(&self) -> &'static str {
-                "Custom"
-            }
-            fn apply(&self, _state: &mut crate::DetectionState<'_>) {}
-        }
+        // Every executor-recorded name is in the vocabulary; a result
+        // carrying any other name (built by hand) cannot be serialized.
         let case = synthesize(&SynthConfig::small(43));
-        let result = crate::run_stack(&case.binary, &[&crate::FdeSeeds, &Custom]);
+        let mut result = Pipeline::parse("FDE").unwrap().run(&case.binary);
+        assert!(serialize_result(&result).is_ok());
+        result.layers.push("Custom");
+        result.trace.push(LayerTrace {
+            name: "Custom",
+            ..result.trace[0].clone()
+        });
         assert_eq!(
             serialize_result(&result),
             Err(SerialError::UnknownLayerName("Custom".into()))

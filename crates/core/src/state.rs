@@ -89,7 +89,7 @@ impl fmt::Display for Provenance {
 }
 
 /// Per-layer execution record the traced executor
-/// ([`DetectionState::apply_layer`]) emits into
+/// ([`crate::LayerSpec::apply`]) emits into
 /// [`DetectionResult::trace`]: what the layer changed (exact start
 /// deltas with provenance), how long it took, and how much decode work
 /// it caused.
@@ -104,7 +104,7 @@ impl fmt::Display for Provenance {
 /// axes.
 #[derive(Debug, Clone)]
 pub struct LayerTrace {
-    /// The layer's display name ([`crate::Strategy::name`]).
+    /// The layer's display name ([`crate::LayerSpec::name`]).
     pub name: &'static str,
     /// Wall time of the layer, in nanoseconds (excluded from `==`).
     pub wall_nanos: u64,
@@ -288,7 +288,7 @@ pub struct DetectionState<'b> {
     /// Shared so recursion re-runs never copy the set.
     pub error_funcs: Arc<BTreeSet<u64>>,
     /// Layer names applied so far (pushed by
-    /// [`DetectionState::apply_layer`], never by hand — the executor owns
+    /// [`crate::LayerSpec::apply`], never by hand — the executor owns
     /// the bookkeeping so names and traces cannot drift apart).
     pub layers: Vec<&'static str>,
     /// Per-layer execution records, parallel to `layers`.
@@ -309,7 +309,7 @@ pub struct DetectionState<'b> {
     frame_hits: u64,
     frame_misses: u64,
     /// Monotone pointer-scan work counters, differenced per layer by
-    /// [`DetectionState::apply_layer`] (like the decode stats).
+    /// [`crate::LayerSpec::apply`] (like the decode stats).
     scan_bytes: u64,
     scan_candidates: u64,
 }
@@ -519,7 +519,7 @@ impl<'b> DetectionState<'b> {
 
     /// Records `n` pointer-scan candidates validated (called by the
     /// §IV-E scan; attributed to the running layer by
-    /// [`DetectionState::apply_layer`]).
+    /// [`crate::LayerSpec::apply`]).
     pub(crate) fn note_candidates_checked(&mut self, n: u64) {
         self.scan_candidates += n;
     }
@@ -570,37 +570,6 @@ impl<'b> DetectionState<'b> {
         }
     }
 
-    /// The one traced executor step: applies `layer`, then records its
-    /// name and a [`LayerTrace`] (wall time, exact start delta with
-    /// provenance, decode-cache work) in lockstep. Every pipeline path —
-    /// [`crate::Pipeline::apply`], [`crate::run_stack_cached`], the
-    /// `Fetch` entry points — funnels through here, so
-    /// [`DetectionResult::layers`] can never skip or double-count a
-    /// layer the way hand-pushed names could.
-    pub fn apply_layer(&mut self, layer: &dyn crate::strategy::Strategy) {
-        let before = self.starts.clone();
-        let (hits0, misses0) = self.engine.decode_stats();
-        let (bytes0, cands0) = self.scan_stats();
-        let t = std::time::Instant::now();
-        layer.apply(self);
-        let wall_nanos = t.elapsed().as_nanos() as u64;
-        let (hits1, misses1) = self.engine.decode_stats();
-        let (bytes1, cands1) = self.scan_stats();
-        let (added, removed) = diff_starts(&before, &self.starts);
-        self.layers.push(layer.name());
-        self.trace.push(LayerTrace {
-            name: layer.name(),
-            wall_nanos,
-            added,
-            removed,
-            starts_after: self.starts.len(),
-            decode_hits: hits1 - hits0,
-            decode_misses: misses1 - misses0,
-            bytes_scanned: bytes1 - bytes0,
-            candidates_checked: cands1 - cands0,
-        });
-    }
-
     /// Takes the report of the most recent [`crate::CallFrameRepair`]
     /// run, if one ran (repair layers deposit it as they execute, so
     /// pipeline drivers need no side channel).
@@ -642,7 +611,7 @@ type StartDelta = Vec<(u64, Provenance)>;
 /// different provenance contributes to both vectors (old provenance
 /// removed, new one added), so replaying `removed`-then-`added` over
 /// `before` reconstructs `after` exactly.
-fn diff_starts(
+pub(crate) fn diff_starts(
     before: &BTreeMap<u64, Provenance>,
     after: &BTreeMap<u64, Provenance>,
 ) -> (StartDelta, StartDelta) {
@@ -755,10 +724,9 @@ mod tests {
 
     #[test]
     fn analysis_caches_invalidate_on_recursion() {
-        use crate::strategy::{FdeSeeds, Strategy};
         let case = synthesize(&SynthConfig::small(3));
         let mut st = DetectionState::new(&case.binary);
-        FdeSeeds.apply(&mut st);
+        crate::LayerSpec::FdeSeeds.apply(&mut st);
         st.run_recursion(true, ErrorCallPolicy::SliceZero);
         let x1 = st.xrefs();
         let e1 = st.extents();

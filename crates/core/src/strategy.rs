@@ -1,61 +1,15 @@
-//! The composable strategy framework: Figure 5 is a fold over stacks of
-//! these layers.
+//! The seed layers every strategy stack starts from (`FDE`, `Sym`,
+//! `Entry`). [`crate::LayerSpec::apply`] dispatches to these bodies;
+//! `Rec` is a direct [`DetectionState::run_recursion`] call.
 
-use crate::state::{DetectionResult, DetectionState, Provenance};
-use fetch_binary::Binary;
-use fetch_disasm::{ErrorCallPolicy, RecEngine};
-
-/// One detection layer. Layers mutate the [`DetectionState`]; stacks of
-/// layers reproduce each tool's strategy combination.
-pub trait Strategy {
-    /// Short display name (matches the paper's labels: `FDE`, `Rec`,
-    /// `Fsig`, `Tcall`, `Scan`, `CFR`, `Fmerg`, `Xref`, …).
-    fn name(&self) -> &'static str;
-
-    /// Applies the layer.
-    fn apply(&self, state: &mut DetectionState<'_>);
-}
-
-/// Runs a stack of layers over a binary.
-pub fn run_stack(binary: &Binary, layers: &[&dyn Strategy]) -> DetectionResult {
-    let mut engine = RecEngine::new();
-    run_stack_cached(binary, layers, &mut engine)
-}
-
-/// Runs a stack of layers through a caller-owned [`RecEngine`], so the
-/// decode cache survives across stacks run over the same binary (the
-/// cross-tool sharing the batch driver builds on). Observationally
-/// identical to [`run_stack`]: the engine's binary fingerprint and
-/// option/seed checks guarantee stale state is never consulted.
-pub fn run_stack_cached(
-    binary: &Binary,
-    layers: &[&dyn Strategy],
-    engine: &mut RecEngine,
-) -> DetectionResult {
-    let mut state = DetectionState::with_engine(binary, std::mem::take(engine));
-    for layer in layers {
-        state.apply_layer(*layer);
-    }
-    let (result, used) = state.into_result_with_engine();
-    *engine = used;
-    result
-}
+use crate::state::{DetectionState, Provenance};
 
 /// `FDE`: seed starts from every FDE `PC Begin` (§IV-B).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FdeSeeds;
-
-impl Strategy for FdeSeeds {
-    fn name(&self) -> &'static str {
-        "FDE"
-    }
-
-    fn apply(&self, state: &mut DetectionState<'_>) {
-        if let Some(eh) = state.eh_frame() {
-            for pc in eh.pc_begins() {
-                if state.binary.is_code(pc) {
-                    state.add_start(pc, Provenance::Fde);
-                }
+pub(crate) fn fde_seeds(state: &mut DetectionState<'_>) {
+    if let Some(eh) = state.eh_frame() {
+        for pc in eh.pc_begins() {
+            if state.binary.is_code(pc) {
+                state.add_start(pc, Provenance::Fde);
             }
         }
     }
@@ -63,82 +17,42 @@ impl Strategy for FdeSeeds {
 
 /// `Sym`: seed starts from surviving symbols (the hybrid tools' first
 /// step; a no-op on stripped binaries).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SymbolSeeds;
-
-impl Strategy for SymbolSeeds {
-    fn name(&self) -> &'static str {
-        "Sym"
-    }
-
-    fn apply(&self, state: &mut DetectionState<'_>) {
-        let addrs: Vec<u64> = state
-            .binary
-            .symbols
-            .iter()
-            .map(|s| s.addr)
-            .filter(|a| state.binary.is_code(*a))
-            .collect();
-        for a in addrs {
-            state.add_start(a, Provenance::Symbol);
-        }
-    }
-}
-
-/// `Rec`: safe recursive disassembly from the current starts, promoting
-/// direct-call targets to function starts (§IV-C).
-#[derive(Debug, Clone, Copy)]
-pub struct SafeRecursion {
-    /// Treatment of `error`-style call sites (the paper's safe engine
-    /// uses [`ErrorCallPolicy::SliceZero`]).
-    pub error_policy: ErrorCallPolicy,
-}
-
-impl Default for SafeRecursion {
-    fn default() -> Self {
-        SafeRecursion {
-            error_policy: ErrorCallPolicy::SliceZero,
-        }
-    }
-}
-
-impl Strategy for SafeRecursion {
-    fn name(&self) -> &'static str {
-        "Rec"
-    }
-
-    fn apply(&self, state: &mut DetectionState<'_>) {
-        state.run_recursion(true, self.error_policy);
+pub(crate) fn symbol_seeds(state: &mut DetectionState<'_>) {
+    let addrs: Vec<u64> = state
+        .binary
+        .symbols
+        .iter()
+        .map(|s| s.addr)
+        .filter(|a| state.binary.is_code(*a))
+        .collect();
+    for a in addrs {
+        state.add_start(a, Provenance::Symbol);
     }
 }
 
 /// `Entry`: seed the program entry point (conventional tools always know
 /// it from the ELF header).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EntrySeed;
-
-impl Strategy for EntrySeed {
-    fn name(&self) -> &'static str {
-        "Entry"
-    }
-
-    fn apply(&self, state: &mut DetectionState<'_>) {
-        let entry = state.binary.entry;
-        if state.binary.is_code(entry) {
-            state.add_start(entry, Provenance::Symbol);
-        }
+pub(crate) fn entry_seed(state: &mut DetectionState<'_>) {
+    let entry = state.binary.entry;
+    if state.binary.is_code(entry) {
+        state.add_start(entry, Provenance::Symbol);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Pipeline;
     use fetch_synth::{synthesize, SynthConfig};
+
+    fn run(binary: &fetch_binary::Binary, spec: &str) -> crate::DetectionResult {
+        Pipeline::parse(spec).unwrap().run(binary)
+    }
 
     #[test]
     fn fde_plus_rec_stack_runs() {
         let case = synthesize(&SynthConfig::small(8));
-        let result = run_stack(&case.binary, &[&FdeSeeds, &SafeRecursion::default()]);
+        let result = run(&case.binary, "FDE+Rec");
         assert_eq!(result.layers, vec!["FDE", "Rec"]);
         // FDE starts cover at least every compiled function entry.
         let fde_count = result
@@ -153,7 +67,7 @@ mod tests {
     fn symbol_seeds_are_noop_when_stripped() {
         let case = synthesize(&SynthConfig::small(8));
         let stripped = case.binary.stripped();
-        let r = run_stack(&stripped, &[&SymbolSeeds]);
+        let r = run(&stripped, "Sym");
         assert!(r.is_empty());
     }
 
@@ -166,8 +80,8 @@ mod tests {
         cfg.rates.asm_funcs = 10;
         cfg.rates.asm_fde = 0.0; // no assembly function carries an FDE
         let case = synthesize(&cfg);
-        let fde_only = run_stack(&case.binary, &[&FdeSeeds]);
-        let with_rec = run_stack(&case.binary, &[&FdeSeeds, &SafeRecursion::default()]);
+        let fde_only = run(&case.binary, "FDE");
+        let with_rec = run(&case.binary, "FDE+Rec");
         let called_asm: Vec<u64> = case
             .truth
             .functions

@@ -1,7 +1,7 @@
 //! Property tests on the FETCH detector: the paper's safety claims must
 //! hold for arbitrary corpora, not just the calibrated seeds.
 
-use fetch_core::{run_stack, FdeSeeds, Fetch, SafeRecursion};
+use fetch_core::{Fetch, Pipeline};
 use fetch_synth::{synthesize, FeatureRates, SynthConfig};
 use proptest::prelude::*;
 
@@ -86,7 +86,7 @@ proptest! {
     #[test]
     fn fde_rec_adds_no_false_positives(cfg in arb_config()) {
         let case = synthesize(&cfg);
-        let r = run_stack(&case.binary, &[&FdeSeeds, &SafeRecursion::default()]);
+        let r = Pipeline::parse("FDE+Rec").unwrap().run(&case.binary);
         let parts = case.truth.part_starts();
         for s in r.start_set() {
             let mislabel = case.truth.is_start(s + 1);

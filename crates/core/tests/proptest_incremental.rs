@@ -3,19 +3,12 @@
 //! [`DetectionState::new`] runs every recursion through the persistent
 //! [`fetch_disasm::RecEngine`] (decode cache, seed-delta extension,
 //! skipped fixpoint re-walks); [`DetectionState::new_reference`] re-runs
-//! each recursion from scratch. For random corpora and random strategy
-//! stacks the two must produce byte-identical [`DetectionResult`]s —
-//! starts, provenance, and layer order.
+//! each recursion from scratch. For random corpora and random stacks
+//! drawn from every [`LayerSpec`] in [`KNOWN_LAYERS`] the two must produce
+//! byte-identical [`DetectionResult`]s — starts, provenance, and layer
+//! order.
 
-use fetch_core::{
-    run_stack, run_stack_cached, AlignmentSplit, CallFrameRepair, ControlFlowRepair,
-    DetectionResult, DetectionState, EntrySeed, FdeSeeds, FunctionMerge, LinearScanStarts,
-    PointerScan, PrologueMatch, SafeRecursion, SymbolSeeds, TailCallHeuristic, ThunkHeuristic,
-    ToolStyle,
-};
-// `Strategy` names both a fetch-core trait and a proptest trait; keep the
-// detection one under an alias so the proptest prelude wins the bare name.
-use fetch_core::Strategy as DetectionLayer;
+use fetch_core::{DetectionResult, DetectionState, LayerSpec, Pipeline, KNOWN_LAYERS};
 use fetch_synth::{synthesize, FeatureRates, SynthConfig};
 use proptest::prelude::*;
 
@@ -42,49 +35,25 @@ fn arb_config() -> impl Strategy<Value = SynthConfig> {
         })
 }
 
-/// All strategy layers, indexable so a random `Vec<u8>` becomes a stack.
-fn layer_pool() -> Vec<Box<dyn DetectionLayer>> {
-    vec![
-        Box::new(FdeSeeds),
-        Box::new(SymbolSeeds),
-        Box::new(EntrySeed),
-        Box::new(SafeRecursion::default()),
-        Box::new(PointerScan),
-        Box::new(CallFrameRepair::default()),
-        Box::new(PrologueMatch {
-            style: ToolStyle::Ghidra,
-        }),
-        Box::new(PrologueMatch {
-            style: ToolStyle::Angr,
-        }),
-        Box::new(PrologueMatch {
-            style: ToolStyle::Radare,
-        }),
-        Box::new(TailCallHeuristic {
-            style: ToolStyle::Ghidra,
-        }),
-        Box::new(TailCallHeuristic {
-            style: ToolStyle::Angr,
-        }),
-        Box::new(LinearScanStarts),
-        Box::new(ControlFlowRepair),
-        Box::new(FunctionMerge),
-        Box::new(ThunkHeuristic),
-        Box::new(AlignmentSplit),
-    ]
+/// Maps random picks onto [`KNOWN_LAYERS`] — every `LayerSpec` the
+/// parser accepts — so a random `Vec<u8>` becomes a stack.
+fn stack(picks: &[u8]) -> Vec<LayerSpec> {
+    picks
+        .iter()
+        .map(|&p| KNOWN_LAYERS[p as usize % KNOWN_LAYERS.len()].1)
+        .collect()
 }
 
-fn run_layers(mut state: DetectionState<'_>, picks: &[u8]) -> DetectionResult {
-    let pool = layer_pool();
-    for &p in picks {
-        state.apply_layer(pool[p as usize % pool.len()].as_ref());
+fn run_layers(mut state: DetectionState<'_>, specs: &[LayerSpec]) -> DetectionResult {
+    for spec in specs {
+        spec.apply(&mut state);
     }
     // The CFI side-table is a pure function of the binary, memoized on
     // the state: however many repair layers ran, at most one miss, and
     // every further lookup must hit the cache.
-    let repairs = picks
+    let repairs = specs
         .iter()
-        .filter(|&&p| pool[p as usize % pool.len()].name() == "TcallFix")
+        .filter(|&&s| s == LayerSpec::CallFrameRepair)
         .count() as u64;
     let (hits, misses) = state.frame_table_stats();
     assert!(misses <= 1, "frame table evaluated {misses} times");
@@ -106,19 +75,20 @@ proptest! {
         picks in proptest::collection::vec(any::<u8>(), 1..7),
     ) {
         let case = synthesize(&cfg);
-        let incremental = run_layers(DetectionState::new(&case.binary), &picks);
-        let reference = run_layers(DetectionState::new_reference(&case.binary), &picks);
-        prop_assert_eq!(&incremental, &reference, "stack {:?} diverged", picks);
+        let specs = stack(&picks);
+        let incremental = run_layers(DetectionState::new(&case.binary), &specs);
+        let reference = run_layers(DetectionState::new_reference(&case.binary), &specs);
+        prop_assert_eq!(&incremental, &reference, "stack {} diverged", Pipeline::new(specs));
     }
 
     /// The paper's optimal pipeline, which exercises the seed-extension
-    /// path (PointerScan) and the repair re-run path, in one stack.
+    /// path (Xref) and the repair re-run path, in one stack.
     #[test]
     fn fetch_pipeline_equals_reference(cfg in arb_config()) {
         let case = synthesize(&cfg);
-        let stack: Vec<u8> = vec![0, 3, 4, 5]; // FDE, Rec, Xref, TcallFix
-        let incremental = run_layers(DetectionState::new(&case.binary), &stack);
-        let reference = run_layers(DetectionState::new_reference(&case.binary), &stack);
+        let stack = Pipeline::fetch();
+        let incremental = run_layers(DetectionState::new(&case.binary), stack.specs());
+        let reference = run_layers(DetectionState::new_reference(&case.binary), stack.specs());
         prop_assert_eq!(&incremental, &reference);
     }
 
@@ -138,25 +108,19 @@ proptest! {
     ) {
         let case_a = synthesize(&cfg_a);
         let case_b = synthesize(&cfg_b);
-        let pool = layer_pool();
-        let refs = |picks: &[u8]| -> Vec<&dyn DetectionLayer> {
-            picks
-                .iter()
-                .map(|&p| pool[p as usize % pool.len()].as_ref())
-                .collect()
-        };
-        let (stack_a, stack_b) = (refs(&picks_a), refs(&picks_b));
+        let stack_a = Pipeline::new(stack(&picks_a));
+        let stack_b = Pipeline::new(stack(&picks_b));
 
         let mut engine = fetch_disasm::RecEngine::new();
-        let shared_a = run_stack_cached(&case_a.binary, &stack_a, &mut engine);
-        let shared_b = run_stack_cached(&case_a.binary, &stack_b, &mut engine);
-        let shared_cross = run_stack_cached(&case_b.binary, &stack_a, &mut engine);
+        let shared_a = stack_a.run_with_engine(&case_a.binary, &mut engine);
+        let shared_b = stack_b.run_with_engine(&case_a.binary, &mut engine);
+        let shared_cross = stack_a.run_with_engine(&case_b.binary, &mut engine);
 
-        prop_assert_eq!(&shared_a, &run_stack(&case_a.binary, &stack_a),
+        prop_assert_eq!(&shared_a, &stack_a.run(&case_a.binary),
             "stack A leaked state from a fresh engine run");
-        prop_assert_eq!(&shared_b, &run_stack(&case_a.binary, &stack_b),
+        prop_assert_eq!(&shared_b, &stack_b.run(&case_a.binary),
             "stack B diverged after sharing stack A's engine");
-        prop_assert_eq!(&shared_cross, &run_stack(&case_b.binary, &stack_a),
+        prop_assert_eq!(&shared_cross, &stack_a.run(&case_b.binary),
             "engine carried state across binaries");
     }
 }

@@ -245,13 +245,13 @@ pub fn thousands(n: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fetch_core::{run_stack, FdeSeeds, SafeRecursion};
+    use fetch_core::Pipeline;
     use fetch_synth::{synthesize, SynthConfig};
 
     #[test]
     fn evaluate_counts_are_consistent() {
         let case = synthesize(&SynthConfig::small(12));
-        let r = run_stack(&case.binary, &[&FdeSeeds, &SafeRecursion::default()]);
+        let r = Pipeline::parse("FDE+Rec").unwrap().run(&case.binary);
         let e = evaluate(&r.start_set(), &case);
         assert_eq!(e.true_positives + e.false_negatives, e.truth_count);
         assert!(e.recall() <= 1.0 && e.precision() <= 1.0);
@@ -262,7 +262,7 @@ mod tests {
         let mut agg = Aggregate::new();
         for seed in 0..4 {
             let case = synthesize(&SynthConfig::small(seed));
-            let r = run_stack(&case.binary, &[&FdeSeeds]);
+            let r = Pipeline::parse("FDE").unwrap().run(&case.binary);
             agg.add(&evaluate(&r.start_set(), &case));
         }
         assert_eq!(agg.binaries, 4);

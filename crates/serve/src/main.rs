@@ -4,7 +4,7 @@
 //! ```text
 //! fetch-serve daemon [--socket PATH] [--queue DIR] [--stdio]
 //!                    [--store DIR] [--cache-capacity N] [--cache-bytes B]
-//!                    [--poll-ms M] [--jobs N] [--intra-jobs N] [--queue-depth N]
+//!                    [--poll-ms M] [--jobs N] [--queue-depth N]
 //!                    [--io-timeout-ms M]
 //!                    [--store-max-entries N] [--store-max-bytes B]
 //!                    [--store-max-age-secs S] [--fault-plan SPEC]
@@ -47,7 +47,7 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  fetch-serve daemon [--socket PATH] [--queue DIR] [--stdio] \
          [--store DIR]\n                     [--cache-capacity N] [--cache-bytes B] [--poll-ms M]\n                     \
-         [--jobs N] [--intra-jobs N] [--queue-depth N] [--io-timeout-ms M]\n                     \
+         [--jobs N] [--queue-depth N] [--io-timeout-ms M]\n                     \
          [--store-max-entries N] [--store-max-bytes B] [--store-max-age-secs S]\n                     \
          [--fault-plan SPEC] [--log-level LEVEL]\n  \
          fetch-serve client --socket PATH (--analyze FILE [--pipeline SPEC | --tool NAME]\n                     \
@@ -128,14 +128,6 @@ fn daemon(args: &[String]) {
                     .filter(|n| *n > 0)
                     .unwrap_or_else(|| fail("--jobs takes a positive worker count"));
                 opts.jobs = Some(n);
-            }
-            "--intra-jobs" => {
-                let n: usize = flag_value(args, &mut i, "--intra-jobs")
-                    .parse()
-                    .ok()
-                    .filter(|n| *n > 0)
-                    .unwrap_or_else(|| fail("--intra-jobs takes a positive worker count"));
-                config.intra_jobs = n;
             }
             "--queue-depth" => {
                 let n: usize = flag_value(args, &mut i, "--queue-depth")

@@ -23,8 +23,9 @@
 //! | ANGR | `FDE+Rec+Fmerg+Fsig.angr+Scan+Align` |
 //! | FETCH | `FDE+Rec+Xref+TcallFix` |
 //!
-//! A differential suite (`tests/pipeline_differential.rs`) pins every
-//! row byte-identical to the pre-pipeline hand-assembled stacks.
+//! A golden snapshot (`tests/pipeline_differential.rs`) pins every row
+//! byte-identical to the outputs of the pre-pipeline hand-assembled
+//! stacks.
 //!
 //! # Examples
 //!

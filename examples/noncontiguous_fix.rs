@@ -5,7 +5,7 @@
 //! cargo run --example noncontiguous_fix
 //! ```
 
-use fetch_core::{CallFrameRepair, DetectionState, FdeSeeds, PointerScan, SafeRecursion, Strategy};
+use fetch_core::{CallFrameRepair, DetectionState, LayerSpec, Pipeline};
 use fetch_ehframe::stack_heights;
 use fetch_synth::{synthesize, SynthConfig};
 
@@ -35,15 +35,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Step 1: FDE extraction reports BOTH parts as function starts.
     let mut state = DetectionState::new(&case.binary);
-    FdeSeeds.apply(&mut state);
+    LayerSpec::FdeSeeds.apply(&mut state);
     println!(
         "\nafter FDE extraction: cold part detected as a function? {}",
         state.starts().contains_key(&cold.start)
     );
 
     // Step 2: recursion + pointer scan (neither can fix FDE errors).
-    SafeRecursion::default().apply(&mut state);
-    PointerScan.apply(&mut state);
+    Pipeline::parse("Rec+Xref")?.apply(&mut state);
     println!(
         "after Rec+Xref:        cold part still a function? {}",
         state.starts().contains_key(&cold.start)

@@ -2,7 +2,7 @@
 //! corpus configurations, exercising every crate together.
 
 use fetch::binary::{read_elf, write_elf, FuncKind, Reach, TestCase};
-use fetch::core::{run_stack, FdeSeeds, Fetch, SafeRecursion};
+use fetch::core::{Fetch, Pipeline};
 use fetch::metrics::{evaluate, Aggregate};
 use fetch::synth::{synthesize, FeatureRates, SynthConfig};
 use fetch::tools::{run_tool, Tool};
@@ -135,7 +135,7 @@ fn safe_recursion_never_invents_starts() {
     // beyond what the FDEs themselves introduce.
     for seed in [1u64, 2, 3, 4] {
         let case = rich_case(seed);
-        let r = run_stack(&case.binary, &[&FdeSeeds, &SafeRecursion::default()]);
+        let r = Pipeline::parse("FDE+Rec").unwrap().run(&case.binary);
         let parts = case.truth.part_starts();
         let mislabel_ok: std::collections::BTreeSet<u64> = parts.iter().map(|s| s - 1).collect();
         for s in r.start_set() {
@@ -164,7 +164,7 @@ fn every_tool_is_deterministic_and_total() {
 fn assembly_functions_drive_the_fde_gap() {
     // §IV-B: the FDE coverage gap is (almost) entirely assembly.
     let case = rich_case(888);
-    let r = run_stack(&case.binary, &[&FdeSeeds]);
+    let r = Pipeline::parse("FDE").unwrap().run(&case.binary);
     let found = r.start_set();
     let truth = case.truth.starts();
     for missed in truth.difference(&found) {

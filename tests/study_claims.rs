@@ -2,10 +2,7 @@
 //! small multi-binary corpus: each §IV/§V finding must hold in shape.
 
 use fetch::binary::TestCase;
-use fetch::core::{
-    run_stack, CallFrameRepair, ControlFlowRepair, DetectionState, FdeSeeds, FunctionMerge,
-    LinearScanStarts, PointerScan, SafeRecursion, Strategy, TailCallHeuristic, ToolStyle,
-};
+use fetch::core::{CallFrameRepair, DetectionResult, DetectionState, Pipeline};
 use fetch::metrics::{evaluate, Aggregate};
 use fetch::synth::corpus::{dataset2_configs, synthesize_all, CorpusScale};
 
@@ -18,6 +15,11 @@ fn corpus() -> Vec<TestCase> {
         func_scale: 0.3,
     };
     synthesize_all(&dataset2_configs(&scale))
+}
+
+/// Runs a `+`-separated layer stack (`"FDE+Rec"`) over `c`.
+fn run(spec: &str, c: &TestCase) -> DetectionResult {
+    Pipeline::parse(spec).unwrap().run(&c.binary)
 }
 
 fn agg<F: Fn(&TestCase) -> fetch::metrics::BinaryEval>(cases: &[TestCase], f: F) -> Aggregate {
@@ -34,7 +36,7 @@ fn agg<F: Fn(&TestCase) -> fetch::metrics::BinaryEval>(cases: &[TestCase], f: F)
 fn claim_fde_only_high_coverage() {
     let cases = corpus();
     let a = agg(&cases, |c| {
-        let r = run_stack(&c.binary, &[&FdeSeeds]);
+        let r = run("FDE", c);
         evaluate(&r.start_set(), c)
     });
     assert!(a.coverage_pct() > 97.0, "coverage {:.2}", a.coverage_pct());
@@ -51,11 +53,11 @@ fn claim_fde_only_high_coverage() {
 fn claim_recursion_helps_never_hurts() {
     let cases = corpus();
     let fde = agg(&cases, |c| {
-        let r = run_stack(&c.binary, &[&FdeSeeds]);
+        let r = run("FDE", c);
         evaluate(&r.start_set(), c)
     });
     let rec = agg(&cases, |c| {
-        let r = run_stack(&c.binary, &[&FdeSeeds, &SafeRecursion::default()]);
+        let r = run("FDE+Rec", c);
         evaluate(&r.start_set(), c)
     });
     assert!(rec.true_positives >= fde.true_positives);
@@ -68,14 +70,11 @@ fn claim_recursion_helps_never_hurts() {
 fn claim_cfr_reduces_coverage() {
     let cases = corpus();
     let rec = agg(&cases, |c| {
-        let r = run_stack(&c.binary, &[&FdeSeeds, &SafeRecursion::default()]);
+        let r = run("FDE+Rec", c);
         evaluate(&r.start_set(), c)
     });
     let cfr = agg(&cases, |c| {
-        let r = run_stack(
-            &c.binary,
-            &[&FdeSeeds, &SafeRecursion::default(), &ControlFlowRepair],
-        );
+        let r = run("FDE+Rec+CFR", c);
         evaluate(&r.start_set(), c)
     });
     assert!(
@@ -91,14 +90,11 @@ fn claim_cfr_reduces_coverage() {
 fn claim_fmerg_reduces_coverage() {
     let cases = corpus();
     let rec = agg(&cases, |c| {
-        let r = run_stack(&c.binary, &[&FdeSeeds, &SafeRecursion::default()]);
+        let r = run("FDE+Rec", c);
         evaluate(&r.start_set(), c)
     });
     let fm = agg(&cases, |c| {
-        let r = run_stack(
-            &c.binary,
-            &[&FdeSeeds, &SafeRecursion::default(), &FunctionMerge],
-        );
+        let r = run("FDE+Rec+Fmerg", c);
         evaluate(&r.start_set(), c)
     });
     assert!(fm.true_positives <= rec.true_positives);
@@ -114,20 +110,12 @@ fn claim_fmerg_reduces_coverage() {
 fn claim_unsafe_heuristics_hurt_accuracy() {
     let cases = corpus();
     let base = agg(&cases, |c| {
-        let r = run_stack(&c.binary, &[&FdeSeeds, &SafeRecursion::default()]);
+        let r = run("FDE+Rec", c);
         evaluate(&r.start_set(), c)
     });
-    for (name, layer) in [
-        ("Scan", &LinearScanStarts as &dyn Strategy),
-        (
-            "Tcall-ghidra",
-            &TailCallHeuristic {
-                style: ToolStyle::Ghidra,
-            },
-        ),
-    ] {
+    for name in ["Scan", "Tcall.ghidra"] {
         let h = agg(&cases, |c| {
-            let r = run_stack(&c.binary, &[&FdeSeeds, &SafeRecursion::default(), layer]);
+            let r = run(&format!("FDE+Rec+{name}"), c);
             evaluate(&r.start_set(), c)
         });
         let new_tp = h.true_positives.saturating_sub(base.true_positives);
@@ -148,9 +136,7 @@ fn claim_repair_lifts_accuracy() {
     let mut after = Aggregate::new();
     for c in &cases {
         let mut state = DetectionState::new(&c.binary);
-        FdeSeeds.apply(&mut state);
-        SafeRecursion::default().apply(&mut state);
-        PointerScan.apply(&mut state);
+        Pipeline::parse("FDE+Rec+Xref").unwrap().apply(&mut state);
         before.add(&evaluate(&state.start_set(), c));
         CallFrameRepair::default().repair(&mut state);
         after.add(&evaluate(&state.start_set(), c));
