@@ -2,6 +2,7 @@
 //! representative mid-size binary.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use fetch_disasm::RecEngine;
 use fetch_synth::{synthesize, SynthConfig};
 use fetch_tools::{run_tool, Tool};
 use std::hint::black_box;
@@ -16,11 +17,17 @@ fn tool_timing(c: &mut Criterion) {
     let mut group = c.benchmark_group("tool_timing");
     group.sample_size(10);
     for tool in Tool::ALL {
-        if run_tool(tool, &case.binary).is_none() {
+        if run_tool(tool, &case.binary, &mut RecEngine::new()).is_none() {
             continue;
         }
         group.bench_function(tool.name(), |b| {
-            b.iter(|| black_box(run_tool(tool, black_box(&case.binary))))
+            b.iter(|| {
+                black_box(run_tool(
+                    tool,
+                    black_box(&case.binary),
+                    &mut RecEngine::new(),
+                ))
+            })
         });
     }
     group.finish();

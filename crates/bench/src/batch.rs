@@ -27,7 +27,7 @@
 //!   (the engine's binary fingerprint resets it between binaries —
 //!   soundness never depends on the shard layout). Item callbacks
 //!   receive `&mut RecEngine` and thread it through
-//!   [`fetch_core::Pipeline::run_with_engine`], `run_tool_with_engine`, or
+//!   [`fetch_core::Pipeline::run_with_engine`], `fetch_tools::run_tool`, or
 //!   [`fetch_core::DetectionState::with_engine`].
 //! * **Panic containment.** A panicking item is caught in the worker,
 //!   converted into an error, and reported by [`BatchDriver::try_run`]
@@ -129,8 +129,7 @@ impl BatchDriver {
     /// its engine: the cache is one instance behind `&self`-safe
     /// interior mutability, so all workers consult and fill the same
     /// result store (e.g. through
-    /// [`fetch_core::Fetch::detect_cached`] or
-    /// `fetch_tools::run_tool_on_image_cached`). Because cache hits are
+    /// [`fetch_core::AnalysisCache::get_or_compute`]). Because cache hits are
     /// observationally identical to cold runs, the determinism guarantee
     /// is unchanged: output is byte-identical for every worker count and
     /// every cache warmth.

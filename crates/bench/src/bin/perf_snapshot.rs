@@ -21,7 +21,7 @@
 //!
 //! * `layer_breakdown` — the per-layer trace of the large corpus run:
 //!   wall time, starts added/removed, and decode work per layer.
-//! * `cache` — the serving layer: a cold `detect_image_cached` miss vs
+//! * `cache` — the serving layer: a cold image-keyed cache miss vs
 //!   a warm hit on the same image (the snapshot asserts the hit is
 //!   ≥ 10× faster), the hit rate of a two-round corpus sweep through
 //!   one shared [`AnalysisCache`] (with eviction count and entry/byte
@@ -46,7 +46,7 @@
 //!   equal).
 //! * `obs` — the observability layer's own cost: the large corpus
 //!   analyzed through the fully instrumented serve answer path
-//!   (counters, latency histograms, spans, layer-wall recording all
+//!   (counters, latency histograms, layer-wall recording all
 //!   live), with the instrumented per-layer total asserted under the
 //!   same 10 ms budget as the `scaling` group and the overhead vs the
 //!   bare pipeline published; plus the micro-costs of one histogram
@@ -68,8 +68,8 @@
 use fetch_bench::{dataset2, default_jobs, BatchDriver, BenchOpts};
 use fetch_binary::{read_elf, write_elf, ElfImage, ElfView};
 use fetch_core::{
-    image_fingerprint, AnalysisCache, DeltaClass, DetectionState, Fetch, ImageDigest, LayerTrace,
-    Pipeline,
+    content_fingerprint, image_fingerprint, run_delta, AnalysisCache, DeltaClass, DetectionState,
+    ImageDigest, LayerTrace, Pipeline,
 };
 use fetch_disasm::RecEngine;
 use fetch_synth::{patch_function, synthesize, PatchKind, SynthConfig};
@@ -385,30 +385,36 @@ fn main() {
         ElfImage::parse(elf).expect("own ELF parses")
     };
 
-    // Serving-layer cache group: a cold `detect_image_cached` (miss:
+    // Serving-layer cache group: a cold image-keyed cache lookup (miss:
     // fingerprint + full pipeline) vs a warm hit (fingerprint + lookup)
     // on the large stripped image, and the hit rate of a two-round
     // corpus sweep through one shared cache. The ≥ 10× bar is the
     // acceptance criterion of the serving layer — fail loudly, not
     // quietly, if memoization ever stops paying.
     {
-        let fetch = Fetch::new();
+        let pipeline = Pipeline::fetch();
+        let id = pipeline.id();
+        let image_cached = |engine: &mut RecEngine, cache: &AnalysisCache| {
+            cache.get_or_compute(image_fingerprint(&large_image), &id, || {
+                pipeline.run_with_engine(&large_image.to_binary(), engine)
+            })
+        };
         let mut cold_us = f64::INFINITY;
         for _ in 0..reps {
             let cache = AnalysisCache::new();
             let mut engine = RecEngine::new();
             let t = Instant::now();
-            let r = fetch.detect_image_cached(&large_image, &mut engine, &cache);
+            let r = image_cached(&mut engine, &cache);
             cold_us = cold_us.min(t.elapsed().as_secs_f64() * 1e6);
             assert!(!r.is_empty());
         }
         let warm_cache = AnalysisCache::new();
         let mut engine = RecEngine::new();
-        let cold_result = fetch.detect_image_cached(&large_image, &mut engine, &warm_cache);
+        let cold_result = image_cached(&mut engine, &warm_cache);
         let mut warm_us = f64::INFINITY;
         for _ in 0..reps.max(3) {
             let t = Instant::now();
-            let r = fetch.detect_image_cached(&large_image, &mut engine, &warm_cache);
+            let r = image_cached(&mut engine, &warm_cache);
             warm_us = warm_us.min(t.elapsed().as_secs_f64() * 1e6);
             assert!(
                 std::sync::Arc::ptr_eq(&cold_result, &r),
@@ -429,13 +435,15 @@ fn main() {
         let cases = dataset2(&opts);
         let corpus_cache = AnalysisCache::new();
         let driver = BatchDriver::new(jobs);
-        let sweep = |driver: &BatchDriver| {
-            driver.run_with_cache(&cases, &corpus_cache, |engine, cache, case| {
-                fetch.detect_cached(&case.binary, engine, cache)
+        let sweep = |driver: &BatchDriver, cache: &AnalysisCache| {
+            driver.run_with_cache(&cases, cache, |engine, cache, case| {
+                cache.get_or_compute(content_fingerprint(&case.binary), &id, || {
+                    pipeline.run_with_engine(&case.binary, engine)
+                })
             })
         };
-        let round1 = sweep(&driver);
-        let round2 = sweep(&driver);
+        let round1 = sweep(&driver, &corpus_cache);
+        let round2 = sweep(&driver, &corpus_cache);
         assert_eq!(round1, round2, "cache hits must reproduce cold results");
         let stats = corpus_cache.stats();
         assert!(stats.hits >= cases.len() as u64, "round two must hit");
@@ -448,13 +456,8 @@ fn main() {
         let capacity = cache_capacity.unwrap_or_else(|| (cases.len() / 2).max(1));
         let bounded_cache =
             fetch_core::AnalysisCache::with_capacity(fetch_core::CacheCapacity::entries(capacity));
-        let bounded_sweep = |driver: &BatchDriver| {
-            driver.run_with_cache(&cases, &bounded_cache, |engine, cache, case| {
-                fetch.detect_cached(&case.binary, engine, cache)
-            })
-        };
-        let bounded1 = bounded_sweep(&driver);
-        let bounded2 = bounded_sweep(&driver);
+        let bounded1 = sweep(&driver, &bounded_cache);
+        let bounded2 = sweep(&driver, &bounded_cache);
         assert_eq!(bounded1, round1, "a bounded cache must not change answers");
         assert_eq!(bounded2, round1, "eviction must not change answers");
         let bounded = bounded_cache.stats();
@@ -507,7 +510,7 @@ fn main() {
     // directory — the restart shape). The cache-hit bar is the serving
     // acceptance criterion; the store answer must equal the cold run.
     {
-        use fetch_serve::protocol::{AnalyzeInput, Reply, Request, ServeSource};
+        use fetch_serve::protocol::{AnalyzeInput, Reply, Request, ServeSource, StatsCounter};
         use fetch_serve::service::{AnalysisService, ServeConfig};
 
         let base =
@@ -645,12 +648,14 @@ fn main() {
                 );
             }
         });
-        let coalesce_stats = coalesce_service.stats().requests;
+        let coalesce_stats = coalesce_service.stats();
+        let coalesce_cold = coalesce_stats.counter(StatsCounter::Cold);
+        let coalesce_coalesced = coalesce_stats.counter(StatsCounter::Coalesced);
         assert_eq!(
-            coalesce_stats.cold, 1,
+            coalesce_cold, 1,
             "{coalesce_clients} concurrent submits of one uncached image \
              must cost exactly one cold compute (got {})",
-            coalesce_stats.cold
+            coalesce_cold
         );
 
         // Reply render: the large-corpus analyze reply streamed to its
@@ -695,14 +700,14 @@ fn main() {
              \"coalesce\": {{ \"clients\": {coalesce_clients}, \"cold_computes\": {}, \
              \"coalesced\": {} }}\n    }}\n  }},\n",
             elf_bytes.len(),
-            coalesce_stats.cold,
-            coalesce_stats.coalesced,
+            coalesce_cold,
+            coalesce_coalesced,
         );
         println!(
             " serve: cold {cold_us:.1} µs, cache hit {cache_us:.1} µs ({cache_speedup:.0}x), \
              store hit {store_us:.1} µs ({store_speedup:.0}x); coalesce@{coalesce_clients}: \
              {} cold, {} coalesced; reply render {reply_render_us:.1} µs",
-            coalesce_stats.cold, coalesce_stats.coalesced,
+            coalesce_cold, coalesce_coalesced,
         );
         let _ = std::fs::remove_dir_all(&base);
     }
@@ -716,8 +721,8 @@ fn main() {
     // a diff and an `Arc` clone. The ≥ 8× p50 bar and the byte-identity
     // assert are the
     // acceptance criteria of delta re-analysis; a behavioral patch's
-    // recompute tier (window-rewarmed full re-run) rides along as the
-    // informative middle rung.
+    // recompute tier (a local change no verbatim tier can prove, so a
+    // full cold re-run) rides along as the informative middle rung.
     {
         let mut cfg = SynthConfig::small(9003);
         cfg.n_funcs = 900;
@@ -731,13 +736,28 @@ fn main() {
             .find_map(|s| patch_function(&case, s, PatchKind::Behavioral))
             .expect("large corpus offers a behavioral patch site");
 
-        let fetch = Fetch::new();
+        let pipeline = Pipeline::fetch();
         let image_of =
             |b: &fetch_binary::Binary| ElfImage::parse(write_elf(b)).expect("own ELF parses");
         let old_image = image_of(&case.binary);
-        let prev = std::sync::Arc::new(fetch.detect_image(&old_image, &mut RecEngine::new()));
+        let prev = std::sync::Arc::new(pipeline.run(&old_image.to_binary()));
         let prev_digest =
             ImageDigest::compute(&old_image.to_binary(), image_fingerprint(&old_image));
+        // The `reanalyze` path minus the transport: materialize, derive
+        // the digest from the predecessor's, run the ladder.
+        let delta = |image: &ElfImage, engine: &mut RecEngine| {
+            let binary = image.to_binary();
+            let digest =
+                ImageDigest::compute_from(Some(&prev_digest), &binary, image_fingerprint(image));
+            run_delta(
+                &pipeline,
+                &prev,
+                Some(&prev_digest),
+                &binary,
+                &digest,
+                engine,
+            )
+        };
 
         let percentile = |sorted: &[f64], p: f64| -> f64 {
             sorted[((sorted.len() - 1) as f64 * p).round() as usize]
@@ -752,7 +772,7 @@ fn main() {
         for _ in 0..delta_reps {
             let mut engine = RecEngine::new();
             let t = Instant::now();
-            let r = fetch.detect_image(&neutral_image, &mut engine);
+            let r = pipeline.run_with_engine(&neutral_image.to_binary(), &mut engine);
             cold_lat.push(t.elapsed().as_secs_f64() * 1e6);
             cold_result = Some(r);
         }
@@ -765,8 +785,7 @@ fn main() {
         let mut sections_reused = 0usize;
         for _ in 0..delta_reps {
             let t = Instant::now();
-            let (out, _digest) =
-                fetch.detect_delta(&prev, Some(&prev_digest), &neutral_image, &mut engine);
+            let out = delta(&neutral_image, &mut engine);
             delta_lat.push(t.elapsed().as_secs_f64() * 1e6);
             assert_eq!(
                 out.class,
@@ -781,18 +800,17 @@ fn main() {
         }
 
         // The recompute tier on a behavioral patch (a constant becomes
-        // a code address): full re-run through a window-rewarmed decode
-        // cache. Informative — no bar; correctness stays asserted.
+        // a code address): a full cold re-run. Informative — no bar;
+        // correctness stays asserted.
         let behavioral_image = image_of(&behavioral.binary);
-        let behavioral_cold = fetch.detect_image(&behavioral_image, &mut RecEngine::new());
+        let behavioral_cold = pipeline.run(&behavioral_image.to_binary());
         let mut recompute_lat = Vec::with_capacity(delta_reps);
         for _ in 0..delta_reps {
             // Re-warm the engine to the *old* version each rep, as a
             // pooled serving engine would be.
-            let _ = fetch.detect_image(&old_image, &mut engine);
+            let _ = pipeline.run_with_engine(&old_image.to_binary(), &mut engine);
             let t = Instant::now();
-            let (out, _digest) =
-                fetch.detect_delta(&prev, Some(&prev_digest), &behavioral_image, &mut engine);
+            let out = delta(&behavioral_image, &mut engine);
             recompute_lat.push(t.elapsed().as_secs_f64() * 1e6);
             assert_eq!(out.class, DeltaClass::Recompute);
             assert_eq!(*out.result, behavioral_cold, "recompute diverged from cold");
@@ -970,7 +988,7 @@ fn main() {
         for _ in 0..reps {
             let t = Instant::now();
             results = driver.run(&cases, |engine, case| {
-                Fetch::new().detect_with_engine(&case.binary, engine)
+                Pipeline::fetch().run_with_engine(&case.binary, engine)
             });
             best = best.min(t.elapsed().as_secs_f64() * 1e3);
         }

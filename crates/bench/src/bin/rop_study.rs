@@ -7,7 +7,7 @@
 
 use fetch_analyses::gadgets_at_starts;
 use fetch_bench::{banner, compare_line, dataset2, opts_from_args, paper, BatchDriver};
-use fetch_core::Fetch;
+use fetch_core::Pipeline;
 
 fn main() {
     let opts = opts_from_args(&[]);
@@ -32,7 +32,7 @@ fn main() {
         let before = gadgets_at_starts(&case.binary, &blocks, 6);
 
         // After FETCH's repair, only surviving false starts expose blocks.
-        let result = Fetch::new().detect_with_engine(&case.binary, engine);
+        let result = Pipeline::fetch().run_with_engine(&case.binary, engine);
         let survivors: Vec<(u64, u64)> = blocks
             .iter()
             .filter(|(s, _)| result.starts.contains_key(s) && !truth.contains(s))

@@ -4,7 +4,7 @@
 use fetch_bench::{banner, dataset2, opts_from_args, paper, BatchDriver};
 use fetch_binary::OptLevel;
 use fetch_metrics::{evaluate, TextTable};
-use fetch_tools::{run_tool_with_engine, Tool};
+use fetch_tools::{run_tool, Tool};
 use std::collections::BTreeMap;
 
 fn main() {
@@ -22,7 +22,7 @@ fn main() {
     let per_case: Vec<Vec<(Tool, OptLevel, usize, usize)>> = driver.run(&cases, |engine, case| {
         let mut out = Vec::new();
         for tool in Tool::ALL {
-            if let Some(r) = run_tool_with_engine(tool, &case.binary, engine) {
+            if let Some(r) = run_tool(tool, &case.binary, engine) {
                 let e = evaluate(&r.start_set(), case);
                 out.push((
                     tool,

@@ -6,6 +6,7 @@
 //! `tool_timing`) provides statistically robust versions of these points.
 
 use fetch_bench::{banner, dataset2, opts_from_args, paper};
+use fetch_disasm::RecEngine;
 use fetch_metrics::TextTable;
 use fetch_tools::{run_tool, Tool};
 use std::time::Instant;
@@ -22,7 +23,7 @@ fn main() {
         let start = Instant::now();
         let mut ran = 0u32;
         for case in &cases {
-            if run_tool(tool, &case.binary).is_some() {
+            if run_tool(tool, &case.binary, &mut RecEngine::new()).is_some() {
                 ran += 1;
             }
         }

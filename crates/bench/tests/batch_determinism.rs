@@ -15,7 +15,7 @@ use fetch_bench::{dataset2, default_jobs, BatchDriver, BenchOpts};
 use fetch_core::DetectionResult;
 use fetch_metrics::{evaluate, Aggregate};
 use fetch_synth::corpus::CorpusScale;
-use fetch_tools::{run_tool_with_engine, Tool};
+use fetch_tools::{run_tool, Tool};
 
 /// A corpus small enough for a debug-build test but wide enough to give
 /// every worker count a multi-item shard (and a ragged tail).
@@ -46,7 +46,7 @@ fn fetch_pipeline_parallel_equals_serial() {
     assert!(cases.len() >= 8, "corpus too small to exercise sharding");
 
     let detect = |engine: &mut fetch_disasm::RecEngine, case: &fetch_binary::TestCase| {
-        fetch_core::Fetch::new().detect_with_engine(&case.binary, engine)
+        fetch_core::Pipeline::fetch().run_with_engine(&case.binary, engine)
     };
     let reference: Vec<DetectionResult> = BatchDriver::serial().run(&cases, detect);
 
@@ -78,7 +78,7 @@ fn aggregate_metrics_parallel_equals_serial() {
 
     let aggregate_of = |jobs: usize| -> String {
         let evals = BatchDriver::new(jobs).run(&cases, |engine, case| {
-            let r = fetch_core::Fetch::new().detect_with_engine(&case.binary, engine);
+            let r = fetch_core::Pipeline::fetch().run_with_engine(&case.binary, engine);
             evaluate(&r.start_set(), case)
         });
         let mut agg = Aggregate::new();
@@ -116,7 +116,7 @@ fn cross_tool_sweep_parallel_equals_serial() {
         BatchDriver::new(jobs).run(&cases, |engine, case| {
             Tool::ALL
                 .into_iter()
-                .map(|tool| run_tool_with_engine(tool, &case.binary, engine))
+                .map(|tool| run_tool(tool, &case.binary, engine))
                 .collect()
         })
     };
@@ -168,7 +168,7 @@ fn view_backed_corpus_is_zero_copy_and_result_identical() {
     }
 
     let detect = |engine: &mut fetch_disasm::RecEngine, case: &fetch_binary::TestCase| {
-        fetch_core::Fetch::new().detect_with_engine(&case.binary, engine)
+        fetch_core::Pipeline::fetch().run_with_engine(&case.binary, engine)
     };
     let viewed_results = BatchDriver::new(default_jobs()).run(&viewed, detect);
     let owned_results = BatchDriver::serial().run(&owned, detect);

@@ -4,7 +4,7 @@
 //! Before the `Pipeline` subsystem, every Table III tool model was an
 //! imperative call over a hardcoded slice of layer objects, and `Fetch`
 //! sequenced its four layers by hand. Once the nine stacks became data
-//! (and the static [`Tool::pipeline_id`] strings pinned each stack's
+//! (and their [`Pipeline::id`] strings pinned each stack's
 //! composition), a differential against those literal stacks had done
 //! its job. What remains is its output: a golden snapshot of every
 //! tool's canonical projection over the determinism corpus, recorded
@@ -15,7 +15,7 @@ use fetch_bench::{dataset2, BenchOpts};
 use fetch_core::{DetectionResult, Fetch, LayerSpec, Pipeline, Tool};
 use fetch_disasm::{ErrorCallPolicy, RecEngine};
 use fetch_synth::corpus::CorpusScale;
-use fetch_tools::{run_tool, run_tool_with_engine};
+use fetch_tools::run_tool;
 
 /// The same corpus shape the batch-determinism suite sweeps.
 fn determinism_corpus() -> Vec<fetch_binary::TestCase> {
@@ -95,12 +95,12 @@ fn for_tool_pipelines_match_pre_refactor_stacks() {
         // production configuration of the batch driver — and a fresh
         // engine per binary.
         let mut engine = RecEngine::new();
-        let shared = snapshot(
+        let shared = snapshot(cases.iter().map(|c| run_tool(tool, &c.binary, &mut engine)));
+        let fresh = snapshot(
             cases
                 .iter()
-                .map(|c| run_tool_with_engine(tool, &c.binary, &mut engine)),
+                .map(|c| run_tool(tool, &c.binary, &mut RecEngine::new())),
         );
-        let fresh = snapshot(cases.iter().map(|c| run_tool(tool, &c.binary)));
         assert_eq!(
             shared, golden,
             "{tool} (shared engine) drifted from the golden snapshot"
@@ -114,7 +114,8 @@ fn for_tool_pipelines_match_pre_refactor_stacks() {
 
 #[test]
 fn fetch_entry_points_match_pre_refactor_sequence() {
-    // All `Fetch::detect*` entry points are now one executor path; each
+    // Both `Fetch::detect*` entry points and the engine-threaded
+    // `Fetch::pipeline` run are one executor path; each
     // must still equal the old hand-sequenced pipeline, including the
     // ablation-knob variants (which drop layers, not reorder them).
     let cases = determinism_corpus();
@@ -142,12 +143,12 @@ fn fetch_entry_points_match_pre_refactor_sequence() {
             &format!("detect (skip_scan={skip_scan}, skip_repair={skip_repair})"),
         );
         assert_identical(
-            &fetch.detect_with_engine(&case.binary, &mut engine),
+            &fetch.pipeline().run_with_engine(&case.binary, &mut engine),
             &legacy,
-            "detect_with_engine",
+            "pipeline().run_with_engine",
         );
-        let (with_report, report) = fetch.detect_with_report_engine(&case.binary, &mut engine);
-        assert_identical(&with_report, &legacy, "detect_with_report_engine");
+        let (with_report, report) = fetch.detect_with_report(&case.binary);
+        assert_identical(&with_report, &legacy, "detect_with_report");
         if skip_repair {
             // No repair layer ran: the report must be the empty default.
             assert!(report.merged.is_empty() && report.tail_calls.is_empty());

@@ -17,7 +17,7 @@
 use fetch_bench::BatchDriver;
 use fetch_core::DetectionResult;
 use fetch_synth::{synthesize, FeatureRates, SynthConfig};
-use fetch_tools::{run_tool_with_engine, Tool};
+use fetch_tools::{run_tool, Tool};
 use proptest::prelude::*;
 
 /// A random small corpus: seeds and sizes vary, synthesis is
@@ -70,7 +70,7 @@ proptest! {
             driver.run(&cases, |engine, case| {
                 tools
                     .iter()
-                    .map(|&tool| run_tool_with_engine(tool, &case.binary, engine))
+                    .map(|&tool| run_tool(tool, &case.binary, engine))
                     .collect()
             })
         };

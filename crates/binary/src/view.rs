@@ -390,20 +390,6 @@ impl<'a> ElfView<'a> {
         self.sections().find(|s| s.kind == kind)
     }
 
-    /// The file range of the given section (validated at parse time).
-    pub fn section_range(&self, kind: SectionKind) -> Option<Range<usize>> {
-        self.layout
-            .sections
-            .iter()
-            .find(|(k, _, _)| *k == kind)
-            .map(|(_, _, r)| r.clone())
-    }
-
-    /// Whether the image carries a symbol table.
-    pub fn has_symtab(&self) -> bool {
-        !self.layout.symtabs.is_empty()
-    }
-
     /// Parses the function symbols (names are the only allocation).
     pub fn symbols(&self) -> Vec<Symbol> {
         parse_symbols(self.data, &self.layout)

@@ -8,10 +8,8 @@
 //! `Arc<DetectionResult>` behind an internal mutex, so one cache is
 //! shared by every worker of a batch sweep ([`BatchDriver::run_with_cache`]
 //! in `fetch-bench`) and every cached entry is handed out without
-//! copying. Entry points: [`crate::Fetch::detect_cached`],
-//! [`crate::Fetch::detect_image_cached`],
-//! `fetch_tools::run_tool_on_image_cached`, and the `fetch-serve`
-//! daemon.
+//! copying. Entry points: [`AnalysisCache::get_or_compute`] for
+//! in-process callers, and the `fetch-serve` daemon.
 //!
 //! Keys are 64-bit FNV-1a content fingerprints ([`content_fingerprint`]
 //! over a materialized [`Binary`], [`image_fingerprint`] over a raw ELF
@@ -149,10 +147,10 @@ pub fn content_fingerprint(binary: &Binary) -> u64 {
 }
 
 /// 64-bit fingerprint of a raw ELF image buffer — one linear pass, no
-/// section walk, so image-path lookups ([`crate::Fetch::detect_image_cached`])
-/// skip materialization entirely on a hit. Domain-separated from
-/// [`content_fingerprint`]; the two key different entries for the same
-/// underlying binary (a missed dedup opportunity, never a wrong answer).
+/// section walk, so image-path lookups skip materialization entirely on
+/// a hit. Domain-separated from [`content_fingerprint`]; the two key
+/// different entries for the same underlying binary (a missed dedup
+/// opportunity, never a wrong answer).
 pub fn image_fingerprint(image: &fetch_binary::ElfImage) -> u64 {
     let mut h = Fnv::new(DOMAIN_IMAGE);
     h.bytes(image.view().image());
@@ -214,9 +212,7 @@ pub struct SectionDigest {
 /// pointer-scan, or jump-table consumer resolves). Two versions whose
 /// buckets are geometry-identical and `sem`-equal yield identical
 /// detection results under any delta-safe pipeline
-/// ([`crate::Pipeline::delta_safe`]); versions differing only in
-/// covered text buckets can replay through a rewarmed
-/// [`fetch_disasm::RecEngine`] instead of a cold one.
+/// ([`crate::Pipeline::delta_safe`]).
 ///
 /// Byte dependency of `sem`, exactly: a covered `[start, end)` bucket's
 /// `sem` reads the section bytes in `[start, end + MAX_INST_LEN − 1)`
@@ -248,9 +244,7 @@ pub struct ImageDigest {
     pub symbols: u64,
     /// [`fetch_disasm::text_content_hash`] of the `.text` bytes — the
     /// hash a [`fetch_disasm::RecEngine`] fingerprints its decode cache
-    /// with, so delta analysis can prove an engine is warm for exactly
-    /// this version before rewarming it
-    /// ([`fetch_disasm::RecEngine::rewarm_patched`]).
+    /// with.
     pub text_hash: u64,
     /// Per-section records, in image section order.
     pub sections: Vec<SectionDigest>,
@@ -348,9 +342,6 @@ pub enum DigestDiff {
     /// Only `.text` content changed, and the bucket geometry (FDE
     /// ranges, section shape) is identical — the change is *local*.
     LocalText {
-        /// The changed half-open `[start, end)` bucket windows (raw or
-        /// semantic fingerprint moved), ascending.
-        windows: Vec<(u64, u64)>,
         /// Whether every bucket's *semantic* fingerprint is unchanged —
         /// when true, a delta-safe pipeline's result provably cannot
         /// move.
@@ -391,7 +382,7 @@ pub fn diff_digests(old: &ImageDigest, new: &ImageDigest) -> DigestDiff {
             reason: "section added or removed",
         };
     }
-    let mut windows = Vec::new();
+    let mut changed = false;
     let mut sem_equal = true;
     let mut reused = 0usize;
     for (o, n) in old.sections.iter().zip(&new.sections) {
@@ -422,15 +413,11 @@ pub fn diff_digests(old: &ImageDigest, new: &ImageDigest) -> DigestDiff {
             if ob.raw == nb.raw {
                 reused += 1;
             }
-            if ob.raw != nb.raw || ob.sem != nb.sem {
-                windows.push((nb.start, nb.end));
-            }
-            if ob.sem != nb.sem {
-                sem_equal = false;
-            }
+            changed |= ob.raw != nb.raw || ob.sem != nb.sem;
+            sem_equal &= ob.sem == nb.sem;
         }
     }
-    if windows.is_empty() {
+    if !changed {
         // Sections compare equal bucket-by-bucket yet the digests are
         // not content-identical — can only be a per-section raw drift
         // the buckets missed, which the tiling makes impossible; treat
@@ -439,11 +426,7 @@ pub fn diff_digests(old: &ImageDigest, new: &ImageDigest) -> DigestDiff {
             reason: "digest mismatch outside text buckets",
         };
     }
-    DigestDiff::LocalText {
-        windows,
-        sem_equal,
-        reused,
-    }
+    DigestDiff::LocalText { sem_equal, reused }
 }
 
 fn raw_hash(bytes: &[u8]) -> u64 {

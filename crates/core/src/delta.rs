@@ -1,7 +1,6 @@
 //! Delta re-analysis: answer a re-submitted (patched) binary from its
 //! predecessor's result wherever the [`ImageDigest`] diff proves that
-//! sound, and fall back down a ladder of progressively colder paths
-//! otherwise.
+//! sound, and run the pipeline cold otherwise.
 //!
 //! The ladder ([`run_delta`]):
 //!
@@ -14,19 +13,17 @@
 //!    delta-safe layer can observe a masked immediate.
 //! 3. **Recompute** — the diff is local but tier 2's conditions fail
 //!    (real code changed, or the pipeline contains a byte-scanning
-//!    layer): the full pipeline re-runs, but through
-//!    [`RecEngine::rewarm_patched`] — the engine keeps its decode cache
-//!    for every byte outside the changed windows, so the re-run decodes
-//!    only the patched neighborhoods.
+//!    layer): no verbatim tier can prove the old answer, so the
+//!    pipeline runs cold.
 //! 4. **Cold** — the diff is [`DigestDiff::NonLocal`] (or there is no
-//!    previous digest at all): plain cold compute, exactly as if the
-//!    binary had never been seen.
+//!    previous digest at all): the pipeline runs cold, exactly as if
+//!    the binary had never been seen.
 //!
-//! Every tier returns a result byte-identical to a cold run of the same
-//! pipeline on the new binary — tiers 3–4 because they *are* (possibly
-//! decode-warm) full runs, whose equivalence the incremental-recursion
-//! property tests already pin; tiers 1–2 by the digest soundness
-//! argument above, pinned by the differential suite in
+//! Tiers 3 and 4 run the same code; they stay distinct labels so
+//! telemetry can tell the two fallback reasons apart. Every tier returns
+//! a result byte-identical to a cold run of the same pipeline on the new
+//! binary — tiers 3–4 because they *are* cold runs; tiers 1–2 by the
+//! digest soundness argument above, pinned by the differential suite in
 //! `tests/proptest_delta.rs`.
 
 use crate::cache::{diff_digests, DigestDiff, ImageDigest};
@@ -44,10 +41,9 @@ pub enum DeltaClass {
     /// Tier 2: local, semantically-equal text change under a delta-safe
     /// pipeline; old result returned verbatim.
     SectionReuse,
-    /// Tier 3: local change, full pipeline re-run through a
-    /// window-invalidated warm decode cache.
+    /// Tier 3: local change that no verbatim tier can prove; ran cold.
     Recompute,
-    /// Tier 4: non-local change or no previous digest; plain cold run.
+    /// Tier 4: non-local change or no previous digest; ran cold.
     Cold,
 }
 
@@ -93,9 +89,8 @@ pub struct DeltaOutcome {
 /// *next* version can delta against this one). A `None` `prev_digest`
 /// — a result stored before digests existed — drops straight to tier 4.
 ///
-/// The engine is only consulted on tiers 3–4; on tier 3 it is rewarmed
-/// with [`RecEngine::rewarm_patched`] first, so a pooled engine that
-/// was warm for the *old* version re-decodes only the changed windows.
+/// The engine is only consulted on tiers 3–4, which run the pipeline
+/// through it with [`Pipeline::run_with_engine`].
 pub fn run_delta(
     pipeline: &Pipeline,
     prev_result: &Arc<DetectionResult>,
@@ -117,11 +112,7 @@ pub fn run_delta(
             class: DeltaClass::Unchanged,
             sections_reused: buckets,
         },
-        DigestDiff::LocalText {
-            windows,
-            sem_equal,
-            reused,
-        } => {
+        DigestDiff::LocalText { sem_equal, reused } => {
             if sem_equal && pipeline.delta_safe() {
                 return DeltaOutcome {
                     result: Arc::clone(prev_result),
@@ -129,10 +120,6 @@ pub fn run_delta(
                     sections_reused: reused,
                 };
             }
-            // Correctness does not depend on the rewarm succeeding: a
-            // `false` return leaves the engine keyed to some other
-            // binary, and the run below cold-resets it on entry.
-            engine.rewarm_patched(new_binary, old.text_hash, &windows);
             DeltaOutcome {
                 result: Arc::new(pipeline.run_with_engine(new_binary, engine)),
                 class: DeltaClass::Recompute,

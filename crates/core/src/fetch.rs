@@ -5,13 +5,10 @@
 //! Table III).
 
 use crate::algorithm1::RepairReport;
-use crate::cache::{content_fingerprint, image_fingerprint, AnalysisCache, ImageDigest};
-use crate::delta::{run_delta, DeltaOutcome};
 use crate::pipeline::{LayerSpec, Pipeline};
 use crate::state::{DetectionResult, DetectionState};
-use fetch_binary::{Binary, ElfImage};
-use fetch_disasm::{ErrorCallPolicy, RecEngine};
-use std::sync::Arc;
+use fetch_binary::Binary;
+use fetch_disasm::ErrorCallPolicy;
 
 /// The FETCH pipeline (Function dETection with exCeption Handling).
 ///
@@ -44,8 +41,11 @@ impl Fetch {
     }
 
     /// The declarative [`Pipeline`] this configuration runs —
-    /// [`Pipeline::fetch`] with the ablation knobs applied. Every
-    /// `detect*` entry point executes exactly this pipeline.
+    /// [`Pipeline::fetch`] with the ablation knobs applied. Both
+    /// `detect*` methods execute exactly this pipeline; callers with a
+    /// shared engine, a cache or a predecessor version run it through
+    /// [`Pipeline::run_with_engine`], [`crate::AnalysisCache`] or
+    /// [`crate::run_delta`].
     pub fn pipeline(&self) -> Pipeline {
         let mut specs = vec![
             LayerSpec::FdeSeeds,
@@ -60,125 +60,19 @@ impl Fetch {
         Pipeline::new(specs)
     }
 
-    /// [`Pipeline::id`] of [`Fetch::pipeline`], precomputed per knob
-    /// combination so the cached entry points' warm-hit path allocates
-    /// nothing (pinned to `pipeline().id()` by a unit test).
-    fn pipeline_id(&self) -> &'static str {
-        match (self.skip_pointer_scan, self.skip_repair) {
-            (false, false) => "FDE+Rec+Xref+TcallFix",
-            (true, false) => "FDE+Rec+TcallFix",
-            (false, true) => "FDE+Rec+Xref",
-            (true, true) => "FDE+Rec",
-        }
-    }
-
     /// Runs detection on `binary`.
     pub fn detect(&self, binary: &Binary) -> DetectionResult {
-        self.detect_with_engine(binary, &mut RecEngine::new())
+        self.pipeline().run(binary)
     }
 
-    /// Runs detection through a caller-owned [`RecEngine`], reusing its
-    /// decode cache when the engine has already seen `binary` (see
-    /// [`DetectionState::with_engine`]). Result-identical to
-    /// [`Fetch::detect`].
-    pub fn detect_with_engine(&self, binary: &Binary, engine: &mut RecEngine) -> DetectionResult {
-        self.pipeline().run_with_engine(binary, engine)
-    }
-
-    /// Runs detection directly on a parsed ELF image through a
-    /// caller-owned [`RecEngine`] — the zero-copy entry point: the
-    /// materialized sections are windows of the image's shared buffer
-    /// ([`ElfImage::to_binary`]), so no section body is copied to
-    /// analyse it. Result-identical to [`Fetch::detect`] on the
-    /// equivalent owned [`Binary`]. Repeated runs over one image should
-    /// call [`ElfImage::to_binary`] once and use
-    /// [`Fetch::detect_with_engine`] to avoid re-materializing the
-    /// section and symbol vectors per call — or go through
-    /// [`Fetch::detect_image_cached`] and pay for the analysis once.
-    pub fn detect_image(&self, image: &ElfImage, engine: &mut RecEngine) -> DetectionResult {
-        self.detect_with_engine(&image.to_binary(), engine)
-    }
-
-    /// [`Fetch::detect_image`] through a serving-layer [`AnalysisCache`]:
-    /// an image already analyzed under this configuration's pipeline id
-    /// is answered by a fingerprint hash and a map lookup — the image is
-    /// not even materialized into a [`Binary`]. Cache hits are
-    /// observationally identical to cold runs (property-tested).
-    pub fn detect_image_cached(
-        &self,
-        image: &ElfImage,
-        engine: &mut RecEngine,
-        cache: &AnalysisCache,
-    ) -> Arc<DetectionResult> {
-        cache.get_or_compute(image_fingerprint(image), self.pipeline_id(), || {
-            self.pipeline().run_with_engine(&image.to_binary(), engine)
-        })
-    }
-
-    /// [`Fetch::detect_with_engine`] through a serving-layer
-    /// [`AnalysisCache`], keyed by the binary's content fingerprint
-    /// (display name excluded — renamed binaries still hit).
-    pub fn detect_cached(
-        &self,
-        binary: &Binary,
-        engine: &mut RecEngine,
-        cache: &AnalysisCache,
-    ) -> Arc<DetectionResult> {
-        cache.get_or_compute(content_fingerprint(binary), self.pipeline_id(), || {
-            self.pipeline().run_with_engine(binary, engine)
-        })
-    }
-
-    /// Re-analyzes a *new version* of a previously-analyzed image
-    /// through the delta ladder ([`crate::run_delta`]): verbatim reuse
-    /// when the [`ImageDigest`] diff proves it sound, window-rewarmed
-    /// recompute for local patches, plain cold otherwise. The outcome's
-    /// result is byte-identical to [`Fetch::detect_image`] on `image`;
-    /// the returned digest describes `image` and should be persisted so
-    /// the *next* version can delta against this one. It is derived from
-    /// `prev_digest` through [`ImageDigest::compute_from`], so only the
-    /// buckets the patch touched are swept.
-    pub fn detect_delta(
-        &self,
-        prev_result: &Arc<DetectionResult>,
-        prev_digest: Option<&ImageDigest>,
-        image: &ElfImage,
-        engine: &mut RecEngine,
-    ) -> (DeltaOutcome, ImageDigest) {
-        let binary = image.to_binary();
-        let digest = ImageDigest::compute_from(prev_digest, &binary, image_fingerprint(image));
-        let out = run_delta(
-            &self.pipeline(),
-            prev_result,
-            prev_digest,
-            &binary,
-            &digest,
-            engine,
-        );
-        (out, digest)
-    }
-
-    /// Runs detection, also returning the call-frame repair report.
+    /// Runs detection, also returning the call-frame repair report. The
+    /// repair layer deposits its report on the state as it executes; no
+    /// duplicate sequencing path exists for the report case.
     pub fn detect_with_report(&self, binary: &Binary) -> (DetectionResult, RepairReport) {
-        self.detect_with_report_engine(binary, &mut RecEngine::new())
-    }
-
-    /// [`Fetch::detect_with_report`] through a caller-owned
-    /// [`RecEngine`], so asking for the repair report no longer forces a
-    /// cold decode cache. The repair layer deposits its report on the
-    /// state as it executes; no duplicate sequencing path exists for the
-    /// report case.
-    pub fn detect_with_report_engine(
-        &self,
-        binary: &Binary,
-        engine: &mut RecEngine,
-    ) -> (DetectionResult, RepairReport) {
-        let mut state = DetectionState::with_engine(binary, std::mem::take(engine));
+        let mut state = DetectionState::new(binary);
         self.pipeline().apply(&mut state);
         let report = state.take_repair_report().unwrap_or_default();
-        let (result, used) = state.into_result_with_engine();
-        *engine = used;
-        (result, report)
+        (state.into_result(), report)
     }
 }
 
@@ -187,21 +81,6 @@ mod tests {
     use super::*;
     use fetch_binary::Reach;
     use fetch_synth::{synthesize, SynthConfig};
-
-    #[test]
-    fn static_pipeline_ids_match_the_declarative_ones() {
-        // The warm-hit fast path uses precomputed ids; they must never
-        // drift from what the pipeline actually serializes to.
-        for skip_pointer_scan in [false, true] {
-            for skip_repair in [false, true] {
-                let f = Fetch {
-                    skip_pointer_scan,
-                    skip_repair,
-                };
-                assert_eq!(f.pipeline_id(), f.pipeline().id());
-            }
-        }
-    }
 
     #[test]
     fn fetch_end_to_end_shape() {
@@ -245,13 +124,12 @@ mod tests {
     }
 
     #[test]
-    fn detect_image_matches_owned_binary() {
+    fn image_backed_binary_detects_like_owned_binary() {
         use fetch_binary::{write_elf, ElfImage};
         let case = synthesize(&SynthConfig::small(83));
         let image = ElfImage::parse(write_elf(&case.binary)).unwrap();
         assert_eq!(image.load_stats().section_bytes_copied, 0);
-        let mut engine = RecEngine::new();
-        let via_image = Fetch::new().detect_image(&image, &mut engine);
+        let via_image = Fetch::new().detect(&image.to_binary());
         let via_binary = Fetch::new().detect(&case.binary);
         assert_eq!(via_image, via_binary);
     }

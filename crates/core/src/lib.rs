@@ -16,7 +16,11 @@
 //! (prologue matching), `Tcall` (tail-call heuristic), `Scan`, `CFR`,
 //! `Fmerg`, `Thunk`, `Align`, `ByteWeight`, `Nucleus` and `Flirt`.
 //!
-//! The [`Fetch`] type wires the optimal stack together.
+//! The [`Fetch`] type wires the optimal stack together: [`Fetch::detect`]
+//! runs [`Fetch::pipeline`] on a [`fetch_binary::Binary`]. Other inputs
+//! compose that pipeline with [`Pipeline::run_with_engine`],
+//! [`fetch_binary::ElfImage::to_binary`], [`AnalysisCache`] or
+//! [`run_delta`].
 //!
 //! ## The shared substrate (what layers run *on*)
 //!
@@ -47,8 +51,8 @@
 //! random corpora and random layer stacks enforces the equivalence.
 //!
 //! The engine can also outlive a single state:
-//! [`Pipeline::run_with_engine`] and [`Fetch::detect_with_engine`]
-//! thread a caller-owned [`fetch_disasm::RecEngine`] through the run, so
+//! [`Pipeline::run_with_engine`] threads a caller-owned
+//! [`fetch_disasm::RecEngine`] through the run, so
 //! several stacks (e.g. all nine tool models of `fetch-tools`) analysing
 //! the same binary share one decode cache. A second property test
 //! proves sharing an engine across different stacks changes no result.
@@ -83,7 +87,8 @@
 //! 4. **Cache** — [`AnalysisCache`] memoizes `Arc<DetectionResult>`
 //!    under `(binary content fingerprint, pipeline id)`; re-analyzing a
 //!    seen binary under a seen pipeline is a lookup
-//!    ([`Fetch::detect_image_cached`], [`Fetch::detect_cached`]).
+//!    ([`AnalysisCache::get_or_compute`] keyed by [`image_fingerprint`]
+//!    or [`content_fingerprint`] and [`Pipeline::id`]).
 //!
 //! ## Serving: spec → executor → trace → bounded cache → persistent store → daemon
 //!
@@ -204,22 +209,23 @@
 //!    another hash scheme.
 //! 2. **Diff.** [`diff_digests`] classifies a version pair:
 //!    [`DigestDiff::Identical`], [`DigestDiff::LocalText`] (only text
-//!    bucket contents moved — with the changed windows, a semantic
-//!    verdict, and the reuse count), or [`DigestDiff::NonLocal`]
-//!    (layout/symbols/entry/non-text changed).
+//!    bucket contents moved — with a semantic verdict and the reuse
+//!    count), or [`DigestDiff::NonLocal`] (layout/symbols/entry/non-text
+//!    changed).
 //! 3. **Replay.** [`run_delta`] walks the ladder: identical → old
 //!    result verbatim; local + semantically equal + a
 //!    [`Pipeline::delta_safe`] stack → old result verbatim (the
-//!    `delta_hits` path); local otherwise → full pipeline re-run
-//!    through [`fetch_disasm::RecEngine::rewarm_patched`], which keeps
-//!    every decode outside the patched windows warm.
-//! 4. **Fallback.** Non-local diffs and digest-less predecessors drop
-//!    to a plain cold run — delta is an optimization, never a gamble:
+//!    `delta_hits` path).
+//! 4. **Fallback.** Everything else runs the pipeline cold. A local
+//!    change that no verbatim tier can prove is labelled
+//!    [`DeltaClass::Recompute`], a non-local diff or a digest-less
+//!    predecessor [`DeltaClass::Cold`], so telemetry can tell the two
+//!    fallback reasons apart. Delta is an optimization, never a gamble:
 //!    every tier's answer is byte-identical to cold (differentially
 //!    property-tested in `tests/proptest_delta.rs`).
 //!
 //! ```
-//! use fetch_core::{image_fingerprint, DeltaClass, Fetch, ImageDigest};
+//! use fetch_core::{image_fingerprint, run_delta, DeltaClass, Fetch, ImageDigest};
 //! use fetch_binary::{write_elf, ElfImage};
 //! use fetch_disasm::RecEngine;
 //! use fetch_synth::{patch_function, synthesize, PatchKind, SynthConfig};
@@ -229,17 +235,20 @@
 //! let case = synthesize(&SynthConfig::small(11));
 //! let mut engine = RecEngine::new();
 //! let fetch = Fetch::new();
+//! let pipeline = fetch.pipeline();
 //! let v1_image = ElfImage::parse(write_elf(&case.binary)).unwrap();
-//! let v1 = Arc::new(fetch.detect_image(&v1_image, &mut engine));
+//! let v1 = Arc::new(pipeline.run_with_engine(&v1_image.to_binary(), &mut engine));
 //! let v1_digest = ImageDigest::compute(&case.binary, 0);
 //!
 //! // Version 2: one function's constant changed (a neutral patch).
 //! let patched = patch_function(&case, 7, PatchKind::Neutral).unwrap();
 //! let v2_image = ElfImage::parse(write_elf(&patched.binary)).unwrap();
+//! let v2 = v2_image.to_binary();
+//! // Derived from v1's digest: only the buckets the patch touched are swept.
+//! let v2_digest = ImageDigest::compute_from(Some(&v1_digest), &v2, image_fingerprint(&v2_image));
 //!
 //! // Delta answers from the old result without re-running a layer...
-//! let (out, v2_digest) =
-//!     fetch.detect_delta(&v1, Some(&v1_digest), &v2_image, &mut engine);
+//! let out = run_delta(&pipeline, &v1, Some(&v1_digest), &v2, &v2_digest, &mut engine);
 //! assert_eq!(out.class, DeltaClass::SectionReuse);
 //! // ...and is byte-identical to a cold run on the new version.
 //! assert_eq!(*out.result, fetch.detect(&patched.binary));

@@ -98,24 +98,6 @@ impl Tool {
             .into_iter()
             .find(|t| normalize(t.name()) == wanted)
     }
-
-    /// [`Pipeline::id`] of [`Pipeline::for_tool`], precomputed so warm
-    /// serving paths (`run_tool_on_image_cached`, the `fetch-serve`
-    /// daemon) key the cache without allocating. Pinned to
-    /// `Pipeline::for_tool(self).id()` by a unit test.
-    pub fn pipeline_id(self) -> &'static str {
-        match self {
-            Tool::Dyninst => "Entry+Rec+Fsig.radare+Fsig.angr",
-            Tool::Bap => "Entry+ByteWeight",
-            Tool::Radare2 => "Entry+Rec+Fsig.radare",
-            Tool::Nucleus => "Entry+Nucleus",
-            Tool::IdaPro => "Entry+Rec+Flirt",
-            Tool::BinaryNinja => "Entry+Rec+Tcall.ghidra+Fsig.angr+Align",
-            Tool::Ghidra => "FDE+Rec+CFR+Thunk+Fsig.ghidra",
-            Tool::Angr => "FDE+Rec+Fmerg+Fsig.angr+Scan+Align",
-            Tool::Fetch => "FDE+Rec+Xref+TcallFix",
-        }
-    }
 }
 
 impl fmt::Display for Tool {
@@ -711,12 +693,7 @@ mod tests {
         for tool in Tool::ALL {
             assert_eq!(Tool::from_name(tool.name()), Some(tool));
             assert_eq!(
-                tool.pipeline_id(),
-                Pipeline::for_tool(tool).id(),
-                "{tool}: static pipeline id drifted from the declarative one"
-            );
-            assert_eq!(
-                Pipeline::parse(tool.pipeline_id()).unwrap(),
+                Pipeline::parse(&Pipeline::for_tool(tool).id()).unwrap(),
                 Pipeline::for_tool(tool),
                 "{tool}: pipeline id must parse back to the same stack"
             );

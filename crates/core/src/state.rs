@@ -135,16 +135,6 @@ impl LayerTrace {
     pub fn wall_us(&self) -> f64 {
         self.wall_nanos as f64 / 1e3
     }
-
-    /// The provenance delta: how many starts each evidence source
-    /// contributed in this layer.
-    pub fn added_by_provenance(&self) -> BTreeMap<Provenance, usize> {
-        let mut by = BTreeMap::new();
-        for (_, p) in &self.added {
-            *by.entry(*p).or_insert(0) += 1;
-        }
-        by
-    }
 }
 
 impl PartialEq for LayerTrace {
@@ -196,12 +186,6 @@ impl DetectionResult {
             }
         }
         starts
-    }
-
-    /// The start addresses in ascending order, without materializing a
-    /// set (use in loops that only need iteration).
-    pub fn start_iter(&self) -> impl Iterator<Item = u64> + '_ {
-        self.starts.keys().copied()
     }
 
     /// Number of detected starts.

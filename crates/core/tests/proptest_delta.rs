@@ -2,9 +2,8 @@
 //! [`run_delta`] must be **byte-identical** to a cold run of the same
 //! pipeline on the new binary.
 //!
-//! Tiers 3–4 are (possibly decode-warm) full runs, whose equivalence
-//! the incremental-recursion suite already pins; the load-bearing
-//! claims here are the *verbatim-reuse* tiers:
+//! Tiers 3–4 are full pipeline runs; the load-bearing claims here are
+//! the *verbatim-reuse* tiers:
 //!
 //! * tier 1 (*unchanged*): an identical resubmission returns the old
 //!   result untouched, under **any** pipeline;
@@ -18,8 +17,8 @@
 //! [`PatchKind`]s) × random pipelines drawn from [`KNOWN_LAYERS`]
 //! (including non-delta-safe, byte-scanning layers, which must demote
 //! tier 2 to a recompute), with the engine both cold and pre-warmed on
-//! the *old* version (the pooled-engine shape the serving layer uses,
-//! exercising `RecEngine::rewarm_patched`).
+//! the *old* version (the pooled-engine shape the serving layer uses:
+//! tiers 3–4 must not read the old version's decodes).
 //!
 //! It also pins the incremental digest: [`ImageDigest::compute_from`]
 //! along random version chains, each step derived from the previous
@@ -86,7 +85,7 @@ fn check_patch(old: &Binary, patch: &FunctionPatch, pipeline: &Pipeline, warm_en
     let mut engine = RecEngine::new();
     let prev = Arc::new(if warm_engine {
         // Leave the engine keyed warm to the *old* version, as a pooled
-        // serving engine would be — tier 3 must rewarm, not misread.
+        // serving engine would be — tiers 3–4 must not misread it.
         pipeline.run_with_engine(old, &mut engine)
     } else {
         pipeline.run(old)
@@ -193,12 +192,13 @@ proptest! {
     }
 }
 
-/// A version chain through [`Fetch::detect_delta`] with one shared
-/// (pooled) engine: v0 → neutral v1 → back to v0 → behavioral v2 →
-/// resized v3. Each hop's answer must equal a fresh-engine cold
-/// [`Fetch::detect_image`] of that version, and each hop's returned
-/// digest is what the next hop deltas against — the exact contract the
-/// serving layer's `reanalyze` path depends on.
+/// A version chain through [`run_delta`] with one shared (pooled)
+/// engine: v0 → neutral v1 → back to v0 → behavioral v2 → resized v3.
+/// Each hop derives its digest from the previous hop's through
+/// [`ImageDigest::compute_from`], as the serving layer's `reanalyze`
+/// path does. Each hop's answer must equal a fresh-engine cold
+/// [`Fetch::detect`] of that version, and each hop's digest is what the
+/// next hop deltas against.
 #[test]
 fn fetch_delta_chain_matches_cold_at_every_version() {
     let case = synthesize(&SynthConfig::small(11));
@@ -209,12 +209,13 @@ fn fetch_delta_chain_matches_cold_at_every_version() {
         .expect("resize site");
 
     let fetch = Fetch::new();
+    let pipeline = fetch.pipeline();
     let image_of = |b: &Binary| ElfImage::parse(write_elf(b)).unwrap();
-    let cold_of = |b: &Binary| fetch.detect_image(&image_of(b), &mut RecEngine::new());
+    let cold_of = |b: &Binary| fetch.detect(&image_of(b).to_binary());
 
     let mut engine = RecEngine::new();
     let v0_image = image_of(&case.binary);
-    let mut prev = Arc::new(fetch.detect_image(&v0_image, &mut engine));
+    let mut prev = Arc::new(pipeline.run_with_engine(&v0_image.to_binary(), &mut engine));
     let mut prev_digest = ImageDigest::compute(&case.binary, image_fingerprint(&v0_image));
 
     let hops = [
@@ -224,8 +225,18 @@ fn fetch_delta_chain_matches_cold_at_every_version() {
         (&v3.binary, DeltaClass::Cold),
     ];
     for (version, expected) in hops {
-        let (out, digest) =
-            fetch.detect_delta(&prev, Some(&prev_digest), &image_of(version), &mut engine);
+        let image = image_of(version);
+        let binary = image.to_binary();
+        let digest =
+            ImageDigest::compute_from(Some(&prev_digest), &binary, image_fingerprint(&image));
+        let out = run_delta(
+            &pipeline,
+            &prev,
+            Some(&prev_digest),
+            &binary,
+            &digest,
+            &mut engine,
+        );
         assert_eq!(out.class, expected, "wrong tier at {version:p}");
         assert_eq!(
             *out.result,

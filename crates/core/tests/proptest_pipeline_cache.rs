@@ -10,7 +10,8 @@
 //! add up exactly.
 
 use fetch_core::{
-    content_fingerprint, AnalysisCache, CacheCapacity, LayerSpec, Pipeline, KNOWN_LAYERS,
+    content_fingerprint, image_fingerprint, AnalysisCache, CacheCapacity, LayerSpec, Pipeline,
+    KNOWN_LAYERS,
 };
 use fetch_synth::{synthesize, FeatureRates, SynthConfig};
 use proptest::prelude::*;
@@ -148,23 +149,30 @@ proptest! {
         );
     }
 
-    /// Image-path serving: `detect_image_cached` equals the uncached
-    /// image path and the owned-binary path, and repeated queries are
-    /// all hits handing back the same entry.
+    /// Image-path serving: a cache keyed by [`image_fingerprint`]
+    /// equals the uncached image path, and repeated queries are all
+    /// hits handing back the same entry.
     #[test]
     fn cached_image_detection_equals_cold(cfg in arb_config(), repeats in 1usize..4) {
         use fetch_binary::{write_elf, ElfImage};
         let case = synthesize(&cfg);
         let image = ElfImage::parse(write_elf(&case.binary)).unwrap();
-        let fetch = fetch_core::Fetch::new();
+        let pipeline = fetch_core::Pipeline::fetch();
+        let id = pipeline.id();
+        let fp = image_fingerprint(&image);
         let cache = AnalysisCache::new();
         let mut engine = fetch_disasm::RecEngine::new();
+        let mut cached = || {
+            cache.get_or_compute(fp, &id, || {
+                pipeline.run_with_engine(&image.to_binary(), &mut engine)
+            })
+        };
 
-        let first = fetch.detect_image_cached(&image, &mut engine, &cache);
-        let cold = fetch.detect_image(&image, &mut engine);
+        let first = cached();
+        let cold = pipeline.run(&image.to_binary());
         prop_assert_eq!(&*first, &cold, "cached image path diverged");
         for _ in 0..repeats {
-            let again = fetch.detect_image_cached(&image, &mut engine, &cache);
+            let again = cached();
             prop_assert!(
                 std::sync::Arc::ptr_eq(&first, &again),
                 "repeat query must be served from the cache"

@@ -355,41 +355,10 @@ impl DecodeCache {
         self.errors.clear();
     }
 
-    /// Drops every cached decode (and decode error) whose bytes could
-    /// overlap the half-open address window `[start, end)`: an
-    /// instruction starting up to [`MAX_INST_LEN`]` - 1` bytes before
-    /// the window can extend into it. Orphans the pool slots instead of
-    /// reclaiming them — the pool stays bounded by total distinct
-    /// decodes over the engine's lifetime either way.
-    fn invalidate_window(&mut self, start: u64, end: u64) {
-        if end <= self.base || self.index.is_empty() {
-            return;
-        }
-        let lo_addr = start.saturating_sub(MAX_INST_LEN as u64 - 1).max(self.base);
-        let lo = (lo_addr - self.base) as usize;
-        let hi = ((end - self.base) as usize).min(self.index.len());
-        if lo >= hi {
-            return;
-        }
-        for slot in &mut self.index[lo..hi] {
-            *slot = NO_SLOT;
-        }
-        let stale: Vec<u64> = self.errors.range(lo_addr..end).map(|(&a, _)| a).collect();
-        for a in stale {
-            self.errors.remove(&a);
-        }
-    }
-
-    /// `decode(text, addr)` through the cache. `addr` must be in `text`.
-    #[allow(dead_code)]
-    fn decode_at(&mut self, text: &Section, addr: u64) -> Result<Inst, DecodeError> {
-        let off = (addr - self.base) as usize;
-        self.decode_at_off(text, addr, off)
-    }
-
-    /// [`DecodeCache::decode_at`] with the byte offset already in hand
-    /// (walkers compute it once per step and share it with the dense
-    /// store, whose index covers the same range).
+    /// `decode(text, addr)` through the cache, with the byte offset
+    /// already in hand (walkers compute it once per step and share it
+    /// with the dense store, whose index covers the same range).
+    /// `addr` must be in `text`.
     fn decode_at_off(
         &mut self,
         text: &Section,
@@ -623,9 +592,8 @@ pub struct RecEngine {
 /// identical name and text placement (e.g. an in-place patched image)
 /// cannot silently reuse stale decode state.
 ///
-/// Public because version-delta callers key engine rewarm decisions off
-/// the same hash ([`RecEngine::rewarm_patched`] verifies the engine is
-/// warm for exactly the predecessor text before keeping its cache).
+/// Public because the delta digest (`fetch_core::ImageDigest`) records
+/// the same hash of each version's text.
 pub fn text_content_hash(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ bytes.len() as u64;
     let mut chunks = bytes.chunks_exact(8);
@@ -735,52 +703,6 @@ impl RecEngine {
     /// operation to attribute decode work to it.
     pub fn decode_stats(&self) -> (u64, u64) {
         (self.cache.hits, self.cache.misses)
-    }
-
-    /// Retargets the engine's decode cache at a *patched* version of the
-    /// binary it is currently warm for, dropping only the cached decodes
-    /// a byte change inside the `changed` windows could affect.
-    ///
-    /// The caller must guarantee that `new_bin`'s text differs from the
-    /// predecessor text **only** within the given half-open
-    /// `[start, end)` virtual-address windows, and passes the
-    /// predecessor's [`text_content_hash`] as proof of which version the
-    /// cache must be warm for. When the engine's fingerprint matches
-    /// `(new_bin.name, text base, old_text_hash)` and the text length is
-    /// unchanged, the windows are invalidated (widened by
-    /// [`MAX_INST_LEN`]` - 1` leading bytes — a straddling instruction
-    /// decodes differently), the fingerprint moves to the new content,
-    /// and the previous walk state is dropped so the next run re-walks —
-    /// decode-free outside the windows. Returns `true` when the warm
-    /// cache was retained; `false` when the engine was warm for
-    /// something else (it will reset cold on its next run — still
-    /// correct, just slower).
-    pub fn rewarm_patched(
-        &mut self,
-        new_bin: &Binary,
-        old_text_hash: u64,
-        changed: &[(u64, u64)],
-    ) -> bool {
-        let text = new_bin.text();
-        let warm_for_old = self.fingerprint.as_ref().is_some_and(|(name, addr, hash)| {
-            *name == new_bin.name
-                && *addr == text.addr
-                && *hash == old_text_hash
-                && self.cache.index.len() == text.bytes.len()
-        });
-        if !warm_for_old {
-            return false;
-        }
-        for &(start, end) in changed {
-            self.cache.invalidate_window(start, end);
-        }
-        self.fingerprint = Some((
-            new_bin.name.clone(),
-            text.addr,
-            text_content_hash(&text.bytes),
-        ));
-        self.last = None;
-        true
     }
 
     fn sync_fingerprint(&mut self, bin: &Binary) {

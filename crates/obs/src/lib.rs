@@ -2,9 +2,8 @@
 //!
 //! Offline, dependency-free **runtime observability** for the serving
 //! stack: an atomic counter/gauge registry, log-bucketed latency
-//! histograms with quantile extraction, a lightweight RAII span API
-//! with monotonic clocks and per-request IDs, and a leveled structured
-//! logger.
+//! histograms with quantile extraction, per-request IDs, and a leveled
+//! structured logger.
 //!
 //! **Naming note:** the workspace already has a `fetch-metrics` crate —
 //! that one scores detector output against ground truth (the *paper's*
@@ -21,8 +20,6 @@
 //! * [`Histogram`] — lock-free log-bucketed recording (two sub-buckets
 //!   per power of two, ≤ ±25 % bucket error) with exact `count`, `sum`
 //!   and `max`; [`Histogram::snapshot`] extracts p50/p95/p99.
-//! * [`Span`] — `Span::enter(&hist)` starts a monotonic clock and
-//!   records the elapsed microseconds into the histogram on drop.
 //! * [`IdGen`] — monotonic request IDs for correlating replies,
 //!   telemetry events, and log lines.
 //! * [`render_text`] — Prometheus-style text exposition of a registry
@@ -35,15 +32,13 @@
 //! ## Example
 //!
 //! ```
-//! use fetch_obs::{LogLevel, Registry, Span};
+//! use fetch_obs::{LogLevel, Registry};
 //!
 //! let reg = Registry::new();
 //! let hits = reg.counter("demo_hits_total");
 //! hits.inc();
 //! let lat = reg.histogram("demo_request_us");
-//! {
-//!     let _span = Span::enter(&lat); // records on drop
-//! }
+//! lat.record(42);
 //! let snap = reg.snapshot();
 //! let text = fetch_obs::render_text(&snap);
 //! assert!(text.contains("demo_hits_total 1"));
@@ -59,7 +54,7 @@ use std::fmt;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::{SystemTime, UNIX_EPOCH};
 
 // ---------------------------------------------------------------------------
 // Counters and gauges
@@ -224,49 +219,6 @@ pub struct HistogramSnapshot {
 }
 
 // ---------------------------------------------------------------------------
-// Span
-// ---------------------------------------------------------------------------
-
-/// An RAII timing span: starts a monotonic clock on
-/// [`Span::enter`] and records the elapsed microseconds into its
-/// histogram when dropped.
-#[derive(Debug)]
-pub struct Span {
-    hist: Arc<Histogram>,
-    start: Instant,
-    armed: bool,
-}
-
-impl Span {
-    /// Enters a span recording into `hist` on drop.
-    pub fn enter(hist: &Arc<Histogram>) -> Span {
-        Span {
-            hist: Arc::clone(hist),
-            start: Instant::now(),
-            armed: true,
-        }
-    }
-
-    /// Elapsed microseconds so far.
-    pub fn elapsed_us(&self) -> u64 {
-        self.start.elapsed().as_micros() as u64
-    }
-
-    /// Ends the span without recording (e.g. the work was re-routed).
-    pub fn discard(mut self) {
-        self.armed = false;
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if self.armed {
-            self.hist.record(self.start.elapsed().as_micros() as u64);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Request IDs
 // ---------------------------------------------------------------------------
 
@@ -361,11 +313,6 @@ impl Registry {
             Metric::Counter(a) | Metric::Gauge(a) => Gauge(Arc::clone(a)),
             Metric::Histogram(_) => panic!("metric {name} already registered as a histogram"),
         }
-    }
-
-    /// Registers an *existing* atomic as the gauge `name`.
-    pub fn register_gauge(&self, name: &str, atomic: Arc<AtomicU64>) {
-        self.lock().insert(name.to_string(), Metric::Gauge(atomic));
     }
 
     /// Get-or-create the histogram `name`.
@@ -666,17 +613,6 @@ mod tests {
             .find(|(n, _)| n == "ext_total")
             .expect("registered");
         assert!(matches!(ext.1, MetricValue::Counter(8)));
-    }
-
-    #[test]
-    fn span_records_on_drop_and_discard_does_not() {
-        let reg = Registry::new();
-        let h = reg.histogram("span_us");
-        {
-            let _s = Span::enter(&h);
-        }
-        Span::enter(&h).discard();
-        assert_eq!(h.count(), 1);
     }
 
     #[test]

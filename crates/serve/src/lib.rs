@@ -37,7 +37,7 @@
 //!   version* of a known binary through the delta ladder
 //!   ([`fetch_core::run_delta`]): verbatim reuse when the persisted
 //!   [`fetch_core::ImageDigest`] proves the patch answer-preserving
-//!   (source `"delta"`, `stats.delta` counters), decode-warm or cold
+//!   (source `"delta"`, `stats.delta` counters), cold
 //!   otherwise — always byte-identical to a cold `analyze`. The new
 //!   version's digest is derived from the predecessor's
 //!   ([`fetch_core::ImageDigest::compute_from`]), so a one-function patch
@@ -181,7 +181,7 @@ pub mod store;
 
 pub use fault::{FaultKind, FaultPlan};
 pub use protocol::{
-    AnalyzeReply, DeltaCounters, ErrorCode, MetricsReply, Reply, Request, ServeSource,
+    AnalyzeReply, ErrorCode, MetricsReply, Reply, Request, ServeSource, StatsCounter,
 };
 pub use server::{serve, serve_io, ServeSummary, ServerOptions};
 pub use service::{AnalysisService, ServeConfig, TelemetryHub};

@@ -60,6 +60,7 @@
 
 use crate::json::{escape_into, obj, write_num, Json};
 use fetch_core::{CacheStats, DetectionResult, LayerTrace, Pipeline, Provenance, Tool};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -172,8 +173,8 @@ pub enum Request {
         pipeline: Pipeline,
     },
     /// Analyze a new version of a previously-analyzed binary through
-    /// the delta ladder (digest diff → verbatim reuse / warm recompute
-    /// / cold fallback). Result-identical to [`Request::Analyze`].
+    /// the delta ladder (digest diff → verbatim reuse, else a cold
+    /// run). Result-identical to [`Request::Analyze`].
     Reanalyze {
         /// Fingerprint of the previous version (from its analyze
         /// reply) — the entry to delta against.
@@ -326,59 +327,86 @@ pub struct StoreStats {
     pub gc_bytes_freed: u64,
 }
 
-/// Per-command and per-source request counters of one daemon lifetime.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RequestCounters {
+/// Where one `stats` counter lives: the reply block and key it renders
+/// under, and the registry metric it is exposed as. Its doc is the doc
+/// of its [`StatsCounter`] variant, whose `as usize` is its row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterSpec {
+    /// Reply block (`"requests"` or `"delta"`).
+    pub block: &'static str,
+    /// Key inside the block.
+    pub key: &'static str,
+    /// Name in the `metrics` registry.
+    pub metric: &'static str,
+}
+
+/// Declares every `stats` counter once: one documented variant of
+/// [`StatsCounter`] plus its [`CounterSpec`] row of [`STATS_COUNTERS`].
+macro_rules! stats_counters {
+    ($($(#[doc = $doc:literal])+ $variant:ident => $block:literal, $key:literal, $metric:literal;)+) => {
+        /// A counter of the `stats` reply, one daemon lifetime.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum StatsCounter {
+            $($(#[doc = $doc])+ $variant,)+
+        }
+
+        /// Every `stats` counter, in [`StatsCounter`] order: the one
+        /// table the registry registration, the `stats` reply and its
+        /// render all read.
+        pub const STATS_COUNTERS: &[CounterSpec] = &[$(CounterSpec {
+            block: $block,
+            key: $key,
+            metric: $metric,
+        },)+];
+    };
+}
+
+stats_counters! {
     /// Every answer-path request (`analyze` + `reanalyze` + `query` +
     /// shed connections). Reconciles exactly:
     /// `requests_total == cache_hits + store_hits + delta_hits + cold
     /// + coalesced + errors + shed_busy`.
-    pub requests_total: u64,
+    RequestsTotal => "requests", "requests_total", "fetch_requests_total";
     /// Answer-path requests that ended in an error reply (bad input,
     /// unreadable path, not-found query, injected compute fault, …).
-    pub errors: u64,
+    Errors => "requests", "errors", "fetch_requests_errors_total";
     /// `analyze` requests handled.
-    pub analyze: u64,
+    Analyze => "requests", "analyze", "fetch_requests_analyze_total";
     /// `reanalyze` requests handled.
-    pub reanalyze: u64,
+    Reanalyze => "requests", "reanalyze", "fetch_requests_reanalyze_total";
     /// `query` requests handled.
-    pub query: u64,
+    Query => "requests", "query", "fetch_requests_query_total";
     /// Answers computed cold.
-    pub cold: u64,
+    Cold => "requests", "cold", "fetch_requests_cold_total";
     /// Answers served from the in-memory cache.
-    pub cache_hits: u64,
+    CacheHits => "requests", "cache_hits", "fetch_requests_cache_hits_total";
     /// Answers served from the persistent store.
-    pub store_hits: u64,
+    StoreHits => "requests", "store_hits", "fetch_requests_store_hits_total";
     /// Store entries that failed to load (corrupt/unreadable; the
     /// answer was recomputed cold and the entry rewritten).
-    pub store_errors: u64,
+    StoreErrors => "requests", "store_errors", "fetch_requests_store_errors_total";
     /// Answers received by joining another request's in-flight compute.
-    pub coalesced: u64,
+    Coalesced => "requests", "coalesced", "fetch_requests_coalesced_total";
     /// Requests shed with a `busy` error (pending queue full).
-    pub shed_busy: u64,
+    ShedBusy => "requests", "shed_busy", "fetch_requests_shed_busy_total";
     /// Requests rejected with a `too_large` error.
-    pub rejected_too_large: u64,
+    RejectedTooLarge => "requests", "rejected_too_large", "fetch_requests_rejected_too_large_total";
     /// Directory-queue requests moved to the `failed/` quarantine.
-    pub queue_quarantined: u64,
-}
-
-/// Outcome counters of the `reanalyze` delta ladder, one daemon
-/// lifetime (the `stats` reply's `delta` block).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DeltaCounters {
+    QueueQuarantined => "requests", "queue_quarantined", "fetch_requests_queue_quarantined_total";
     /// Reanalyzes answered verbatim from the previous result (ladder
     /// tiers 1–2: unchanged image, or a local semantically-equal text
     /// patch under a delta-safe pipeline).
-    pub delta_hits: u64,
+    DeltaHits => "delta", "delta_hits", "fetch_delta_hits_total";
     /// Total text buckets whose reuse the digest diffs proved, summed
     /// over all reanalyzes (whichever tier ran).
-    pub sections_reused: u64,
-    /// Reanalyzes that fell back to a (decode-warm) full recompute —
-    /// the change was local but not provably answer-preserving.
-    pub fallback_cold: u64,
-    /// Reanalyzes that ran plain cold: non-local change, or no usable
-    /// predecessor (unknown fingerprint / digest-less entry).
-    pub digest_mismatch: u64,
+    SectionsReused => "delta", "sections_reused", "fetch_delta_sections_reused_total";
+    /// Reanalyzes that ran cold because the change was local but not
+    /// provably answer-preserving (ladder tier 3, `recompute`).
+    FallbackCold => "delta", "fallback_cold", "fetch_delta_fallback_cold_total";
+    /// Reanalyzes that ran cold because the change was non-local, or
+    /// there was no usable predecessor (unknown fingerprint /
+    /// digest-less entry).
+    DigestMismatch => "delta", "digest_mismatch", "fetch_delta_digest_mismatch_total";
 }
 
 /// The full `stats` answer.
@@ -388,13 +416,19 @@ pub struct StatsReply {
     pub cache: CacheStats,
     /// Store footprint, when a store is configured.
     pub store: Option<StoreStats>,
-    /// Request counters.
-    pub requests: RequestCounters,
-    /// Delta-ladder outcome counters of the `reanalyze` path.
-    pub delta: DeltaCounters,
+    /// Every [`STATS_COUNTERS`] value, in table order (read one with
+    /// [`StatsReply::counter`]).
+    pub counters: [u64; STATS_COUNTERS.len()],
     /// Faults fired by the armed [`crate::FaultPlan`] (0 when no plan
     /// is armed) — chaos runs assert on this to prove injection armed.
     pub faults_injected: u64,
+}
+
+impl StatsReply {
+    /// The value of one counter.
+    pub fn counter(&self, counter: StatsCounter) -> u64 {
+        self.counters[counter as usize]
+    }
 }
 
 /// The `metrics` answer: the same registry snapshot in both forms.
@@ -459,13 +493,15 @@ fn push_hex(out: &mut String, v: u64) {
     }
 }
 
-/// Parses the protocol's hex-string identifier form (`0x` optional).
+/// Parses the protocol's hex-string identifier form: 1–16 ASCII hex
+/// digits after an optional `0x`/`0X`. No sign, so every accepted string
+/// names its value one way up to case and leading zeros.
 pub fn parse_hex_u64(s: &str) -> Option<u64> {
     let digits = s
         .strip_prefix("0x")
         .or_else(|| s.strip_prefix("0X"))
         .unwrap_or(s);
-    if digits.is_empty() {
+    if digits.is_empty() || digits.len() > 16 || !digits.bytes().all(|b| b.is_ascii_hexdigit()) {
         return None;
     }
     u64::from_str_radix(digits, 16).ok()
@@ -737,43 +773,22 @@ impl Reply {
                 ("result", result_json(&a.result)),
             ]),
             Reply::Stats(s) => {
-                let mut pairs = vec![
+                let mut pairs = BTreeMap::from([
                     ("ok".to_string(), Json::Bool(true)),
                     ("cache".to_string(), cache_stats_json(&s.cache)),
-                    (
-                        "requests".to_string(),
-                        obj([
-                            ("requests_total", Json::int(s.requests.requests_total)),
-                            ("errors", Json::int(s.requests.errors)),
-                            ("analyze", Json::int(s.requests.analyze)),
-                            ("reanalyze", Json::int(s.requests.reanalyze)),
-                            ("query", Json::int(s.requests.query)),
-                            ("cold", Json::int(s.requests.cold)),
-                            ("cache_hits", Json::int(s.requests.cache_hits)),
-                            ("store_hits", Json::int(s.requests.store_hits)),
-                            ("store_errors", Json::int(s.requests.store_errors)),
-                            ("coalesced", Json::int(s.requests.coalesced)),
-                            ("shed_busy", Json::int(s.requests.shed_busy)),
-                            (
-                                "rejected_too_large",
-                                Json::int(s.requests.rejected_too_large),
-                            ),
-                            ("queue_quarantined", Json::int(s.requests.queue_quarantined)),
-                        ]),
-                    ),
-                    (
-                        "delta".to_string(),
-                        obj([
-                            ("delta_hits", Json::int(s.delta.delta_hits)),
-                            ("sections_reused", Json::int(s.delta.sections_reused)),
-                            ("fallback_cold", Json::int(s.delta.fallback_cold)),
-                            ("digest_mismatch", Json::int(s.delta.digest_mismatch)),
-                        ]),
-                    ),
                     ("faults_injected".to_string(), Json::int(s.faults_injected)),
-                ];
+                ]);
+                for (spec, &value) in STATS_COUNTERS.iter().zip(&s.counters) {
+                    let Json::Obj(block) = pairs
+                        .entry(spec.block.to_string())
+                        .or_insert_with(|| Json::Obj(BTreeMap::new()))
+                    else {
+                        unreachable!("a counter block is an object");
+                    };
+                    block.insert(spec.key.to_string(), Json::int(value));
+                }
                 if let Some(store) = &s.store {
-                    pairs.push((
+                    pairs.insert(
                         "store".to_string(),
                         obj([
                             ("entries", Json::int(store.entries as u64)),
@@ -783,9 +798,9 @@ impl Reply {
                             ("gc_removed", Json::int(store.gc_removed)),
                             ("gc_bytes_freed", Json::int(store.gc_bytes_freed)),
                         ]),
-                    ));
+                    );
                 }
-                Json::Obj(pairs.into_iter().collect())
+                Json::Obj(pairs)
             }
             Reply::Subscribed => obj([("ok", Json::Bool(true)), ("subscribed", Json::Bool(true))]),
             Reply::Shutdown => obj([("ok", Json::Bool(true)), ("shutdown", Json::Bool(true))]),
@@ -1133,5 +1148,26 @@ mod tests {
         assert_eq!(decode_hex("7f454c46"), Some(vec![0x7f, 0x45, 0x4c, 0x46]));
         assert_eq!(decode_hex("7f4"), None);
         assert_eq!(encode_hex(&[0x7f, 0x45]), "7f45");
+    }
+
+    #[test]
+    fn parse_hex_u64_accepts_only_unsigned_hex_digits() {
+        // `u64::from_str_radix` takes a leading `+`; the protocol form
+        // must not, or one fingerprint would have several spellings.
+        for bad in [
+            "+ff",
+            "0x+ff",
+            "-1",
+            "0x",
+            "",
+            "00000000000000001",
+            "0x 1",
+            "ff ",
+        ] {
+            assert_eq!(parse_hex_u64(bad), None, "{bad:?}");
+        }
+        assert_eq!(parse_hex_u64("ff"), Some(255));
+        assert_eq!(parse_hex_u64("0xFF"), Some(255));
+        assert_eq!(parse_hex_u64("0Xffffffffffffffff"), Some(u64::MAX));
     }
 }

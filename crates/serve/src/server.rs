@@ -711,6 +711,7 @@ pub fn serve_io(
 mod tests {
     use super::*;
     use crate::service::ServeConfig;
+    use crate::StatsCounter;
     use fetch_binary::write_elf;
     use fetch_core::CacheCapacity;
     use fetch_synth::{synthesize, SynthConfig};
@@ -808,7 +809,7 @@ mod tests {
         assert!(reply.contains("\"ok\":false"), "{reply}");
         assert!(reply.contains("\"code\":\"bad_request\""), "{reply}");
         assert!(deferred.is_empty(), "consumed files leave the grace set");
-        assert_eq!(service.stats().requests.queue_quarantined, 1);
+        assert_eq!(service.stats().counter(StatsCounter::QueueQuarantined), 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -931,7 +932,7 @@ mod tests {
         assert_eq!(summary.queue_files, 2);
         let reply = fs::read_to_string(queue.join("out/00-re.json")).unwrap();
         assert!(reply.contains("\"source\":\"delta\""), "{reply}");
-        assert_eq!(service.stats().delta.delta_hits, 1);
+        assert_eq!(service.stats().counter(StatsCounter::DeltaHits), 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -945,6 +946,6 @@ mod tests {
         assert_eq!(handled, 0);
         let text = out.text();
         assert!(text.contains("\"code\":\"too_large\""), "{text}");
-        assert_eq!(service.stats().requests.rejected_too_large, 1);
+        assert_eq!(service.stats().counter(StatsCounter::RejectedTooLarge), 1);
     }
 }

@@ -14,7 +14,7 @@
 //! 2. **Persistent store** ([`ResultStore`]) — one file read +
 //!    checksummed decode; the loaded result is promoted into the cache.
 //!    A corrupt entry is *rejected* (counted in
-//!    [`RequestCounters::store_errors`]), recomputed cold, and
+//!    [`StatsCounter::StoreErrors`]), recomputed cold, and
 //!    overwritten.
 //! 3. **Coalesced cold compute** — the request joins the cache's
 //!    flight table ([`fetch_core::AnalysisCache::join_flight`]): the
@@ -49,8 +49,8 @@
 use crate::fault::{FaultKind, FaultPlan};
 use crate::json::Json;
 use crate::protocol::{
-    telemetry_events, AnalyzeInput, AnalyzeReply, DeltaCounters, ErrorCode, MetricsReply, Reply,
-    Request, RequestCounters, ServeSource, StatsReply,
+    telemetry_events, AnalyzeInput, AnalyzeReply, ErrorCode, MetricsReply, Reply, Request,
+    ServeSource, StatsCounter, StatsReply, STATS_COUNTERS,
 };
 use crate::store::{GcPolicy, ResultStore};
 use fetch_binary::{Binary, ElfImage};
@@ -119,90 +119,35 @@ pub struct ServeConfig {
     pub faults: Arc<FaultPlan>,
 }
 
-/// Lock-free request counters ([`RequestCounters`] is their snapshot).
+/// Lock-free `stats` counters, one per [`STATS_COUNTERS`] row.
 ///
-/// Every field is an `Arc<AtomicU64>` so the same atomic can be
-/// registered into the service's [`Registry`] — the `stats` reply and
-/// the `metrics` exposition read *identical* storage and therefore
-/// reconcile exactly by construction.
-#[derive(Debug, Default)]
-struct Counters {
-    requests_total: Arc<AtomicU64>,
-    errors: Arc<AtomicU64>,
-    analyze: Arc<AtomicU64>,
-    reanalyze: Arc<AtomicU64>,
-    query: Arc<AtomicU64>,
-    cold: Arc<AtomicU64>,
-    cache_hits: Arc<AtomicU64>,
-    store_hits: Arc<AtomicU64>,
-    store_errors: Arc<AtomicU64>,
-    coalesced: Arc<AtomicU64>,
-    shed_busy: Arc<AtomicU64>,
-    rejected_too_large: Arc<AtomicU64>,
-    queue_quarantined: Arc<AtomicU64>,
-    delta_hits: Arc<AtomicU64>,
-    sections_reused: Arc<AtomicU64>,
-    fallback_cold: Arc<AtomicU64>,
-    digest_mismatch: Arc<AtomicU64>,
-}
+/// Every counter is an `Arc<AtomicU64>` registered into the service's
+/// [`Registry`] — the `stats` reply and the `metrics` exposition read
+/// *identical* storage and therefore reconcile exactly by construction.
+#[derive(Debug)]
+struct Counters([Arc<AtomicU64>; STATS_COUNTERS.len()]);
 
 impl Counters {
-    /// Binds every counter into `registry` under its exposition name.
-    fn register(&self, registry: &Registry) {
-        for (name, atomic) in [
-            ("fetch_requests_total", &self.requests_total),
-            ("fetch_requests_errors_total", &self.errors),
-            ("fetch_requests_analyze_total", &self.analyze),
-            ("fetch_requests_reanalyze_total", &self.reanalyze),
-            ("fetch_requests_query_total", &self.query),
-            ("fetch_requests_cold_total", &self.cold),
-            ("fetch_requests_cache_hits_total", &self.cache_hits),
-            ("fetch_requests_store_hits_total", &self.store_hits),
-            ("fetch_requests_store_errors_total", &self.store_errors),
-            ("fetch_requests_coalesced_total", &self.coalesced),
-            ("fetch_requests_shed_busy_total", &self.shed_busy),
-            (
-                "fetch_requests_rejected_too_large_total",
-                &self.rejected_too_large,
-            ),
-            (
-                "fetch_requests_queue_quarantined_total",
-                &self.queue_quarantined,
-            ),
-            ("fetch_delta_hits_total", &self.delta_hits),
-            ("fetch_delta_sections_reused_total", &self.sections_reused),
-            ("fetch_delta_fallback_cold_total", &self.fallback_cold),
-            ("fetch_delta_digest_mismatch_total", &self.digest_mismatch),
-        ] {
-            registry.register_counter(name, Arc::clone(atomic));
+    /// Fresh zeroed counters, each bound into `registry` under its
+    /// exposition name.
+    fn registered(registry: &Registry) -> Counters {
+        let counters = Counters(std::array::from_fn(|_| Arc::default()));
+        for (spec, atomic) in STATS_COUNTERS.iter().zip(&counters.0) {
+            registry.register_counter(spec.metric, Arc::clone(atomic));
         }
+        counters
     }
 
-    fn snapshot(&self) -> RequestCounters {
-        RequestCounters {
-            requests_total: self.requests_total.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            analyze: self.analyze.load(Ordering::Relaxed),
-            reanalyze: self.reanalyze.load(Ordering::Relaxed),
-            query: self.query.load(Ordering::Relaxed),
-            cold: self.cold.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            store_hits: self.store_hits.load(Ordering::Relaxed),
-            store_errors: self.store_errors.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            shed_busy: self.shed_busy.load(Ordering::Relaxed),
-            rejected_too_large: self.rejected_too_large.load(Ordering::Relaxed),
-            queue_quarantined: self.queue_quarantined.load(Ordering::Relaxed),
-        }
+    fn add(&self, counter: StatsCounter, n: u64) {
+        self.0[counter as usize].fetch_add(n, Ordering::Relaxed);
     }
 
-    fn delta_snapshot(&self) -> DeltaCounters {
-        DeltaCounters {
-            delta_hits: self.delta_hits.load(Ordering::Relaxed),
-            sections_reused: self.sections_reused.load(Ordering::Relaxed),
-            fallback_cold: self.fallback_cold.load(Ordering::Relaxed),
-            digest_mismatch: self.digest_mismatch.load(Ordering::Relaxed),
-        }
+    fn inc(&self, counter: StatsCounter) {
+        self.add(counter, 1);
+    }
+
+    fn snapshot(&self) -> [u64; STATS_COUNTERS.len()] {
+        std::array::from_fn(|i| self.0[i].load(Ordering::Relaxed))
     }
 }
 
@@ -322,8 +267,7 @@ impl AnalysisService {
                 registry.histogram("fetch_store_load_us"),
             );
         }
-        let counters = Counters::default();
-        counters.register(&registry);
+        let counters = Counters::registered(&registry);
         let cache = AnalysisCache::with_capacity(config.cache_capacity);
         cache.register_metrics(&registry, "fetch_cache");
         registry.register_counter("fetch_faults_injected_total", config.faults.fired_handle());
@@ -389,23 +333,19 @@ impl AnalysisService {
     /// `source="shed"` latency histogram (the daemon spent ~no time on
     /// them), so the reconciliation identity covers load shedding.
     pub fn note_shed_busy(&self) {
-        self.counters.requests_total.fetch_add(1, Ordering::Relaxed);
-        self.counters.shed_busy.fetch_add(1, Ordering::Relaxed);
+        self.counters.inc(StatsCounter::RequestsTotal);
+        self.counters.inc(StatsCounter::ShedBusy);
         self.obs.request_hist("shed").record(0);
     }
 
     /// Records a request rejected with `too_large` (transport-level).
     pub fn note_rejected_too_large(&self) {
-        self.counters
-            .rejected_too_large
-            .fetch_add(1, Ordering::Relaxed);
+        self.counters.inc(StatsCounter::RejectedTooLarge);
     }
 
     /// Records a directory-queue request moved to quarantine.
     pub fn note_queue_quarantined(&self) {
-        self.counters
-            .queue_quarantined
-            .fetch_add(1, Ordering::Relaxed);
+        self.counters.inc(StatsCounter::QueueQuarantined);
     }
 
     /// Handles one request under a freshly drawn request ID. Every path
@@ -428,14 +368,14 @@ impl AnalysisService {
         match request {
             Request::Analyze { input, pipeline } => {
                 let t0 = Instant::now();
-                self.counters.requests_total.fetch_add(1, Ordering::Relaxed);
+                self.counters.inc(StatsCounter::RequestsTotal);
                 let reply = match self.analyze(req_id, input, &pipeline) {
                     Ok(reply) => {
                         self.emit(&reply);
                         Reply::Analyze(reply)
                     }
                     Err((code, message)) => {
-                        self.counters.errors.fetch_add(1, Ordering::Relaxed);
+                        self.counters.inc(StatsCounter::Errors);
                         Reply::error(code, message)
                     }
                 };
@@ -448,14 +388,14 @@ impl AnalysisService {
                 pipeline,
             } => {
                 let t0 = Instant::now();
-                self.counters.requests_total.fetch_add(1, Ordering::Relaxed);
+                self.counters.inc(StatsCounter::RequestsTotal);
                 let reply = match self.reanalyze(req_id, prev_fingerprint, input, &pipeline) {
                     Ok(reply) => {
                         self.emit(&reply);
                         Reply::Analyze(reply)
                     }
                     Err((code, message)) => {
-                        self.counters.errors.fetch_add(1, Ordering::Relaxed);
+                        self.counters.inc(StatsCounter::Errors);
                         Reply::error(code, message)
                     }
                 };
@@ -467,15 +407,15 @@ impl AnalysisService {
                 pipeline_id,
             } => {
                 let t0 = Instant::now();
-                self.counters.requests_total.fetch_add(1, Ordering::Relaxed);
-                self.counters.query.fetch_add(1, Ordering::Relaxed);
+                self.counters.inc(StatsCounter::RequestsTotal);
+                self.counters.inc(StatsCounter::Query);
                 let reply = match self.lookup_warm(req_id, fingerprint, &pipeline_id) {
                     Some((reply, _has_digest)) => {
                         self.emit(&reply);
                         Reply::Analyze(reply)
                     }
                     None => {
-                        self.counters.errors.fetch_add(1, Ordering::Relaxed);
+                        self.counters.inc(StatsCounter::Errors);
                         Reply::error(
                             ErrorCode::NotFound,
                             format!(
@@ -545,8 +485,7 @@ impl AnalysisService {
         StatsReply {
             cache: self.cache.stats(),
             store: self.store.as_ref().and_then(|s| s.stats().ok()),
-            requests: self.counters.snapshot(),
-            delta: self.counters.delta_snapshot(),
+            counters: self.counters.snapshot(),
             faults_injected: self.faults.fired(),
         }
     }
@@ -573,7 +512,7 @@ impl AnalysisService {
     ) -> Option<(AnalyzeReply, bool)> {
         let t0 = Instant::now();
         if let Some((result, digest)) = self.cache.lookup_with_digest(fingerprint, pipeline_id) {
-            self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+            self.counters.inc(StatsCounter::CacheHits);
             return Some((
                 AnalyzeReply {
                     req_id,
@@ -592,7 +531,7 @@ impl AnalysisService {
             .map(|s| s.load_full(fingerprint, pipeline_id))
         {
             Some(Ok(Some((result, digest)))) => {
-                self.counters.store_hits.fetch_add(1, Ordering::Relaxed);
+                self.counters.inc(StatsCounter::StoreHits);
                 let has_digest = digest.is_some();
                 let result = self.cache.insert_with_digest(
                     fingerprint,
@@ -613,7 +552,7 @@ impl AnalysisService {
                 ))
             }
             Some(Err(e)) => {
-                self.counters.store_errors.fetch_add(1, Ordering::Relaxed);
+                self.counters.inc(StatsCounter::StoreErrors);
                 logmsg!(
                     LogLevel::Warn,
                     req_id,
@@ -696,7 +635,7 @@ impl AnalysisService {
         input: AnalyzeInput,
         pipeline: &Pipeline,
     ) -> Result<AnalyzeReply, (ErrorCode, String)> {
-        self.counters.analyze.fetch_add(1, Ordering::Relaxed);
+        self.counters.inc(StatsCounter::Analyze);
         let t0 = Instant::now();
         let image = self.load_image(input)?;
         let fingerprint = image_fingerprint(&image);
@@ -722,7 +661,7 @@ impl AnalysisService {
             match self.cache.join_flight(fingerprint, &pipeline_id) {
                 Flight::Hit(result) => {
                     // Completed between our lookup and the join.
-                    self.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+                    self.counters.inc(StatsCounter::CacheHits);
                     return Ok(AnalyzeReply {
                         req_id,
                         fingerprint,
@@ -733,7 +672,7 @@ impl AnalysisService {
                     });
                 }
                 Flight::Waited(Some(result)) => {
-                    self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
+                    self.counters.inc(StatsCounter::Coalesced);
                     self.obs
                         .coalesce_wait_us
                         .record(t_join.elapsed().as_micros() as u64);
@@ -760,7 +699,7 @@ impl AnalysisService {
                             FaultPlan::injected_error(FaultPlan::COMPUTE).to_string(),
                         ));
                     }
-                    self.counters.cold.fetch_add(1, Ordering::Relaxed);
+                    self.counters.inc(StatsCounter::Cold);
                     let binary = image.to_binary();
                     let result = Arc::new(self.compute(pipeline, &binary));
                     // Publish to cache and waiters first; digest + disk
@@ -799,8 +738,10 @@ impl AnalysisService {
     ///    `digest_mismatch` — there was nothing sound to delta against).
     /// 3. The ladder runs on a pooled engine; tiers 1–2 reuse the
     ///    previous result verbatim (source `"delta"`, counted in
-    ///    `delta_hits`), tier 3 recomputes decode-warm
-    ///    (`fallback_cold`), tier 4 runs plain cold (`digest_mismatch`).
+    ///    `delta_hits`). Tier 3 (a local change no verbatim tier can
+    ///    prove, counted as `fallback_cold`) and tier 4 (a non-local
+    ///    change, counted as `digest_mismatch`) both run the pipeline
+    ///    cold.
     ///
     /// Whatever tier answered, the result and the new image's digest
     /// are published to the cache and store, so the next version deltas
@@ -814,7 +755,7 @@ impl AnalysisService {
         input: AnalyzeInput,
         pipeline: &Pipeline,
     ) -> Result<AnalyzeReply, (ErrorCode, String)> {
-        self.counters.reanalyze.fetch_add(1, Ordering::Relaxed);
+        self.counters.inc(StatsCounter::Reanalyze);
         let t0 = Instant::now();
         let image = self.load_image(input)?;
         let fingerprint = image_fingerprint(&image);
@@ -848,7 +789,7 @@ impl AnalysisService {
                         Some((Arc::new(result), digest.map(Arc::new)))
                     }
                     Some(Err(e)) => {
-                        self.counters.store_errors.fetch_add(1, Ordering::Relaxed);
+                        self.counters.inc(StatsCounter::StoreErrors);
                         logmsg!(
                             LogLevel::Warn,
                             req_id,
@@ -892,22 +833,16 @@ impl AnalysisService {
             .push(engine);
 
         self.counters
-            .sections_reused
-            .fetch_add(sections_reused as u64, Ordering::Relaxed);
+            .add(StatsCounter::SectionsReused, sections_reused as u64);
         let source = if class.is_hit() {
-            self.counters.delta_hits.fetch_add(1, Ordering::Relaxed);
+            self.counters.inc(StatsCounter::DeltaHits);
             ServeSource::Delta
         } else {
-            match class {
-                DeltaClass::Recompute => {
-                    self.counters.fallback_cold.fetch_add(1, Ordering::Relaxed)
-                }
-                _ => self
-                    .counters
-                    .digest_mismatch
-                    .fetch_add(1, Ordering::Relaxed),
-            };
-            self.counters.cold.fetch_add(1, Ordering::Relaxed);
+            self.counters.inc(match class {
+                DeltaClass::Recompute => StatsCounter::FallbackCold,
+                _ => StatsCounter::DigestMismatch,
+            });
+            self.counters.inc(StatsCounter::Cold);
             // A non-hit tier ran the pipeline: its trace is fresh.
             self.obs.record_layer_walls(&result);
             ServeSource::Cold
@@ -1026,8 +961,8 @@ mod tests {
             ServeSource::CacheHit
         );
         let stats = restarted.stats();
-        assert_eq!(stats.requests.store_hits, 1);
-        assert_eq!(stats.requests.cold, 0);
+        assert_eq!(stats.counter(StatsCounter::StoreHits), 1);
+        assert_eq!(stats.counter(StatsCounter::Cold), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1138,8 +1073,8 @@ mod tests {
         assert!(lines[1].contains("\"layer\":\"FDE\""));
         assert!(lines[5].contains("\"source\":\"cache\""));
         let stats = service.stats();
-        assert_eq!(stats.requests.query, 2);
-        assert_eq!(stats.requests.analyze, 1);
+        assert_eq!(stats.counter(StatsCounter::Query), 2);
+        assert_eq!(stats.counter(StatsCounter::Analyze), 1);
         assert!(stats.store.is_none());
     }
 
@@ -1176,8 +1111,12 @@ mod tests {
         // Exactly one cold compute; every reply byte-identical to the
         // serial answer; every source a known warm/cold token.
         let stats = service.stats();
-        assert_eq!(stats.requests.cold, 1, "exactly one cold compute");
-        assert_eq!(stats.requests.analyze, CALLERS as u64);
+        assert_eq!(
+            stats.counter(StatsCounter::Cold),
+            1,
+            "exactly one cold compute"
+        );
+        assert_eq!(stats.counter(StatsCounter::Analyze), CALLERS as u64);
         for reply in &replies {
             let a = match reply {
                 Reply::Analyze(a) => a,
@@ -1256,18 +1195,18 @@ mod tests {
             "a delta answer must be byte-identical to the cold answer"
         );
         let stats = restarted.stats();
-        assert_eq!(stats.requests.reanalyze, 1);
-        assert_eq!(stats.delta.delta_hits, 1);
-        assert!(stats.delta.sections_reused > 0);
-        assert_eq!(stats.requests.cold, 0, "no pipeline ran");
+        assert_eq!(stats.counter(StatsCounter::Reanalyze), 1);
+        assert_eq!(stats.counter(StatsCounter::DeltaHits), 1);
+        assert!(stats.counter(StatsCounter::SectionsReused) > 0);
+        assert_eq!(stats.counter(StatsCounter::Cold), 0, "no pipeline ran");
 
         // A behavioral patch (an immediate became a code address) is
-        // not provably answer-preserving: decode-warm recompute,
+        // not provably answer-preserving: a cold recompute,
         // byte-identical, counted as a cold fallback.
         let recomputed = reanalyze(elf_v2b);
         assert_eq!(reply_source(&recomputed), ServeSource::Cold);
         assert_eq!(result_json_of(&recomputed), ref_v2b);
-        assert_eq!(restarted.stats().delta.fallback_cold, 1);
+        assert_eq!(restarted.stats().counter(StatsCounter::FallbackCold), 1);
 
         // An unknown predecessor bottoms out on the ladder's cold tier.
         let other = synthesize(&SynthConfig::small(67));
@@ -1277,7 +1216,7 @@ mod tests {
             pipeline: Pipeline::fetch(),
         });
         assert_eq!(reply_source(&re), ServeSource::Cold);
-        assert_eq!(restarted.stats().delta.digest_mismatch, 1);
+        assert_eq!(restarted.stats().counter(StatsCounter::DigestMismatch), 1);
 
         // Every reanalyze republished under the new fingerprint: a
         // plain resubmission of the neutral patch is now a cache hit.

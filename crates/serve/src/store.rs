@@ -217,11 +217,6 @@ impl ResultStore {
         &self.dir
     }
 
-    /// The configured GC policy.
-    pub fn gc_policy(&self) -> GcPolicy {
-        self.gc
-    }
-
     /// The lifecycle counters of this store instance.
     pub fn lifecycle(&self) -> StoreLifecycle {
         StoreLifecycle {

@@ -25,7 +25,7 @@ use fetch_serve::json::Json;
 use fetch_serve::protocol::{result_json, AnalyzeInput, ErrorCode, Reply, Request};
 use fetch_serve::server::{serve, ServerOptions};
 use fetch_serve::service::{AnalysisService, ServeConfig};
-use fetch_serve::FaultPlan;
+use fetch_serve::{FaultPlan, StatsCounter};
 use fetch_synth::{synthesize, SynthConfig};
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
@@ -144,7 +144,7 @@ fn drive_in_process(spec: &str, elf: &[u8], reference: &str, dir: &Path) {
              every answer must be correct"
         );
         let stats = service.stats();
-        assert_eq!(stats.requests.analyze, 3);
+        assert_eq!(stats.counter(StatsCounter::Analyze), 3);
         quarantined = stats.store.expect("store stats").quarantined;
     }
     // A torn or corrupted persist is healed by the restart sweep.
@@ -348,7 +348,7 @@ proptest! {
             );
             // The service stays fully observable under any plan.
             let stats = service.stats();
-            prop_assert!(stats.requests.analyze >= u64::from(budget) + 2);
+            prop_assert!(stats.counter(StatsCounter::Analyze) >= u64::from(budget) + 2);
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -17,9 +17,9 @@
 use fetch_binary::write_elf;
 use fetch_core::Pipeline;
 use fetch_serve::json::Json;
-use fetch_serve::protocol::{AnalyzeInput, Reply, Request};
+use fetch_serve::protocol::{AnalyzeInput, Reply, Request, STATS_COUNTERS};
 use fetch_serve::service::{AnalysisService, ServeConfig};
-use fetch_serve::FaultPlan;
+use fetch_serve::{FaultPlan, StatsCounter};
 use fetch_synth::{synthesize, SynthConfig};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -182,22 +182,21 @@ proptest! {
         });
 
         let stats = service.stats();
-        let r = &stats.requests;
+        let c = |counter| stats.counter(counter);
 
         // The partition identity: every answer-path request lands in
         // exactly one outcome bucket.
         prop_assert_eq!(
-            r.requests_total,
-            r.cache_hits
-                + r.store_hits
-                + stats.delta.delta_hits
-                + r.cold
-                + r.coalesced
-                + r.errors
-                + r.shed_busy,
-            "outcome counters must partition requests_total: {:?} delta={:?}",
-            r,
-            stats.delta
+            c(StatsCounter::RequestsTotal),
+            c(StatsCounter::CacheHits)
+                + c(StatsCounter::StoreHits)
+                + c(StatsCounter::DeltaHits)
+                + c(StatsCounter::Cold)
+                + c(StatsCounter::Coalesced)
+                + c(StatsCounter::Errors)
+                + c(StatsCounter::ShedBusy),
+            "outcome counters must partition requests_total: {:?}",
+            stats.counters
         );
 
         // The exposition reads the same atomics — equal by construction,
@@ -206,14 +205,9 @@ proptest! {
             Reply::Metrics(m) => m.metrics,
             other => panic!("metrics reply: {other:?}"),
         };
-        prop_assert_eq!(metric(&metrics, "fetch_requests_total"), r.requests_total);
-        prop_assert_eq!(metric(&metrics, "fetch_requests_errors_total"), r.errors);
-        prop_assert_eq!(metric(&metrics, "fetch_requests_cold_total"), r.cold);
-        prop_assert_eq!(metric(&metrics, "fetch_requests_cache_hits_total"), r.cache_hits);
-        prop_assert_eq!(metric(&metrics, "fetch_requests_store_hits_total"), r.store_hits);
-        prop_assert_eq!(metric(&metrics, "fetch_requests_coalesced_total"), r.coalesced);
-        prop_assert_eq!(metric(&metrics, "fetch_requests_shed_busy_total"), r.shed_busy);
-        prop_assert_eq!(metric(&metrics, "fetch_delta_hits_total"), stats.delta.delta_hits);
+        for (spec, &value) in STATS_COUNTERS.iter().zip(&stats.counters) {
+            prop_assert_eq!(metric(&metrics, spec.metric), value, "{}", spec.metric);
+        }
         prop_assert_eq!(metric(&metrics, "fetch_faults_injected_total"), stats.faults_injected);
         prop_assert_eq!(
             metric(&metrics, "fetch_cache_hits_total"),
@@ -224,7 +218,7 @@ proptest! {
         // Latency accounting: one histogram observation per request.
         prop_assert_eq!(
             request_histogram_total(&metrics),
-            r.requests_total,
+            c(StatsCounter::RequestsTotal),
             "every request must be timed into exactly one source histogram"
         );
 

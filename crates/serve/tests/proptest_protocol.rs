@@ -1,0 +1,150 @@
+//! Hostile request lines: the protocol decoder faces every byte a
+//! client can send, so [`parse_request`] must answer each one with a
+//! request or a structured [`RequestError`], never a panic.
+//!
+//! Inputs are arbitrary strings plus truncations and byte flips of
+//! rendered valid requests, oversized numbers and identifiers, and
+//! nesting past the JSON parser's depth bound. A second property pins
+//! the canonical form: a valid request re-renders to the line it was
+//! parsed from, and an accepted hostile line parses back to the same
+//! request once re-rendered.
+
+use fetch_core::{Pipeline, KNOWN_LAYERS};
+use fetch_serve::protocol::{parse_request, AnalyzeInput, Request, RequestError};
+use fetch_serve::ErrorCode;
+use proptest::collection::vec;
+use proptest::prelude::*;
+use std::path::PathBuf;
+
+/// JSON-significant characters, escapes, control characters, DEL,
+/// multi-byte UTF-8 and plain ASCII.
+const CHARS: &[char] = &[
+    'a', 'Z', '0', '9', 'f', 'x', 'e', 'u', '/', '.', '-', '+', '_', ' ', '"', '\\', '\n', '\t',
+    '\u{1}', '\u{7f}', 'é', '😀', '{', '}', '[', ']', ':', ',',
+];
+
+fn arb_text(len: std::ops::Range<usize>) -> impl Strategy<Value = String> {
+    vec(0..CHARS.len(), len).prop_map(|picks| picks.into_iter().map(|i| CHARS[i]).collect())
+}
+
+/// Every request shape, over pipelines of distinct registry layers.
+fn arb_request() -> impl Strategy<Value = Request> {
+    let input = prop_oneof![
+        arb_text(0..24).prop_map(|s| AnalyzeInput::Path(PathBuf::from(s))),
+        vec(any::<u8>(), 0..64).prop_map(AnalyzeInput::Bytes),
+    ];
+    (0u8..7, input, vec(any::<u8>(), 1..6), any::<u64>()).prop_map(|(kind, input, picks, fp)| {
+        let mut specs = Vec::new();
+        for p in picks {
+            let spec = KNOWN_LAYERS[p as usize % KNOWN_LAYERS.len()].1;
+            if !specs.contains(&spec) {
+                specs.push(spec);
+            }
+        }
+        let pipeline = Pipeline::new(specs);
+        match kind {
+            0 => Request::Analyze { input, pipeline },
+            1 => Request::Reanalyze {
+                prev_fingerprint: fp,
+                input,
+                pipeline,
+            },
+            2 => Request::Query {
+                fingerprint: fp,
+                pipeline_id: pipeline.id(),
+            },
+            3 => Request::Stats,
+            4 => Request::Metrics,
+            5 => Request::Subscribe,
+            _ => Request::Shutdown,
+        }
+    })
+}
+
+/// Numbers and identifiers too large for their field, and arrays and
+/// objects nested up to far past the parser's depth bound.
+fn arb_oversized_or_nested() -> impl Strategy<Value = String> {
+    (0u8..10, 1usize..2000, any::<u64>()).prop_map(|(shape, n, seed)| {
+        let d: String = (0..n % 400 + 1)
+            .map(|i| char::from(b'0' + ((seed >> (i % 60)) as u8 ^ i as u8) % 10))
+            .collect();
+        match shape {
+            0 => format!(r#"{{"cmd":"query","fingerprint":"0x{d}"}}"#),
+            1 => format!(r#"{{"cmd":"reanalyze","prev_fingerprint":"{d}","path":"x"}}"#),
+            2 => format!(r#"{{"cmd":{d}}}"#),
+            3 => format!(r#"{{"cmd":"stats","n":1e{d}}}"#),
+            4 => format!(r#"{{"cmd":"analyze","bytes_hex":"{d}"}}"#),
+            5 => format!(r#"{{"cmd":"query","fingerprint":-{d}.{d}e-{d}}}"#),
+            6 => "[".repeat(n) + &"]".repeat(n),
+            7 => format!(r#"{{"cmd":{}1{}}}"#, r#"{"a":"#.repeat(n), "}".repeat(n)),
+            8 => "[{".repeat(n),
+            _ => format!(
+                r#"{{"cmd":"analyze","path":{}"x"{}}}"#,
+                "[".repeat(n),
+                "]".repeat(n)
+            ),
+        }
+    })
+}
+
+fn arb_hostile_line() -> impl Strategy<Value = String> {
+    prop_oneof![
+        arb_text(0..200),
+        vec(any::<u32>(), 0..64).prop_map(|cs| cs.into_iter().filter_map(char::from_u32).collect()),
+        (arb_request(), any::<usize>()).prop_map(|(req, cut)| {
+            let line = req.to_line();
+            let mut at = cut % (line.len() + 1);
+            while !line.is_char_boundary(at) {
+                at -= 1;
+            }
+            line[..at].to_string()
+        }),
+        (arb_request(), vec((any::<usize>(), 1u8..=255), 1..4)).prop_map(|(req, flips)| {
+            let mut bytes = req.to_line().into_bytes();
+            for (at, mask) in flips {
+                let i = at % bytes.len();
+                bytes[i] ^= mask;
+            }
+            String::from_utf8_lossy(&bytes).into_owned()
+        }),
+        arb_oversized_or_nested(),
+    ]
+}
+
+/// The decoder's contract on one line: a request, or a `bad_request` /
+/// `too_large` error that says what was wrong.
+fn check_line(line: &str) -> Result<Request, RequestError> {
+    let parsed = parse_request(line);
+    if let Err(e) = &parsed {
+        assert!(
+            matches!(e.code, ErrorCode::BadRequest | ErrorCode::TooLarge),
+            "{line:?}: unexpected code {:?}",
+            e.code
+        );
+        assert!(!e.message.is_empty(), "{line:?}: empty error message");
+    }
+    parsed
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Every hostile line gets an answer, never a panic; an accepted one
+    /// is a request whose rendering parses back to itself.
+    #[test]
+    fn hostile_lines_never_panic(line in arb_hostile_line()) {
+        if let Ok(req) = check_line(&line) {
+            prop_assert_eq!(parse_request(&req.to_line()), Ok(req), "{:?}", line);
+        }
+    }
+
+    /// A valid request's line parses back to it and re-renders to the
+    /// same bytes.
+    #[test]
+    fn valid_requests_round_trip_byte_identically(req in arb_request()) {
+        let line = req.to_line();
+        let parsed = check_line(&line).expect("a rendered request parses");
+        prop_assert_eq!(&parsed, &req);
+        prop_assert_eq!(parsed.to_line(), line);
+    }
+}

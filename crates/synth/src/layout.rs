@@ -8,7 +8,7 @@ use fetch_binary::{
     Binary, FunctionTruth, GroundTruth, Part, Section, SectionKind, Symbol, TestCase,
 };
 use fetch_ehframe::{encode_eh_frame, CfiInst, Cie, EhFrame, Fde};
-use fetch_x64::{nop_bytes, FixupKind, Reg};
+use fetch_x64::{nop_bytes, Reg};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -256,17 +256,11 @@ pub fn layout(
             for fix in &part.fixups {
                 let target_addr = resolve(fix.target, i);
                 let field_off = (placed.addr - TEXT_BASE) as usize + fix.pos;
-                match fix.kind {
-                    FixupKind::Rel32 | FixupKind::RipDisp32 => {
-                        let field_addr = TEXT_BASE + field_off as u64;
-                        let rel = target_addr.wrapping_sub(field_addr + 4) as i64;
-                        let rel = i32::try_from(rel).expect("layout stays within ±2GiB");
-                        text[field_off..field_off + 4].copy_from_slice(&rel.to_le_bytes());
-                    }
-                    FixupKind::Abs64 => {
-                        text[field_off..field_off + 8].copy_from_slice(&target_addr.to_le_bytes());
-                    }
-                }
+                // Every fixup kind is a rel32 field.
+                let field_addr = TEXT_BASE + field_off as u64;
+                let rel = target_addr.wrapping_sub(field_addr + 4) as i64;
+                let rel = i32::try_from(rel).expect("layout stays within ±2GiB");
+                text[field_off..field_off + 4].copy_from_slice(&rel.to_le_bytes());
             }
         }
     }

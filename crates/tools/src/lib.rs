@@ -30,109 +30,49 @@
 //! # Examples
 //!
 //! ```
+//! use fetch_disasm::RecEngine;
 //! use fetch_tools::{run_tool, Tool};
 //! use fetch_synth::{synthesize, SynthConfig};
 //!
 //! let case = synthesize(&SynthConfig::small(4));
-//! let fetch = run_tool(Tool::Fetch, &case.binary).expect("fetch runs");
-//! let radare = run_tool(Tool::Radare2, &case.binary).expect("radare runs");
+//! // One engine shared across tools: the second model reuses the decodes.
+//! let mut engine = RecEngine::new();
+//! let fetch = run_tool(Tool::Fetch, &case.binary, &mut engine).expect("fetch runs");
+//! let radare = run_tool(Tool::Radare2, &case.binary, &mut engine).expect("radare runs");
 //! assert!(fetch.len() >= radare.len());
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use fetch_binary::{Binary, ElfImage};
-use fetch_core::{image_fingerprint, AnalysisCache, DetectionResult, Pipeline};
+use fetch_binary::Binary;
+use fetch_core::{DetectionResult, Pipeline};
 use fetch_disasm::RecEngine;
-use std::sync::Arc;
 
 pub use fetch_core::Tool;
-
-/// Runs `tool` on `binary`. Returns `None` when the tool fails to open
-/// the binary (ANGR could not open 9 of the 1,352 corpus binaries —
-/// §IV-C; modeled deterministically from the binary name).
-pub fn run_tool(tool: Tool, binary: &Binary) -> Option<DetectionResult> {
-    run_tool_with_engine(tool, binary, &mut RecEngine::new())
-}
 
 /// Runs `tool` on `binary` through a caller-owned [`RecEngine`], so the
 /// decode cache built by one tool model is reused by the next — every
 /// model re-disassembles the same `.text`, and decoding dominates the
-/// cost. Result-identical to [`run_tool`] for every tool: the engine
-/// only replays work whose inputs (binary fingerprint, seeds, options)
-/// match exactly, which a property test in `fetch-core` enforces.
-pub fn run_tool_with_engine(
-    tool: Tool,
-    binary: &Binary,
-    engine: &mut RecEngine,
-) -> Option<DetectionResult> {
+/// cost; pass `&mut RecEngine::new()` for a one-off run. The result does
+/// not depend on the engine's history: it only replays work whose inputs
+/// (binary fingerprint, seeds, options) match exactly, which a property
+/// test in `fetch-core` enforces.
+///
+/// Returns `None` when the tool fails to open the binary (ANGR could
+/// not open 9 of the 1,352 corpus binaries — §IV-C; modeled
+/// deterministically from the binary name).
+pub fn run_tool(tool: Tool, binary: &Binary, engine: &mut RecEngine) -> Option<DetectionResult> {
     if tool == Tool::Angr && angr_rejects(binary) {
         return None;
     }
     Some(Pipeline::for_tool(tool).run_with_engine(binary, engine))
 }
 
-/// Runs `tool` directly on a parsed ELF image through a caller-owned
-/// engine — the zero-copy path: the materialized sections are windows of
-/// the image's one shared buffer ([`ElfImage::to_binary`]), so running
-/// all nine models copies no section bodies. `name` stands in for the
-/// display name ELF images cannot carry (it feeds [`angr_rejects`]).
-///
-/// Each call re-materializes the (cheap, but not free) section and
-/// symbol vectors; a sweep over many tools should call
-/// [`ElfImage::to_binary`] once and loop over [`run_tool_with_engine`]
-/// instead — or go through [`run_tool_on_image_cached`] and skip repeat
-/// analyses entirely.
-pub fn run_tool_on_image(
-    tool: Tool,
-    image: &ElfImage,
-    name: &str,
-    engine: &mut RecEngine,
-) -> Option<DetectionResult> {
-    let mut binary = image.to_binary();
-    binary.name = name.to_string();
-    run_tool_with_engine(tool, &binary, engine)
-}
-
-/// [`run_tool_on_image`] through a serving-layer [`AnalysisCache`],
-/// keyed by `(image fingerprint, tool pipeline id)`: an image already
-/// analyzed under a tool's stack is answered by a hash and a lookup —
-/// the image is not even materialized. ANGR's name-keyed loader-failure
-/// model is evaluated *before* the cache, so a rejection is never
-/// cached and never served to a differently-named twin image.
-pub fn run_tool_on_image_cached(
-    tool: Tool,
-    image: &ElfImage,
-    name: &str,
-    engine: &mut RecEngine,
-    cache: &AnalysisCache,
-) -> Option<Arc<DetectionResult>> {
-    if tool == Tool::Angr && angr_rejects_name(name) {
-        return None;
-    }
-    // The precomputed static id keeps the warm-hit path allocation-free
-    // (pinned to `Pipeline::for_tool(tool).id()` by a fetch-core test);
-    // the pipeline itself is only materialized on a miss.
-    Some(
-        cache.get_or_compute(image_fingerprint(image), tool.pipeline_id(), || {
-            let mut binary = image.to_binary();
-            binary.name = name.to_string();
-            Pipeline::for_tool(tool).run_with_engine(&binary, engine)
-        }),
-    )
-}
-
 /// Deterministic model of ANGR's 9 loader failures (≈0.7% of binaries).
 pub fn angr_rejects(binary: &Binary) -> bool {
-    angr_rejects_name(&binary.name)
-}
-
-/// [`angr_rejects`] on a bare display name (the image path carries the
-/// name out of band).
-pub fn angr_rejects_name(name: &str) -> bool {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
+    for b in binary.name.as_bytes() {
         h ^= *b as u64;
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
@@ -146,7 +86,7 @@ mod tests {
     use std::collections::BTreeSet;
 
     fn eval(tool: Tool, case: &fetch_binary::TestCase) -> Option<(usize, usize)> {
-        let r = run_tool(tool, &case.binary)?;
+        let r = run_tool(tool, &case.binary, &mut RecEngine::new())?;
         let truth = case.truth.starts();
         let found = r.start_set();
         let fp = found.difference(&truth).count();
@@ -178,55 +118,10 @@ mod tests {
         let case = &corpus()[2];
         let mut engine = RecEngine::new();
         for tool in Tool::ALL {
-            let shared = run_tool_with_engine(tool, &case.binary, &mut engine);
-            let fresh = run_tool(tool, &case.binary);
+            let shared = run_tool(tool, &case.binary, &mut engine);
+            let fresh = run_tool(tool, &case.binary, &mut RecEngine::new());
             assert_eq!(shared, fresh, "{tool} diverges with a shared engine");
         }
-    }
-
-    #[test]
-    fn image_path_matches_owned_binary_for_every_tool() {
-        // Zero-copy images must be observationally identical to owned
-        // binaries across all nine models, including ANGR's name-keyed
-        // loader-failure model.
-        let case = &corpus()[0];
-        let image = ElfImage::parse(fetch_binary::write_elf(&case.binary)).unwrap();
-        assert_eq!(image.load_stats().section_bytes_copied, 0);
-        let mut engine = RecEngine::new();
-        for tool in Tool::ALL {
-            let via_image = run_tool_on_image(tool, &image, &case.binary.name, &mut engine);
-            let via_binary = run_tool(tool, &case.binary);
-            assert_eq!(via_image, via_binary, "{tool} diverges on the image path");
-        }
-    }
-
-    #[test]
-    fn cached_image_path_matches_cold_runs() {
-        // The serving path: a shared cache across a two-round tool sweep
-        // must hand back results identical to the uncached path, hitting
-        // on every second-round lookup.
-        let case = &corpus()[3];
-        let image = ElfImage::parse(fetch_binary::write_elf(&case.binary)).unwrap();
-        let cache = AnalysisCache::new();
-        let mut engine = RecEngine::new();
-        for round in 0..2 {
-            for tool in Tool::ALL {
-                let cached =
-                    run_tool_on_image_cached(tool, &image, &case.binary.name, &mut engine, &cache);
-                let cold = run_tool_on_image(tool, &image, &case.binary.name, &mut engine);
-                assert_eq!(
-                    cached.map(|r| (*r).clone()),
-                    cold,
-                    "{tool} diverges through the cache (round {round})"
-                );
-            }
-        }
-        let stats = cache.stats();
-        assert_eq!(stats.entries, stats.misses as usize);
-        assert!(
-            stats.hits >= stats.misses,
-            "second round must hit: {stats:?}"
-        );
     }
 
     #[test]
@@ -236,7 +131,7 @@ mod tests {
             if tool == Tool::Angr && angr_rejects(&case.binary) {
                 continue;
             }
-            let r = run_tool(tool, &case.binary).expect("tool runs");
+            let r = run_tool(tool, &case.binary, &mut RecEngine::new()).expect("tool runs");
             assert!(!r.is_empty(), "{tool} found nothing");
         }
     }

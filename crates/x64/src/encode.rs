@@ -358,8 +358,6 @@ pub enum FixupKind {
     /// rip-relative memory operand (identical patch math to `Rel32`,
     /// distinguished for diagnostics).
     RipDisp32,
-    /// An 8-byte absolute address.
-    Abs64,
 }
 
 /// A reference to a symbol outside the current [`Asm`] buffer, to be patched
@@ -397,11 +395,6 @@ impl AsmOut {
         let rel = target_addr.wrapping_sub(field_addr + 4) as i64;
         let rel = i32::try_from(rel).expect("rel32 fixup in range");
         self.bytes[fixup_pos..fixup_pos + 4].copy_from_slice(&rel.to_le_bytes());
-    }
-
-    /// Patches a [`FixupKind::Abs64`] field with an absolute address.
-    pub fn patch_abs64(&mut self, fixup_pos: usize, target_addr: u64) {
-        self.bytes[fixup_pos..fixup_pos + 8].copy_from_slice(&target_addr.to_le_bytes());
     }
 }
 
@@ -467,7 +460,7 @@ impl Asm {
     /// Appends a non-branching instruction.
     ///
     /// Direct-branch `Op`s with absolute targets are rejected here — use
-    /// [`Asm::jmp`]/[`Asm::jcc`]/[`Asm::call_label`] or the `_ext` variants
+    /// [`Asm::jmp`]/[`Asm::jcc`] or the `_ext` variants
     /// so targets stay relocatable.
     ///
     /// # Panics
@@ -493,13 +486,6 @@ impl Asm {
     pub fn jcc(&mut self, cc: Cc, label: Label) {
         self.bytes.push(0x0f);
         self.bytes.push(0x80 + cc.code());
-        self.pending.push((self.bytes.len(), label));
-        self.bytes.extend_from_slice(&[0; 4]);
-    }
-
-    /// Emits `call label` within this buffer.
-    pub fn call_label(&mut self, label: Label) {
-        self.bytes.push(0xe8);
         self.pending.push((self.bytes.len(), label));
         self.bytes.extend_from_slice(&[0; 4]);
     }
@@ -551,19 +537,6 @@ impl Asm {
             target,
         });
         self.bytes.extend_from_slice(&[0; 4]);
-    }
-
-    /// Emits `movabs reg, imm64` whose immediate is an external address.
-    pub fn movabs_ext(&mut self, reg: Reg, target: u32) {
-        self.bytes
-            .push(rex_byte(true, false, false, reg.needs_rex()).expect("REX.W set"));
-        self.bytes.push(0xb8 + reg.low3());
-        self.fixups.push(ExtFixup {
-            pos: self.bytes.len(),
-            kind: FixupKind::Abs64,
-            target,
-        });
-        self.bytes.extend_from_slice(&[0; 8]);
     }
 
     /// Appends raw bytes (data-in-text, padding, hand-crafted encodings).

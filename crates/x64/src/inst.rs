@@ -558,7 +558,7 @@ impl Inst {
     /// `None` for instructions whose stack effect is not statically evident
     /// from the instruction alone (`leave`, `ret`, calls, and anything that
     /// does not touch `rsp`). Note `None` means "not a simple delta", not
-    /// "no effect": use [`Inst::touches_rsp`] to distinguish.
+    /// "no effect": [`Inst::clobbers_rsp`] names the non-delta writes.
     pub fn stack_delta(&self) -> Option<i64> {
         match self.op {
             Op::Push(_) => Some(-8),
@@ -581,18 +581,6 @@ impl Inst {
                 | Op::MovRI(_, Reg::Rsp, _)
                 | Op::Lea(Reg::Rsp, _)
         )
-    }
-
-    /// Whether the instruction reads or writes `rsp` at all (including via
-    /// simple deltas and memory operands based on `rsp`).
-    pub fn touches_rsp(&self) -> bool {
-        if self.stack_delta().is_some() || self.clobbers_rsp() {
-            return true;
-        }
-        let mut hit = false;
-        self.each_reg_read(|r| hit |= r == Reg::Rsp);
-        self.each_reg_written(|r| hit |= r == Reg::Rsp);
-        hit
     }
 
     /// Visits the registers whose *values* the instruction consumes,

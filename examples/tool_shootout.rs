@@ -5,6 +5,7 @@
 //! cargo run --example tool_shootout
 //! ```
 
+use fetch_disasm::RecEngine;
 use fetch_metrics::{evaluate, TextTable};
 use fetch_synth::{synthesize, SynthConfig};
 use fetch_tools::{run_tool, Tool};
@@ -23,9 +24,12 @@ fn main() {
         case.truth.len()
     );
 
+    // One engine shared by all nine models: each reuses the decodes of
+    // the models before it, with results identical to fresh engines.
+    let mut engine = RecEngine::new();
     let mut table = TextTable::new(["Tool", "Detected", "FP", "FN", "Precision %", "Recall %"]);
     for tool in Tool::ALL {
-        match run_tool(tool, &case.binary) {
+        match run_tool(tool, &case.binary, &mut engine) {
             Some(result) => {
                 let e = evaluate(&result.start_set(), &case);
                 table.row([

@@ -3,6 +3,7 @@
 
 use fetch::binary::{read_elf, write_elf, FuncKind, Reach, TestCase};
 use fetch::core::{Fetch, Pipeline};
+use fetch::disasm::RecEngine;
 use fetch::metrics::{evaluate, Aggregate};
 use fetch::synth::{synthesize, FeatureRates, SynthConfig};
 use fetch::tools::{run_tool, Tool};
@@ -108,7 +109,7 @@ fn detection_survives_elf_round_trip() {
     for pair in viewed.sections.windows(2) {
         assert!(pair[0].shares_image(&pair[1]), "one backing buffer");
     }
-    let via_image = Fetch::new().detect_image(&image, &mut fetch::disasm::RecEngine::new());
+    let via_image = Fetch::new().detect(&viewed);
     assert_eq!(direct.start_set(), via_image.start_set());
 }
 
@@ -151,8 +152,8 @@ fn safe_recursion_never_invents_starts() {
 fn every_tool_is_deterministic_and_total() {
     let case = rich_case(777);
     for tool in Tool::ALL {
-        let a = run_tool(tool, &case.binary);
-        let b = run_tool(tool, &case.binary);
+        let a = run_tool(tool, &case.binary, &mut RecEngine::new());
+        let b = run_tool(tool, &case.binary, &mut RecEngine::new());
         assert_eq!(a.is_some(), b.is_some(), "{tool} determinism");
         if let (Some(a), Some(b)) = (a, b) {
             assert_eq!(a.start_set(), b.start_set(), "{tool} determinism");
