@@ -683,9 +683,9 @@ impl CacheStats {
 struct Entry {
     result: Arc<DetectionResult>,
     /// The image digest the result was computed against, when known —
-    /// the anchor of version-delta lookups. `None` for entries restored
-    /// from pre-digest stores (they heal on their next digest-carrying
-    /// insert).
+    /// the anchor of version-delta lookups. `None` between a coalesced
+    /// leader's [`FlightGuard::complete`], which publishes before the
+    /// digest exists, and the digest-carrying insert that follows it.
     digest: Option<Arc<ImageDigest>>,
     /// [`DetectionResult::approx_bytes`], computed once at insert.
     bytes: usize,
@@ -712,13 +712,9 @@ struct Inner {
 }
 
 impl Inner {
-    /// Moves `(fingerprint, pipeline_id)` to the most-recent position.
-    fn touch(&mut self, fingerprint: u64, pipeline_id: &str) -> Option<Arc<DetectionResult>> {
-        self.touch_full(fingerprint, pipeline_id).map(|(r, _)| r)
-    }
-
-    /// [`Inner::touch`], also returning the entry's digest.
-    fn touch_full(
+    /// Moves `(fingerprint, pipeline_id)` to the most-recent position,
+    /// returning its result and digest.
+    fn touch(
         &mut self,
         fingerprint: u64,
         pipeline_id: &str,
@@ -873,12 +869,8 @@ impl AnalysisCache {
     /// Looks up `(fingerprint, pipeline_id)`, counting the outcome and
     /// marking the entry most-recently-used on a hit.
     pub fn lookup(&self, fingerprint: u64, pipeline_id: &str) -> Option<Arc<DetectionResult>> {
-        let hit = self.lock().touch(fingerprint, pipeline_id);
-        match &hit {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        hit
+        self.lookup_with_digest(fingerprint, pipeline_id)
+            .map(|(result, _)| result)
     }
 
     /// Inserts a result for `(fingerprint, pipeline_id)` without
@@ -902,8 +894,10 @@ impl AnalysisCache {
     /// was computed against, so later version-delta lookups
     /// ([`AnalysisCache::lookup_with_digest`]) can diff against it. When
     /// the key is already resident, the existing result still wins, but
-    /// a previously digest-less entry (restored from a pre-digest store)
-    /// adopts the incoming digest — the in-memory half of store healing.
+    /// a digest-less entry adopts the incoming digest: a coalesced
+    /// leader's [`FlightGuard::complete`] publishes before the digest
+    /// exists, and the serving layer attaches it with this call once
+    /// computed.
     pub fn insert_with_digest(
         &self,
         fingerprint: u64,
@@ -912,7 +906,7 @@ impl AnalysisCache {
         digest: Option<Arc<ImageDigest>>,
     ) -> Arc<DetectionResult> {
         let mut inner = self.lock();
-        if let Some((existing, had_digest)) = inner.touch_full(fingerprint, pipeline_id) {
+        if let Some((existing, had_digest)) = inner.touch(fingerprint, pipeline_id) {
             if had_digest.is_none() {
                 if let Some(d) = digest {
                     if let Some(entry) = inner
@@ -956,7 +950,7 @@ impl AnalysisCache {
         fingerprint: u64,
         pipeline_id: &str,
     ) -> Option<(Arc<DetectionResult>, Option<Arc<ImageDigest>>)> {
-        let hit = self.lock().touch_full(fingerprint, pipeline_id);
+        let hit = self.lock().touch(fingerprint, pipeline_id);
         match &hit {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -1002,7 +996,7 @@ impl AnalysisCache {
         let mut flights = self.flights.lock().unwrap_or_else(|p| p.into_inner());
         // Lock order is flights → inner; insert/complete only ever hold
         // one of the two at a time, so the order cannot deadlock.
-        if let Some(hit) = self.lock().touch(fingerprint, pipeline_id) {
+        if let Some((hit, _)) = self.lock().touch(fingerprint, pipeline_id) {
             return Flight::Hit(hit);
         }
         let key = (fingerprint, pipeline_id.to_string());
@@ -1027,33 +1021,6 @@ impl AnalysisCache {
             slot,
             done: false,
         })
-    }
-
-    /// [`get_or_compute`](AnalysisCache::get_or_compute) with request
-    /// coalescing: concurrent callers for one uncached key run exactly
-    /// one `compute` between them (the others wait and share the
-    /// leader's result) instead of racing to compute redundantly.
-    pub fn get_or_compute_coalesced(
-        &self,
-        fingerprint: u64,
-        pipeline_id: &str,
-        compute: impl FnOnce() -> DetectionResult,
-    ) -> Arc<DetectionResult> {
-        if let Some(hit) = self.lookup(fingerprint, pipeline_id) {
-            return hit;
-        }
-        let mut compute = Some(compute);
-        loop {
-            match self.join_flight(fingerprint, pipeline_id) {
-                Flight::Hit(r) | Flight::Waited(Some(r)) => return r,
-                Flight::Leader(guard) => {
-                    let compute = compute.take().expect("leader resolves the loop");
-                    return guard.complete(Arc::new(compute()));
-                }
-                // The leader aborted; rejoin (possibly as leader).
-                Flight::Waited(None) => continue,
-            }
-        }
     }
 
     /// Evicts least-recently-used entries until the cache fits its
@@ -1197,8 +1164,9 @@ mod tests {
         let eax_42 = sem([0xb8, 42, 0, 0, 0]);
         assert_eq!(
             eax_42, PINNED_SEM,
-            "the sem hash scheme changed: bump serial::RESULT_VERSION so digests \
-             stored under the old scheme read back digest-less"
+            "the sem hash scheme changed: bump serial::RESULT_VERSION, so a store's \
+             open sweep quarantines entries digested under the old scheme and they \
+             are recomputed on demand"
         );
         assert_eq!(eax_42, sem([0xb8, 43, 0, 0, 0]), "data immediate masked");
         assert_ne!(
@@ -1300,10 +1268,21 @@ mod tests {
                 .map(|_| {
                     scope.spawn(|| {
                         barrier.wait();
-                        cache.get_or_compute_coalesced(fp, &id, || {
-                            computes.fetch_add(1, Ordering::SeqCst);
-                            pipeline.run(&case.binary)
-                        })
+                        // The serving layer's shape: one counted lookup,
+                        // then the flight until someone resolves it.
+                        if let Some(hit) = cache.lookup(fp, &id) {
+                            return hit;
+                        }
+                        loop {
+                            match cache.join_flight(fp, &id) {
+                                Flight::Hit(r) | Flight::Waited(Some(r)) => return r,
+                                Flight::Leader(guard) => {
+                                    computes.fetch_add(1, Ordering::SeqCst);
+                                    return guard.complete(Arc::new(pipeline.run(&case.binary)));
+                                }
+                                Flight::Waited(None) => continue,
+                            }
+                        }
                     })
                 })
                 .collect();

@@ -103,13 +103,15 @@
 //!   eviction. Eviction never changes an answer — a re-query recomputes
 //!   the identical result — and [`CacheStats`] reports evictions and the
 //!   live footprint alongside hits/misses.
-//! * **Persistent store.** [`serialize_result`] /
-//!   [`deserialize_result`] encode a [`DetectionResult`] *with its full
-//!   [`LayerTrace`] telemetry* into a versioned, checksummed,
+//! * **Persistent store.** [`serialize_result_with_digest`] /
+//!   [`deserialize_result_full`] encode a [`DetectionResult`] *with its
+//!   full [`LayerTrace`] telemetry* into a versioned, checksummed,
 //!   deterministic byte format, keyed externally by
 //!   `(content fingerprint, pipeline id)` — the same stable identities
-//!   the cache uses — so a restarted daemon answers warm from disk, and
-//!   a truncated or bit-flipped store file is rejected, never misread.
+//!   the cache uses — so a restarted daemon answers warm from disk. One
+//!   format version ([`RESULT_VERSION`]) is read: a truncated,
+//!   bit-flipped or other-version store file is rejected, never
+//!   misread, and its result is recomputed.
 //! * **Daemon.** `fetch-serve` accepts work over a local socket and a
 //!   directory queue, answers bounded-cache-first, store-second,
 //!   cold-compute-last, and streams each request's per-layer trace to
@@ -119,8 +121,8 @@
 //!
 //! ```
 //! use fetch_core::{
-//!     content_fingerprint, deserialize_result, serialize_result, AnalysisCache,
-//!     CacheCapacity, Pipeline,
+//!     content_fingerprint, deserialize_result_full, serialize_result_with_digest,
+//!     AnalysisCache, CacheCapacity, Pipeline,
 //! };
 //! use fetch_synth::{synthesize, SynthConfig};
 //! use std::sync::Arc;
@@ -135,9 +137,10 @@
 //!
 //! // Persist across a "restart": serialize, then restore into a fresh
 //! // cache — the answer (and its trace) survives byte-identically.
-//! let bytes = serialize_result(&cold).unwrap();
+//! let bytes = serialize_result_with_digest(&cold, None).unwrap();
+//! let (restored, _digest) = deserialize_result_full(&bytes).unwrap();
 //! let restarted = AnalysisCache::with_capacity(CacheCapacity::entries(128));
-//! let warm = restarted.insert(fp, &pipeline.id(), Arc::new(deserialize_result(&bytes).unwrap()));
+//! let warm = restarted.insert(fp, &pipeline.id(), Arc::new(restored));
 //! assert_eq!(*warm, *cold);
 //! assert_eq!(restarted.lookup(fp, &pipeline.id()).as_deref(), Some(&*cold));
 //! ```
@@ -203,10 +206,9 @@
 //!    `MAX_INST_LEN − 1` bytes after it, are unchanged. A one-function
 //!    patch re-sweeps one bucket. Digests travel with results: the serial
 //!    format ([`serialize_result_with_digest`], version
-//!    [`RESULT_VERSION`]) embeds them, and older blobs still read back
-//!    with digest `None` — pre-digest ([`RESULT_VERSION_V1`]) ones, and
-//!    [`RESULT_VERSION_V2`]/[`RESULT_VERSION_V3`] ones whose `sem` used
-//!    another hash scheme.
+//!    [`RESULT_VERSION`]) embeds them. A change to the `sem` scheme bumps
+//!    that version, so no stored digest is ever diffed against one
+//!    hashed another way.
 //! 2. **Diff.** [`diff_digests`] classifies a version pair:
 //!    [`DigestDiff::Identical`], [`DigestDiff::LocalText`] (only text
 //!    bucket contents moved — with a semantic verdict and the reuse
@@ -321,8 +323,7 @@ pub use pointer_scan::{
     validate_candidate_indexed, OwnerIndex, ValidationError,
 };
 pub use serial::{
-    deserialize_result, deserialize_result_full, intern_layer_name, serialize_result,
-    serialize_result_legacy, serialize_result_with_digest, SerialError, RESULT_MAGIC,
-    RESULT_VERSION, RESULT_VERSION_V1, RESULT_VERSION_V2, RESULT_VERSION_V3,
+    deserialize_result_full, intern_layer_name, serialize_result_with_digest, SerialError,
+    RESULT_MAGIC, RESULT_VERSION,
 };
 pub use state::{DetectionResult, DetectionState, FrameTable, LayerTrace, Provenance};

@@ -6,7 +6,7 @@
 //! full [`LayerTrace`] telemetry — must survive the process. This module
 //! is the wire format: a compact little-endian binary encoding with a
 //! magic + version header and a trailing FNV-1a checksum, written and
-//! read by [`serialize_result`] / [`deserialize_result`].
+//! read by [`serialize_result_with_digest`] / [`deserialize_result_full`].
 //!
 //! Design points:
 //!
@@ -18,10 +18,10 @@
 //!   the timing/decode fields `PartialEq` ignores — persistence keeps
 //!   the telemetry, not just the answer (property-tested in
 //!   `tests/proptest_serial.rs`).
-//! * **Versioned and checksummed.** A file from a future format version
-//!   is rejected by number, not misparsed; a truncated or bit-flipped
-//!   payload fails the checksum instead of decoding to a plausible-but
-//!   -wrong result.
+//! * **One version, checksummed.** Only [`RESULT_VERSION`] is read; a
+//!   blob of any other version is rejected by number, not misparsed,
+//!   and a truncated or bit-flipped payload fails the checksum instead
+//!   of decoding to a plausible-but-wrong result.
 //! * **Closed vocabulary.** Layer names are interned back to the
 //!   `&'static str` table of [`crate::KNOWN_LAYERS`] display names; a
 //!   result carrying an out-of-vocabulary layer name (built by hand)
@@ -36,25 +36,16 @@ use std::hash::Hasher as _;
 
 /// Magic bytes opening every serialized [`DetectionResult`].
 pub const RESULT_MAGIC: [u8; 4] = *b"FRES";
-/// Current format version. v4 keeps the v3 layout; it marks digests
-/// whose bucket `sem` hashes are structural (the typed instruction, not
-/// its `Debug` text). v3 added the pointer-scan work counters
-/// (`bytes_scanned`, `candidates_checked`) to each trace entry; v2
-/// appended an optional [`ImageDigest`] after the trace. Readers accept
-/// [`RESULT_VERSION_V3`], [`RESULT_VERSION_V2`] and [`RESULT_VERSION_V1`]
-/// encodings too: their results decode (pre-v3 traces with zeroed scan
-/// counters), their digests read as `None` — an old-scheme `sem` must
-/// never be diffed against, or copied next to, a structural one — and
-/// the entry heals on its next write. Versions beyond
-/// [`RESULT_VERSION`] are rejected.
+/// The one format version written and read. Each trace entry carries
+/// the pointer-scan work counters, an optional [`ImageDigest`] follows
+/// the trace, and digest bucket `sem` hashes are structural (the typed
+/// instruction, not its `Debug` text).
+///
+/// Any change to the encoding or to the `sem` scheme bumps this number.
+/// Blobs of every other version are [`SerialError::UnsupportedVersion`]:
+/// a store's open sweep quarantines them and the results are recomputed
+/// on demand — never migrated.
 pub const RESULT_VERSION: u16 = 4;
-/// The last format version with `Debug`-text digests, still accepted on
-/// read (digest dropped).
-pub const RESULT_VERSION_V3: u16 = 3;
-/// The pre-scan-counter format version, still accepted on read.
-pub const RESULT_VERSION_V2: u16 = 2;
-/// The pre-digest format version, still accepted on read.
-pub const RESULT_VERSION_V1: u16 = 1;
 
 /// Domain tag of the trailing checksum (separates it from the
 /// fingerprint domains of [`crate::content_fingerprint`]).
@@ -67,7 +58,8 @@ pub enum SerialError {
     Truncated,
     /// The leading magic bytes were not [`RESULT_MAGIC`].
     BadMagic,
-    /// The format version is not [`RESULT_VERSION`].
+    /// The format version is not [`RESULT_VERSION`] — an older or newer
+    /// encoding, which is never migrated.
     UnsupportedVersion(u16),
     /// The trailing checksum did not match the payload.
     ChecksumMismatch,
@@ -88,7 +80,7 @@ impl std::fmt::Display for SerialError {
             SerialError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported result format version {v} (expected <= {RESULT_VERSION})"
+                    "unsupported result format version {v} (expected {RESULT_VERSION})"
                 )
             }
             SerialError::ChecksumMismatch => write!(f, "checksum mismatch (corrupted payload)"),
@@ -209,56 +201,20 @@ fn section_kind_from_tag(tag: u8) -> Result<SectionKind, SerialError> {
     })
 }
 
-/// Encodes `result` into the versioned, checksummed wire format
-/// (without a digest — see [`serialize_result_with_digest`]).
+/// Encodes `result` plus the optional [`ImageDigest`] it was computed
+/// against into the versioned, checksummed wire format. The digest
+/// rides in the same checksummed payload, so a persisted entry carries
+/// everything version-delta analysis needs to diff a future image
+/// against it.
 ///
 /// # Errors
 ///
 /// [`SerialError::UnknownLayerName`] when the result carries a layer
 /// name outside [`KNOWN_LAYERS`] — such bytes
 /// could never be interned back, so they are refused up front.
-pub fn serialize_result(result: &DetectionResult) -> Result<Vec<u8>, SerialError> {
-    serialize_result_with_digest(result, None)
-}
-
-/// Encodes `result` plus the optional [`ImageDigest`] it was computed
-/// against. The digest rides in the same checksummed payload (format
-/// version [`RESULT_VERSION`]), so a persisted entry carries everything
-/// version-delta analysis needs to diff a future image against it.
 pub fn serialize_result_with_digest(
     result: &DetectionResult,
     digest: Option<&ImageDigest>,
-) -> Result<Vec<u8>, SerialError> {
-    encode(result, digest, RESULT_VERSION)
-}
-
-/// Encodes `result` in an *older* accepted format `version` — no
-/// per-trace scan counters before v3, and no digest slot at all in
-/// [`RESULT_VERSION_V1`] (`digest` is dropped there). This exists for
-/// compatibility testing and migration tooling: it produces exactly the
-/// blobs old stores hold, so readers can be exercised against them
-/// without keeping binary fixtures around.
-///
-/// # Errors
-///
-/// [`SerialError::UnsupportedVersion`] when `version` is not an older
-/// accepted version, and [`SerialError::UnknownLayerName`] under the
-/// same conditions as [`serialize_result`].
-pub fn serialize_result_legacy(
-    result: &DetectionResult,
-    digest: Option<&ImageDigest>,
-    version: u16,
-) -> Result<Vec<u8>, SerialError> {
-    if !(RESULT_VERSION_V1..RESULT_VERSION).contains(&version) {
-        return Err(SerialError::UnsupportedVersion(version));
-    }
-    encode(result, digest, version)
-}
-
-fn encode(
-    result: &DetectionResult,
-    digest: Option<&ImageDigest>,
-    version: u16,
 ) -> Result<Vec<u8>, SerialError> {
     for name in result
         .layers
@@ -271,7 +227,7 @@ fn encode(
     }
     let mut w = Writer(Vec::with_capacity(64 + result.starts.len() * 9));
     w.0.extend_from_slice(&RESULT_MAGIC);
-    w.u16(version);
+    w.u16(RESULT_VERSION);
     w.count(result.starts.len());
     for (&addr, &prov) in &result.starts {
         w.u64(addr);
@@ -290,13 +246,10 @@ fn encode(
         w.u64(t.starts_after as u64);
         w.u64(t.decode_hits);
         w.u64(t.decode_misses);
-        if version >= RESULT_VERSION_V3 {
-            w.u64(t.bytes_scanned);
-            w.u64(t.candidates_checked);
-        }
+        w.u64(t.bytes_scanned);
+        w.u64(t.candidates_checked);
     }
     match digest {
-        _ if version < RESULT_VERSION_V2 => {}
         None => w.u8(0),
         Some(d) => {
             w.u8(1);
@@ -388,20 +341,11 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Decodes a [`DetectionResult`] previously encoded by
-/// [`serialize_result`], verifying magic, version, checksum, and every
-/// structural invariant (strictly ascending address lists, in-vocabulary
-/// layer names, no trailing bytes). Accepts the current and every older
-/// format; any attached digest is dropped — use
-/// [`deserialize_result_full`] to keep it.
-pub fn deserialize_result(bytes: &[u8]) -> Result<DetectionResult, SerialError> {
-    deserialize_result_full(bytes).map(|(result, _)| result)
-}
-
 /// Decodes a [`DetectionResult`] together with the [`ImageDigest`] it
-/// was persisted with. Encodings older than [`RESULT_VERSION`] decode
-/// with `digest = None` — a serving layer recomputes and re-persists the
-/// digest on its next write (store healing).
+/// was persisted with (if any), as encoded by
+/// [`serialize_result_with_digest`]. Verifies magic, version, checksum,
+/// and every structural invariant (strictly ascending address lists,
+/// in-vocabulary layer names, no trailing bytes).
 pub fn deserialize_result_full(
     bytes: &[u8],
 ) -> Result<(DetectionResult, Option<ImageDigest>), SerialError> {
@@ -414,7 +358,7 @@ pub fn deserialize_result_full(
         return Err(SerialError::BadMagic);
     }
     let version = u16::from_le_bytes(payload[4..6].try_into().expect("2"));
-    if !(RESULT_VERSION_V1..=RESULT_VERSION).contains(&version) {
+    if version != RESULT_VERSION {
         return Err(SerialError::UnsupportedVersion(version));
     }
     let stored_sum = u64::from_le_bytes(sum_bytes.try_into().expect("8"));
@@ -453,12 +397,8 @@ pub fn deserialize_result_full(
         let starts_after = r.u64()? as usize;
         let decode_hits = r.u64()?;
         let decode_misses = r.u64()?;
-        // Pre-v3 traces predate the scan counters: decode as zero.
-        let (bytes_scanned, candidates_checked) = if version >= RESULT_VERSION_V3 {
-            (r.u64()?, r.u64()?)
-        } else {
-            (0, 0)
-        };
+        let bytes_scanned = r.u64()?;
+        let candidates_checked = r.u64()?;
         trace.push(LayerTrace {
             name,
             wall_nanos,
@@ -471,21 +411,14 @@ pub fn deserialize_result_full(
             candidates_checked,
         });
     }
-    let digest = if version >= RESULT_VERSION_V2 {
-        match r.u8()? {
-            0 => None,
-            1 => Some(read_digest(&mut r)?),
-            _ => return Err(SerialError::Corrupt("bad digest presence byte")),
-        }
-    } else {
-        None
+    let digest = match r.u8()? {
+        0 => None,
+        1 => Some(read_digest(&mut r)?),
+        _ => return Err(SerialError::Corrupt("bad digest presence byte")),
     };
     if r.pos != payload.len() {
         return Err(SerialError::Corrupt("trailing bytes after encoding"));
     }
-    // An older digest is validated above but dropped: its `sem` hashes
-    // use another scheme.
-    let digest = digest.filter(|_| version == RESULT_VERSION);
     Ok((
         DetectionResult {
             starts,
@@ -572,61 +505,22 @@ mod tests {
             })
     }
 
-    fn encode_legacy(result: &DetectionResult, version: u16) -> Vec<u8> {
-        serialize_result_legacy(result, None, version).unwrap()
-    }
-
-    #[test]
-    fn legacy_encoder_rejects_non_legacy_versions() {
-        let case = synthesize(&SynthConfig::small(46));
-        let result = Pipeline::parse("FDE+Rec").unwrap().run(&case.binary);
-        for bad in [0, RESULT_VERSION, RESULT_VERSION + 1] {
-            assert_eq!(
-                serialize_result_legacy(&result, None, bad),
-                Err(SerialError::UnsupportedVersion(bad))
-            );
-        }
-    }
-
-    #[test]
-    fn v1_and_v2_blobs_still_deserialize_with_zeroed_scan_counters() {
-        let case = synthesize(&SynthConfig::small(45));
-        let result = Pipeline::fetch().run(&case.binary);
-        assert!(
-            result.trace.iter().any(|t| t.bytes_scanned > 0),
-            "the fetch pipeline's Xref layer scans data bytes"
-        );
-        for version in [RESULT_VERSION_V1, RESULT_VERSION_V2] {
-            let old = encode_legacy(&result, version);
-            let (back, digest) = deserialize_result_full(&old).unwrap();
-            assert_eq!(back, result, "deterministic fields survive v{version}");
-            assert!(digest.is_none());
-            for (x, y) in back.trace.iter().zip(&result.trace) {
-                assert_eq!(x.wall_nanos, y.wall_nanos);
-                assert_eq!(x.decode_hits, y.decode_hits);
-                assert_eq!(x.decode_misses, y.decode_misses);
-                assert_eq!(x.bytes_scanned, 0, "pre-v3 traces have no counters");
-                assert_eq!(x.candidates_checked, 0);
-            }
-        }
-    }
-
     #[test]
     fn round_trip_is_identity_including_timing() {
         let case = synthesize(&SynthConfig::small(41));
         let result = Pipeline::fetch().run(&case.binary);
-        let bytes = serialize_result(&result).unwrap();
-        let back = deserialize_result(&bytes).unwrap();
+        let bytes = serialize_result_with_digest(&result, None).unwrap();
+        let (back, _) = deserialize_result_full(&bytes).unwrap();
         assert!(trace_fields_equal(&result, &back));
         assert_eq!(
-            serialize_result(&back).unwrap(),
+            serialize_result_with_digest(&back, None).unwrap(),
             bytes,
             "encoding must be deterministic"
         );
     }
 
     #[test]
-    fn digest_round_trips_and_v1_reads_as_digestless() {
+    fn digest_round_trips_and_absent_digest_reads_as_none() {
         let case = synthesize(&SynthConfig::small(44));
         let result = Pipeline::fetch().run(&case.binary);
         let digest =
@@ -637,42 +531,9 @@ mod tests {
         assert_eq!(d.as_ref(), Some(&digest));
 
         // A digest-less current-version encoding reads back as None.
-        let plain = serialize_result(&result).unwrap();
+        let plain = serialize_result_with_digest(&result, None).unwrap();
         let (_, none) = deserialize_result_full(&plain).unwrap();
         assert!(none.is_none());
-
-        // A v1 (pre-digest, pre-scan-counter) blob must still
-        // deserialize, with no digest.
-        let v1 = encode_legacy(&result, RESULT_VERSION_V1);
-        let (old, od) = deserialize_result_full(&v1).unwrap();
-        assert_eq!(old, result);
-        assert!(od.is_none());
-        assert_eq!(deserialize_result(&v1).unwrap(), result);
-    }
-
-    #[test]
-    fn v2_and_v3_digests_read_back_as_digestless() {
-        let case = synthesize(&SynthConfig::small(47));
-        let result = Pipeline::fetch().run(&case.binary);
-        let digest =
-            crate::ImageDigest::compute(&case.binary, crate::content_fingerprint(&case.binary));
-        for version in [RESULT_VERSION_V2, RESULT_VERSION_V3] {
-            let old = serialize_result_legacy(&result, Some(&digest), version).unwrap();
-            assert_ne!(
-                old,
-                encode_legacy(&result, version),
-                "the v{version} blob carries the digest"
-            );
-            let (back, d) = deserialize_result_full(&old).unwrap();
-            assert_eq!(back, result, "the v{version} result is kept");
-            assert!(d.is_none(), "a v{version} digest uses the old sem scheme");
-        }
-        // v3 is v4's layout: only the version number tells them apart.
-        let v3 = serialize_result_legacy(&result, Some(&digest), RESULT_VERSION_V3).unwrap();
-        let v4 = serialize_result_with_digest(&result, Some(&digest)).unwrap();
-        assert_eq!(v3[6..v3.len() - 8], v4[6..v4.len() - 8]);
-        let (back, _) = deserialize_result_full(&v3).unwrap();
-        assert!(trace_fields_equal(&back, &result), "v3 keeps scan counters");
     }
 
     #[test]
@@ -691,35 +552,36 @@ mod tests {
     fn header_and_checksum_are_enforced() {
         let case = synthesize(&SynthConfig::small(42));
         let result = Pipeline::parse("FDE+Rec").unwrap().run(&case.binary);
-        let bytes = serialize_result(&result).unwrap();
+        let bytes = serialize_result_with_digest(&result, None).unwrap();
+        let decode = |b: &[u8]| deserialize_result_full(b).map(|(r, _)| r);
 
-        assert_eq!(deserialize_result(&[]), Err(SerialError::Truncated));
+        assert_eq!(decode(&[]), Err(SerialError::Truncated));
         assert_eq!(
-            deserialize_result(&bytes[..bytes.len() - 1]),
+            decode(&bytes[..bytes.len() - 1]),
             Err(SerialError::ChecksumMismatch),
             "truncation breaks the checksum"
         );
         let mut bad_magic = bytes.clone();
         bad_magic[0] ^= 0xff;
-        assert_eq!(deserialize_result(&bad_magic), Err(SerialError::BadMagic));
-        let mut bad_version = bytes.clone();
-        bad_version[4] = 0x7f;
-        // Version is checked before the checksum would even matter —
+        assert_eq!(decode(&bad_magic), Err(SerialError::BadMagic));
+        // Only the current version is read — older ones included. The
+        // version is checked before the checksum would even matter:
         // recompute a valid checksum to prove it.
-        let n = bad_version.len() - 8;
-        let sum = checksum(&bad_version[..n]).to_le_bytes();
-        bad_version[n..].copy_from_slice(&sum);
-        assert_eq!(
-            deserialize_result(&bad_version),
-            Err(SerialError::UnsupportedVersion(0x7f))
-        );
+        for version in [0, 1, 2, 3, 5, 0x7f] {
+            let mut bad_version = bytes.clone();
+            bad_version[4..6].copy_from_slice(&u16::to_le_bytes(version));
+            let n = bad_version.len() - 8;
+            let sum = checksum(&bad_version[..n]).to_le_bytes();
+            bad_version[n..].copy_from_slice(&sum);
+            assert_eq!(
+                decode(&bad_version),
+                Err(SerialError::UnsupportedVersion(version))
+            );
+        }
         let mut flipped = bytes.clone();
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x01;
-        assert_eq!(
-            deserialize_result(&flipped),
-            Err(SerialError::ChecksumMismatch)
-        );
+        assert_eq!(decode(&flipped), Err(SerialError::ChecksumMismatch));
     }
 
     #[test]
@@ -728,14 +590,14 @@ mod tests {
         // carrying any other name (built by hand) cannot be serialized.
         let case = synthesize(&SynthConfig::small(43));
         let mut result = Pipeline::parse("FDE").unwrap().run(&case.binary);
-        assert!(serialize_result(&result).is_ok());
+        assert!(serialize_result_with_digest(&result, None).is_ok());
         result.layers.push("Custom");
         result.trace.push(LayerTrace {
             name: "Custom",
             ..result.trace[0].clone()
         });
         assert_eq!(
-            serialize_result(&result),
+            serialize_result_with_digest(&result, None),
             Err(SerialError::UnknownLayerName("Custom".into()))
         );
         assert_eq!(intern_layer_name("Rec"), Some("Rec"));

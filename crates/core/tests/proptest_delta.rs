@@ -168,9 +168,10 @@ proptest! {
         prop_assert_eq!(out.sections_reused, digest.text_bucket_count());
     }
 
-    /// A predecessor stored before digests existed (`prev_digest:
-    /// None`) drops to tier 4 and still matches cold — the
-    /// backward-compat path a healed v1 store entry takes.
+    /// A predecessor without a digest (`prev_digest: None`) drops to
+    /// tier 4 and still matches cold — the path a serving layer takes
+    /// when the predecessor's digest is not attached yet (a coalesced
+    /// leader publishes its result before computing the digest).
     #[test]
     fn missing_digest_falls_cold_and_matches(
         cfg in arb_config(),

@@ -1,12 +1,14 @@
 //! Property tests for the persistence wire format
-//! ([`fetch_core::serialize_result`] / [`fetch_core::deserialize_result`]):
-//! serialize→deserialize is the identity — including the timing/decode
-//! telemetry that `PartialEq` ignores — and corrupted or truncated
+//! ([`fetch_core::serialize_result_with_digest`] /
+//! [`fetch_core::deserialize_result_full`]):
+//! serialize→deserialize is the identity — including the timing, decode
+//! and scan telemetry that `PartialEq` ignores — and corrupted or truncated
 //! encodings are always *rejected*, never misread into a plausible
 //! result.
 
 use fetch_core::{
-    deserialize_result, serialize_result, DetectionResult, LayerSpec, Pipeline, KNOWN_LAYERS,
+    deserialize_result_full, serialize_result_with_digest, DetectionResult, LayerSpec, Pipeline,
+    SerialError, KNOWN_LAYERS,
 };
 use fetch_synth::{synthesize, FeatureRates, SynthConfig};
 use proptest::prelude::*;
@@ -46,7 +48,17 @@ fn identical_including_telemetry(a: &DetectionResult, b: &DetectionResult) -> bo
             x.wall_nanos == y.wall_nanos
                 && x.decode_hits == y.decode_hits
                 && x.decode_misses == y.decode_misses
+                && x.bytes_scanned == y.bytes_scanned
+                && x.candidates_checked == y.candidates_checked
         })
+}
+
+fn encode(result: &DetectionResult) -> Vec<u8> {
+    serialize_result_with_digest(result, None).expect("known-layer results serialize")
+}
+
+fn decode(bytes: &[u8]) -> Result<DetectionResult, SerialError> {
+    deserialize_result_full(bytes).map(|(result, _)| result)
 }
 
 proptest! {
@@ -59,13 +71,13 @@ proptest! {
     fn round_trip_is_identity(cfg in arb_config(), pipeline in arb_pipeline()) {
         let case = synthesize(&cfg);
         let result = pipeline.run(&case.binary);
-        let bytes = serialize_result(&result).expect("known-layer results serialize");
-        let back = deserialize_result(&bytes).expect("own encoding loads");
+        let bytes = encode(&result);
+        let back = decode(&bytes).expect("own encoding loads");
         prop_assert!(
             identical_including_telemetry(&result, &back),
             "round trip lost information for pipeline {}", pipeline.id()
         );
-        prop_assert_eq!(serialize_result(&back).unwrap(), bytes);
+        prop_assert_eq!(encode(&back), bytes);
     }
 
     /// Any single-byte corruption and any strict truncation must be
@@ -80,19 +92,19 @@ proptest! {
     ) {
         let case = synthesize(&cfg);
         let result = pipeline.run(&case.binary);
-        let bytes = serialize_result(&result).unwrap();
+        let bytes = encode(&result);
 
         let mut flipped = bytes.clone();
         let pos = flip_pos as usize % flipped.len();
         flipped[pos] ^= 1 << flip_bit;
         prop_assert!(
-            deserialize_result(&flipped).is_err(),
+            decode(&flipped).is_err(),
             "bit flip at {pos} was not detected"
         );
 
         let len = cut as usize % bytes.len(); // strictly shorter
         prop_assert!(
-            deserialize_result(&bytes[..len]).is_err(),
+            decode(&bytes[..len]).is_err(),
             "truncation to {len} bytes was not detected"
         );
     }

@@ -24,8 +24,8 @@
 //!
 //! | site            | where it fires                                       |
 //! |-----------------|------------------------------------------------------|
-//! | `store.save`    | persisting a result ([`crate::ResultStore::save`])    |
-//! | `store.load`    | loading a result ([`crate::ResultStore::load`])       |
+//! | `store.save`    | persisting a result ([`crate::ResultStore::save_with_digest`]) |
+//! | `store.load`    | loading a result ([`crate::ResultStore::load_full`])  |
 //! | `queue.reply`   | writing a directory-queue reply file                 |
 //! | `conn.read`     | reading a request line off a socket/stdio transport  |
 //! | `conn.write`    | writing a reply line to a socket/stdio transport     |

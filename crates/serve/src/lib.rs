@@ -49,10 +49,11 @@
 //!   [`fetch_core::serialize_result_with_digest`]. Opening runs a
 //!   recovery sweep (orphaned temps reaped, invalid entries
 //!   quarantined); a [`store::GcPolicy`] bounds the store by entries /
-//!   bytes / age. A corrupted file is rejected and healed, never
-//!   misread; entries older than the current result format (pre-digest,
-//!   or with an older `sem` hash scheme) load digest-less and heal on
-//!   the next warm analyze.
+//!   bytes / age. There is one store format and one result format
+//!   ([`fetch_core::RESULT_VERSION`]): a corrupted, misfiled or
+//!   other-version file takes one path — rejected (quarantined by the
+//!   sweep), recomputed on demand, overwritten — and is never misread
+//!   or migrated.
 //! * [`server`] — the transports: a Unix-socket accept loop feeding a
 //!   bounded worker pool with per-connection deadlines and `busy` load
 //!   shedding, a directory queue (`in/*.json` → `out/*.json`, bad files

@@ -18,7 +18,8 @@
 //!   Takes the same `path`/`bytes_hex`/`pipeline`/`tool` fields as
 //!   `analyze`; `prev_fingerprint` names the earlier analyze reply's
 //!   fingerprint. Byte-identical to a cold `analyze` of the same image;
-//!   an unknown or digest-less predecessor just falls back cold.
+//!   an unknown predecessor, or one whose digest is not attached yet,
+//!   just falls back cold.
 //! * `{"cmd":"query", "fingerprint":"0x1234abcd…", "pipeline":"FDE+Rec"}`
 //!   — cache/store lookup only, never computes.
 //! * `{"cmd":"stats"}` — cache, store, and request counters.
@@ -404,8 +405,8 @@ stats_counters! {
     /// provably answer-preserving (ladder tier 3, `recompute`).
     FallbackCold => "delta", "fallback_cold", "fetch_delta_fallback_cold_total";
     /// Reanalyzes that ran cold because the change was non-local, or
-    /// there was no usable predecessor (unknown fingerprint /
-    /// digest-less entry).
+    /// there was no usable predecessor (unknown fingerprint, or an
+    /// entry whose digest is not attached yet).
     DigestMismatch => "delta", "digest_mismatch", "fetch_delta_digest_mismatch_total";
 }
 

@@ -410,7 +410,7 @@ impl AnalysisService {
                 self.counters.inc(StatsCounter::RequestsTotal);
                 self.counters.inc(StatsCounter::Query);
                 let reply = match self.lookup_warm(req_id, fingerprint, &pipeline_id) {
-                    Some((reply, _has_digest)) => {
+                    Some(reply) => {
                         self.emit(&reply);
                         Reply::Analyze(reply)
                     }
@@ -501,57 +501,53 @@ impl AnalysisService {
 
     /// Cache-then-store lookup without computing (the `query` path; also
     /// the warm half of `analyze`/`reanalyze`). Promotes store hits —
-    /// digest included — into the cache. The returned flag says whether
-    /// the warm entry carries an [`ImageDigest`]; `analyze` heals
-    /// digest-less (pre-digest) entries when it has the image in hand.
+    /// digest included — into the cache.
     fn lookup_warm(
         &self,
         req_id: u64,
         fingerprint: u64,
         pipeline_id: &str,
-    ) -> Option<(AnalyzeReply, bool)> {
+    ) -> Option<AnalyzeReply> {
         let t0 = Instant::now();
-        if let Some((result, digest)) = self.cache.lookup_with_digest(fingerprint, pipeline_id) {
-            self.counters.inc(StatsCounter::CacheHits);
-            return Some((
-                AnalyzeReply {
-                    req_id,
-                    fingerprint,
-                    pipeline_id: pipeline_id.to_string(),
-                    source: ServeSource::CacheHit,
-                    wall_us: t0.elapsed().as_secs_f64() * 1e6,
-                    result,
-                },
-                digest.is_some(),
-            ));
-        }
-        match self
-            .store
-            .as_ref()
-            .map(|s| s.load_full(fingerprint, pipeline_id))
-        {
-            Some(Ok(Some((result, digest)))) => {
+        let (source, result) = match self.cache.lookup(fingerprint, pipeline_id) {
+            Some(result) => {
+                self.counters.inc(StatsCounter::CacheHits);
+                (ServeSource::CacheHit, result)
+            }
+            None => {
+                let (result, digest) = self.load_stored(req_id, fingerprint, pipeline_id)?;
                 self.counters.inc(StatsCounter::StoreHits);
-                let has_digest = digest.is_some();
                 let result = self.cache.insert_with_digest(
                     fingerprint,
                     pipeline_id,
                     Arc::new(result),
                     digest.map(Arc::new),
                 );
-                Some((
-                    AnalyzeReply {
-                        req_id,
-                        fingerprint,
-                        pipeline_id: pipeline_id.to_string(),
-                        source: ServeSource::StoreHit,
-                        wall_us: t0.elapsed().as_secs_f64() * 1e6,
-                        result,
-                    },
-                    has_digest,
-                ))
+                (ServeSource::StoreHit, result)
             }
-            Some(Err(e)) => {
+        };
+        Some(AnalyzeReply {
+            req_id,
+            fingerprint,
+            pipeline_id: pipeline_id.to_string(),
+            source,
+            wall_us: t0.elapsed().as_secs_f64() * 1e6,
+            result,
+        })
+    }
+
+    /// Loads `(fingerprint, pipeline_id)` from the store, when one is
+    /// configured. A rejected entry is counted and logged, then treated
+    /// as absent: the caller recomputes, and its save overwrites it.
+    fn load_stored(
+        &self,
+        req_id: u64,
+        fingerprint: u64,
+        pipeline_id: &str,
+    ) -> Option<(DetectionResult, Option<ImageDigest>)> {
+        match self.store.as_ref()?.load_full(fingerprint, pipeline_id) {
+            Ok(found) => found,
+            Err(e) => {
                 self.counters.inc(StatsCounter::StoreErrors);
                 logmsg!(
                     LogLevel::Warn,
@@ -561,7 +557,6 @@ impl AnalysisService {
                 );
                 None
             }
-            Some(Ok(None)) | None => None,
         }
     }
 
@@ -641,14 +636,7 @@ impl AnalysisService {
         let fingerprint = image_fingerprint(&image);
         let pipeline_id = pipeline.id();
 
-        if let Some((mut warm, has_digest)) = self.lookup_warm(req_id, fingerprint, &pipeline_id) {
-            if !has_digest {
-                // A pre-digest entry, and we have the image in hand:
-                // heal it so a later reanalyze can delta against it.
-                let digest = Arc::new(ImageDigest::compute(&image.to_binary(), fingerprint));
-                warm.result =
-                    self.publish_digest(req_id, fingerprint, &pipeline_id, warm.result, digest);
-            }
+        if let Some(mut warm) = self.lookup_warm(req_id, fingerprint, &pipeline_id) {
             // Charge the reply the full request time (parse included).
             warm.wall_us = t0.elapsed().as_secs_f64() * 1e6;
             return Ok(warm);
@@ -656,34 +644,20 @@ impl AnalysisService {
 
         // Cold path, coalesced: the first arrival leads and computes;
         // concurrent arrivals for the same key wait on the flight.
-        loop {
+        let (source, result) = loop {
             let t_join = Instant::now();
             match self.cache.join_flight(fingerprint, &pipeline_id) {
                 Flight::Hit(result) => {
                     // Completed between our lookup and the join.
                     self.counters.inc(StatsCounter::CacheHits);
-                    return Ok(AnalyzeReply {
-                        req_id,
-                        fingerprint,
-                        pipeline_id,
-                        source: ServeSource::CacheHit,
-                        wall_us: t0.elapsed().as_secs_f64() * 1e6,
-                        result,
-                    });
+                    break (ServeSource::CacheHit, result);
                 }
                 Flight::Waited(Some(result)) => {
                     self.counters.inc(StatsCounter::Coalesced);
                     self.obs
                         .coalesce_wait_us
                         .record(t_join.elapsed().as_micros() as u64);
-                    return Ok(AnalyzeReply {
-                        req_id,
-                        fingerprint,
-                        pipeline_id,
-                        source: ServeSource::Coalesced,
-                        wall_us: t0.elapsed().as_secs_f64() * 1e6,
-                        result,
-                    });
+                    break (ServeSource::Coalesced, result);
                 }
                 // The leader aborted without an answer; rejoin (one of
                 // the waiters — possibly us — takes over as leader).
@@ -712,17 +686,18 @@ impl AnalysisService {
                     let digest = Arc::new(ImageDigest::compute(&binary, fingerprint));
                     let result =
                         self.publish_digest(req_id, fingerprint, &pipeline_id, result, digest);
-                    return Ok(AnalyzeReply {
-                        req_id,
-                        fingerprint,
-                        pipeline_id,
-                        source: ServeSource::Cold,
-                        wall_us: t0.elapsed().as_secs_f64() * 1e6,
-                        result,
-                    });
+                    break (ServeSource::Cold, result);
                 }
             }
-        }
+        };
+        Ok(AnalyzeReply {
+            req_id,
+            fingerprint,
+            pipeline_id,
+            source,
+            wall_us: t0.elapsed().as_secs_f64() * 1e6,
+            result,
+        })
     }
 
     /// The `reanalyze` path: answer a new version of a known binary
@@ -763,12 +738,7 @@ impl AnalysisService {
 
         // The new version may already be known (a resubmission, or two
         // clients racing on the same rebuild): warm answers win.
-        if let Some((mut warm, has_digest)) = self.lookup_warm(req_id, fingerprint, &pipeline_id) {
-            if !has_digest {
-                let digest = Arc::new(ImageDigest::compute(&image.to_binary(), fingerprint));
-                warm.result =
-                    self.publish_digest(req_id, fingerprint, &pipeline_id, warm.result, digest);
-            }
+        if let Some(mut warm) = self.lookup_warm(req_id, fingerprint, &pipeline_id) {
             warm.wall_us = t0.elapsed().as_secs_f64() * 1e6;
             return Ok(warm);
         }
@@ -780,26 +750,8 @@ impl AnalysisService {
             .cache
             .lookup_with_digest(prev_fingerprint, &pipeline_id)
             .or_else(|| {
-                match self
-                    .store
-                    .as_ref()
-                    .map(|s| s.load_full(prev_fingerprint, &pipeline_id))
-                {
-                    Some(Ok(Some((result, digest)))) => {
-                        Some((Arc::new(result), digest.map(Arc::new)))
-                    }
-                    Some(Err(e)) => {
-                        self.counters.inc(StatsCounter::StoreErrors);
-                        logmsg!(
-                            LogLevel::Warn,
-                            req_id,
-                            "fetch-serve: rejecting store entry for ({}, {pipeline_id}): {e}",
-                            crate::protocol::hex_u64(prev_fingerprint)
-                        );
-                        None
-                    }
-                    Some(Ok(None)) | None => None,
-                }
+                self.load_stored(req_id, prev_fingerprint, &pipeline_id)
+                    .map(|(result, digest)| (Arc::new(result), digest.map(Arc::new)))
             });
 
         // Only the buckets the patch touched are swept: the rest of the
@@ -1222,45 +1174,6 @@ mod tests {
         // plain resubmission of the neutral patch is now a cache hit.
         let again = reanalyze(write_elf(&neutral.binary));
         assert_eq!(reply_source(&again), ServeSource::CacheHit);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn pre_digest_store_entries_heal_on_the_next_analyze() {
-        let dir = scratch_dir("healdigest");
-        let case = synthesize(&SynthConfig::small(68));
-        let elf = write_elf(&case.binary);
-        let config = ServeConfig {
-            store_dir: Some(dir.clone()),
-            ..ServeConfig::default()
-        };
-        let service = AnalysisService::new(&config).unwrap();
-        let fp = match service.handle(analyze_req(elf.clone())) {
-            Reply::Analyze(a) => a.fingerprint,
-            other => panic!("{other:?}"),
-        };
-        let id = Pipeline::fetch().id();
-
-        // Strip the persisted digest, simulating an entry written
-        // before digests existed.
-        let store = ResultStore::open(&dir).unwrap();
-        let (result, digest) = store.load_full(fp, &id).unwrap().unwrap();
-        assert!(digest.is_some(), "cold analyzes persist digests");
-        store.save(fp, &id, &result).unwrap();
-        assert!(store.load_full(fp, &id).unwrap().unwrap().1.is_none());
-        drop(store);
-
-        // A restarted daemon's warm analyze heals the entry in place.
-        let restarted = AnalysisService::new(&config).unwrap();
-        assert_eq!(
-            reply_source(&restarted.handle(analyze_req(elf))),
-            ServeSource::StoreHit
-        );
-        let store = ResultStore::open(&dir).unwrap();
-        assert!(
-            store.load_full(fp, &id).unwrap().unwrap().1.is_some(),
-            "the warm analyze re-persisted the digest"
-        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -6,19 +6,26 @@
 //! `<fingerprint:016x>-<fnv(pipeline id):016x>.fres` and containing a
 //! store header (magic, version, the *full* fingerprint and pipeline id
 //! — the hash in the filename is only a rendezvous, never trusted)
-//! followed by the core wire encoding of the result
-//! ([`fetch_core::serialize_result`]: itself versioned and
-//! checksummed). Writes go through a temp file + atomic rename, so a
-//! crashed daemon never leaves a half-written entry under a live key;
-//! loads verify header, key match, and checksum, so a truncated or
-//! bit-flipped file is a [`StoreError`], never a wrong answer.
+//! followed by the core wire encoding of the result and its optional
+//! image digest ([`fetch_core::serialize_result_with_digest`]: itself
+//! versioned and checksummed). Writes go through a temp file + atomic
+//! rename, so a crashed daemon never leaves a half-written entry under a
+//! live key; loads verify header, key match, and checksum, so a
+//! truncated or bit-flipped file is a [`StoreError`], never a wrong
+//! answer.
+//!
+//! There is one store version ([`STORE_VERSION`]) and one blob version
+//! ([`fetch_core::RESULT_VERSION`]); nothing is migrated. An entry of
+//! any other version fails validation like a corrupt one: the sweep
+//! quarantines it and the daemon recomputes the result on demand.
 //!
 //! ## Lifecycle
 //!
 //! Opening a store runs a **recovery sweep** ([`ResultStore::compact`]):
 //! orphaned temp files (a crash between write and rename) are reaped,
-//! and entries that fail validation — truncated, bit-flipped, or
-//! foreign — are moved to a `quarantine/` subdirectory and counted,
+//! and entries that fail validation — truncated, bit-flipped, of
+//! another format version, or stored under a filename that is not their
+//! embedded key's — are moved to a `quarantine/` subdirectory and counted,
 //! never silently deleted and never served. After the sweep, every
 //! resident entry is known-loadable.
 //!
@@ -42,6 +49,7 @@ use fetch_core::{
     SerialError,
 };
 use fetch_obs::{logmsg, Histogram, LogLevel};
+use std::ffi::OsStr;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -51,7 +59,8 @@ use std::time::{Duration, Instant, SystemTime};
 
 /// Magic bytes opening every store file.
 pub const STORE_MAGIC: [u8; 4] = *b"FSTO";
-/// Current store-file version ([`ResultStore::load`] rejects others).
+/// The one store-file version ([`ResultStore::load_full`] rejects
+/// others, and the open sweep quarantines them).
 pub const STORE_VERSION: u16 = 1;
 /// Store-file extension.
 pub const STORE_EXT: &str = "fres";
@@ -100,6 +109,50 @@ fn id_hash(pipeline_id: &str) -> u64 {
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
     h
+}
+
+/// The filename an entry for `(fingerprint, pipeline_id)` lives under.
+fn entry_name(fingerprint: u64, pipeline_id: &str) -> String {
+    format!(
+        "{fingerprint:016x}-{:016x}.{STORE_EXT}",
+        id_hash(pipeline_id)
+    )
+}
+
+/// Splits a store file into its embedded key and the result blob,
+/// checking the store header (magic, version, id length) on the way.
+fn parse_header(bytes: &[u8]) -> Result<(u64, &str, &[u8]), StoreError> {
+    let min = STORE_MAGIC.len() + 2 + 8 + 2;
+    if bytes.len() < min {
+        return Err(StoreError::BadHeader("file shorter than header"));
+    }
+    if bytes[..4] != STORE_MAGIC {
+        return Err(StoreError::BadHeader("bad magic"));
+    }
+    let version = u16::from_le_bytes(bytes[4..6].try_into().expect("2"));
+    if version != STORE_VERSION {
+        return Err(StoreError::BadHeader("unsupported version"));
+    }
+    let fingerprint = u64::from_le_bytes(bytes[6..14].try_into().expect("8"));
+    let id_len = u16::from_le_bytes(bytes[14..16].try_into().expect("2")) as usize;
+    let id_end = 16 + id_len;
+    if bytes.len() < id_end {
+        return Err(StoreError::BadHeader("file shorter than its pipeline id"));
+    }
+    let pipeline_id = std::str::from_utf8(&bytes[16..id_end])
+        .map_err(|_| StoreError::BadHeader("non-UTF-8 pipeline id"))?;
+    Ok((fingerprint, pipeline_id, &bytes[id_end..]))
+}
+
+/// Runs `op`, recording its wall time in `hist` (when bound) whether it
+/// succeeds or not — a failed operation still cost its time.
+fn timed<T>(hist: &Option<Arc<Histogram>>, op: impl FnOnce() -> T) -> T {
+    let t0 = Instant::now();
+    let out = op();
+    if let Some(h) = hist {
+        h.record(t0.elapsed().as_micros() as u64);
+    }
+    out
 }
 
 /// Age/size bounds of a [`ResultStore`]. The default is unbounded —
@@ -228,10 +281,7 @@ impl ResultStore {
     }
 
     fn path_for(&self, fingerprint: u64, pipeline_id: &str) -> PathBuf {
-        self.dir.join(format!(
-            "{fingerprint:016x}-{:016x}.{STORE_EXT}",
-            id_hash(pipeline_id)
-        ))
+        self.dir.join(entry_name(fingerprint, pipeline_id))
     }
 
     fn is_entry(path: &Path) -> bool {
@@ -244,31 +294,19 @@ impl ResultStore {
             .is_some_and(|e| e.starts_with("tmp"))
     }
 
-    /// Persists `result` under `(fingerprint, pipeline_id)`, atomically
-    /// replacing any previous entry for the key. Writers are serialized
-    /// behind the store's write lock; the save also triggers the GC
-    /// check, so a bounded store never grows past its policy.
+    /// Persists `result` and the optional [`ImageDigest`] it was
+    /// computed against under `(fingerprint, pipeline_id)`, atomically
+    /// replacing any previous entry for the key. The digest rides inside
+    /// the checksummed blob, so a later `reanalyze` of a new version of
+    /// the same binary can delta against this entry. Writers are
+    /// serialized behind the store's write lock; the save also triggers
+    /// the GC check, so a bounded store never grows past its policy.
     ///
     /// # Errors
     ///
     /// I/O failures (injected ones included), or
     /// [`StoreError::Malformed`] when the result uses an
     /// out-of-vocabulary layer name (it could never be loaded back).
-    pub fn save(
-        &self,
-        fingerprint: u64,
-        pipeline_id: &str,
-        result: &DetectionResult,
-    ) -> Result<(), StoreError> {
-        self.save_with_digest(fingerprint, pipeline_id, result, None)
-    }
-
-    /// [`ResultStore::save`], also persisting the [`ImageDigest`] the
-    /// result was computed against (inside the same checksummed blob —
-    /// the store header is unchanged), so a later `reanalyze` of a new
-    /// version of the same binary can delta against this entry.
-    /// Re-saving an existing key with a digest *heals* a pre-digest
-    /// entry in place.
     pub fn save_with_digest(
         &self,
         fingerprint: u64,
@@ -276,194 +314,125 @@ impl ResultStore {
         result: &DetectionResult,
         digest: Option<&ImageDigest>,
     ) -> Result<(), StoreError> {
-        let t0 = Instant::now();
-        let out = self.save_with_digest_inner(fingerprint, pipeline_id, result, digest);
-        if let Some(h) = &self.save_us {
-            h.record(t0.elapsed().as_micros() as u64);
-        }
-        out
+        timed(&self.save_us, || {
+            let blob =
+                serialize_result_with_digest(result, digest).map_err(StoreError::Malformed)?;
+            let mut file = Vec::with_capacity(blob.len() + 32);
+            file.extend_from_slice(&STORE_MAGIC);
+            file.extend_from_slice(&STORE_VERSION.to_le_bytes());
+            file.extend_from_slice(&fingerprint.to_le_bytes());
+            let id_len: u16 = pipeline_id
+                .len()
+                .try_into()
+                .map_err(|_| StoreError::BadHeader("pipeline id too long"))?;
+            file.extend_from_slice(&id_len.to_le_bytes());
+            file.extend_from_slice(pipeline_id.as_bytes());
+            file.extend_from_slice(&blob);
+
+            match self.faults.fire(FaultPlan::STORE_SAVE) {
+                Some(FaultKind::Io) => {
+                    return Err(FaultPlan::injected_error(FaultPlan::STORE_SAVE).into())
+                }
+                // Torn write: only a prefix reaches disk, but the rename
+                // still lands — the crash-mid-write shape. Load rejects it;
+                // the recovery sweep quarantines it.
+                Some(FaultKind::Short) => file.truncate(file.len() / 2),
+                // Silent media corruption: one payload byte flips on the
+                // way out. The serialized checksum catches it on load.
+                Some(FaultKind::Corrupt) => {
+                    let mid = file.len() / 2;
+                    file[mid] ^= 0x01;
+                }
+                Some(FaultKind::Stall(_)) | None => {}
+            }
+
+            let path = self.path_for(fingerprint, pipeline_id);
+            let tmp = path.with_extension(format!(
+                "tmp{}-{}",
+                std::process::id(),
+                self.tmp_seq.fetch_add(1, Ordering::Relaxed)
+            ));
+            {
+                let _writing = self.write_lock.lock().unwrap_or_else(|p| p.into_inner());
+                let previous = fs::metadata(&path).map(|m| m.len()).ok();
+                fs::write(&tmp, &file)?;
+                if let Err(e) = fs::rename(&tmp, &path) {
+                    let _ = fs::remove_file(&tmp);
+                    return Err(e.into());
+                }
+                match previous {
+                    Some(old) => {
+                        self.bytes_approx.fetch_sub(old, Ordering::Relaxed);
+                    }
+                    None => {
+                        self.entries_approx.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                self.bytes_approx
+                    .fetch_add(file.len() as u64, Ordering::Relaxed);
+            }
+            self.maybe_gc()?;
+            Ok(())
+        })
     }
 
-    fn save_with_digest_inner(
-        &self,
-        fingerprint: u64,
-        pipeline_id: &str,
-        result: &DetectionResult,
-        digest: Option<&ImageDigest>,
-    ) -> Result<(), StoreError> {
-        let blob = serialize_result_with_digest(result, digest).map_err(StoreError::Malformed)?;
-        let mut file = Vec::with_capacity(blob.len() + 32);
-        file.extend_from_slice(&STORE_MAGIC);
-        file.extend_from_slice(&STORE_VERSION.to_le_bytes());
-        file.extend_from_slice(&fingerprint.to_le_bytes());
-        let id_len: u16 = pipeline_id
-            .len()
-            .try_into()
-            .map_err(|_| StoreError::BadHeader("pipeline id too long"))?;
-        file.extend_from_slice(&id_len.to_le_bytes());
-        file.extend_from_slice(pipeline_id.as_bytes());
-        file.extend_from_slice(&blob);
-
-        match self.faults.fire(FaultPlan::STORE_SAVE) {
-            Some(FaultKind::Io) => {
-                return Err(FaultPlan::injected_error(FaultPlan::STORE_SAVE).into())
-            }
-            // Torn write: only a prefix reaches disk, but the rename
-            // still lands — the crash-mid-write shape. Load rejects it;
-            // the recovery sweep quarantines it.
-            Some(FaultKind::Short) => file.truncate(file.len() / 2),
-            // Silent media corruption: one payload byte flips on the
-            // way out. The serialized checksum catches it on load.
-            Some(FaultKind::Corrupt) => {
-                let mid = file.len() / 2;
-                file[mid] ^= 0x01;
-            }
-            Some(FaultKind::Stall(_)) | None => {}
-        }
-
-        let path = self.path_for(fingerprint, pipeline_id);
-        let tmp = path.with_extension(format!(
-            "tmp{}-{}",
-            std::process::id(),
-            self.tmp_seq.fetch_add(1, Ordering::Relaxed)
-        ));
-        {
-            let _writing = self.write_lock.lock().unwrap_or_else(|p| p.into_inner());
-            let previous = fs::metadata(&path).map(|m| m.len()).ok();
-            fs::write(&tmp, &file)?;
-            if let Err(e) = fs::rename(&tmp, &path) {
-                let _ = fs::remove_file(&tmp);
-                return Err(e.into());
-            }
-            match previous {
-                Some(old) => {
-                    self.bytes_approx.fetch_sub(old, Ordering::Relaxed);
-                }
-                None => {
-                    self.entries_approx.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            self.bytes_approx
-                .fetch_add(file.len() as u64, Ordering::Relaxed);
-        }
-        self.maybe_gc()?;
-        Ok(())
-    }
-
-    /// Loads the entry for `(fingerprint, pipeline_id)`.
+    /// Loads the entry for `(fingerprint, pipeline_id)`: the result and
+    /// the [`ImageDigest`] it was saved with, if any.
     ///
     /// `Ok(None)` when the key has no entry; an error when an entry
-    /// exists but is unreadable, mismatched, or corrupt — the caller
-    /// decides whether to recompute (the daemon does, then overwrites
-    /// the bad entry).
-    pub fn load(
-        &self,
-        fingerprint: u64,
-        pipeline_id: &str,
-    ) -> Result<Option<DetectionResult>, StoreError> {
-        Ok(self
-            .load_full(fingerprint, pipeline_id)?
-            .map(|(result, _)| result))
-    }
-
-    /// [`ResultStore::load`], also returning the persisted
-    /// [`ImageDigest`] when the entry has one. Entries written before
-    /// digests existed (blob format v1, or a v2 save without a digest)
-    /// load with `digest = None`; the serving layer heals them by
-    /// re-saving with a digest on its next analyze of that image.
+    /// exists but is unreadable, mismatched, corrupt, or of another
+    /// format version — the caller decides whether to recompute (the
+    /// daemon does, then overwrites the bad entry).
     pub fn load_full(
         &self,
         fingerprint: u64,
         pipeline_id: &str,
     ) -> Result<Option<(DetectionResult, Option<ImageDigest>)>, StoreError> {
-        let t0 = Instant::now();
-        let out = self.load_full_inner(fingerprint, pipeline_id);
-        if let Some(h) = &self.load_us {
-            h.record(t0.elapsed().as_micros() as u64);
-        }
-        out
-    }
-
-    fn load_full_inner(
-        &self,
-        fingerprint: u64,
-        pipeline_id: &str,
-    ) -> Result<Option<(DetectionResult, Option<ImageDigest>)>, StoreError> {
-        let path = self.path_for(fingerprint, pipeline_id);
-        let mut bytes = match fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
-        };
-        match self.faults.fire(FaultPlan::STORE_LOAD) {
-            Some(FaultKind::Io) => {
-                return Err(FaultPlan::injected_error(FaultPlan::STORE_LOAD).into())
-            }
-            Some(FaultKind::Short) => {
-                let keep = bytes.len() / 2;
-                bytes.truncate(keep);
-            }
-            Some(FaultKind::Corrupt) => {
-                let mid = bytes.len() / 2;
-                if let Some(b) = bytes.get_mut(mid) {
-                    *b ^= 0x01;
+        timed(&self.load_us, || {
+            let path = self.path_for(fingerprint, pipeline_id);
+            let mut bytes = match fs::read(&path) {
+                Ok(bytes) => bytes,
+                Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+                Err(e) => return Err(e.into()),
+            };
+            match self.faults.fire(FaultPlan::STORE_LOAD) {
+                Some(FaultKind::Io) => {
+                    return Err(FaultPlan::injected_error(FaultPlan::STORE_LOAD).into())
                 }
+                Some(FaultKind::Short) => {
+                    let keep = bytes.len() / 2;
+                    bytes.truncate(keep);
+                }
+                Some(FaultKind::Corrupt) => {
+                    let mid = bytes.len() / 2;
+                    if let Some(b) = bytes.get_mut(mid) {
+                        *b ^= 0x01;
+                    }
+                }
+                Some(FaultKind::Stall(_)) | None => {}
             }
-            Some(FaultKind::Stall(_)) | None => {}
-        }
-        Self::decode(&bytes, fingerprint, pipeline_id).map(Some)
+            let (stored_fp, stored_id, blob) = parse_header(&bytes)?;
+            if stored_fp != fingerprint || stored_id != pipeline_id {
+                return Err(StoreError::KeyMismatch);
+            }
+            deserialize_result_full(blob)
+                .map(Some)
+                .map_err(StoreError::Malformed)
+        })
     }
 
-    /// Verifies and decodes one entry image against its expected key.
-    fn decode(
-        bytes: &[u8],
-        fingerprint: u64,
-        pipeline_id: &str,
-    ) -> Result<(DetectionResult, Option<ImageDigest>), StoreError> {
-        let min = STORE_MAGIC.len() + 2 + 8 + 2;
-        if bytes.len() < min {
-            return Err(StoreError::BadHeader("file shorter than header"));
-        }
-        if bytes[..4] != STORE_MAGIC {
-            return Err(StoreError::BadHeader("bad magic"));
-        }
-        let version = u16::from_le_bytes(bytes[4..6].try_into().expect("2"));
-        if version != STORE_VERSION {
-            return Err(StoreError::BadHeader("unsupported version"));
-        }
-        let stored_fp = u64::from_le_bytes(bytes[6..14].try_into().expect("8"));
-        let id_len = u16::from_le_bytes(bytes[14..16].try_into().expect("2")) as usize;
-        let id_end = 16 + id_len;
-        if bytes.len() < id_end {
-            return Err(StoreError::BadHeader("file shorter than its pipeline id"));
-        }
-        let stored_id = std::str::from_utf8(&bytes[16..id_end])
-            .map_err(|_| StoreError::BadHeader("non-UTF-8 pipeline id"))?;
-        if stored_fp != fingerprint || stored_id != pipeline_id {
-            return Err(StoreError::KeyMismatch);
-        }
-        deserialize_result_full(&bytes[id_end..]).map_err(StoreError::Malformed)
-    }
-
-    /// Validates an entry file in place (header, embedded key sanity,
-    /// payload checksum) without an expected key: the embedded key only
-    /// has to be self-consistent with the *filename* rendezvous.
+    /// Validates an entry file in place (header, payload checksum)
+    /// without an expected key: the file must sit under the filename of
+    /// its embedded key, or no `load_full` could ever find it intact.
     fn validate_file(path: &Path) -> Result<(), StoreError> {
         let bytes = fs::read(path)?;
-        let min = STORE_MAGIC.len() + 2 + 8 + 2;
-        if bytes.len() < min {
-            return Err(StoreError::BadHeader("file shorter than header"));
+        let (stored_fp, stored_id, blob) = parse_header(&bytes)?;
+        if path.file_name() != Some(OsStr::new(&entry_name(stored_fp, stored_id))) {
+            return Err(StoreError::KeyMismatch);
         }
-        let stored_fp = u64::from_le_bytes(bytes[6..14].try_into().expect("8"));
-        let id_len = u16::from_le_bytes(bytes[14..16].try_into().expect("2")) as usize;
-        let id_end = 16 + id_len;
-        if bytes.len() < id_end {
-            return Err(StoreError::BadHeader("file shorter than its pipeline id"));
-        }
-        let stored_id = std::str::from_utf8(&bytes[16..id_end])
-            .map_err(|_| StoreError::BadHeader("non-UTF-8 pipeline id"))?
-            .to_string();
-        Self::decode(&bytes, stored_fp, &stored_id).map(|_| ())
+        deserialize_result_full(blob)
+            .map(|_| ())
+            .map_err(StoreError::Malformed)
     }
 
     /// The compaction sweep: reaps orphaned temp files, quarantines
@@ -671,14 +640,17 @@ mod tests {
 
         let store = ResultStore::open(&dir).unwrap();
         assert!(!store.contains(fp, &pipeline.id()));
-        assert!(store.load(fp, &pipeline.id()).unwrap().is_none());
-        store.save(fp, &pipeline.id(), &result).unwrap();
+        assert!(store.load_full(fp, &pipeline.id()).unwrap().is_none());
+        store
+            .save_with_digest(fp, &pipeline.id(), &result, None)
+            .unwrap();
         assert!(store.contains(fp, &pipeline.id()));
 
         // A second instance over the same directory — the restart shape.
         let restarted = ResultStore::open(&dir).unwrap();
-        let loaded = restarted.load(fp, &pipeline.id()).unwrap().unwrap();
+        let (loaded, digest) = restarted.load_full(fp, &pipeline.id()).unwrap().unwrap();
         assert_eq!(loaded, result);
+        assert!(digest.is_none());
         let stats = restarted.stats().unwrap();
         assert_eq!(stats.entries, 1);
         assert!(stats.disk_bytes > 0);
@@ -694,14 +666,16 @@ mod tests {
         let result = pipeline.run(&case.binary);
         let fp = content_fingerprint(&case.binary);
         let store = ResultStore::open(&dir).unwrap();
-        store.save(fp, &pipeline.id(), &result).unwrap();
+        store
+            .save_with_digest(fp, &pipeline.id(), &result, None)
+            .unwrap();
         let path = store.path_for(fp, &pipeline.id());
 
         // Truncation: drop the tail.
         let full = fs::read(&path).unwrap();
         fs::write(&path, &full[..full.len() - 9]).unwrap();
         assert!(matches!(
-            store.load(fp, &pipeline.id()),
+            store.load_full(fp, &pipeline.id()),
             Err(StoreError::Malformed(_))
         ));
 
@@ -710,7 +684,7 @@ mod tests {
         let mid = flipped.len() - 20;
         flipped[mid] ^= 0x40;
         fs::write(&path, &flipped).unwrap();
-        assert!(store.load(fp, &pipeline.id()).is_err());
+        assert!(store.load_full(fp, &pipeline.id()).is_err());
 
         // Wrong key inside a well-formed file: flip the stored
         // fingerprint bytes.
@@ -718,14 +692,14 @@ mod tests {
         wrong_key[6] ^= 0xff;
         fs::write(&path, &wrong_key).unwrap();
         assert!(matches!(
-            store.load(fp, &pipeline.id()),
+            store.load_full(fp, &pipeline.id()),
             Err(StoreError::KeyMismatch)
         ));
 
         // Not a store file at all.
         fs::write(&path, b"junkjunkjunkjunkjunkjunk").unwrap();
         assert!(matches!(
-            store.load(fp, &pipeline.id()),
+            store.load_full(fp, &pipeline.id()),
             Err(StoreError::BadHeader(_))
         ));
         fs::remove_dir_all(&dir).unwrap();
@@ -740,7 +714,9 @@ mod tests {
         let fp = content_fingerprint(&case.binary);
         {
             let store = ResultStore::open(&dir).unwrap();
-            store.save(fp, &pipeline.id(), &result).unwrap();
+            store
+                .save_with_digest(fp, &pipeline.id(), &result, None)
+                .unwrap();
         }
         // Simulate a crash: an orphaned temp file and a truncated entry.
         let entry = fs::read_dir(&dir)
@@ -768,7 +744,7 @@ mod tests {
             "quarantined, not silently deleted"
         );
         // The surviving entry still loads.
-        assert!(store.load(fp, &pipeline.id()).unwrap().is_some());
+        assert!(store.load_full(fp, &pipeline.id()).unwrap().is_some());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -786,7 +762,7 @@ mod tests {
             let case = synthesize(&SynthConfig::small(seed));
             let fp = content_fingerprint(&case.binary);
             store
-                .save(fp, &pipeline.id(), &pipeline.run(&case.binary))
+                .save_with_digest(fp, &pipeline.id(), &pipeline.run(&case.binary), None)
                 .unwrap();
             fps.push(fp);
             // mtime resolution can be coarse; order by distinct writes.
@@ -801,30 +777,9 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// The serial-blob checksum (FNV-1a, domain `"serial1v"`),
-    /// replicated so the test below can forge older-format blobs.
-    /// Drifts loudly: if core changes its checksum this test fails.
-    fn serial_checksum(payload: &[u8]) -> u64 {
-        const PRIME: u64 = 0x1000_0000_01b3;
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ 0x7365_7269_616c_3176; // "serial1v"
-        let mix = |h: &mut u64, v: u64| {
-            *h ^= v;
-            *h = h.wrapping_mul(PRIME);
-        };
-        mix(&mut h, payload.len() as u64);
-        let mut chunks = payload.chunks_exact(8);
-        for c in &mut chunks {
-            mix(&mut h, u64::from_le_bytes(c.try_into().unwrap()));
-        }
-        for &b in chunks.remainder() {
-            mix(&mut h, b as u64);
-        }
-        h
-    }
-
     #[test]
-    fn digests_persist_and_v1_entries_load_digestless_then_heal() {
-        use fetch_core::{ImageDigest, RESULT_VERSION_V1, RESULT_VERSION_V3};
+    fn digests_persist_and_other_versions_are_quarantined() {
+        use fetch_core::ImageDigest;
         let dir = scratch_dir("digest");
         let case = synthesize(&SynthConfig::small(57));
         let pipeline = Pipeline::fetch();
@@ -839,44 +794,52 @@ mod tests {
         let (back, d) = store.load_full(fp, &pipeline.id()).unwrap().unwrap();
         assert_eq!(back, result);
         assert_eq!(d.as_ref(), Some(&digest));
-        // The digest-blind accessor still works on a digest-ful entry.
-        assert_eq!(store.load(fp, &pipeline.id()).unwrap().unwrap(), result);
 
-        // Rewrite the entry's blob as an older encoding: a pre-digest v1
-        // one (no digest, no v3 scan counters), then a v3 one whose
-        // digest hashed `sem` by the old scheme. The forged blob's
-        // checksum is re-derived locally so a drift in core's checksum
-        // fails here loudly.
+        // Rewrite the embedded blob's version field. The blob version is
+        // checked before its checksum, so no checksum needs forging.
         let path = store.path_for(fp, &pipeline.id());
         let file = fs::read(&path).unwrap();
         let id_len = u16::from_le_bytes(file[14..16].try_into().unwrap()) as usize;
-        let blob_at = 16 + id_len;
-        for (version, old_digest) in [
-            (RESULT_VERSION_V1, None),
-            (RESULT_VERSION_V3, Some(&digest)),
-        ] {
-            let old = fetch_core::serialize_result_legacy(&result, old_digest, version).unwrap();
-            let sum = serial_checksum(&old[..old.len() - 8]).to_le_bytes();
-            assert_eq!(old[old.len() - 8..], sum, "core checksum drifted");
-            let mut forged = file[..blob_at].to_vec();
-            forged.extend_from_slice(&old);
-            fs::write(&path, &forged).unwrap();
+        let version_at = 16 + id_len + 4;
+        for version in [1u16, 2, 3, 5] {
+            let mut other = file.clone();
+            other[version_at..version_at + 2].copy_from_slice(&version.to_le_bytes());
+            fs::write(&path, &other).unwrap();
 
-            // A restart's recovery sweep must keep the old entry...
+            // A restart's recovery sweep quarantines the entry...
             let restarted = ResultStore::open(&dir).unwrap();
-            assert_eq!(restarted.stats().unwrap().quarantined, 0);
-            // ...and it loads with no digest.
-            let (back, od) = restarted.load_full(fp, &pipeline.id()).unwrap().unwrap();
-            assert_eq!(back, result);
-            assert!(od.is_none(), "v{version} entries read as digest-less");
-
-            // Healing: a re-save with the digest upgrades the entry.
-            restarted
-                .save_with_digest(fp, &pipeline.id(), &result, Some(&digest))
-                .unwrap();
-            let (_, healed) = restarted.load_full(fp, &pipeline.id()).unwrap().unwrap();
-            assert_eq!(healed.as_ref(), Some(&digest));
+            let stats = restarted.stats().unwrap();
+            assert_eq!(stats.quarantined, 1, "v{version} entry quarantined");
+            assert_eq!(stats.entries, 0);
+            // ...so the key reads as absent and is recomputed on demand.
+            assert!(restarted.load_full(fp, &pipeline.id()).unwrap().is_none());
+            fs::remove_dir_all(dir.join(QUARANTINE_DIR)).unwrap();
+            fs::write(&path, &file).unwrap();
         }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn misfiled_entries_are_quarantined_at_open() {
+        let dir = scratch_dir("misfiled");
+        let case = synthesize(&SynthConfig::small(58));
+        let pipeline = Pipeline::parse("FDE+Rec").unwrap();
+        let result = pipeline.run(&case.binary);
+        let fp = content_fingerprint(&case.binary);
+        let id = pipeline.id();
+        {
+            let store = ResultStore::open(&dir).unwrap();
+            store.save_with_digest(fp, &id, &result, None).unwrap();
+            // A valid entry copied under another key's filename.
+            fs::copy(store.path_for(fp, &id), store.path_for(fp ^ 1, &id)).unwrap();
+        }
+        let store = ResultStore::open(&dir).unwrap();
+        let stats = store.stats().unwrap();
+        assert_eq!(stats.quarantined, 1, "the misfiled copy is quarantined");
+        assert_eq!(stats.entries, 1);
+        assert!(store.load_full(fp ^ 1, &id).unwrap().is_none());
+        let (back, _) = store.load_full(fp, &id).unwrap().unwrap();
+        assert_eq!(back, result, "the original still loads");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -894,20 +857,25 @@ mod tests {
 
         // Firing 1: the save errors out loudly.
         assert!(matches!(
-            store.save(fp, &pipeline.id(), &result),
+            store.save_with_digest(fp, &pipeline.id(), &result, None),
             Err(StoreError::Io(_))
         ));
         // Firing 2: a torn write persists a truncated entry.
-        store.save(fp, &pipeline.id(), &result).unwrap();
+        store
+            .save_with_digest(fp, &pipeline.id(), &result, None)
+            .unwrap();
         // Firing 3: the armed corrupt flip lands on top of the torn
         // entry — rejected either way.
-        assert!(store.load(fp, &pipeline.id()).is_err());
+        assert!(store.load_full(fp, &pipeline.id()).is_err());
         // With the plan spent, the truncation alone is still caught by
         // validation — rejected, never misread.
-        assert!(store.load(fp, &pipeline.id()).is_err());
+        assert!(store.load_full(fp, &pipeline.id()).is_err());
         // A clean save heals it and the same key loads cleanly.
-        store.save(fp, &pipeline.id(), &result).unwrap();
-        assert_eq!(store.load(fp, &pipeline.id()).unwrap().unwrap(), result);
+        store
+            .save_with_digest(fp, &pipeline.id(), &result, None)
+            .unwrap();
+        let (back, _) = store.load_full(fp, &pipeline.id()).unwrap().unwrap();
+        assert_eq!(back, result);
         assert_eq!(plan.fired(), 3);
         fs::remove_dir_all(&dir).unwrap();
     }

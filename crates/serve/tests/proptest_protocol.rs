@@ -7,7 +7,8 @@
 //! nesting past the JSON parser's depth bound. A second property pins
 //! the canonical form: a valid request re-renders to the line it was
 //! parsed from, and an accepted hostile line parses back to the same
-//! request once re-rendered.
+//! request once re-rendered. A timing test checks that parsing stays
+//! linear in the line length for each hostile shape.
 
 use fetch_core::{Pipeline, KNOWN_LAYERS};
 use fetch_serve::protocol::{parse_request, AnalyzeInput, Request, RequestError};
@@ -146,5 +147,77 @@ proptest! {
         let parsed = check_line(&line).expect("a rendered request parses");
         prop_assert_eq!(&parsed, &req);
         prop_assert_eq!(parsed.to_line(), line);
+    }
+}
+
+/// One hostile request line of about `target` bytes: `unit` repeated
+/// between `head` and `tail`.
+fn scaled_line(head: &str, unit: &str, sep: &str, tail: &str, target: usize) -> String {
+    let n = target / (unit.len() + sep.len()) + 1;
+    let mut line = String::from(head);
+    for i in 0..n {
+        if i > 0 {
+            line.push_str(sep);
+        }
+        line.push_str(&unit.replace('#', &i.to_string()));
+    }
+    line + tail
+}
+
+/// Wall time to parse `line`, per byte. The line must parse: an early
+/// error would time a prefix, not the whole line.
+fn ns_per_byte(line: &str) -> f64 {
+    let t0 = std::time::Instant::now();
+    let parsed = parse_request(line);
+    let ns = t0.elapsed().as_nanos() as f64;
+    assert!(parsed.is_ok(), "{:?}", parsed.map(|_| ()));
+    ns / line.len() as f64
+}
+
+/// Request parsing is linear in the line for every hostile shape: the
+/// best-of-5 per-byte time of a ~1 MiB line is at most 4x that of a
+/// ~32 KiB one (linear parsing gives about 1x; a quadratic step about
+/// 32x).
+#[test]
+fn request_parsing_scales_linearly() {
+    // Arrays nested just inside the JSON parser's 64-level bound (the
+    // root object is level 0, its field value level 1).
+    let depth = 62;
+    let nested = "[".repeat(depth) + "0" + &"]".repeat(depth);
+    let shapes: [(&str, &str, &str, &str, &str); 5] = [
+        (
+            "escapes",
+            r#"{"cmd":"analyze","path":""#,
+            r#"\"\\\u0041x"#,
+            "",
+            r#""}"#,
+        ),
+        (
+            "bytes_hex",
+            r#"{"cmd":"analyze","bytes_hex":""#,
+            "c3",
+            "",
+            r#""}"#,
+        ),
+        ("many_keys", r#"{"cmd":"stats","#, r#""k#":0"#, ",", "}"),
+        ("nested", r#"{"cmd":"stats","a":["#, &nested, ",", "]}"),
+        ("digits", r#"{"cmd":"stats","n":0."#, "1234567890", "", "}"),
+    ];
+    for (name, head, unit, sep, tail) in shapes {
+        let small = scaled_line(head, unit, sep, tail, 32 << 10);
+        let large = scaled_line(head, unit, sep, tail, 1 << 20);
+        assert!(large.len() < fetch_serve::protocol::MAX_LINE_BYTES);
+        // Interleave the sizes so load on the host hits both alike.
+        let (mut small_ns, mut large_ns) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..5 {
+            small_ns = small_ns.min(ns_per_byte(&small));
+            large_ns = large_ns.min(ns_per_byte(&large));
+        }
+        assert!(
+            large_ns <= 4.0 * small_ns,
+            "{name}: {large_ns:.2} ns/byte at {} bytes vs {small_ns:.2} at {}",
+            large.len(),
+            small.len()
+        );
     }
 }
