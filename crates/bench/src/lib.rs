@@ -1,10 +1,11 @@
 //! # fetch-bench
 //!
 //! The benchmark harness that regenerates every table and figure of the
-//! paper. Each `src/bin/*` binary reproduces one artifact (see DESIGN.md
-//! §3 for the experiment index); this library holds the shared corpus
-//! plumbing, the parallel [`BatchDriver`] every harness schedules its
-//! corpus sweep on, paper reference numbers, and output helpers.
+//! paper. The `repro` binary runs any of them; the [`repro`] module
+//! holds one function per artifact and the artifact index (artifact →
+//! paper section → what it prints). This library also holds the shared
+//! corpus plumbing, the parallel [`BatchDriver`] every harness schedules
+//! its corpus sweep on, paper reference numbers, and output helpers.
 //!
 //! All binaries accept:
 //!
@@ -23,11 +24,11 @@
 //!   unbounded.
 //!
 //! Any other argument is an error naming it, unless the harness declares
-//! it as one of its own flags (`fig5 --panel`, `serve_load --rounds` and
-//! `--metrics-out`; see [`opts_from`]).
+//! it as one of its own flags (`repro fig5 --panel`, `serve_load --rounds`
+//! and `--metrics-out`; see [`opts_from`]).
 //!
 //! **Determinism guarantee:** every harness output is byte-identical for
-//! every `--jobs` value. The [`BatchDriver`] shards deterministically and
+//! every `--jobs` value, wall-time cells aside. The [`BatchDriver`] shards deterministically and
 //! merges per-binary results in corpus index order, per-binary work is
 //! pure, and the per-worker decode-cache reuse is observationally
 //! invisible (enforced by `tests/batch_determinism.rs`,
@@ -39,6 +40,7 @@
 #![warn(missing_docs)]
 
 pub mod batch;
+pub mod repro;
 
 pub use batch::{BatchDriver, BatchError};
 
@@ -248,11 +250,6 @@ pub fn banner(title: &str) {
     println!("\n{}", "=".repeat(72));
     println!("{title}");
     println!("{}", "=".repeat(72));
-}
-
-/// Prints a "paper reports vs. we measure" comparison line.
-pub fn compare_line(what: &str, paper: &str, measured: &str) {
-    println!("  {what:<44} paper: {paper:>12}   measured: {measured:>12}");
 }
 
 /// Reference numbers from the paper, for side-by-side printing.

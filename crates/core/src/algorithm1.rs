@@ -44,7 +44,7 @@ pub struct RepairReport {
 /// removal). The optimal pipeline runs it after `FDE+Rec+Xref`.
 ///
 /// The three fields are ablation knobs (all `false`/`None` reproduces the
-/// paper's algorithm); the `ablation_alg1` bench sweeps them to quantify
+/// paper's algorithm); `repro ablation` sweeps them to quantify
 /// each criterion's contribution.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CallFrameRepair {

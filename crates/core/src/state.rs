@@ -170,7 +170,7 @@ impl DetectionResult {
     /// Replays the trace's start deltas through the first `k` layers,
     /// reconstructing the start set as it stood after layer `k - 1` ran
     /// — layers are sequential, so the prefix of a pipeline's trace *is*
-    /// the result of running the shorter stack. The `fig5` harness uses
+    /// the result of running the shorter stack. `repro fig5` uses
     /// this to evaluate every prefix stack of a panel from one run.
     ///
     /// Requires a complete trace (the state mutated only through

@@ -6,7 +6,7 @@
 //! implements that structure: fixed-size `(BeginAddress, EndAddress,
 //! UnwindInfoAddress)` RVA triples, sorted by begin address.
 //!
-//! The `generality` bench emits a `.pdata`-style table for a synthetic
+//! `repro generality` emits a `.pdata`-style table for a synthetic
 //! binary (covering the subset of functions Windows compilers register —
 //! those with stack frames or exception semantics) and measures the
 //! coverage a pdata-seeded detector achieves, mirroring the paper's

@@ -1,8 +1,9 @@
 //! Generation parameters: feature rates and per-binary configuration.
 //!
 //! Rates are calibrated so the synthetic corpus exhibits the phenomena the
-//! paper measures at comparable relative frequencies (see DESIGN.md §1 for
-//! the substitution argument and §3 for the calibration targets).
+//! paper measures at comparable relative frequencies (`fetch_bench::paper`
+//! holds the paper's numbers; the artifact index in `fetch_bench::repro`
+//! says which artifact measures each).
 
 use fetch_binary::{BuildInfo, Compiler, Lang, OptLevel};
 

@@ -4,7 +4,8 @@
 //! synthesis of System-V x86-64 binaries with exact ground truth.
 //!
 //! The paper evaluates on 1,395 real binaries. This crate stands in for
-//! that corpus (see DESIGN.md §1): it emits machine code, `.eh_frame`
+//! that corpus (the artifact index in `fetch_bench::repro` lists what is
+//! measured on it): it emits machine code, `.eh_frame`
 //! tables mirroring the code's real stack behaviour, symbols, and a
 //! [`fetch_binary::GroundTruth`] recording every function, part, FDE and
 //! reference class. All phenomena the paper measures are generated

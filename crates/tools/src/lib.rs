@@ -9,7 +9,8 @@
 //! instrumented executor over the shared substrate (decoder, recursive
 //! engine, heuristics). The goal is the paper's *shape*: who wins on
 //! false positives/negatives and by roughly what order of magnitude, not
-//! bug-for-bug tool emulation (see DESIGN.md §1).
+//! bug-for-bug tool emulation (`repro table3` prints the comparison; see
+//! the artifact index in `fetch_bench::repro`).
 //!
 //! | Tool | Stack ([`Pipeline::id`]) |
 //! |---|---|
