@@ -20,7 +20,9 @@
 //!   the L2 cliff no matter how the work is scheduled.
 //!
 //! * `layer_breakdown` — the per-layer trace of the large corpus run:
-//!   wall time, starts added/removed, and decode work per layer.
+//!   wall time, starts added/removed, and decode work per layer; beside
+//!   it, `rec_work`, the recursion engine's work counters over the same
+//!   run (asserted: one full walk).
 //! * `cache` — the serving layer: a cold image-keyed cache miss vs
 //!   a warm hit on the same image (the snapshot asserts the hit is
 //!   ≥ 10× faster), the hit rate of a two-round corpus sweep through
@@ -71,13 +73,14 @@ use fetch_core::{
     content_fingerprint, image_fingerprint, run_delta, AnalysisCache, DeltaClass, DetectionState,
     ImageDigest, LayerTrace, Pipeline,
 };
-use fetch_disasm::RecEngine;
+use fetch_disasm::{RecEngine, RecWorkStats};
 use fetch_synth::{patch_function, synthesize, PatchKind, SynthConfig};
 use std::fmt::Write as _;
 use std::time::Instant;
 
 struct PipelineRun {
     trace: Vec<LayerTrace>,
+    work: RecWorkStats,
     insts: usize,
     detected: usize,
     peak_starts: usize,
@@ -97,6 +100,7 @@ fn run_once(bin: &fetch_binary::Binary) -> PipelineRun {
         .max(detected);
     PipelineRun {
         trace: std::mem::take(&mut st.trace),
+        work: st.engine_work_stats(),
         insts,
         detected,
         peak_starts,
@@ -159,7 +163,7 @@ fn main() {
 
     let mut large_best: Option<PipelineRun> = None;
     let mut ips_curve: Vec<(&str, f64)> = Vec::new();
-    let mut json = String::from("{\n  \"schema\": \"fetch-perf-snapshot/v5\",\n  \"corpora\": [\n");
+    let mut json = String::from("{\n  \"schema\": \"fetch-perf-snapshot/v6\",\n  \"corpora\": [\n");
     for (ci, (name, seed, n_funcs)) in corpora.iter().enumerate() {
         let mut cfg = SynthConfig::small(*seed);
         cfg.n_funcs = *n_funcs;
@@ -247,6 +251,38 @@ fn main() {
             );
         }
         json.push_str("  ],\n");
+        // The recursion engine's work over the same run. Host-independent:
+        // a cold run walks the binary once; every later recursion extends
+        // or prunes that walk in place.
+        let w = s.work;
+        let _ = writeln!(
+            json,
+            "  \"rec_work\": {{ \"full_walks\": {}, \"extension_walks\": {}, \
+             \"pruned_rounds\": {}, \"fallback_walks\": {}, \"classify_rounds\": {}, \
+             \"functions_classified\": {}, \"cap_hits\": {} }},",
+            w.full_walks,
+            w.extension_walks,
+            w.pruned_rounds,
+            w.fallback_walks,
+            w.classify_rounds,
+            w.functions_classified,
+            w.cap_hits,
+        );
+        println!(
+            "  rec work: {} full walks, {} extensions, {} pruned rounds, {} fallbacks, \
+             {} classify rounds ({} functions), {} cap hits",
+            w.full_walks,
+            w.extension_walks,
+            w.pruned_rounds,
+            w.fallback_walks,
+            w.classify_rounds,
+            w.functions_classified,
+            w.cap_hits,
+        );
+        assert_eq!(
+            w.full_walks, 1,
+            "a cold large-corpus run must walk the binary exactly once: {w:?}"
+        );
     }
 
     // Scaling group: the same full pipeline over the large corpus once

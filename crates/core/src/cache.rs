@@ -226,11 +226,10 @@ pub struct SectionDigest {
 /// `sem` is copied when the section spans are unchanged and no
 /// raw-changed bucket overlaps the range. Gap buckets hash raw outright.
 ///
-/// Known residual risk, deliberately accepted (mirroring
-/// `RecEngine::plan_extension`): the sweep projects each bucket at its
-/// own phase, while a real walk may enter bytes at another phase; the
-/// differential property suite (`fetch-core/tests/proptest_delta.rs`)
-/// enforces that tail.
+/// Known residual risk, deliberately accepted: the sweep projects each
+/// bucket at its own phase, while a real walk may enter bytes at another
+/// phase. Only the differential property suite
+/// (`fetch-core/tests/proptest_delta.rs`) enforces that tail.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ImageDigest {
     /// Whole-image fingerprint of the bytes the digest was computed

@@ -34,11 +34,11 @@
 //!   bounded predecessor scans, cache-friendly iteration.
 //! * **Incremental recursion** — [`DetectionState::run_recursion`] goes
 //!   through a persistent [`fetch_disasm::RecEngine`] that caches every
-//!   decode (text bytes never change) and reuses the previous walk:
-//!   a layer that adds a few starts re-walks only from those seeds, an
-//!   unchanged seed set returns the cached result, and non-return
-//!   fixpoint rounds re-walk only when a decoded call site's behavior
-//!   actually changed.
+//!   decode (text bytes never change) and edits the previous walk in
+//!   place: a layer that adds a few starts walks only from those seeds,
+//!   an unchanged seed set returns the cached result, and a non-return
+//!   round deletes only the code behind the cut call sites. A cold
+//!   pipeline walks the binary once.
 //! * **Analysis caches** — [`DetectionState::xrefs`],
 //!   [`DetectionState::extents`], [`DetectionState::data_pointers`],
 //!   [`DetectionState::code_constants`] and [`DetectionState::start_set`]

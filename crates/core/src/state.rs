@@ -5,7 +5,7 @@
 use fetch_binary::Binary;
 use fetch_disasm::{
     code_xrefs, function_extents, recursive_disassemble, ErrorCallPolicy, FunctionBody, RecEngine,
-    RecOptions, RecResult, XrefIndex,
+    RecOptions, RecResult, RecWorkStats, XrefIndex,
 };
 use fetch_ehframe::{stack_heights, EhFrame, HeightTable};
 use std::collections::{BTreeMap, BTreeSet};
@@ -99,9 +99,8 @@ impl fmt::Display for Provenance {
 /// Only the *deterministic* fields participate in `==`: `name`, `added`,
 /// `removed`, and `starts_after`. Wall time and decode-cache counters are
 /// instrumentation — they vary run-to-run and with engine warmth, and the
-/// differential suites (`parallel ≡ serial`, `shared engine ≡ fresh
-/// engine`, `cache hit ≡ cold run`) compare results across exactly those
-/// axes.
+/// differential suites (`shared engine ≡ fresh engine`, `cache hit ≡
+/// cold run`) compare results across exactly those axes.
 #[derive(Debug, Clone)]
 pub struct LayerTrace {
     /// The layer's display name ([`crate::LayerSpec::name`]).
@@ -264,8 +263,9 @@ pub struct DetectionState<'b> {
     /// Current start set with provenance.
     pub(crate) starts: BTreeMap<u64, Provenance>,
     /// Latest recursive-disassembly result (empty until recursion runs).
-    /// Shared with the engine's run cache: re-runs that provably change
-    /// nothing hand back another reference instead of a deep clone.
+    /// The same allocation as the engine's walk: [`DetectionState::
+    /// run_recursion`] drops this handle before the engine runs, so the
+    /// engine edits the walk in place instead of copying it.
     pub(crate) rec: Arc<RecResult>,
     /// Addresses of `error`/`error_at_line`-style functions (resolved
     /// from symbol names, modeling dynamic-symbol knowledge of libc).
@@ -520,7 +520,8 @@ impl<'b> DetectionState<'b> {
     /// `add_call_targets` is set.
     ///
     /// Incrementally: the persistent [`RecEngine`] reuses the decode
-    /// cache and, when the seed set only grew, the previous walk.
+    /// cache and, when the seed set only grew, extends the previous walk
+    /// in place.
     pub fn run_recursion(&mut self, add_call_targets: bool, policy: ErrorCallPolicy) {
         let opts = RecOptions {
             add_call_targets,
@@ -531,6 +532,10 @@ impl<'b> DetectionState<'b> {
         let seeds = self.start_set();
         let (rec, changed) = if self.incremental {
             let before = self.engine.generation();
+            // Release this state's handle first: the engine's walk is the
+            // same allocation, and it edits it in place only when no one
+            // else holds it.
+            self.rec = Arc::default();
             let rec = self.engine.run_shared(self.binary, &seeds, &opts);
             // The engine leaves its generation untouched on the
             // identical-input fast path *and* on no-op extensions: the
@@ -565,6 +570,12 @@ impl<'b> DetectionState<'b> {
     /// [`RecEngine::decode_stats`]).
     pub fn engine_decode_stats(&self) -> (u64, u64) {
         self.engine.decode_stats()
+    }
+
+    /// The engine's walk and classification counters (monotone; see
+    /// [`RecEngine::work_stats`]).
+    pub fn engine_work_stats(&self) -> RecWorkStats {
+        self.engine.work_stats()
     }
 
     /// Freezes the state into a [`DetectionResult`].

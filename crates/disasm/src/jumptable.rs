@@ -8,6 +8,12 @@
 use fetch_binary::Binary;
 use fetch_x64::{AluOp, Cc, Inst, Mem, Op, Reg, Rm, Width};
 
+/// How many instructions before the jump the solver reads. It keeps the
+/// nearest match of each piece, so a chain that grows backward can turn
+/// "unsolved" into "solved" but never change a solved answer; a chain
+/// already this long is final.
+pub(crate) const JT_WINDOW: usize = 12;
+
 /// A solved jump table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JumpTable {
@@ -46,7 +52,7 @@ pub fn solve_jump_table(block: &[Inst], jmp: &Inst, bin: &Binary) -> Option<Jump
     let mut bound: Option<u64> = None;
     let mut saw_ja = false;
 
-    for inst in block.iter().rev().skip(1).take(12) {
+    for inst in block.iter().rev().skip(1).take(JT_WINDOW) {
         match inst.op {
             // add r, base — completes the target computation.
             Op::AluRR(AluOp::Add, Width::W64, d, s) if d == jump_reg && add_base.is_none() => {

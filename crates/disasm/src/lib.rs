@@ -37,5 +37,5 @@ pub use linear::{sweep, sweep_tolerant, Sweep};
 pub use nonreturn::{classify_noreturn, status_arg_is_zero, ErrorCallPolicy};
 pub use recursive::{
     call_returns, recursive_disassemble, text_content_hash, Disassembly, RecEngine, RecOptions,
-    RecResult,
+    RecResult, RecWorkStats,
 };

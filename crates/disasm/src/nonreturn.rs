@@ -44,17 +44,23 @@ pub fn status_arg_is_zero(block: &[Inst]) -> bool {
 /// last-write-wins forward is the same verdict as first-match
 /// backward, without the per-block buffer.
 pub fn fold_status_zero(status: &mut bool, inst: &Inst) {
+    if let Some(zero) = rdi_write(inst) {
+        *status = zero;
+    }
+}
+
+/// Whether `inst` writes `edi`/`rdi`, and if so whether the value is
+/// provably zero.
+pub(crate) fn rdi_write(inst: &Inst) -> Option<bool> {
     match inst.op {
-        Op::MovRI(_, Reg::Rdi, v) => *status = v == 0,
-        Op::AluRR(AluOp::Xor, _, Reg::Rdi, Reg::Rdi) => *status = true,
-        Op::MovAbs(Reg::Rdi, v) => *status = v == 0,
+        Op::MovRI(_, Reg::Rdi, v) => Some(v == 0),
+        Op::AluRR(AluOp::Xor, _, Reg::Rdi, Reg::Rdi) => Some(true),
+        Op::MovAbs(Reg::Rdi, v) => Some(v == 0),
         // Any other write to rdi of unknown value: not provably zero.
         _ => {
             let mut writes_rdi = false;
             inst.each_reg_written(|r| writes_rdi |= r == Reg::Rdi);
-            if writes_rdi {
-                *status = false;
-            }
+            writes_rdi.then_some(false)
         }
     }
 }

@@ -2,11 +2,14 @@
 //! §IV-C must hold on arbitrary synthetic corpora.
 
 use fetch_disasm::{
-    body_of, code_xrefs, function_extents, recursive_disassemble, sweep_tolerant, RecOptions,
+    body_of, code_xrefs, function_extents, recursive_disassemble, sweep_tolerant, RecEngine,
+    RecOptions, RecResult,
 };
 use fetch_synth::{synthesize, FeatureRates, SynthConfig};
+use fetch_x64::Flow;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 fn arb_config() -> impl Strategy<Value = SynthConfig> {
     (any::<u64>(), 20usize..70, 0.0f64..0.15, 0usize..12).prop_map(|(seed, n_funcs, split, asm)| {
@@ -21,8 +24,83 @@ fn arb_config() -> impl Strategy<Value = SynthConfig> {
     })
 }
 
+/// `items` each kept with probability `num / 8`, drawn from `bits`.
+fn subset(items: &[u64], mut bits: u64, num: u64) -> BTreeSet<u64> {
+    items
+        .iter()
+        .copied()
+        .filter(|_| {
+            // xorshift64: a fresh draw per item.
+            bits ^= bits << 13;
+            bits ^= bits >> 7;
+            bits ^= bits << 17;
+            bits % 8 < num
+        })
+        .collect()
+}
+
+/// Everything a walk produces, in a comparable form.
+fn observe(r: &RecResult) -> (Vec<u64>, Vec<u64>, String, BTreeSet<u64>, BTreeSet<u64>) {
+    let mut errors: Vec<u64> = r.disasm.decode_errors.iter().map(|&(a, _)| a).collect();
+    errors.sort_unstable();
+    (
+        r.disasm.iter().map(|i| i.addr).collect(),
+        errors,
+        format!("{:?}", r.disasm.jump_tables),
+        r.functions.clone(),
+        r.noreturn.clone(),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Growing the seed set engine-side extends the previous walk in
+    /// place; a from-scratch run over the union must agree on every
+    /// observable. The added seeds include arbitrary decoded addresses,
+    /// so they land mid-block as often as on block heads, and `error`
+    /// call sites, whose status the walk reads from the code before them.
+    #[test]
+    fn engine_extension_matches_from_scratch(
+        cfg in arb_config(),
+        base_bits in any::<u64>(),
+        added_bits in any::<u64>(),
+    ) {
+        let case = synthesize(&cfg);
+        let fdes = case.binary.eh_frame().unwrap().pc_begins();
+        let opts = RecOptions {
+            error_funcs: Arc::new(
+                case.binary
+                    .symbols
+                    .iter()
+                    .filter(|s| s.name == "error" || s.name == "error_at_line")
+                    .map(|s| s.addr)
+                    .collect(),
+            ),
+            ..RecOptions::default()
+        };
+        let all: BTreeSet<u64> = fdes.iter().copied().collect();
+        let full = recursive_disassemble(&case.binary, &all, &opts);
+        let decoded: Vec<u64> = full.disasm.iter().map(|i| i.addr).collect();
+        let error_calls: Vec<u64> = full
+            .disasm
+            .iter()
+            .filter(|i| matches!(i.flow(), Flow::Call(t) if opts.error_funcs.contains(&t)))
+            .map(|i| i.addr)
+            .collect();
+        let base = subset(&fdes, base_bits | 1, 4);
+        let mut grown = base.clone();
+        grown.extend(subset(&fdes, added_bits | 1, 4));
+        grown.extend(subset(&decoded, added_bits.rotate_left(17) | 1, 1));
+        grown.extend(subset(&error_calls, added_bits.rotate_left(41) | 1, 4));
+
+        let mut engine = RecEngine::new();
+        engine.run(&case.binary, &base, &opts);
+        let incremental = engine.run(&case.binary, &grown, &opts);
+        let scratch = recursive_disassemble(&case.binary, &grown, &opts);
+        prop_assert_eq!(observe(&incremental), observe(&scratch));
+        prop_assert_eq!(engine.work_stats().full_walks, 1);
+    }
 
     /// Safe recursion never decodes overlapping instructions from the
     /// same seed set, never leaves the text section, and is idempotent.
