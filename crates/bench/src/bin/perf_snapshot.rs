@@ -22,7 +22,9 @@
 //! * `layer_breakdown` — the per-layer trace of the large corpus run:
 //!   wall time, starts added/removed, and decode work per layer; beside
 //!   it, `rec_work`, the recursion engine's work counters over the same
-//!   run (asserted: one full walk).
+//!   run (asserted: one full walk), and `derived_work`, the state's
+//!   whole-binary index builds and the classifier's status slices
+//!   (asserted: one extents build, no full xref index build).
 //! * `cache` — the serving layer: a cold image-keyed cache miss vs
 //!   a warm hit on the same image (the snapshot asserts the hit is
 //!   ≥ 10× faster), the hit rate of a two-round corpus sweep through
@@ -70,8 +72,8 @@
 use fetch_bench::{dataset2, default_jobs, BatchDriver, BenchOpts};
 use fetch_binary::{read_elf, write_elf, ElfImage, ElfView};
 use fetch_core::{
-    content_fingerprint, image_fingerprint, run_delta, AnalysisCache, DeltaClass, DetectionState,
-    ImageDigest, LayerTrace, Pipeline,
+    content_fingerprint, image_fingerprint, run_delta, AnalysisCache, DeltaClass, DerivedWorkStats,
+    DetectionState, ImageDigest, LayerTrace, Pipeline,
 };
 use fetch_disasm::{RecEngine, RecWorkStats};
 use fetch_synth::{patch_function, synthesize, PatchKind, SynthConfig};
@@ -81,6 +83,7 @@ use std::time::Instant;
 struct PipelineRun {
     trace: Vec<LayerTrace>,
     work: RecWorkStats,
+    derived: DerivedWorkStats,
     insts: usize,
     detected: usize,
     peak_starts: usize,
@@ -101,6 +104,7 @@ fn run_once(bin: &fetch_binary::Binary) -> PipelineRun {
     PipelineRun {
         trace: std::mem::take(&mut st.trace),
         work: st.engine_work_stats(),
+        derived: st.derived_work_stats(),
         insts,
         detected,
         peak_starts,
@@ -163,7 +167,7 @@ fn main() {
 
     let mut large_best: Option<PipelineRun> = None;
     let mut ips_curve: Vec<(&str, f64)> = Vec::new();
-    let mut json = String::from("{\n  \"schema\": \"fetch-perf-snapshot/v6\",\n  \"corpora\": [\n");
+    let mut json = String::from("{\n  \"schema\": \"fetch-perf-snapshot/v7\",\n  \"corpora\": [\n");
     for (ci, (name, seed, n_funcs)) in corpora.iter().enumerate() {
         let mut cfg = SynthConfig::small(*seed);
         cfg.n_funcs = *n_funcs;
@@ -282,6 +286,25 @@ fn main() {
         assert_eq!(
             w.full_walks, 1,
             "a cold large-corpus run must walk the binary exactly once: {w:?}"
+        );
+        // Derived work, host-independent too: the run builds function
+        // extents once (for `TcallFix`) and never the full reference
+        // index; classification slices only at `error` calls.
+        let d = s.derived;
+        let _ = writeln!(
+            json,
+            "  \"derived_work\": {{ \"extents_builds\": {}, \"xref_index_builds\": {}, \
+             \"status_slices\": {} }},",
+            d.extents_builds, d.xref_index_builds, w.status_slices,
+        );
+        println!(
+            "  derived work: {} extents builds, {} full xref index builds, {} status slices",
+            d.extents_builds, d.xref_index_builds, w.status_slices,
+        );
+        assert_eq!(
+            (d.extents_builds, d.xref_index_builds),
+            (1, 0),
+            "a cold large-corpus run must build extents once and no full xref index: {d:?}"
         );
     }
 

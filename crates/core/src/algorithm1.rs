@@ -21,7 +21,7 @@
 
 use crate::state::{DetectionState, Provenance};
 use fetch_analyses::{validate_calling_convention_cached, CallConvVerdict};
-use fetch_disasm::{ErrorCallPolicy, XrefKind};
+use fetch_disasm::{code_xrefs_to, ErrorCallPolicy, XrefKind};
 use std::collections::BTreeSet;
 
 /// What the repair pass did. Also deposited on the state
@@ -137,30 +137,20 @@ impl CallFrameRepair {
         let heights = &frames.heights;
         let has_fde = &frames.has_fde;
         let removed_fdes: BTreeSet<u64> = report.bad_fdes_removed.iter().copied().collect();
-        let fde_ranges: Vec<(u64, u64)> = frames
-            .ranges
-            .iter()
-            .copied()
-            .filter(|(b, _)| !removed_fdes.contains(b))
-            .collect();
         // The CFI range map already assigns every covered byte to a call
         // frame: an address strictly inside a (surviving) FDE's range is
         // some function's interior, never a new start. ICF-style entry
         // jumps into folded bodies otherwise satisfy every tail-call
         // criterion and would mint a false start.
-        let fde_interior = |t: u64| -> bool {
-            match fde_ranges.binary_search_by(|&(b, _)| b.cmp(&t)) {
-                Ok(_) => false, // an FDE begin is a legitimate start
-                Err(0) => false,
-                Err(i) => {
-                    let (b, e) = fde_ranges[i - 1];
-                    b < t && t < e
-                }
-            }
-        };
+        let fde_ranges = FdeRanges::new(
+            frames
+                .ranges
+                .iter()
+                .copied()
+                .filter(|(b, _)| !removed_fdes.contains(b))
+                .collect(),
+        );
 
-        // ---- references (memoized on the state) ----
-        let xrefs = state.xrefs();
         let data_ptrs = state.data_pointers();
         let extents = state.extents();
 
@@ -174,6 +164,28 @@ impl CallFrameRepair {
         let has_fde_sorted: Vec<u64> = has_fde.iter().copied().collect();
         let fde_has = |t: u64| has_fde_sorted.binary_search(&t).is_ok();
 
+        // ---- references, for the targets the loop can test ----
+        // The tail-call test reads a target's references only outside
+        // every FDE interior, the merge test only at an FDE begin; both
+        // take targets from the jumps of the bodies the loop walks
+        // (functions with heights). The index keeps just those targets;
+        // the disassembly is fixed from here on, so the bodies are too.
+        let has_heights = |f: &u64| self.use_static_heights.is_some() || heights.contains_key(f);
+        let testable: Vec<u64> = start_snapshot
+            .iter()
+            .filter(|f| has_heights(f))
+            .filter_map(|f| extents.get(f))
+            .flat_map(|body| body.jumps.iter().filter_map(|j| j.direct_target()))
+            .filter(|&t| !fde_ranges.interior(t) || fde_has(t))
+            .collect();
+        let xrefs = code_xrefs_to(&state.rec.disasm, &testable);
+        let refs_to = |t: u64| {
+            let refs = xrefs.get(t);
+            #[cfg(test)]
+            tests::record_lookup(t, refs);
+            refs
+        };
+
         // Jump-only reference check: every reference to `t` is a jump
         // whose source lies inside `f`'s body, and no data pointer or
         // constant names `t`.
@@ -181,7 +193,7 @@ impl CallFrameRepair {
             if data_ptrs.contains_key(&t) {
                 return false;
             }
-            match xrefs.get(t) {
+            match refs_to(t) {
                 None => false, // unreferenced targets are not merge edges
                 Some(refs) => refs.iter().all(|x| {
                     matches!(x.kind, XrefKind::Jump | XrefKind::CondJump) && f_body.contains(x.from)
@@ -197,7 +209,7 @@ impl CallFrameRepair {
             if data_ptrs.contains_key(&t) && snapshot_has(t) {
                 return true;
             }
-            xrefs.get(t).is_some_and(|refs| {
+            refs_to(t).is_some_and(|refs| {
                 refs.iter().any(|x| {
                     !matches!(x.kind, XrefKind::Jump | XrefKind::CondJump)
                         || !f_body.contains(x.from)
@@ -217,7 +229,7 @@ impl CallFrameRepair {
                 continue;
             }
             let ht = heights.get(&f);
-            if ht.is_none() && self.use_static_heights.is_none() {
+            if !has_heights(&f) {
                 if fde_has(f) {
                     report.skipped_incomplete += 1;
                 }
@@ -249,7 +261,7 @@ impl CallFrameRepair {
                 };
                 let Some(h) = h else { continue };
                 let mut is_tail_call = false;
-                if h == 0 && !fde_interior(t) {
+                if h == 0 && !fde_ranges.interior(t) {
                     let cc_ok = self.skip_callconv
                         || match cc_memo.get(&t) {
                             Some(&ok) => ok,
@@ -292,12 +304,118 @@ impl CallFrameRepair {
     }
 }
 
+/// Sorted `(begin, end)` FDE ranges with a running maximum of their
+/// ends, so an address inside a range that encloses later, shorter
+/// ranges is still found (as [`crate::OwnerIndex`] does for bodies).
+struct FdeRanges {
+    ranges: Vec<(u64, u64)>,
+    /// `reach[i]` is the largest end among `ranges[..=i]`.
+    reach: Vec<u64>,
+}
+
+impl FdeRanges {
+    fn new(mut ranges: Vec<(u64, u64)>) -> FdeRanges {
+        ranges.sort_unstable();
+        let reach = ranges
+            .iter()
+            .scan(0u64, |max, &(_, e)| {
+                *max = (*max).max(e);
+                Some(*max)
+            })
+            .collect();
+        FdeRanges { ranges, reach }
+    }
+
+    /// Whether `t` lies strictly inside some range and begins none (an
+    /// FDE begin is a legitimate start).
+    fn interior(&self, t: u64) -> bool {
+        match self.ranges.binary_search_by(|&(b, _)| b.cmp(&t)) {
+            Ok(_) | Err(0) => false,
+            // Every range in `..i` begins below `t`.
+            Err(i) => t < self.reach[i - 1],
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Pipeline;
     use fetch_binary::TestCase;
+    use fetch_disasm::{code_xrefs, Xref};
     use fetch_synth::{synthesize, SynthConfig};
+    use proptest::prelude::*;
+    use std::cell::RefCell;
+
+    thread_local! {
+        /// Every reference lookup the repair made on this thread, with
+        /// the answer it got.
+        static LOOKUPS: RefCell<Vec<(u64, Option<Vec<Xref>>)>> = const { RefCell::new(Vec::new()) };
+    }
+
+    pub(super) fn record_lookup(t: u64, refs: Option<&[Xref]>) {
+        LOOKUPS.with(|l| l.borrow_mut().push((t, refs.map(<[Xref]>::to_vec))));
+    }
+
+    #[test]
+    fn fde_interior_sees_ranges_enclosing_later_ones() {
+        // [0x100, 0x200) encloses [0x120, 0x140): 0x150 follows the
+        // nearest begin's range but is still inside the outer one.
+        let fdes = FdeRanges::new(vec![(0x120, 0x140), (0x100, 0x200), (0x300, 0x310)]);
+        for t in [0x101, 0x130, 0x150, 0x1ff, 0x301] {
+            assert!(fdes.interior(t), "{t:#x}");
+        }
+        for t in [0xff, 0x100, 0x120, 0x200, 0x2ff, 0x300, 0x310] {
+            assert!(!fdes.interior(t), "{t:#x}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// The repair reads references from an index restricted to the
+        /// targets it can test; each answer it got must be the full
+        /// index's, under every ablation knob.
+        #[test]
+        fn restricted_reference_lookups_match_the_full_index(
+            seed in any::<u64>(),
+            n_funcs in 40usize..120,
+            split in 0.0f64..0.2,
+        ) {
+            let mut cfg = SynthConfig::small(seed);
+            cfg.n_funcs = n_funcs;
+            cfg.rates.split_cold = split;
+            cfg.rates.asm_funcs = 4;
+            cfg.rates.mislabeled_fdes = 1;
+            let case = synthesize(&cfg);
+            let mut base = DetectionState::new(&case.binary);
+            Pipeline::parse("FDE+Rec+Xref").unwrap().apply(&mut base);
+            let heights = [
+                None,
+                Some(fetch_analyses::HeightStyle::AngrLike),
+                Some(fetch_analyses::HeightStyle::DyninstLike),
+            ];
+            let mut answered = 0;
+            for use_static_heights in heights {
+                for knobs in 0..4 {
+                    let repair = CallFrameRepair {
+                        use_static_heights,
+                        skip_callconv: knobs & 1 != 0,
+                        skip_ref_check: knobs & 2 != 0,
+                    };
+                    let mut state = base.clone();
+                    LOOKUPS.with(|l| l.borrow_mut().clear());
+                    repair.repair(&mut state);
+                    let full = code_xrefs(&state.rec.disasm);
+                    for (t, got) in LOOKUPS.with(|l| l.take()) {
+                        prop_assert_eq!(got.as_deref(), full.get(t), "{:#x} under {:?}", t, repair);
+                        answered += usize::from(got.is_some());
+                    }
+                }
+            }
+            prop_assert!(answered > 0, "no lookup found references");
+        }
+    }
 
     fn split_case(seed: u64) -> TestCase {
         let mut cfg = SynthConfig::small(seed);

@@ -326,4 +326,6 @@ pub use serial::{
     deserialize_result_full, intern_layer_name, serialize_result_with_digest, SerialError,
     RESULT_MAGIC, RESULT_VERSION,
 };
-pub use state::{DetectionResult, DetectionState, FrameTable, LayerTrace, Provenance};
+pub use state::{
+    DerivedWorkStats, DetectionResult, DetectionState, FrameTable, LayerTrace, Provenance,
+};

@@ -12,7 +12,9 @@ use fetch_analyses::{validate_calling_convention_cached, CallConvVerdict};
 use fetch_binary::Binary;
 use fetch_disasm::FunctionBody;
 use fetch_x64::{decode, Flow};
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Why a candidate pointer was rejected (§IV-E's four error classes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,9 +132,10 @@ fn scan_windows_topbyte(
 ///
 /// Layout: a span directory over the (already-sorted) bodies rather
 /// than a flattened copy of every member address — queries are rare
-/// (only direct targets of *undecoded* candidate code reach it), so
-/// flattening and sorting tens of thousands of addresses per scan
-/// round was pure build-cost. Each entry is `(body min, body max,
+/// (only a direct target of undecoded candidate code that is itself a
+/// decoded instruction reaches it, since a body holds decoded addresses
+/// alone), so flattening and sorting tens of thousands of addresses per
+/// scan round was pure build-cost. Each entry is `(body min, body max,
 /// start)` ordered by span start, plus a running maximum of span ends
 /// so a lookup knows how far left an overlapping body could begin.
 #[derive(Debug, Clone)]
@@ -229,7 +232,14 @@ pub fn validate_candidate_indexed(
     stop_calls: &[u64],
 ) -> Result<(), ValidationError> {
     validate_candidate_precheck(bin, candidate, known, stop_calls)?;
-    validate_candidate_explore(bin, candidate, known, owners, starts, stop_calls)
+    validate_candidate_explore(
+        bin,
+        candidate,
+        known,
+        &mut |t| owners.owner_of(t),
+        starts,
+        stop_calls,
+    )
 }
 
 /// The owner-free first half of candidate validation — bounds, calling
@@ -266,12 +276,14 @@ pub fn validate_candidate_precheck(
 
 /// The second half of candidate validation: conservative exploration
 /// for classes (i)–(iii). Assumes [`validate_candidate_precheck`]
-/// passed.
+/// passed. `owner_of` is [`OwnerIndex::owner_of`] over the bodies of
+/// `known`'s functions; it is asked only about addresses `known`
+/// decoded, so a caller can build the index on the first question.
 pub fn validate_candidate_explore(
     bin: &Binary,
     candidate: u64,
     known: &fetch_disasm::Disassembly,
-    owners: &OwnerIndex,
+    owner_of: &mut impl FnMut(u64) -> Option<u64>,
     starts: &[u64],
     stop_calls: &[u64],
 ) -> Result<(), ValidationError> {
@@ -299,10 +311,11 @@ pub fn validate_candidate_explore(
                 Ok(i) => i,
                 Err(_) => return Err(ValidationError::InvalidOpcode), // (i)
             };
-            // (iii) control transfer into the middle of a detected function.
+            // (iii) control transfer into the middle of a detected
+            // function. A body holds decoded instructions only.
             if let Some(t) = inst.direct_target() {
-                if starts.binary_search(&t).is_err() {
-                    if let Some(owner) = owners.owner_of(t) {
+                if starts.binary_search(&t).is_err() && known.contains(t) {
+                    if let Some(owner) = owner_of(t) {
                         if owner != t {
                             return Err(ValidationError::JumpsIntoFunction);
                         }
@@ -376,17 +389,25 @@ pub(crate) fn pointer_scan(state: &mut DetectionState<'_>) -> Vec<u64> {
         }
         state.note_candidates_checked(checked);
         // Pass 2 — conservative exploration against the per-round
-        // ownership snapshot, built once for all survivors.
+        // ownership snapshot, built on the first owner query (most
+        // rounds ask none) and shared by the remaining survivors.
         let mut new_this_round = Vec::new();
         if !survivors.is_empty() {
-            let extents = state.extents();
-            let owners = OwnerIndex::build(&extents);
+            // A handle of its own: the owner lookup borrows the state.
+            let rec = Arc::clone(&state.rec);
+            let extents = OnceCell::new();
+            let owners = OnceCell::new();
+            let mut owner_of = |t: u64| {
+                owners
+                    .get_or_init(|| OwnerIndex::build(extents.get_or_init(|| state.extents())))
+                    .owner_of(t)
+            };
             for c in survivors {
                 if validate_candidate_explore(
                     binary,
                     c,
-                    &state.rec.disasm,
-                    &owners,
+                    &rec.disasm,
+                    &mut owner_of,
                     &starts,
                     &stop_calls,
                 )
@@ -484,6 +505,76 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `f: nop; m: nop; ret`, then the candidate code `emit` writes
+    /// (it gets `m`'s label), with a `.data` pointer to the candidate.
+    /// Returns the binary and the addresses of `f`, `m` and the
+    /// candidate.
+    fn one_candidate(
+        emit: impl FnOnce(&mut fetch_x64::Asm, fetch_x64::Label),
+    ) -> (Binary, [u64; 3]) {
+        use fetch_binary::{BuildInfo, Section, SectionKind};
+        let (text, data) = (0x40_1000u64, 0x60_0000u64);
+        let mut asm = fetch_x64::Asm::new();
+        let m = asm.new_label();
+        asm.raw(&[0x90]);
+        asm.bind(m);
+        asm.raw(&[0x90, 0xc3]);
+        let candidate = text + asm.here() as u64;
+        emit(&mut asm, m);
+        let bin = Binary {
+            name: "one-candidate".into(),
+            info: BuildInfo::gcc_o2(),
+            sections: vec![
+                Section::new(SectionKind::Text, text, asm.finalize().unwrap().bytes),
+                Section::new(SectionKind::Data, data, candidate.to_le_bytes().to_vec()),
+            ],
+            symbols: vec![],
+            entry: text,
+        };
+        (bin, [text, text + 1, candidate])
+    }
+
+    /// A state that has walked `f` alone.
+    fn walked(bin: &Binary, f: u64) -> DetectionState<'_> {
+        let mut state = DetectionState::new(bin);
+        state.add_start(f, Provenance::Fde);
+        state.run_recursion(true, fetch_disasm::ErrorCallPolicy::SliceZero);
+        state
+    }
+
+    #[test]
+    fn a_jump_into_a_detected_function_is_rejected() {
+        // candidate: jmp m — into the middle of `f`.
+        let (bin, [f, m, candidate]) = one_candidate(|asm, m| asm.jmp(m));
+        let mut state = walked(&bin, f);
+        assert!(state.rec.disasm.contains(m));
+        assert_eq!(pointer_scan(&mut state), Vec::<u64>::new());
+        // The owner query built the extents, once.
+        assert_eq!(state.derived_work_stats().extents_builds, 1);
+        let starts: Vec<u64> = state.start_set().iter().copied().collect();
+        let extents = state.extents();
+        assert_eq!(
+            validate_candidate(&bin, candidate, &state.rec.disasm, &extents, &starts, &[]),
+            Err(ValidationError::JumpsIntoFunction)
+        );
+    }
+
+    #[test]
+    fn a_jump_to_undecoded_code_builds_no_extents() {
+        // candidate: jmp u; int3; u: ret — `u` was never decoded, so no
+        // body can own it.
+        let (bin, [f, _, candidate]) = one_candidate(|asm, _| {
+            let u = asm.new_label();
+            asm.jmp(u);
+            asm.raw(&[0xcc]);
+            asm.bind(u);
+            asm.raw(&[0xc3]);
+        });
+        let mut state = walked(&bin, f);
+        assert_eq!(pointer_scan(&mut state), vec![candidate]);
+        assert_eq!(state.derived_work_stats().extents_builds, 0);
     }
 
     #[test]

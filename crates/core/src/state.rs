@@ -296,6 +296,20 @@ pub struct DetectionState<'b> {
     /// [`crate::LayerSpec::apply`] (like the decode stats).
     scan_bytes: u64,
     scan_candidates: u64,
+    derived: DerivedWorkStats,
+}
+
+/// How often a [`DetectionState`] built its whole-binary derived
+/// indexes, monotone for its lifetime. The walk and classification
+/// counters (`error`-call status slices included) are the engine's
+/// [`RecWorkStats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DerivedWorkStats {
+    /// Full [`function_extents`] builds ([`DetectionState::extents`]
+    /// misses).
+    pub extents_builds: u64,
+    /// Full [`code_xrefs`] builds ([`DetectionState::xrefs`] misses).
+    pub xref_index_builds: u64,
 }
 
 impl<'b> DetectionState<'b> {
@@ -335,6 +349,7 @@ impl<'b> DetectionState<'b> {
             frame_misses: 0,
             scan_bytes: 0,
             scan_candidates: 0,
+            derived: DerivedWorkStats::default(),
         }
     }
 
@@ -402,6 +417,7 @@ impl<'b> DetectionState<'b> {
                 return Arc::clone(x);
             }
         }
+        self.derived.xref_index_builds += 1;
         let x = Arc::new(code_xrefs(&self.rec.disasm));
         self.cache.xrefs = Some((self.rec_gen, Arc::clone(&x)));
         x
@@ -415,6 +431,7 @@ impl<'b> DetectionState<'b> {
                 return Arc::clone(e);
             }
         }
+        self.derived.extents_builds += 1;
         let e = Arc::new(function_extents(&self.rec));
         self.cache.extents = Some((self.rec_gen, Arc::clone(&e)));
         e
@@ -576,6 +593,11 @@ impl<'b> DetectionState<'b> {
     /// [`RecEngine::work_stats`]).
     pub fn engine_work_stats(&self) -> RecWorkStats {
         self.engine.work_stats()
+    }
+
+    /// The state's derived-index builds so far.
+    pub fn derived_work_stats(&self) -> DerivedWorkStats {
+        self.derived
     }
 
     /// Freezes the state into a [`DetectionResult`].
@@ -743,6 +765,9 @@ mod tests {
             !Arc::ptr_eq(&x1, &st.xrefs()),
             "recursion over new seeds invalidates xrefs"
         );
+        // Each miss is one full build; hits build nothing.
+        let builds = st.derived_work_stats();
+        assert_eq!((builds.xref_index_builds, builds.extents_builds), (2, 1));
         assert!(
             Arc::ptr_eq(&d1, &st.data_pointers()),
             "data pointers depend only on the binary"

@@ -204,9 +204,9 @@ pub struct Xref {
 /// Layout: one flat, `(target, from)`-sorted arena of [`Xref`]s plus a
 /// sorted target directory with group offsets — a `get` is one binary
 /// search and a slice, and building it is one bulk sort instead of a
-/// B-tree insert and a per-target `Vec` allocation per reference (the
-/// repair layer rebuilds this after every accepted start, so build cost
-/// is the part that shows up in profiles).
+/// B-tree insert and a per-target `Vec` allocation per reference. A
+/// consumer that asks about a few known targets builds an index of just
+/// those ([`code_xrefs_to`]) instead of the full one ([`code_xrefs`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct XrefIndex {
     /// Distinct referenced targets, ascending.
@@ -261,6 +261,36 @@ impl XrefIndex {
 
 /// Collects all code-borne references, keyed by target address.
 pub fn code_xrefs(disasm: &Disassembly) -> XrefIndex {
+    xrefs_where(disasm, |_| true)
+}
+
+/// [`code_xrefs`] restricted to `targets`: the same per-instruction
+/// enumeration, dropping every other target before it is indexed.
+/// `get` answers exactly as the full index for one of `targets` and
+/// `None` for any other address.
+pub fn code_xrefs_to(disasm: &Disassembly, targets: &[u64]) -> XrefIndex {
+    // Every reference is tested, so membership is a bit per byte of the
+    // indexed window (a search per reference cost as much as the full
+    // build saved); targets outside it stay a sorted list.
+    let (base, range) = disasm.indexed_range();
+    let offset = |t: u64| t.checked_sub(base).filter(|&off| off < range as u64);
+    let mut window = vec![0u64; range.div_ceil(64)];
+    let mut outside = Vec::new();
+    for &t in targets {
+        match offset(t) {
+            Some(off) => window[off as usize / 64] |= 1 << (off % 64),
+            None => outside.push(t),
+        }
+    }
+    outside.sort_unstable();
+    xrefs_where(disasm, |t| match offset(t) {
+        Some(off) => window[off as usize / 64] >> (off % 64) & 1 != 0,
+        None => outside.binary_search(&t).is_ok(),
+    })
+}
+
+/// The index of the references whose target `keep` admits.
+fn xrefs_where(disasm: &Disassembly, keep: impl Fn(u64) -> bool) -> XrefIndex {
     // Counting-bucket build. Almost every target lands inside the
     // store's indexed window, so references are bucketed by byte
     // offset in two linear passes instead of one comparison sort over
@@ -278,6 +308,9 @@ pub fn code_xrefs(disasm: &Disassembly) -> XrefIndex {
     for inst in disasm.iter_unordered() {
         let addr = inst.addr;
         let mut add = |target: u64, kind: XrefKind| {
+            if !keep(target) {
+                return;
+            }
             let x = Xref { from: addr, kind };
             match target.checked_sub(base) {
                 Some(off) if (off as usize) < range => {

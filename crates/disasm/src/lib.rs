@@ -31,10 +31,12 @@ mod linear;
 mod nonreturn;
 mod recursive;
 
-pub use cfg::{body_of, code_xrefs, function_extents, FunctionBody, Xref, XrefIndex, XrefKind};
+pub use cfg::{
+    body_of, code_xrefs, code_xrefs_to, function_extents, FunctionBody, Xref, XrefIndex, XrefKind,
+};
 pub use jumptable::{solve_jump_table, JumpTable};
 pub use linear::{sweep, sweep_tolerant, Sweep};
-pub use nonreturn::{classify_noreturn, status_arg_is_zero, ErrorCallPolicy};
+pub use nonreturn::{classify_noreturn, status_arg_is_zero, ErrorCallPolicy, NoreturnClasses};
 pub use recursive::{
     call_returns, recursive_disassemble, text_content_hash, Disassembly, RecEngine, RecOptions,
     RecResult, RecWorkStats,

@@ -39,10 +39,9 @@ pub fn status_arg_is_zero(block: &[Inst]) -> bool {
 
 /// Forward-tracking equivalent of [`status_arg_is_zero`]: folds one
 /// instruction into the "last `rdi` write before here is provably
-/// zero" state. Walkers thread this per block instead of accumulating
-/// the block's instructions just to slice them backward at a call —
-/// last-write-wins forward is the same verdict as first-match
-/// backward, without the per-block buffer.
+/// zero" state (last-write-wins forward is the same verdict as
+/// first-match backward). The classifier folds a straight-line run
+/// only when it reaches an `error` call in it, not per instruction.
 pub fn fold_status_zero(status: &mut bool, inst: &Inst) {
     if let Some(zero) = rdi_write(inst) {
         *status = zero;
@@ -65,6 +64,16 @@ pub(crate) fn rdi_write(inst: &Inst) -> Option<bool> {
     }
 }
 
+/// What [`classify_noreturn`] found, and how much slicing it did.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct NoreturnClasses {
+    /// The non-returning functions.
+    pub noreturn: BTreeSet<u64>,
+    /// `error`-call status slices read (one per `error` call a traversal
+    /// reaches under [`ErrorCallPolicy::SliceZero`]).
+    pub status_slices: u64,
+}
+
 /// Classifies non-returning functions over the decoded instructions.
 ///
 /// `prev_noreturn` carries the assumption from the previous engine pass;
@@ -75,7 +84,7 @@ pub fn classify_noreturn(
     error_funcs: &BTreeSet<u64>,
     policy: ErrorCallPolicy,
     prev_noreturn: &BTreeSet<u64>,
-) -> BTreeSet<u64> {
+) -> NoreturnClasses {
     // Flatten every per-visit membership structure to sorted slices (or
     // a dense bitmap for `returning`): the traversal probes them on
     // each call/jump, where binary search over contiguous `u64`s beats
@@ -97,6 +106,7 @@ pub fn classify_noreturn(
     let mut scratch = Scratch {
         stamps: vec![0; disasm.len()],
         stamp: 0,
+        status_slices: 0,
     };
     // Dependency-driven fixpoint. `can_reach_return` is monotone in
     // `returning` (a larger set only opens more tail edges), so the
@@ -124,17 +134,22 @@ pub fn classify_noreturn(
             }
         }
     }
-    funcs
+    let noreturn = funcs
         .iter()
         .zip(&returning)
         .filter(|&(_, &r)| !r)
         .map(|(&f, _)| f)
-        .collect()
+        .collect();
+    NoreturnClasses {
+        noreturn,
+        status_slices: scratch.status_slices,
+    }
 }
 
 struct Scratch {
     stamps: Vec<u32>,
     stamp: u32,
+    status_slices: u64,
 }
 
 /// Read-only classification context: the disassembly plus every
@@ -165,13 +180,14 @@ fn can_reach_return(
     let disasm = cx.disasm;
     let mut stack = vec![start];
     scratch.stamp += 1;
-    let track_status = !cx.error_funcs.is_empty();
     // `funcs[i]` returning check for tail edges: index lookup + bitmap.
     let returns = |t: u64| cx.funcs.binary_search(&t).map(|i| (i, returning[i]));
-    // Thread the error-status slice forward per block (see
-    // [`fold_status_zero`]) instead of buffering the block's insts.
     while let Some(mut cur) = stack.pop() {
-        let mut status_zero = false;
+        // The status slice of an `error` call covers the straight-line
+        // run from where this traversal entered it: `(from, zero)` is
+        // the status folded up to `from`, the run's entry or the last
+        // `error` call read in it.
+        let mut slice = (cur, false);
         loop {
             let Some(slot) = disasm.slot(cur) else {
                 // Ran into undecoded bytes: conservatively returning.
@@ -182,22 +198,26 @@ fn can_reach_return(
             }
             scratch.stamps[slot] = scratch.stamp;
             let inst = disasm.inst_in_slot(slot);
-            // The call-site check below must see the status as of the
-            // instructions *before* the call, so save it pre-fold.
-            let status_at_call = status_zero;
-            if track_status {
-                fold_status_zero(&mut status_zero, inst);
-            }
             match inst.flow() {
                 Flow::Ret => return true,
                 Flow::Halt | Flow::Trap => break,
                 Flow::Fallthrough | Flow::IndirectCall => cur = inst.end(),
                 Flow::Call(t) => {
-                    let ret = if track_status && sorted_contains(&cx.error_funcs, t) {
+                    let ret = if sorted_contains(&cx.error_funcs, t) {
                         match cx.policy {
                             ErrorCallPolicy::AlwaysReturn => true,
                             ErrorCallPolicy::AlwaysNoReturn => false,
-                            ErrorCallPolicy::SliceZero => status_at_call,
+                            ErrorCallPolicy::SliceZero => {
+                                scratch.status_slices += 1;
+                                let (mut at, mut zero) = slice;
+                                while at != inst.addr {
+                                    let before = disasm.at(at).expect("the run was decoded");
+                                    fold_status_zero(&mut zero, before);
+                                    at = before.end();
+                                }
+                                slice = (at, zero);
+                                zero
+                            }
                         }
                     } else {
                         !sorted_contains(&cx.prev_noreturn, t)
@@ -282,7 +302,8 @@ mod tests {
             &BTreeSet::new(),
             ErrorCallPolicy::SliceZero,
             &BTreeSet::new(),
-        );
+        )
+        .noreturn;
         assert!(nr.contains(&0x1000));
         assert!(!nr.contains(&0x1002));
     }
@@ -318,13 +339,64 @@ mod tests {
             &BTreeSet::new(),
             ErrorCallPolicy::SliceZero,
             &BTreeSet::new(),
-        );
+        )
+        .noreturn;
         assert!(!nr.contains(&base), "jmp to returning fn returns");
         assert!(
             nr.contains(&(base + f2_off as u64)),
             "jmp to ud2 fn does not return"
         );
         assert!(nr.contains(&(base + f3_off as u64)));
+    }
+
+    #[test]
+    fn error_status_slice_starts_where_the_run_was_entered() {
+        use fetch_x64::{AluOp, Cc, Reg, Width};
+        // h:  jne x; xor edi, edi; l: call error; ret; x: jmp l
+        // h2: jne y; jmp l2; y: xor edi, edi; l2: call error; ret
+        // error: ret
+        // `h` reaches `l` by falling through the `xor` first, so the
+        // slice reads it and the call returns. `h2` enters `l2` by the
+        // jump first, whose run holds no `rdi` write: the call does not
+        // return, and the later run through `y` stops at visited `l2`.
+        let xor_edi = || Op::AluRR(AluOp::Xor, Width::W32, Reg::Rdi, Reg::Rdi);
+        let mut asm = Asm::new();
+        let (x, l) = (asm.new_label(), asm.new_label());
+        asm.jcc(Cc::Ne, x);
+        asm.push(xor_edi());
+        asm.bind(l);
+        asm.call_ext(0);
+        asm.push(Op::Ret);
+        asm.bind(x);
+        asm.jmp(l);
+        let h2 = asm.here();
+        let (y, l2) = (asm.new_label(), asm.new_label());
+        asm.jcc(Cc::Ne, y);
+        asm.jmp(l2);
+        asm.bind(y);
+        asm.push(xor_edi());
+        asm.bind(l2);
+        asm.call_ext(0);
+        asm.push(Op::Ret);
+        let error = asm.here();
+        asm.push(Op::Ret);
+        let base = 0x1000u64;
+        let mut out = asm.finalize().unwrap();
+        for i in 0..2 {
+            out.patch_rel32(out.fixups[i].pos, base, base + error as u64);
+        }
+        let d = disasm_of(&out.bytes, base);
+        let (h, h2, error) = (base, base + h2 as u64, base + error as u64);
+        let classes = classify_noreturn(
+            &d,
+            &BTreeSet::from([h, h2, error]),
+            &BTreeSet::from([error]),
+            ErrorCallPolicy::SliceZero,
+            &BTreeSet::new(),
+        );
+        assert_eq!(classes.noreturn, BTreeSet::from([h2]));
+        // One slice per `error` call each traversal reaches.
+        assert_eq!(classes.status_slices, 2);
     }
 
     #[test]

@@ -1229,6 +1229,9 @@ pub struct RecWorkStats {
     /// Functions classified, summed over rounds (each round classifies
     /// every function).
     pub functions_classified: u64,
+    /// `error`-call status slices the classification rounds read (see
+    /// [`NoreturnClasses::status_slices`](crate::NoreturnClasses)).
+    pub status_slices: u64,
     /// Runs whose non-return fixpoint stopped at the round cap.
     pub cap_hits: u64,
 }
@@ -1400,7 +1403,7 @@ impl RecEngine {
         for _ in 0..NORETURN_ROUNDS {
             self.stats.classify_rounds += 1;
             let rec = &run.rec;
-            let next = classify_noreturn(
+            let classes = classify_noreturn(
                 &rec.disasm,
                 &rec.functions,
                 &opts.error_funcs,
@@ -1408,6 +1411,8 @@ impl RecEngine {
                 &rec.noreturn,
             );
             self.stats.functions_classified += rec.functions.len() as u64;
+            self.stats.status_slices += classes.status_slices;
+            let next = classes.noreturn;
             if next == rec.noreturn {
                 settled = true;
                 break;
@@ -1617,7 +1622,8 @@ mod tests {
                 &opts.error_funcs,
                 opts.error_policy,
                 &rec.noreturn,
-            );
+            )
+            .noreturn;
             if next == rec.noreturn {
                 return (rec, false);
             }

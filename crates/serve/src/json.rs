@@ -150,15 +150,39 @@ impl<'a> Parser<'a> {
         Ok(v)
     }
 
-    /// Advances over a run of plain string characters — one slice scan
-    /// to the next quote, backslash or control byte — and returns it.
-    /// Those delimiters are ASCII, so the run ends on a UTF-8 boundary.
+    /// Advances over a run of plain string characters — a scan to the
+    /// next quote, backslash or control byte — and returns it. Those
+    /// delimiters are ASCII, so the run ends on a UTF-8 boundary.
+    ///
+    /// The scan tests eight bytes at a time with the SWAR zero-byte
+    /// trick (`(x - 0x01…01) & !x & 0x80…80` flags the lanes of `x`
+    /// that are zero; with `0x20…20` subtracted, the lanes below
+    /// `0x20`). A borrow can flag a lane above a true hit, never below
+    /// one, so the lowest flagged lane is the first delimiter.
     fn plain_run(&mut self) -> &'a str {
+        const ONES: u64 = 0x0101_0101_0101_0101;
+        const HIGHS: u64 = 0x8080_8080_8080_8080;
+        let zero_lanes = |x: u64| x.wrapping_sub(ONES) & !x & HIGHS;
         let start = self.pos;
-        self.pos += self.bytes[start..]
+        let rest = &self.bytes[start..];
+        let mut run = 0;
+        while let Some(word) = rest.get(run..run + 8) {
+            let x = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+            let hits = zero_lanes(x ^ (ONES * b'"' as u64))
+                | zero_lanes(x ^ (ONES * b'\\' as u64))
+                | (x.wrapping_sub(ONES * 0x20) & !x & HIGHS);
+            if hits != 0 {
+                run += (hits.trailing_zeros() / 8) as usize;
+                self.pos = start + run;
+                return &self.text[start..self.pos];
+            }
+            run += 8;
+        }
+        run += rest[run..]
             .iter()
             .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
-            .unwrap_or(self.bytes.len() - start);
+            .unwrap_or(rest.len() - run);
+        self.pos = start + run;
         &self.text[start..self.pos]
     }
 

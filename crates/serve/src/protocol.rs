@@ -508,23 +508,35 @@ pub fn parse_hex_u64(s: &str) -> Option<u64> {
     u64::from_str_radix(digits, 16).ok()
 }
 
+/// Hex digit values by byte, `0xff` for a byte that is not a hex digit
+/// (either case is accepted).
+const HEX_VALUE: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[b"0123456789abcdef"[i] as usize] = i as u8;
+        table[b"0123456789ABCDEF"[i] as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// Decodes the `bytes_hex` form: one table lookup per digit into a
+/// buffer sized up front, with a bad digit noted in an accumulated mask
+/// rather than a branch per byte (whole ELF images travel through here).
 fn decode_hex(s: &str) -> Option<Vec<u8>> {
+    let s = s.as_bytes();
     if !s.len().is_multiple_of(2) {
         return None;
     }
-    let digit = |c: u8| -> Option<u8> {
-        match c {
-            b'0'..=b'9' => Some(c - b'0'),
-            b'a'..=b'f' => Some(c - b'a' + 10),
-            b'A'..=b'F' => Some(c - b'A' + 10),
-            _ => None,
-        }
-    };
-    let mut out = Vec::with_capacity(s.len() / 2);
-    for pair in s.as_bytes().chunks_exact(2) {
-        out.push(digit(pair[0])? << 4 | digit(pair[1])?);
+    let mut out = vec![0u8; s.len() / 2];
+    let mut bad = 0u8;
+    for (byte, pair) in out.iter_mut().zip(s.chunks_exact(2)) {
+        let (hi, lo) = (HEX_VALUE[pair[0] as usize], HEX_VALUE[pair[1] as usize]);
+        bad |= hi | lo;
+        *byte = hi << 4 | lo;
     }
-    Some(out)
+    (bad < 0x10).then_some(out)
 }
 
 /// Renders bytes as lowercase hex (the `bytes_hex` request form).

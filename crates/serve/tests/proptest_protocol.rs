@@ -8,10 +8,13 @@
 //! the canonical form: a valid request re-renders to the line it was
 //! parsed from, and an accepted hostile line parses back to the same
 //! request once re-rendered. A timing test checks that parsing stays
-//! linear in the line length for each hostile shape.
+//! linear in the line length for each hostile shape. The `bytes_hex`
+//! decoder and the JSON string scanner are checked exhaustively at
+//! every digit value and every delimiter offset of a word.
 
 use fetch_core::{Pipeline, KNOWN_LAYERS};
-use fetch_serve::protocol::{parse_request, AnalyzeInput, Request, RequestError};
+use fetch_serve::json::Json;
+use fetch_serve::protocol::{encode_hex, parse_request, AnalyzeInput, Request, RequestError};
 use fetch_serve::ErrorCode;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -139,6 +142,15 @@ proptest! {
         }
     }
 
+    /// Any image survives `encode_hex` and the `bytes_hex` decoder, in
+    /// either digit case.
+    #[test]
+    fn bytes_hex_round_trips(bytes in vec(any::<u8>(), 0..300)) {
+        let hex = encode_hex(&bytes);
+        prop_assert_eq!(decoded(&hex).as_ref(), Some(&bytes));
+        prop_assert_eq!(decoded(&hex.to_uppercase()).as_ref(), Some(&bytes));
+    }
+
     /// A valid request's line parses back to it and re-renders to the
     /// same bytes.
     #[test]
@@ -218,6 +230,103 @@ fn request_parsing_scales_linearly() {
             "{name}: {large_ns:.2} ns/byte at {} bytes vs {small_ns:.2} at {}",
             large.len(),
             small.len()
+        );
+    }
+}
+
+/// The image an analyze line with `"bytes_hex": hex` carries, or `None`
+/// when the decoder rejects it. Every char of `hex` is sent `\u`-escaped,
+/// so any char can stand where a digit goes.
+fn decoded(hex: &str) -> Option<Vec<u8>> {
+    let escaped: String = hex.encode_utf16().map(|u| format!("\\u{u:04x}")).collect();
+    let line = format!(r#"{{"cmd":"analyze","bytes_hex":"{escaped}"}}"#);
+    match check_line(&line) {
+        Ok(Request::Analyze {
+            input: AnalyzeInput::Bytes(bytes),
+            ..
+        }) => Some(bytes),
+        Ok(other) => panic!("{line}: parsed as {other:?}"),
+        Err(e) => {
+            assert!(e.message.contains("not valid hex"), "{line}: {e:?}");
+            None
+        }
+    }
+}
+
+#[test]
+fn bytes_hex_decodes_each_char_in_each_digit_position() {
+    for c in (0u32..0x100).filter_map(char::from_u32) {
+        let value = c.to_digit(16).map(|v| v as u8);
+        assert_eq!(
+            decoded(&format!("{c}0")),
+            value.map(|v| vec![v << 4]),
+            "{c:?} high"
+        );
+        assert_eq!(
+            decoded(&format!("0{c}")),
+            value.map(|v| vec![v]),
+            "{c:?} low"
+        );
+        assert_eq!(
+            decoded(&format!("f{c}")),
+            value.map(|v| vec![0xf0 | v]),
+            "{c:?} low"
+        );
+        if !c.is_ascii() {
+            // Two UTF-8 bytes: the lead byte high and the continuation
+            // byte low, then the other way round.
+            assert_eq!(decoded(&c.to_string()), None, "{c:?}");
+            assert_eq!(decoded(&format!("0{c}0")), None, "{c:?}");
+        }
+    }
+}
+
+#[test]
+fn bytes_hex_rejects_odd_lengths() {
+    for n in [1, 3, 5, 7, 9, 15, 17, 33] {
+        assert_eq!(decoded(&"a".repeat(n)), None, "{n} digits");
+    }
+    assert_eq!(decoded(""), Some(vec![]));
+    assert_eq!(decoded("7f454c46"), Some(vec![0x7f, 0x45, 0x4c, 0x46]));
+}
+
+#[test]
+fn string_scanner_stops_at_each_delimiter_at_each_offset() {
+    // Plain runs of 0–16 bytes, in ASCII and after multi-byte UTF-8,
+    // so a delimiter falls at every offset of the first words.
+    let prefixes = (0..=16).flat_map(|n| {
+        [
+            "a".repeat(n),
+            "é".repeat(n / 2) + &"a".repeat(n % 2),
+            "€".repeat(n / 3) + &"a".repeat(n % 3),
+            "😀".repeat(n / 4) + &"a".repeat(n % 4),
+        ]
+    });
+    for run in prefixes {
+        let value = |doc: &str| {
+            Json::parse(doc).map(|j| j.get("k").and_then(Json::as_str).map(str::to_owned))
+        };
+        // A quote ends the run; a later string must not leak into it.
+        let quoted = format!(r#"{{"k":"{run}","z":"q\"w"}}"#);
+        assert_eq!(value(&quoted), Ok(Some(run.clone())), "{quoted:?}");
+        // A backslash starts an escape.
+        let escaped = format!(r#"{{"k":"{run}\n\\b"}}"#);
+        assert_eq!(
+            value(&escaped),
+            Ok(Some(format!("{run}\n\\b"))),
+            "{escaped:?}"
+        );
+        // A raw control byte is not allowed in a string.
+        for control in ['\u{0}', '\u{1}', '\n', '\u{1f}'] {
+            let doc = format!(r#"{{"k":"{run}{control}b"}}"#);
+            assert!(value(&doc).is_err(), "{doc:?}");
+        }
+        // Bytes just above the delimiters are plain.
+        let plain = format!("{{\"k\":\"{run} !#[]\u{7f}\"}}");
+        assert_eq!(
+            value(&plain),
+            Ok(Some(format!("{run} !#[]\u{7f}"))),
+            "{plain:?}"
         );
     }
 }
