@@ -67,7 +67,9 @@
 //! machine's available parallelism; pass `--cache-capacity <n>` to pin
 //! the bounded sweep's entry capacity, default: half the corpus; pass
 //! `--flatness-floor <r>` to pin the asserted `insts_per_sec`
-//! flatness ratio, default 0.40).
+//! flatness ratio, default 0.40). Any other argument, a flag without
+//! its value, or a bad value exits with status 2 and a message naming
+//! it.
 
 use fetch_bench::{dataset2, default_jobs, BatchDriver, BenchOpts};
 use fetch_binary::{read_elf, write_elf, ElfImage, ElfView};
@@ -115,49 +117,74 @@ fn total_us(run: &PipelineRun) -> f64 {
     run.trace.iter().map(|t| t.wall_us()).sum()
 }
 
+/// The harness's options (see the module docs for each flag).
+#[derive(Debug)]
+struct SnapshotArgs {
+    out_path: String,
+    reps: usize,
+    jobs: usize,
+    cache_capacity: Option<usize>,
+    flatness_floor: f64,
+}
+
+/// Parses the harness's arguments (`args[0]` is the program name). An
+/// unknown argument, a flag without its value, and a bad value are each
+/// an error naming it, as in [`fetch_bench::opts_from`].
+fn parse_args(args: &[String]) -> Result<SnapshotArgs, String> {
+    fn positive(flag: &str, raw: Option<&String>) -> Result<usize, String> {
+        let raw = raw.ok_or_else(|| format!("{flag} takes a positive integer, got nothing"))?;
+        raw.parse()
+            .ok()
+            .filter(|n| *n >= 1)
+            .ok_or_else(|| format!("{flag} takes a positive integer, got {raw:?}"))
+    }
+
+    let mut parsed = SnapshotArgs {
+        out_path: "BENCH_pipeline.json".to_string(),
+        reps: 5,
+        jobs: default_jobs(),
+        cache_capacity: None,
+        flatness_floor: 0.40,
+    };
+    let mut rest = args.iter().skip(1);
+    while let Some(flag) = rest.next() {
+        match flag.as_str() {
+            "--out" => {
+                parsed.out_path = rest
+                    .next()
+                    .ok_or("--out takes a path, got nothing")?
+                    .clone()
+            }
+            "--reps" => parsed.reps = positive(flag, rest.next())?,
+            "--jobs" => parsed.jobs = positive(flag, rest.next())?,
+            "--cache-capacity" => parsed.cache_capacity = Some(positive(flag, rest.next())?),
+            "--flatness-floor" => {
+                let what = "--flatness-floor takes a ratio in [0, 1]";
+                let raw = rest.next().ok_or(format!("{what}, got nothing"))?;
+                parsed.flatness_floor = raw
+                    .parse()
+                    .ok()
+                    .filter(|r| (0.0..=1.0).contains(r))
+                    .ok_or_else(|| format!("{what}, got {raw:?}"))?;
+            }
+            other => return Err(format!("unknown argument {other:?}")),
+        }
+    }
+    Ok(parsed)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let mut out_path = "BENCH_pipeline.json".to_string();
-    let mut reps = 5usize;
-    let mut jobs = default_jobs();
-    let mut cache_capacity: Option<usize> = None;
-    let mut flatness_floor = 0.40f64;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                out_path = args[i].clone();
-            }
-            "--reps" => {
-                i += 1;
-                reps = args[i].parse().expect("--reps takes an integer");
-            }
-            "--jobs" => {
-                i += 1;
-                jobs = args[i].parse().expect("--jobs takes a positive integer");
-                assert!(jobs >= 1, "--jobs takes a positive integer");
-            }
-            "--cache-capacity" => {
-                i += 1;
-                let n = args[i]
-                    .parse()
-                    .expect("--cache-capacity takes a positive integer");
-                assert!(n >= 1, "--cache-capacity takes a positive integer");
-                cache_capacity = Some(n);
-            }
-            "--flatness-floor" => {
-                i += 1;
-                flatness_floor = args[i].parse().expect("--flatness-floor takes a ratio");
-                assert!(
-                    (0.0..=1.0).contains(&flatness_floor),
-                    "--flatness-floor takes a ratio in [0, 1]"
-                );
-            }
-            _ => {}
-        }
-        i += 1;
-    }
+    let SnapshotArgs {
+        out_path,
+        reps,
+        jobs,
+        cache_capacity,
+        flatness_floor,
+    } = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
 
     let corpora: [(&str, u64, usize); 3] = [
         ("small", 9001, 60),
@@ -561,9 +588,8 @@ fn main() {
     }
 
     // Serve group: the fetch-serve daemon core driven in-process over
-    // the large corpus image — the load-generator shape of the
-    // `serve_load` harness, minus the socket hop, so the numbers are
-    // scheduling-noise-free. Three latencies: a cold submit (fresh
+    // the large corpus image, without the socket hop, so the numbers
+    // are scheduling-noise-free. Three latencies: a cold submit (fresh
     // service, fresh store), a bounded-cache hit (same service again),
     // and a persisted-warm hit (new service over the same store
     // directory — the restart shape). The cache-hit bar is the serving
@@ -1080,4 +1106,47 @@ fn main() {
 
     std::fs::write(&out_path, json).expect("write snapshot");
     println!("wrote {out_path}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(extra: &[&str]) -> Result<SnapshotArgs, String> {
+        let args: Vec<String> = ["perf_snapshot"]
+            .iter()
+            .chain(extra)
+            .map(|s| s.to_string())
+            .collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn flags_parse_over_the_defaults() {
+        let args = parse(&["--out", "x.json", "--reps", "9", "--jobs", "3"]).unwrap();
+        assert_eq!(
+            (args.out_path.as_str(), args.reps, args.jobs),
+            ("x.json", 9, 3)
+        );
+        let args = parse(&["--cache-capacity", "7", "--flatness-floor", "0.5"]).unwrap();
+        assert_eq!((args.reps, args.cache_capacity), (5, Some(7)));
+        assert_eq!(args.flatness_floor, 0.5);
+    }
+
+    #[test]
+    fn typos_trailing_flags_and_bad_values_are_rejected_by_name() {
+        for (bad, named) in [
+            (&["--rep", "9"][..], "\"--rep\""),
+            (&["9"], "\"9\""),
+            (&["--reps", "9", "--reps"], "--reps takes"),
+            (&["--out"], "--out takes"),
+            (&["--reps", "0"], "--reps takes"),
+            (&["--jobs", "x"], "--jobs takes"),
+            (&["--cache-capacity", "-1"], "--cache-capacity takes"),
+            (&["--flatness-floor", "1.5"], "--flatness-floor takes"),
+        ] {
+            let err = parse(bad).expect_err(&format!("{bad:?} must be rejected"));
+            assert!(err.contains(named), "{bad:?}: {err}");
+        }
+    }
 }

@@ -18,14 +18,9 @@
 //!   layer list (`FDE+Rec+Xref`; see [`fetch_core::KNOWN_LAYERS`]),
 //!   consumed by the `pipeline_run` harness for ad-hoc ablations.
 //!   Unknown layer names are rejected with the full known-layer list.
-//! * `--cache-capacity <N>` — entry bound of the serving
-//!   [`fetch_core::AnalysisCache`] (LRU eviction past it), consumed by
-//!   the serving harnesses (`serve_load`, `perf_snapshot`). Default:
-//!   unbounded.
 //!
 //! Any other argument is an error naming it, unless the harness declares
-//! it as one of its own flags (`repro fig5 --panel`, `serve_load --rounds`
-//! and `--metrics-out`; see [`opts_from`]).
+//! it as one of its own flags (`repro fig5 --panel`; see [`opts_from`]).
 //!
 //! **Determinism guarantee:** every harness output is byte-identical for
 //! every `--jobs` value, wall-time cells aside. The [`BatchDriver`] shards deterministically and
@@ -62,9 +57,6 @@ pub struct BenchOpts {
     /// should run its default stacks; the `pipeline_run` bin consumes
     /// it for ad-hoc ablations.
     pub pipeline: Option<fetch_core::Pipeline>,
-    /// Entry bound of the serving cache (`--cache-capacity N`; `None` =
-    /// unbounded), consumed by the serving harnesses.
-    pub cache_capacity: Option<usize>,
     /// `(flag, value)` of every harness-local flag given, in
     /// command-line order (see [`opts_from`] and [`BenchOpts::local`]).
     pub local_flags: Vec<(String, String)>,
@@ -79,7 +71,6 @@ impl Default for BenchOpts {
             },
             jobs: default_jobs(),
             pipeline: None,
-            cache_capacity: None,
             local_flags: Vec::new(),
         }
     }
@@ -156,14 +147,6 @@ pub fn opts_from(args: &[String], local: &[&str]) -> Result<BenchOpts, String> {
             "--jobs" => {
                 i += 1;
                 opts.jobs = positive("--jobs", args.get(i), "a positive integer")?;
-            }
-            "--cache-capacity" => {
-                i += 1;
-                opts.cache_capacity = Some(positive(
-                    "--cache-capacity",
-                    args.get(i),
-                    "a positive integer",
-                )?);
             }
             "--pipeline" => {
                 i += 1;
@@ -388,22 +371,6 @@ mod tests {
         ] {
             let err = parse(&bad).expect_err(&format!("{bad:?} must be rejected"));
             assert!(err.contains(named), "{err}");
-        }
-    }
-
-    #[test]
-    fn cache_capacity_parses_and_rejects_non_positive() {
-        assert_eq!(parse(&[]).unwrap().cache_capacity, None);
-        let opts = parse(&["--cache-capacity", "64"]).unwrap();
-        assert_eq!(opts.cache_capacity, Some(64));
-        for bad in [
-            vec!["--cache-capacity", "0"],
-            vec!["--cache-capacity", "-4"],
-            vec!["--cache-capacity", "many"],
-            vec!["--cache-capacity"],
-        ] {
-            let err = parse(&bad).expect_err(&format!("{bad:?} must be rejected"));
-            assert!(err.contains("--cache-capacity"), "{err}");
         }
     }
 

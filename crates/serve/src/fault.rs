@@ -4,11 +4,11 @@
 //! short (torn) write, a single-byte corruption, or a stall-then-resume
 //! — optionally bounded to a firing count.
 //!
-//! The plan is data, not code: tests, the chaos CI step, and manual
-//! runs all drive the *same binary* via the `FETCH_FAULT_PLAN`
-//! environment variable or the daemon's `--fault-plan` flag. An empty
-//! plan (the default) is a no-op with one atomic load per site, so the
-//! instrumentation stays compiled into production paths.
+//! The plan is data, not code: tests build it with [`FaultPlan::parse`],
+//! and the shipped daemon takes the same spec through its one knob, the
+//! `--fault-plan` flag. An empty plan (the default) is a no-op with one
+//! atomic load per site, so the instrumentation stays compiled into
+//! production paths.
 //!
 //! ## Spec grammar
 //!
@@ -122,7 +122,7 @@ impl FaultPlan {
             let site = site.trim();
             if !Self::SITES.contains(&site) {
                 return Err(format!(
-                    "unknown fault site {site:?} (known: {})",
+                    "unknown fault site {site:?} in {rule:?} (known: {})",
                     Self::SITES.join(", ")
                 ));
             }
@@ -164,21 +164,6 @@ impl FaultPlan {
             rules,
             ..FaultPlan::default()
         })
-    }
-
-    /// Builds the plan from the `FETCH_FAULT_PLAN` environment variable
-    /// (unset or empty = the empty plan).
-    ///
-    /// # Errors
-    ///
-    /// The [`FaultPlan::parse`] error for a malformed spec — callers
-    /// should fail startup loudly rather than run an unfaulted binary a
-    /// chaos harness believes is faulted.
-    pub fn from_env() -> Result<FaultPlan, String> {
-        match std::env::var("FETCH_FAULT_PLAN") {
-            Ok(spec) => FaultPlan::parse(&spec),
-            Err(_) => Ok(FaultPlan::default()),
-        }
     }
 
     /// Whether no rule is armed (the production fast path).
@@ -230,17 +215,6 @@ impl FaultPlan {
         self.fired.load(Ordering::Relaxed)
     }
 
-    /// Per-site firing counts, in [`FaultPlan::SITES`] order — always
-    /// all six sites (zeros included), so the `metrics` exposition
-    /// lists every instrumented site whether or not it fired.
-    pub fn fired_by_site(&self) -> [(&'static str, u64); 6] {
-        let mut out = [("", 0u64); 6];
-        for (i, site) in Self::SITES.iter().enumerate() {
-            out[i] = (site, self.fired_by_site[i].load(Ordering::Relaxed));
-        }
-        out
-    }
-
     /// The shared atomic behind [`FaultPlan::fired`], for registry
     /// backing (the exposition reads the plan's own counter).
     pub fn fired_handle(&self) -> Arc<AtomicU64> {
@@ -248,7 +222,9 @@ impl FaultPlan {
     }
 
     /// The shared atomics behind the per-site counters, in
-    /// [`FaultPlan::SITES`] order, for registry backing.
+    /// [`FaultPlan::SITES`] order, for registry backing — always all six
+    /// sites, so the `metrics` exposition lists every instrumented site
+    /// whether or not it fired.
     pub fn site_counter_handles(&self) -> [(&'static str, Arc<AtomicU64>); 6] {
         let mut i = 0;
         Self::SITES.map(|site| {
@@ -279,7 +255,9 @@ mod tests {
         assert_eq!(plan.fire(FaultPlan::STORE_LOAD), Some(FaultKind::Corrupt));
         assert_eq!(plan.fire(FaultPlan::STORE_LOAD), None);
         assert_eq!(plan.fired(), 3);
-        let by_site = plan.fired_by_site();
+        let by_site = plan
+            .site_counter_handles()
+            .map(|(site, n)| (site, n.load(Ordering::Relaxed)));
         assert_eq!(by_site[0], (FaultPlan::STORE_SAVE, 1));
         assert_eq!(by_site[1], (FaultPlan::STORE_LOAD, 2));
         assert_eq!(

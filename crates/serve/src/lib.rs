@@ -59,9 +59,9 @@
 //!   shedding, a directory queue (`in/*.json` → `out/*.json`, bad files
 //!   quarantined to `failed/`), and stdio.
 //! * [`fault`] — [`FaultPlan`]: deterministic fault injection at named
-//!   sites in the store and the transports, driven by the
-//!   `FETCH_FAULT_PLAN` env var or `--fault-plan`, so tests and chaos
-//!   CI runs exercise the same binary they ship.
+//!   sites in the store and the transports, armed in the daemon by
+//!   `--fault-plan`, so tests and chaos runs exercise the same code
+//!   they ship.
 //! * [`json`] — the minimal dependency-free JSON tree under all of it.
 //!
 //! ## The answer path under failure
@@ -90,7 +90,7 @@
 //! | read/write deadline | `--io-timeout-ms` | 30 000 |
 //! | cache entries / bytes | `--cache-capacity` / `--cache-bytes` | unbounded |
 //! | store GC: entries / bytes / age | `--store-max-entries` / `--store-max-bytes` / `--store-max-age-secs` | unbounded |
-//! | fault plan | `--fault-plan` / `FETCH_FAULT_PLAN` | empty |
+//! | fault plan | `--fault-plan` | empty |
 //! | log level | `--log-level` | `info` |
 //!
 //! ## Observability
@@ -105,8 +105,9 @@
 //!   reports is an `Arc<AtomicU64>` registered into one
 //!   [`fetch_obs::Registry`] — the `metrics` verb and the `stats` verb
 //!   read the *same atomics*, so the two can never drift (asserted
-//!   exactly, under concurrent fault-armed load, by the
-//!   `obs_reconciliation` property test and the `serve_load` harness).
+//!   exactly by the `obs_reconciliation` property test, and under
+//!   fault-armed socket load across a restart by the `fault_injection`
+//!   suite).
 //!   The partition identity holds by construction:
 //!   `fetch_requests_total == cache_hits + store_hits + delta_hits +
 //!   cold + coalesced + errors + shed_busy`.

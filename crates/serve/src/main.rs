@@ -23,10 +23,10 @@
 //! (default 20 ms). It is the queue's interval only: the socket
 //! transport blocks in `accept()` and never polls.
 //!
-//! `--fault-plan` (or the `FETCH_FAULT_PLAN` env var; the flag wins)
-//! arms deterministic fault injection — see [`fetch_serve::fault`] for
-//! the spec grammar. A malformed plan fails startup loudly: a chaos
-//! harness must never silently run an unfaulted binary.
+//! `--fault-plan` arms deterministic fault injection — see
+//! [`fetch_serve::fault`] for the spec grammar. A malformed plan fails
+//! startup loudly: a chaos harness must never silently run an unfaulted
+//! binary.
 //!
 //! `--log-level LEVEL` (off, error, warn, info, debug, trace; default
 //! `info`) sets the daemon's structured stderr log level — lines are
@@ -84,7 +84,6 @@ fn daemon(args: &[String]) {
     let mut opts = ServerOptions::default();
     let mut config = ServeConfig::default();
     let mut stdio = false;
-    let mut fault_plan: Option<FaultPlan> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -171,8 +170,9 @@ fn daemon(args: &[String]) {
             }
             "--fault-plan" => {
                 let spec = flag_value(args, &mut i, "--fault-plan");
-                fault_plan =
-                    Some(FaultPlan::parse(spec).unwrap_or_else(|e| fail(format_args!("{e}"))));
+                config.faults = std::sync::Arc::new(
+                    FaultPlan::parse(spec).unwrap_or_else(|e| fail(format_args!("{e}"))),
+                );
             }
             "--log-level" => {
                 let level: LogLevel = flag_value(args, &mut i, "--log-level")
@@ -184,12 +184,6 @@ fn daemon(args: &[String]) {
         }
         i += 1;
     }
-    // The flag wins over FETCH_FAULT_PLAN; a malformed env spec fails
-    // startup loudly either way.
-    config.faults = std::sync::Arc::new(match fault_plan {
-        Some(plan) => plan,
-        None => FaultPlan::from_env().unwrap_or_else(|e| fail(format_args!("{e}"))),
-    });
     let service = match AnalysisService::new(&config) {
         Ok(service) => service,
         Err(e) => fail(format_args!("cannot start service: {e}")),

@@ -19,6 +19,7 @@ use fetch_synth::{synthesize, SynthConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -390,5 +391,77 @@ fn client_connecting_after_shutdown_is_turned_away() {
     turned_away();
     expect_exit_within_2s(&done, sent);
     turned_away();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A spawned `fetch-serve`, killed when dropped so a failed assertion
+/// never leaves it running.
+struct Spawned(Child);
+
+impl Spawned {
+    /// Waits up to 10 s for the process to exit; fails the test past that.
+    fn wait_exit(&mut self) -> ExitStatus {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            if let Some(status) = self.0.try_wait().unwrap() {
+                return status;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "fetch-serve did not exit within 10 s"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+}
+
+impl Drop for Spawned {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// The shipped binary's `--fault-plan` flag: a malformed plan fails
+/// startup with status 2 and names the rule, and a valid one arms the
+/// daemon's fault sites.
+#[test]
+fn fault_plan_flag_is_validated_and_arms_the_shipped_daemon() {
+    let dir = scratch_dir("fault-flag");
+    let socket = dir.join("fetch.sock");
+    let daemon = |plan: &str| {
+        let child = Command::new(env!("CARGO_BIN_EXE_fetch-serve"))
+            .arg("daemon")
+            .arg("--socket")
+            .arg(&socket)
+            .args(["--fault-plan", plan, "--log-level", "off"])
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn fetch-serve");
+        Spawned(child)
+    };
+
+    let mut bad = daemon("nowhere=io");
+    assert_eq!(bad.wait_exit().code(), Some(2));
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut bad.0.stderr.take().unwrap(), &mut stderr).unwrap();
+    assert!(stderr.contains("\"nowhere=io\""), "{stderr}");
+
+    let mut armed = daemon("conn.read=stall:1#1");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while UnixStream::connect(&socket).is_err() {
+        assert!(Instant::now() < deadline, "daemon never listened");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    roundtrip(&socket, &Request::Stats);
+    let stats = roundtrip(&socket, &Request::Stats);
+    assert!(
+        stats.get("faults_injected").and_then(Json::as_u64) >= Some(1),
+        "{stats}"
+    );
+    let bye = roundtrip(&socket, &Request::Shutdown);
+    assert_eq!(bye.get("shutdown").and_then(Json::as_bool), Some(true));
+    assert!(armed.wait_exit().success());
     std::fs::remove_dir_all(&dir).unwrap();
 }

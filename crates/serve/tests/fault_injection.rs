@@ -12,21 +12,28 @@
 //!   the real Unix socket for `conn.*`, the directory queue for
 //!   `queue.reply`);
 //! * a property test over random *composite* plans (several sites,
-//!   budgets > 1) against the in-process service across a restart.
+//!   budgets > 1) against the in-process service across a restart;
+//!
+//! plus one load test: a fixed multi-site plan armed in a 4-worker
+//! socket daemon under 8 concurrent clients across a restart, with the
+//! `stats` and `metrics` replies reconciled exactly and the armed store
+//! sites visible in the exposition.
 //!
 //! Every wait in here is deadline-bounded, so a hang shows up as a
 //! test failure, not a stuck CI job.
 
 #![cfg(unix)]
 
-use fetch_binary::write_elf;
-use fetch_core::Pipeline;
+use fetch_binary::{write_elf, ElfImage};
+use fetch_core::{image_fingerprint, Pipeline};
 use fetch_serve::json::Json;
-use fetch_serve::protocol::{result_json, AnalyzeInput, ErrorCode, Reply, Request};
+use fetch_serve::protocol::{
+    result_json, AnalyzeInput, ErrorCode, Reply, Request, StatsReply, STATS_COUNTERS,
+};
 use fetch_serve::server::{serve, ServerOptions};
 use fetch_serve::service::{AnalysisService, ServeConfig};
 use fetch_serve::{FaultPlan, StatsCounter};
-use fetch_synth::{synthesize, SynthConfig};
+use fetch_synth::{patch_function, synthesize, PatchKind, SynthConfig};
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -49,20 +56,21 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The corpus binary every case analyzes, plus the fault-free reference
-/// rendering its answer must match byte-for-byte.
-fn reference() -> (Vec<u8>, String) {
-    let case = synthesize(&SynthConfig::small(4242));
-    let elf = write_elf(&case.binary);
+/// The fault-free cold rendering of `elf`'s answer, which every answer
+/// under a fault plan must match byte-for-byte.
+fn cold_reference(elf: &[u8]) -> String {
     let service = AnalysisService::new(&ServeConfig::default()).unwrap();
-    let reply = service.handle(Request::Analyze {
-        input: AnalyzeInput::Bytes(elf.clone()),
-        pipeline: Pipeline::fetch(),
-    });
-    match reply {
-        Reply::Analyze(a) => (elf, result_json(&a.result).to_string()),
+    match service.handle(analyze_request(elf)) {
+        Reply::Analyze(a) => result_json(&a.result).to_string(),
         other => panic!("reference run failed: {other:?}"),
     }
+}
+
+/// The corpus binary every matrix case analyzes, plus its reference.
+fn reference() -> (Vec<u8>, String) {
+    let elf = write_elf(&synthesize(&SynthConfig::small(4242)).binary);
+    let reference = cold_reference(&elf);
+    (elf, reference)
 }
 
 fn analyze_request(elf: &[u8]) -> Request {
@@ -184,6 +192,17 @@ fn roundtrip(socket: &Path, line: &str) -> Option<String> {
         Ok(_) => Some(reply),
         Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => None,
         Err(e) => panic!("read timed out or failed (a hang?): {e}"),
+    }
+}
+
+/// Asks the daemon on the socket to shut down when dropped, so a failed
+/// assertion inside a daemon's thread scope fails the test instead of
+/// leaving the scope waiting on the daemon forever.
+struct ShutdownOnDrop<'a>(&'a Path);
+
+impl Drop for ShutdownOnDrop<'_> {
+    fn drop(&mut self) {
+        let _ = roundtrip(self.0, &Request::Shutdown.to_line());
     }
 }
 
@@ -352,4 +371,178 @@ proptest! {
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// The chaos plan of the load test: store writes failing and torn,
+/// store reads corrupted and stalled, request reads stalled.
+const LOAD_PLAN: &str = "store.save=io#2,store.save=short#2,store.load=corrupt#3,\
+                         store.load=stall:5#3,conn.read=stall:5#3";
+
+/// A `stats` reply and a `metrics` reply read in the same quiescent
+/// instant reconcile exactly: every counter equal, the outcome counters
+/// partitioning `requests_total`, one latency observation per request.
+fn assert_reconciled(stats: &StatsReply, metrics: &Json) {
+    let metrics = metrics.get("metrics").expect("metrics object");
+    let metric = |name: &str| {
+        metrics
+            .get(name)
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("metric {name:?} missing: {metrics}"))
+    };
+    for (spec, &value) in STATS_COUNTERS.iter().zip(&stats.counters) {
+        assert_eq!(metric(spec.metric), value, "{}", spec.metric);
+    }
+    assert_eq!(metric("fetch_faults_injected_total"), stats.faults_injected);
+    let c = |counter: StatsCounter| stats.counter(counter);
+    let total = c(StatsCounter::RequestsTotal);
+    assert_eq!(
+        total,
+        c(StatsCounter::CacheHits)
+            + c(StatsCounter::StoreHits)
+            + c(StatsCounter::DeltaHits)
+            + c(StatsCounter::Cold)
+            + c(StatsCounter::Coalesced)
+            + c(StatsCounter::Errors)
+            + c(StatsCounter::ShedBusy),
+        "outcome counters must partition requests_total: {:?}",
+        stats.counters
+    );
+    let Json::Obj(series) = metrics else {
+        panic!("metrics is not an object: {metrics}")
+    };
+    let observed: u64 = series
+        .iter()
+        .filter(|(name, _)| name.starts_with("fetch_request_us{"))
+        .map(|(_, h)| h.get("count").and_then(Json::as_u64).expect("count"))
+        .sum();
+    assert_eq!(observed, total, "one latency observation per request");
+}
+
+/// The value of one series line of a text exposition.
+fn text_series(text: &str, series: &str) -> u64 {
+    text.lines()
+        .find_map(|line| line.strip_prefix(series)?.strip_prefix(' '))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("exposition lacks {series}:\n{text}"))
+}
+
+/// [`LOAD_PLAN`] armed in a 4-worker socket daemon under 8 concurrent
+/// clients, across two lifetimes over one store directory (the second
+/// also reanalyzes a neutral patch of every binary): every reply is the
+/// byte-identical fault-free answer or a structured error, the last
+/// attempt on each binary is correct, both lifetimes shut down under a
+/// deadline, `stats` and `metrics` reconcile exactly, and the armed
+/// store sites show up in `fetch_fault_fired_total`. The final
+/// exposition is left in `fault_load_metrics.txt` under the target's
+/// test scratch directory.
+#[test]
+fn fault_armed_socket_load_across_a_restart() {
+    const CLIENTS: usize = 8;
+    let dir = scratch_dir("load");
+    let socket = dir.join("fetch.sock");
+    let config = ServeConfig {
+        store_dir: Some(dir.join("store")),
+        faults: Arc::new(FaultPlan::parse(LOAD_PLAN).unwrap()),
+        ..ServeConfig::default()
+    };
+    // (analyze line, its reference, reanalyze line of a neutral patch,
+    // the patched version's reference) per corpus binary.
+    let corpus: Vec<(String, String, String, String)> = (0..8)
+        .map(|seed| {
+            let case = synthesize(&SynthConfig::small(4300 + seed));
+            let elf = write_elf(&case.binary);
+            let patch = (0..8)
+                .find_map(|s| patch_function(&case, s, PatchKind::Neutral))
+                .expect("a corpus binary offers a patch site");
+            let patched = write_elf(&patch.binary);
+            let reanalyze = Request::Reanalyze {
+                prev_fingerprint: image_fingerprint(&ElfImage::parse(elf.clone()).unwrap()),
+                input: AnalyzeInput::Bytes(patched.clone()),
+                pipeline: Pipeline::fetch(),
+            };
+            (
+                analyze_request(&elf).to_line(),
+                cold_reference(&elf),
+                reanalyze.to_line(),
+                cold_reference(&patched),
+            )
+        })
+        .collect();
+    // Every wire reply: the reference or a structured error. The plan
+    // arms no connection drop, so a reply always arrives.
+    let ask = |line: &str, reference: &str| {
+        let reply = roundtrip(&socket, line).expect("the plan drops no connection");
+        check_wire_reply(&reply, reference, LOAD_PLAN)
+    };
+    let ask_json = |request: Request| {
+        let reply = roundtrip(&socket, &request.to_line()).expect("reply");
+        Json::parse(&reply).unwrap()
+    };
+
+    for lifetime in 0..2 {
+        let service = AnalysisService::new(&config).unwrap();
+        std::thread::scope(|scope| {
+            let daemon = scope.spawn(|| {
+                serve(
+                    &service,
+                    &ServerOptions {
+                        socket: Some(socket.clone()),
+                        jobs: Some(4),
+                        ..ServerOptions::default()
+                    },
+                )
+            });
+            wait_until("daemon socket", || UnixStream::connect(&socket).is_ok());
+            let _stop = ShutdownOnDrop(&socket);
+            // Each client sweeps the corpus from its own offset, so the
+            // clients collide on keys: coalesced computes, cache hits.
+            std::thread::scope(|clients| {
+                for client in 0..CLIENTS {
+                    let (corpus, ask) = (&corpus, &ask);
+                    clients.spawn(move || {
+                        for i in 0..corpus.len() {
+                            let (line, reference, ..) = &corpus[(client + i) % corpus.len()];
+                            ask(line, reference);
+                        }
+                    });
+                }
+            });
+            for (line, reference, reanalyze, patched_reference) in &corpus {
+                if lifetime == 1 {
+                    assert!(
+                        ask(reanalyze, patched_reference),
+                        "the one reanalyze of a patched version must be correct"
+                    );
+                }
+                assert!(
+                    ask(line, reference),
+                    "lifetime {lifetime}: the last attempt on a binary must be correct"
+                );
+            }
+            // A metrics request does not count itself: the two reads
+            // describe the same quiescent instant.
+            let metrics = ask_json(Request::Metrics);
+            assert_reconciled(&service.stats(), &metrics);
+            if lifetime == 1 {
+                let text = metrics
+                    .get("text")
+                    .and_then(Json::as_str)
+                    .expect("text exposition");
+                let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join("fault_load_metrics.txt");
+                std::fs::write(&out, text).unwrap();
+                for site in [FaultPlan::STORE_SAVE, FaultPlan::STORE_LOAD] {
+                    let series = format!("fetch_fault_fired_total{{site=\"{site}\"}}");
+                    assert!(
+                        text_series(text, &series) > 0,
+                        "armed site {site} never surfaced in the exposition"
+                    );
+                }
+            }
+            let bye = ask_json(Request::Shutdown);
+            assert_eq!(bye.get("shutdown").and_then(Json::as_bool), Some(true));
+            wait_until("daemon exit", || daemon.is_finished());
+            daemon.join().expect("daemon thread").expect("serve loop");
+        });
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
