@@ -29,8 +29,9 @@
 //! | `queue.reply`   | writing a directory-queue reply file                 |
 //! | `conn.read`     | reading a request line off a socket/stdio transport  |
 //! | `conn.write`    | writing a reply line to a socket/stdio transport     |
-//! | `service.compute` | just before a cold compute (stall widens the      |
-//! |                 | coalescing window; io makes the compute fail)        |
+//! | `service.compute` | at the flight leader of an `analyze` or a       |
+//! |                 | `reanalyze`, before its compute (stall widens the    |
+//! |                 | coalescing window; io fails that one request)        |
 //!
 //! What each kind means is site-local: a `short` on `store.save`
 //! persists a truncated entry (the crash-mid-write shape the recovery
@@ -92,7 +93,7 @@ impl FaultPlan {
     pub const CONN_READ: &'static str = "conn.read";
     /// The site name for transport reply writes.
     pub const CONN_WRITE: &'static str = "conn.write";
-    /// The site name armed just before a cold compute.
+    /// The site name armed at a flight leader, before its compute.
     pub const COMPUTE: &'static str = "service.compute";
 
     /// Every instrumented site, for spec validation and docs.

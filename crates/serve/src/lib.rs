@@ -12,12 +12,12 @@
 //! ## Architecture
 //!
 //! ```text
-//!   socket ──▶ worker pool ─┐            ┌─ bounded AnalysisCache (LRU,
-//!   queue  ──▶ accept loop ─┼─ service ──┤    request coalescing)
-//!   stdio  ─────────────────┘     │      ├─ ResultStore (crash-safe,
-//!                                 │      │    recovery sweep + GC)
-//!            FaultPlan ───────────┤      └─ cold compute (engine pool)
-//!            telemetry hub ◀──────┘
+//!   socket ──▶ accept loop ──▶ worker pool ─┐            ┌─ bounded AnalysisCache (LRU,
+//!   queue  ──▶ queue thread (polls in/) ────┼─ service ──┤    request coalescing)
+//!   stdio  ─────────────────────────────────┘     │      ├─ ResultStore (crash-safe,
+//!                                                 │      │    recovery sweep + GC)
+//!            FaultPlan ───────────────────────────┤      └─ flight leader: pipeline or
+//!            telemetry hub ◀──────────────────────┘         delta ladder (engine pool)
 //! ```
 //!
 //! * [`protocol`] — the line-delimited JSON wire format: requests
@@ -29,13 +29,14 @@
 //!   and request lines / inline images are hard-capped
 //!   ([`protocol::MAX_LINE_BYTES`], [`protocol::MAX_INLINE_BYTES`]).
 //! * [`service`] — [`AnalysisService`], the transport-agnostic core.
-//!   `Sync`: one instance serves every worker. Answer order: bounded
-//!   cache → persistent store (promoting hits into the cache) →
-//!   *coalesced* cold compute — concurrent requests for one uncached
-//!   key elect a single leader and share its answer, so N identical
-//!   requests cost exactly one compute. `reanalyze` answers a *new
-//!   version* of a known binary through the delta ladder
-//!   ([`fetch_core::run_delta`]): verbatim reuse when the persisted
+//!   `Sync`: one instance serves every worker. `analyze` and
+//!   `reanalyze` share one answer path: bounded cache → persistent
+//!   store (promoting hits into the cache) → a *coalesced* flight —
+//!   concurrent requests for one uncached key elect a single leader and
+//!   share its answer, so N identical requests cost exactly one
+//!   compute. An `analyze` leader runs the pipeline; a `reanalyze`
+//!   leader answers a *new version* of a known binary through the delta
+//!   ladder ([`fetch_core::run_delta`]): verbatim reuse when the persisted
 //!   [`fetch_core::ImageDigest`] proves the patch answer-preserving
 //!   (source `"delta"`, `stats.delta` counters), cold
 //!   otherwise — always byte-identical to a cold `analyze`. The new
@@ -56,8 +57,9 @@
 //!   or migrated.
 //! * [`server`] — the transports: a Unix-socket accept loop feeding a
 //!   bounded worker pool with per-connection deadlines and `busy` load
-//!   shedding, a directory queue (`in/*.json` → `out/*.json`, bad files
-//!   quarantined to `failed/`), and stdio.
+//!   shedding, a directory queue on its own polling thread (`in/*.json`
+//!   → `out/*.json`, bad files quarantined to `failed/`), and stdio. The
+//!   socket and stdio transports share one request-line loop.
 //! * [`fault`] — [`FaultPlan`]: deterministic fault injection at named
 //!   sites in the store and the transports, armed in the daemon by
 //!   `--fault-plan`, so tests and chaos runs exercise the same code
@@ -74,7 +76,7 @@
 //! | store entry corrupt/truncated | rejected by checksum, recomputed cold, overwritten (`store_errors`); the startup sweep quarantines it |
 //! | store write fails | answer still served; warmth degraded (logged) |
 //! | crash mid store-write | temp file reaped by the next startup sweep; no live key ever refers to a partial file |
-//! | cold compute fails (leader) | waiters wake and elect a new leader; the failed request gets a structured `internal` error |
+//! | leader compute fails (`analyze` or `reanalyze`) | waiters wake and elect a new leader; the failed request gets a structured `internal` error |
 //! | pending queue full | connection shed with structured `busy` (`shed_busy`) |
 //! | request over size caps | structured `too_large` (`rejected_too_large`) |
 //! | queue file malformed/unreadable | one grace poll, then moved to `failed/` with an error reply (`queue_quarantined`) |

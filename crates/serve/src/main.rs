@@ -8,10 +8,11 @@
 //!                    [--io-timeout-ms M]
 //!                    [--store-max-entries N] [--store-max-bytes B]
 //!                    [--store-max-age-secs S] [--fault-plan SPEC]
+//!                    [--log-level LEVEL]
 //! fetch-serve client --socket PATH
 //!                    (--analyze FILE [--pipeline SPEC | --tool NAME]
-//!                     | --query FP [--pipeline SPEC]
-//!                     | --stats | --subscribe | --shutdown | --json LINE)
+//!                     | --query FP [--pipeline SPEC] | --stats | --metrics
+//!                     | --subscribe | --shutdown | --json LINE)
 //! ```
 //!
 //! The daemon serves until a `shutdown` request arrives. The client
@@ -80,6 +81,21 @@ fn flag_value<'a>(args: &'a [String], i: &mut usize, flag: &str) -> &'a str {
     }
 }
 
+/// Parses the value following the flag at `args[*i]` as a positive
+/// number, failing with a message naming the flag otherwise.
+fn positive<T: std::str::FromStr + PartialOrd + Default>(
+    args: &[String],
+    i: &mut usize,
+    what: &str,
+) -> T {
+    let flag = &args[*i];
+    flag_value(args, i, flag)
+        .parse()
+        .ok()
+        .filter(|n| *n > T::default())
+        .unwrap_or_else(|| fail(format_args!("{flag} takes a positive {what}")))
+}
+
 fn daemon(args: &[String]) {
     let mut opts = ServerOptions::default();
     let mut config = ServeConfig::default();
@@ -93,79 +109,33 @@ fn daemon(args: &[String]) {
                 config.store_dir = Some(PathBuf::from(flag_value(args, &mut i, "--store")))
             }
             "--stdio" => stdio = true,
+            // Every numeric flag rejects zero: a zero bound would evict
+            // every cache or store entry, a zero poll would spin the
+            // queue thread, and a zero deadline would fail every read.
             "--cache-capacity" => {
-                // Zero would evict every entry on arrival — reject it
-                // (matching the bench parser) instead of silently
-                // serving everything cold.
-                let n: usize = flag_value(args, &mut i, "--cache-capacity")
-                    .parse()
-                    .ok()
-                    .filter(|n| *n > 0)
-                    .unwrap_or_else(|| fail("--cache-capacity takes a positive entry count"));
-                config.cache_capacity.max_entries = Some(n);
+                config.cache_capacity.max_entries = Some(positive(args, &mut i, "entry count"))
             }
             "--cache-bytes" => {
-                let n: usize = flag_value(args, &mut i, "--cache-bytes")
-                    .parse()
-                    .ok()
-                    .filter(|n| *n > 0)
-                    .unwrap_or_else(|| fail("--cache-bytes takes a positive byte count"));
-                config.cache_capacity.max_bytes = Some(n);
+                config.cache_capacity.max_bytes = Some(positive(args, &mut i, "byte count"))
             }
             "--poll-ms" => {
-                let ms: u64 = flag_value(args, &mut i, "--poll-ms")
-                    .parse()
-                    .unwrap_or_else(|_| {
-                        fail("--poll-ms takes the queue poll interval in milliseconds")
-                    });
+                let ms = positive(args, &mut i, "queue poll interval in milliseconds");
                 opts.poll = Some(std::time::Duration::from_millis(ms));
             }
-            "--jobs" => {
-                let n: usize = flag_value(args, &mut i, "--jobs")
-                    .parse()
-                    .ok()
-                    .filter(|n| *n > 0)
-                    .unwrap_or_else(|| fail("--jobs takes a positive worker count"));
-                opts.jobs = Some(n);
-            }
-            "--queue-depth" => {
-                let n: usize = flag_value(args, &mut i, "--queue-depth")
-                    .parse()
-                    .ok()
-                    .filter(|n| *n > 0)
-                    .unwrap_or_else(|| fail("--queue-depth takes a positive bound"));
-                opts.queue_depth = Some(n);
-            }
+            "--jobs" => opts.jobs = Some(positive(args, &mut i, "worker count")),
+            "--queue-depth" => opts.queue_depth = Some(positive(args, &mut i, "bound")),
             "--io-timeout-ms" => {
-                let ms: u64 = flag_value(args, &mut i, "--io-timeout-ms")
-                    .parse()
-                    .ok()
-                    .filter(|ms| *ms > 0)
-                    .unwrap_or_else(|| fail("--io-timeout-ms takes positive milliseconds"));
+                let ms = positive(args, &mut i, "deadline in milliseconds");
                 opts.io_timeout = Some(std::time::Duration::from_millis(ms));
             }
             "--store-max-entries" => {
-                let n: usize = flag_value(args, &mut i, "--store-max-entries")
-                    .parse()
-                    .ok()
-                    .filter(|n| *n > 0)
-                    .unwrap_or_else(|| fail("--store-max-entries takes a positive count"));
-                config.store_gc.max_entries = Some(n);
+                config.store_gc.max_entries = Some(positive(args, &mut i, "entry count"))
             }
             "--store-max-bytes" => {
-                let n: u64 = flag_value(args, &mut i, "--store-max-bytes")
-                    .parse()
-                    .ok()
-                    .filter(|n| *n > 0)
-                    .unwrap_or_else(|| fail("--store-max-bytes takes a positive byte count"));
-                config.store_gc.max_bytes = Some(n);
+                config.store_gc.max_bytes = Some(positive(args, &mut i, "byte count"))
             }
             "--store-max-age-secs" => {
-                let s: u64 = flag_value(args, &mut i, "--store-max-age-secs")
-                    .parse()
-                    .ok()
-                    .filter(|s| *s > 0)
-                    .unwrap_or_else(|| fail("--store-max-age-secs takes positive seconds"));
+                let s = positive(args, &mut i, "age in seconds");
                 config.store_gc.max_age = Some(std::time::Duration::from_secs(s));
             }
             "--fault-plan" => {

@@ -214,8 +214,8 @@ pub enum ServeSource {
     /// cache).
     StoreHit,
     /// This request joined an in-flight compute for the same key and
-    /// received the leader's answer (exactly one cold compute ran for
-    /// the whole group).
+    /// received the leader's answer (the leader's pipeline run or delta
+    /// ladder ran once for the whole group).
     Coalesced,
     /// A `reanalyze` answered from the delta ladder's reuse tiers: the
     /// previous version's result was returned verbatim because the

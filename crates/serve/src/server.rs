@@ -38,10 +38,14 @@
 //!   line per stdout line, until EOF or `shutdown` — the
 //!   inetd/subprocess shape, and the fallback transport everywhere.
 //!
-//! Request lines on every transport are read through a hard cap
-//! ([`MAX_LINE_BYTES`]): an over-long line is answered with a `too_large`
-//! error and the connection dropped (the remainder of the line cannot be
-//! resynchronized), so no client can balloon daemon memory.
+//! The socket and stdio transports run one request-line loop; each
+//! transport supplies only its deadlines and what a `subscribe` does
+//! with the stream. Every transport, the queue included, answers a line
+//! through one parse → handle → render step. Request lines are read
+//! through a hard cap ([`MAX_LINE_BYTES`]): an over-long line is
+//! answered with a `too_large` error and the connection dropped (the
+//! remainder of the line cannot be resynchronized), so no client can
+//! balloon daemon memory.
 //!
 //! Concurrency never changes answers: workers share the service's
 //! coalescing cache, so N concurrent requests for one uncached
@@ -52,7 +56,7 @@
 //! writers never conflict.
 
 use crate::fault::FaultPlan;
-use crate::protocol::{parse_request, ErrorCode, Reply, Request, MAX_LINE_BYTES};
+use crate::protocol::{parse_request, ErrorCode, Reply, Request, RequestError, MAX_LINE_BYTES};
 use crate::service::AnalysisService;
 use fetch_obs::{logmsg, LogLevel};
 use std::fs;
@@ -404,9 +408,11 @@ fn read_capped_line(reader: &mut impl BufRead, line: &mut String) -> io::Result<
     Ok(Some(()))
 }
 
-/// Handles one socket connection: request lines in, reply lines out,
-/// until EOF, deadline, `shutdown`, or a `subscribe` (which parks the
-/// write half on the telemetry hub and stops reading).
+/// Handles one socket connection through [`serve_lines`] under
+/// read/write deadlines; a `subscribe` parks the write half on the
+/// telemetry hub and stops reading. Once shutdown is requested, `stop`
+/// is raised after the reply — even when the write failed, or the
+/// daemon never exits.
 #[cfg(unix)]
 fn handle_connection(
     service: &AnalysisService,
@@ -418,7 +424,35 @@ fn handle_connection(
     stream.set_read_timeout(Some(io_timeout))?;
     stream.set_write_timeout(Some(io_timeout))?;
     let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
+    let served = serve_lines(service, BufReader::new(stream), &mut writer, |writer| {
+        // The write timeout stays armed on the parked half: a
+        // subscriber that stops reading makes broadcast() error out and
+        // be dropped, instead of wedging the daemon on a full socket
+        // buffer.
+        service.telemetry().subscribe(Box::new(writer.try_clone()?));
+        Ok(false)
+    });
+    if service.shutdown_requested() {
+        stop.raise();
+    }
+    served.map(drop)
+}
+
+/// The request-line loop of the stream transports (socket and stdio):
+/// fires `conn.read` and reads one line through the [`MAX_LINE_BYTES`]
+/// cap, answers it through [`answer`] under a fresh request ID, and
+/// writes the reply through [`write_checked`] — until EOF, a read
+/// deadline, an over-cap line (answered `too_large`: the stream cannot be
+/// resynchronized mid-line), or a handled `shutdown`. After answering a
+/// `subscribe`, `subscribe(writer)` registers the telemetry sink and
+/// says whether to keep reading. Returns the request lines handled.
+fn serve_lines<W: Write>(
+    service: &AnalysisService,
+    mut reader: impl BufRead,
+    writer: &mut W,
+    mut subscribe: impl FnMut(&mut W) -> io::Result<bool>,
+) -> io::Result<u64> {
+    let mut handled = 0;
     let mut line = String::new();
     loop {
         if service.faults().fire(FaultPlan::CONN_READ).is_some() {
@@ -428,13 +462,13 @@ fn handle_connection(
             return Err(FaultPlan::injected_error(FaultPlan::CONN_READ));
         }
         match read_capped_line(&mut reader, &mut line) {
-            Ok(None) => return Ok(()), // EOF
+            Ok(None) => return Ok(handled),
             Ok(Some(())) => {}
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 service.note_rejected_too_large();
                 let reply = Reply::error(ErrorCode::TooLarge, e.to_string());
-                let _ = write_line(&mut writer, reply.to_line_with(service.next_req_id()));
-                return Ok(());
+                let line = reply.to_line_with(service.next_req_id());
+                return write_checked(service, writer, line).map(|()| handled);
             }
             // Timed out mid-silence: drop the connection.
             Err(e)
@@ -443,52 +477,46 @@ fn handle_connection(
                     io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                 ) =>
             {
-                return Ok(())
+                return Ok(handled)
             }
             Err(e) => return Err(e),
         }
         if line.trim().is_empty() {
             continue;
         }
-        let req_id = service.next_req_id();
-        match parse_request(&line) {
-            Ok(Request::Subscribe) => {
-                write_checked(service, &mut writer, Reply::Subscribed.to_line_with(req_id))?;
-                // The write timeout stays armed on the parked half: a
-                // subscriber that stops reading makes broadcast() error
-                // out and be dropped, instead of wedging the daemon on
-                // a full socket buffer.
-                service.telemetry().subscribe(Box::new(writer));
-                return Ok(());
-            }
-            Ok(request) => {
-                let shutdown = matches!(request, Request::Shutdown);
-                let reply = service.handle_with_id(req_id, request);
-                let written = write_checked(service, &mut writer, reply.to_line_with(req_id));
-                if shutdown {
-                    // Reply first, then wake the acceptor — even when
-                    // the write failed, or the daemon never exits.
-                    stop.raise();
-                    return written;
-                }
-                written?;
-                if service.shutdown_requested() {
-                    return Ok(());
-                }
-            }
-            Err(e) => {
-                if e.code == ErrorCode::TooLarge {
-                    service.note_rejected_too_large();
-                }
-                write_checked(service, &mut writer, Reply::from(e).to_line_with(req_id))?
-            }
+        handled += 1;
+        let parsed = parse_request(&line);
+        let subscribing = matches!(parsed, Ok(Request::Subscribe));
+        let reply = answer(service, service.next_req_id(), parsed);
+        let written = write_checked(service, writer, reply);
+        if service.shutdown_requested() {
+            return written.map(|()| handled);
+        }
+        written?;
+        if subscribing && !subscribe(writer)? {
+            return Ok(handled);
         }
     }
 }
 
+/// Answers one parsed request line under `req_id` and renders the reply
+/// line — the per-line step of every transport. A parse error becomes
+/// its structured error reply (counted when it is `too_large`).
+fn answer(service: &AnalysisService, req_id: u64, parsed: Result<Request, RequestError>) -> String {
+    let reply = match parsed {
+        Ok(request) => service.handle_with_id(req_id, request),
+        Err(e) => {
+            if e.code == ErrorCode::TooLarge {
+                service.note_rejected_too_large();
+            }
+            Reply::from(e)
+        }
+    };
+    reply.to_line_with(req_id)
+}
+
 /// [`write_line`] behind the `conn.write` fault site, timed into the
 /// `fetch_reply_write_us` histogram.
-#[cfg(unix)]
 fn write_checked(
     service: &AnalysisService,
     writer: &mut impl Write,
@@ -551,72 +579,48 @@ fn poll_queue(
                 let request_line = text.lines().find(|l| !l.trim().is_empty()).unwrap_or("");
                 parse_request(request_line)
             }
-            Err(e) => Err(crate::protocol::RequestError::bad(format!(
-                "unreadable queue file: {e}"
-            ))),
+            Err(e) => Err(RequestError::bad(format!("unreadable queue file: {e}"))),
+        };
+        let bad = parsed.is_err();
+        if bad && deferred.insert(path.clone()) {
+            // First sighting of a bad file: grace poll.
+            continue;
+        }
+        deferred.remove(&path);
+        let parsed = match parsed {
+            Ok(Request::Subscribe) => Err(RequestError::bad(
+                "subscribe requires a stream transport (socket or stdio)",
+            )),
+            parsed => parsed,
         };
         let name = path.file_name().expect("queue file has a name").to_owned();
         let req_id = service.next_req_id();
-        match parsed {
-            Ok(request) => {
-                deferred.remove(&path);
-                let reply = match request {
-                    Request::Subscribe => Reply::error(
-                        ErrorCode::BadRequest,
-                        "subscribe requires a stream transport (socket or stdio)",
-                    ),
-                    request => service.handle_with_id(req_id, request),
-                };
-                match write_queue_reply(service, &out_dir, &name, &reply, req_id) {
-                    Ok(()) => {
-                        fs::remove_file(&path)?;
-                        handled += 1;
-                    }
-                    Err(e) => {
-                        // Leave the input: the next poll retries it
-                        // (handling is idempotent through the cache).
-                        logmsg!(
-                            LogLevel::Warn,
-                            req_id,
-                            "fetch-serve: failed to write reply for {}: {e}",
-                            name.to_string_lossy()
-                        );
-                    }
-                }
-            }
-            Err(e) => {
-                if deferred.insert(path.clone()) {
-                    // First sighting of a bad file: grace poll.
-                    continue;
-                }
-                deferred.remove(&path);
-                if e.code == ErrorCode::TooLarge {
-                    service.note_rejected_too_large();
-                }
-                let reply = Reply::from(e);
-                if let Err(we) = write_queue_reply(service, &out_dir, &name, &reply, req_id) {
-                    logmsg!(
-                        LogLevel::Warn,
-                        req_id,
-                        "fetch-serve: failed to write reply for {}: {we}",
-                        name.to_string_lossy()
-                    );
-                    continue; // retried next poll
-                }
-                // Quarantine, never silently delete.
-                let target = failed_dir.join(&name);
-                if let Err(me) = fs::rename(&path, &target) {
-                    logmsg!(
-                        LogLevel::Warn,
-                        req_id,
-                        "fetch-serve: failed to quarantine {}: {me}",
-                        name.to_string_lossy()
-                    );
-                    continue;
-                }
-                service.note_queue_quarantined();
-                quarantined += 1;
-            }
+        let reply = answer(service, req_id, parsed);
+        if let Err(e) = write_queue_reply(service, &out_dir, &name, reply) {
+            // Leave the input: the next poll retries it (handling is
+            // idempotent through the cache).
+            logmsg!(
+                LogLevel::Warn,
+                req_id,
+                "fetch-serve: failed to write reply for {}: {e}",
+                name.to_string_lossy()
+            );
+            continue;
+        }
+        // A bad file is quarantined, never silently deleted.
+        if !bad {
+            fs::remove_file(&path)?;
+            handled += 1;
+        } else if let Err(e) = fs::rename(&path, failed_dir.join(&name)) {
+            logmsg!(
+                LogLevel::Warn,
+                req_id,
+                "fetch-serve: failed to quarantine {}: {e}",
+                name.to_string_lossy()
+            );
+        } else {
+            service.note_queue_quarantined();
+            quarantined += 1;
         }
         if service.shutdown_requested() {
             break;
@@ -632,8 +636,7 @@ fn write_queue_reply(
     service: &AnalysisService,
     out_dir: &Path,
     name: &std::ffi::OsStr,
-    reply: &Reply,
-    req_id: u64,
+    reply: String,
 ) -> io::Result<()> {
     if service.faults().fire(FaultPlan::QUEUE_REPLY).is_some() {
         return Err(FaultPlan::injected_error(FaultPlan::QUEUE_REPLY));
@@ -641,7 +644,7 @@ fn write_queue_reply(
     let t0 = Instant::now();
     let out_path = out_dir.join(name);
     let tmp = out_path.with_extension(format!("tmp{}", std::process::id()));
-    fs::write(&tmp, format!("{}\n", reply.to_line_with(req_id)))?;
+    fs::write(&tmp, reply + "\n")?;
     let out = fs::rename(&tmp, &out_path).inspect_err(|_| {
         let _ = fs::remove_file(&tmp);
     });
@@ -653,58 +656,22 @@ fn write_queue_reply(
 }
 
 /// The stdio transport: request lines on `input`, reply lines on
-/// `output`, until EOF or `shutdown`. `subscribe` turns the remainder
-/// of `output` into the telemetry stream (replies and events share
-/// stdout; subscribe last, or use a socket, to separate them). Request
-/// lines pass through the same [`MAX_LINE_BYTES`] cap as the socket
-/// transport (an over-cap line ends the session with a `too_large`
-/// error — stdin cannot be resynchronized mid-line).
+/// `output`, until EOF or `shutdown`, through the socket transport's
+/// request-line loop — the same [`MAX_LINE_BYTES`] cap and the same
+/// `conn.read`/`conn.write` fault sites (an injected failure ends the
+/// session with an `Err`). `subscribe` turns the remainder of `output`
+/// into the telemetry stream and keeps reading (replies and events
+/// share stdout; subscribe last, or use a socket, to separate them).
+/// Returns the request lines handled.
 pub fn serve_io(
     service: &AnalysisService,
     input: impl BufRead,
     output: &mut (impl Write + Send + Clone + 'static),
 ) -> io::Result<u64> {
-    let mut handled = 0u64;
-    let mut input = input;
-    let mut line = String::new();
-    loop {
-        match read_capped_line(&mut input, &mut line) {
-            Ok(None) => break,
-            Ok(Some(())) => {}
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                service.note_rejected_too_large();
-                let reply = Reply::error(ErrorCode::TooLarge, e.to_string());
-                write_line(output, reply.to_line_with(service.next_req_id()))?;
-                break;
-            }
-            Err(e) => return Err(e),
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        handled += 1;
-        let req_id = service.next_req_id();
-        match parse_request(&line) {
-            Ok(Request::Subscribe) => {
-                write_line(output, Reply::Subscribed.to_line_with(req_id))?;
-                service.telemetry().subscribe(Box::new(output.clone()));
-            }
-            Ok(request) => {
-                let reply = service.handle_with_id(req_id, request);
-                write_line(output, reply.to_line_with(req_id))?;
-                if service.shutdown_requested() {
-                    break;
-                }
-            }
-            Err(e) => {
-                if e.code == ErrorCode::TooLarge {
-                    service.note_rejected_too_large();
-                }
-                write_line(output, Reply::from(e).to_line_with(req_id))?
-            }
-        }
-    }
-    Ok(handled)
+    serve_lines(service, input, output, |output| {
+        service.telemetry().subscribe(Box::new(output.clone()));
+        Ok(true)
+    })
 }
 
 #[cfg(test)]

@@ -7,38 +7,37 @@
 //! (and by the directory-queue and stdio transports) without an outer
 //! lock around request handling.
 //!
-//! Answer path for an analyze request, in order:
+//! `analyze` and `reanalyze` share one answer path, in order:
 //!
-//! 1. **Bounded cache** ([`fetch_core::AnalysisCache`]) — fingerprint
-//!    hash + map lookup, no ELF materialization.
-//! 2. **Persistent store** ([`ResultStore`]) — one file read +
-//!    checksummed decode; the loaded result is promoted into the cache.
-//!    A corrupt entry is *rejected* (counted in
-//!    [`StatsCounter::StoreErrors`]), recomputed cold, and
-//!    overwritten.
-//! 3. **Coalesced cold compute** — the request joins the cache's
-//!    flight table ([`fetch_core::AnalysisCache::join_flight`]): the
-//!    first arrival for an uncached key becomes the *leader* and runs
-//!    the pipeline; every concurrent arrival for the same key blocks on
-//!    the flight and receives the leader's `Arc` (source
-//!    `"coalesced"`). N concurrent requests for one uncached
-//!    fingerprint perform exactly one cold compute. A leader that fails
-//!    (panic or injected fault) wakes the waiters, one of which takes
-//!    over — a dead leader never strands the group.
-//!
-//! Cold computes borrow a [`RecEngine`] from the service's engine pool
-//! (decode caches persist across requests; concurrent colds each get
-//! their own engine) and the leader persists the answer — plus the
-//! image's [`ImageDigest`] — to the store *after* publishing it to
-//! waiters, so coalesced repliers never block on disk.
-//!
-//! A `reanalyze` request names a previously-analyzed *predecessor* and
-//! submits a new version of the same binary; the service fetches the
-//! predecessor's result and digest (cache, then store) and runs the
-//! delta ladder ([`run_delta`]), so an unchanged or locally-patched
-//! binary is answered without re-running the pipeline (source
-//! `"delta"`, counted in `stats.delta`). Every tier is byte-identical
-//! to a cold analyze of the same image.
+//! 1. **Warm lookup** — the bounded cache ([`fetch_core::AnalysisCache`]:
+//!    fingerprint hash + map lookup, no ELF materialization), then the
+//!    persistent store ([`ResultStore`]: one file read + checksummed
+//!    decode, promoted into the cache). A corrupt entry is *rejected*
+//!    (counted in [`StatsCounter::StoreErrors`]), recomputed, and
+//!    overwritten. A warm answer wins for either verb.
+//! 2. **Flight** — the request joins the cache's flight table
+//!    ([`fetch_core::AnalysisCache::join_flight`]) for the new image's
+//!    key: the first arrival becomes the *leader*; every concurrent
+//!    arrival for the same key blocks on the flight and receives the
+//!    leader's `Arc` (source `"coalesced"`). N concurrent requests for
+//!    one uncached fingerprint do the leader's work exactly once. A
+//!    leader that fails (panic or injected fault) wakes the waiters, one
+//!    of which takes over — a dead leader never strands the group.
+//! 3. **Leader** — an `analyze` runs the pipeline cold. A `reanalyze`
+//!    fetches the *predecessor* it names (cache, then store), derives
+//!    the new image's [`ImageDigest`] from the predecessor's, and runs
+//!    the delta ladder ([`run_delta`]): an unchanged or locally-patched
+//!    binary is answered verbatim (source `"delta"`, counted in
+//!    `stats.delta`); anything else, an unknown or digest-less
+//!    predecessor included, runs the pipeline cold. Every tier is
+//!    byte-identical to a cold `analyze` of the same image. Either way
+//!    the pipeline runs on a [`RecEngine`] borrowed from the service's
+//!    pool (decode caches persist across requests; concurrent leaders
+//!    each get their own engine).
+//! 4. **Publish** — the leader hands the result to the flight (cache and
+//!    waiters) first, then attaches the image's digest and persists
+//!    both to the store, so coalesced repliers never block on the digest
+//!    or the disk, and the next version deltas against this one.
 //!
 //! Every analyze/query answer also broadcasts its telemetry — a
 //! `request` event plus one `layer` event per [`fetch_core::LayerTrace`]
@@ -235,9 +234,9 @@ impl ServiceObs {
 pub struct AnalysisService {
     cache: AnalysisCache,
     store: Option<ResultStore>,
-    /// Decode engines for cold computes: borrowed per compute, returned
+    /// Decode engines for flight leaders: borrowed per compute, returned
     /// after, so decode caches persist across requests and concurrent
-    /// colds never contend on one engine.
+    /// leaders never contend on one engine.
     engines: Mutex<Vec<RecEngine>>,
     telemetry: TelemetryHub,
     counters: Counters,
@@ -361,81 +360,64 @@ impl AnalysisService {
     /// envelope ([`Reply::to_line_with`]) and their log lines.
     ///
     /// Answer-path requests (`analyze`/`reanalyze`/`query`) are counted
-    /// into `requests_total`, bucketed into exactly one outcome counter
-    /// (hit/cold/coalesced/delta/error), and recorded into exactly one
-    /// `fetch_request_us{source="…"}` latency histogram.
+    /// into `requests_total` and their verb counter, bucketed into
+    /// exactly one outcome counter (hit/cold/coalesced/delta/error), and
+    /// recorded into exactly one `fetch_request_us{source="…"}` latency
+    /// histogram.
     pub fn handle_with_id(&self, req_id: u64, request: Request) -> Reply {
-        match request {
-            Request::Analyze { input, pipeline } => {
-                let t0 = Instant::now();
-                self.counters.inc(StatsCounter::RequestsTotal);
-                let reply = match self.analyze(req_id, input, &pipeline) {
-                    Ok(reply) => {
-                        self.emit(&reply);
-                        Reply::Analyze(reply)
-                    }
-                    Err((code, message)) => {
-                        self.counters.inc(StatsCounter::Errors);
-                        Reply::error(code, message)
-                    }
-                };
-                self.record_request(&reply, t0);
-                reply
-            }
+        let t0 = Instant::now();
+        let (verb, answer) = match request {
+            Request::Analyze { input, pipeline } => (
+                StatsCounter::Analyze,
+                self.answer(req_id, None, input, &pipeline),
+            ),
             Request::Reanalyze {
                 prev_fingerprint,
                 input,
                 pipeline,
-            } => {
-                let t0 = Instant::now();
-                self.counters.inc(StatsCounter::RequestsTotal);
-                let reply = match self.reanalyze(req_id, prev_fingerprint, input, &pipeline) {
-                    Ok(reply) => {
-                        self.emit(&reply);
-                        Reply::Analyze(reply)
-                    }
-                    Err((code, message)) => {
-                        self.counters.inc(StatsCounter::Errors);
-                        Reply::error(code, message)
-                    }
-                };
-                self.record_request(&reply, t0);
-                reply
-            }
+            } => (
+                StatsCounter::Reanalyze,
+                self.answer(req_id, Some(prev_fingerprint), input, &pipeline),
+            ),
             Request::Query {
                 fingerprint,
                 pipeline_id,
-            } => {
-                let t0 = Instant::now();
-                self.counters.inc(StatsCounter::RequestsTotal);
-                self.counters.inc(StatsCounter::Query);
-                let reply = match self.lookup_warm(req_id, fingerprint, &pipeline_id) {
-                    Some(reply) => {
-                        self.emit(&reply);
-                        Reply::Analyze(reply)
-                    }
-                    None => {
-                        self.counters.inc(StatsCounter::Errors);
-                        Reply::error(
+            } => (
+                StatsCounter::Query,
+                self.lookup_warm(req_id, fingerprint, &pipeline_id)
+                    .ok_or_else(|| {
+                        (
                             ErrorCode::NotFound,
                             format!(
                                 "no cached or stored result for ({}, {pipeline_id})",
                                 crate::protocol::hex_u64(fingerprint)
                             ),
                         )
-                    }
-                };
-                self.record_request(&reply, t0);
-                reply
-            }
-            Request::Stats => Reply::Stats(self.stats()),
-            Request::Metrics => Reply::Metrics(self.metrics_reply()),
-            Request::Subscribe => Reply::Subscribed,
+                    }),
+            ),
+            Request::Stats => return Reply::Stats(self.stats()),
+            Request::Metrics => return Reply::Metrics(self.metrics_reply()),
+            Request::Subscribe => return Reply::Subscribed,
             Request::Shutdown => {
                 self.shutdown.store(true, Ordering::SeqCst);
-                Reply::Shutdown
+                return Reply::Shutdown;
             }
-        }
+        };
+        self.counters.inc(StatsCounter::RequestsTotal);
+        self.counters.inc(verb);
+        let reply = match answer {
+            Ok(mut reply) => {
+                reply.wall_us = t0.elapsed().as_secs_f64() * 1e6;
+                self.emit(&reply);
+                Reply::Analyze(reply)
+            }
+            Err((code, message)) => {
+                self.counters.inc(StatsCounter::Errors);
+                Reply::error(code, message)
+            }
+        };
+        self.record_request(&reply, t0);
+        reply
     }
 
     /// Buckets one finished answer-path request into its
@@ -500,15 +482,15 @@ impl AnalysisService {
     }
 
     /// Cache-then-store lookup without computing (the `query` path; also
-    /// the warm half of `analyze`/`reanalyze`). Promotes store hits —
-    /// digest included — into the cache.
+    /// the warm step of the answer path). Promotes store hits — digest
+    /// included — into the cache. The reply's `wall_us` is stamped by
+    /// [`AnalysisService::handle_with_id`].
     fn lookup_warm(
         &self,
         req_id: u64,
         fingerprint: u64,
         pipeline_id: &str,
     ) -> Option<AnalyzeReply> {
-        let t0 = Instant::now();
         let (source, result) = match self.cache.lookup(fingerprint, pipeline_id) {
             Some(result) => {
                 self.counters.inc(StatsCounter::CacheHits);
@@ -531,7 +513,7 @@ impl AnalysisService {
             fingerprint,
             pipeline_id: pipeline_id.to_string(),
             source,
-            wall_us: t0.elapsed().as_secs_f64() * 1e6,
+            wall_us: 0.0,
             result,
         })
     }
@@ -560,28 +542,7 @@ impl AnalysisService {
         }
     }
 
-    /// Pops a pool engine (or makes a fresh one).
-    fn borrow_engine(&self) -> RecEngine {
-        self.engines
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .pop()
-            .unwrap_or_default()
-    }
-
-    /// Runs the pipeline on a borrowed pool engine.
-    fn compute(&self, pipeline: &Pipeline, binary: &Binary) -> fetch_core::DetectionResult {
-        let mut engine = self.borrow_engine();
-        let result = pipeline.run_with_engine(binary, &mut engine);
-        self.engines
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push(engine);
-        result
-    }
-
-    /// Reads and parses a request's ELF image (shared by `analyze` and
-    /// `reanalyze`).
+    /// Reads and parses a request's ELF image.
     fn load_image(&self, input: AnalyzeInput) -> Result<ElfImage, (ErrorCode, String)> {
         let bytes = match input {
             AnalyzeInput::Path(path) => std::fs::read(&path).map_err(|e| {
@@ -624,26 +585,23 @@ impl AnalysisService {
         result
     }
 
-    fn analyze(
+    /// The answer path of `analyze` (`prev_fingerprint` = `None`) and
+    /// `reanalyze` (the predecessor's fingerprint): warm lookup, then
+    /// the flight, whose leader computes and publishes (see the
+    /// [module docs](self)).
+    fn answer(
         &self,
         req_id: u64,
+        prev_fingerprint: Option<u64>,
         input: AnalyzeInput,
         pipeline: &Pipeline,
     ) -> Result<AnalyzeReply, (ErrorCode, String)> {
-        self.counters.inc(StatsCounter::Analyze);
-        let t0 = Instant::now();
         let image = self.load_image(input)?;
         let fingerprint = image_fingerprint(&image);
         let pipeline_id = pipeline.id();
-
-        if let Some(mut warm) = self.lookup_warm(req_id, fingerprint, &pipeline_id) {
-            // Charge the reply the full request time (parse included).
-            warm.wall_us = t0.elapsed().as_secs_f64() * 1e6;
+        if let Some(warm) = self.lookup_warm(req_id, fingerprint, &pipeline_id) {
             return Ok(warm);
         }
-
-        // Cold path, coalesced: the first arrival leads and computes;
-        // concurrent arrivals for the same key wait on the flight.
         let (source, result) = loop {
             let t_join = Instant::now();
             match self.cache.join_flight(fingerprint, &pipeline_id) {
@@ -673,20 +631,34 @@ impl AnalysisService {
                             FaultPlan::injected_error(FaultPlan::COMPUTE).to_string(),
                         ));
                     }
-                    self.counters.inc(StatsCounter::Cold);
                     let binary = image.to_binary();
-                    let result = Arc::new(self.compute(pipeline, &binary));
+                    let (source, result, digest) = self.lead(
+                        req_id,
+                        prev_fingerprint,
+                        pipeline,
+                        &binary,
+                        fingerprint,
+                        &pipeline_id,
+                    );
                     // Publish to cache and waiters first; digest + disk
                     // after, so coalesced repliers never block on them.
                     let result = guard.complete(result);
                     self.obs
                         .coalesce_leader_us
                         .record(t_join.elapsed().as_micros() as u64);
-                    self.obs.record_layer_walls(&result);
-                    let digest = Arc::new(ImageDigest::compute(&binary, fingerprint));
-                    let result =
-                        self.publish_digest(req_id, fingerprint, &pipeline_id, result, digest);
-                    break (ServeSource::Cold, result);
+                    if source == ServeSource::Cold {
+                        self.obs.record_layer_walls(&result);
+                    }
+                    let digest =
+                        digest.unwrap_or_else(|| ImageDigest::compute(&binary, fingerprint));
+                    let result = self.publish_digest(
+                        req_id,
+                        fingerprint,
+                        &pipeline_id,
+                        result,
+                        Arc::new(digest),
+                    );
+                    break (source, result);
                 }
             }
         };
@@ -695,125 +667,86 @@ impl AnalysisService {
             fingerprint,
             pipeline_id,
             source,
-            wall_us: t0.elapsed().as_secs_f64() * 1e6,
+            wall_us: 0.0,
             result,
         })
     }
 
-    /// The `reanalyze` path: answer a new version of a known binary
-    /// through the delta ladder ([`run_delta`]).
+    /// The flight leader's compute, on an engine borrowed from the pool:
+    /// the delta ladder ([`run_delta`]) against the predecessor a
+    /// `reanalyze` names, or the pipeline cold when there is nothing to
+    /// delta against. Counts the outcome, and returns the new image's
+    /// digest when the ladder already derived it.
     ///
-    /// Order of resolution:
-    ///
-    /// 1. If the *new* image is itself already warm (cache or store),
-    ///    that answer wins — same as `analyze`.
-    /// 2. The predecessor named by `prev_fingerprint` is fetched from
-    ///    the cache, then the store. A missing or digest-less
-    ///    predecessor drops the ladder to its cold tier (counted as
-    ///    `digest_mismatch` — there was nothing sound to delta against).
-    /// 3. The ladder runs on a pooled engine; tiers 1–2 reuse the
-    ///    previous result verbatim (source `"delta"`, counted in
-    ///    `delta_hits`). Tier 3 (a local change no verbatim tier can
-    ///    prove, counted as `fallback_cold`) and tier 4 (a non-local
-    ///    change, counted as `digest_mismatch`) both run the pipeline
-    ///    cold.
-    ///
-    /// Whatever tier answered, the result and the new image's digest
-    /// are published to the cache and store, so the next version deltas
-    /// against *this* one. Every tier is byte-identical to a cold
-    /// `analyze` of the same image (property-tested in core and pinned
-    /// end-to-end by the serve tests).
-    fn reanalyze(
+    /// Tiers 1–2 reuse the previous result verbatim (source `"delta"`,
+    /// counted in `delta_hits`). Tier 3 (a local change no verbatim tier
+    /// can prove, counted as `fallback_cold`) and tier 4 (a non-local
+    /// change, or a missing or digest-less predecessor, counted as
+    /// `digest_mismatch`) run the pipeline cold.
+    fn lead(
         &self,
         req_id: u64,
-        prev_fingerprint: u64,
-        input: AnalyzeInput,
+        prev_fingerprint: Option<u64>,
         pipeline: &Pipeline,
-    ) -> Result<AnalyzeReply, (ErrorCode, String)> {
-        self.counters.inc(StatsCounter::Reanalyze);
-        let t0 = Instant::now();
-        let image = self.load_image(input)?;
-        let fingerprint = image_fingerprint(&image);
-        let pipeline_id = pipeline.id();
-
-        // The new version may already be known (a resubmission, or two
-        // clients racing on the same rebuild): warm answers win.
-        if let Some(mut warm) = self.lookup_warm(req_id, fingerprint, &pipeline_id) {
-            warm.wall_us = t0.elapsed().as_secs_f64() * 1e6;
-            return Ok(warm);
-        }
-
-        // Fetch the predecessor: cache first, then store (not counted
-        // as a store hit — it is an input of the ladder, not the
-        // answer). Load failures degrade to the cold tier.
-        let prev = self
-            .cache
-            .lookup_with_digest(prev_fingerprint, &pipeline_id)
-            .or_else(|| {
-                self.load_stored(req_id, prev_fingerprint, &pipeline_id)
-                    .map(|(result, digest)| (Arc::new(result), digest.map(Arc::new)))
-            });
-
-        // Only the buckets the patch touched are swept: the rest of the
-        // digest is copied from the predecessor's.
-        let binary = image.to_binary();
-        let prev_digest = prev.as_ref().and_then(|(_, d)| d.as_deref());
-        let new_digest = ImageDigest::compute_from(prev_digest, &binary, fingerprint);
-        let mut engine = self.borrow_engine();
-        let (result, class, sections_reused) = match &prev {
-            Some((prev_result, _)) => {
+        binary: &Binary,
+        fingerprint: u64,
+        pipeline_id: &str,
+    ) -> (ServeSource, Arc<DetectionResult>, Option<ImageDigest>) {
+        // The predecessor: cache first, then store (not counted as a
+        // store hit — it is an input of the ladder, not the answer).
+        // Load failures degrade to the cold tier.
+        let prev = prev_fingerprint.and_then(|prev_fp| {
+            self.cache
+                .lookup_with_digest(prev_fp, pipeline_id)
+                .or_else(|| {
+                    self.load_stored(req_id, prev_fp, pipeline_id)
+                        .map(|(result, digest)| (Arc::new(result), digest.map(Arc::new)))
+                })
+        });
+        let mut engine = self
+            .engines
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .pop()
+            .unwrap_or_default();
+        let (result, class, digest) = match prev {
+            Some((prev_result, prev_digest)) => {
+                // Only the buckets the patch touched are swept: the rest
+                // of the digest is copied from the predecessor's.
+                let digest = ImageDigest::compute_from(prev_digest.as_deref(), binary, fingerprint);
                 let out = run_delta(
                     pipeline,
-                    prev_result,
-                    prev_digest,
-                    &binary,
-                    &new_digest,
+                    &prev_result,
+                    prev_digest.as_deref(),
+                    binary,
+                    &digest,
                     &mut engine,
                 );
-                (out.result, out.class, out.sections_reused)
+                self.counters
+                    .add(StatsCounter::SectionsReused, out.sections_reused as u64);
+                (out.result, Some(out.class), Some(digest))
             }
-            // Unknown predecessor: nothing to delta against.
             None => (
-                Arc::new(pipeline.run_with_engine(&binary, &mut engine)),
-                DeltaClass::Cold,
-                0,
+                Arc::new(pipeline.run_with_engine(binary, &mut engine)),
+                prev_fingerprint.map(|_| DeltaClass::Cold),
+                None,
             ),
         };
         self.engines
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .push(engine);
-
-        self.counters
-            .add(StatsCounter::SectionsReused, sections_reused as u64);
-        let source = if class.is_hit() {
-            self.counters.inc(StatsCounter::DeltaHits);
-            ServeSource::Delta
-        } else {
-            self.counters.inc(match class {
-                DeltaClass::Recompute => StatsCounter::FallbackCold,
-                _ => StatsCounter::DigestMismatch,
-            });
-            self.counters.inc(StatsCounter::Cold);
-            // A non-hit tier ran the pipeline: its trace is fresh.
-            self.obs.record_layer_walls(&result);
-            ServeSource::Cold
-        };
-        let result = self.publish_digest(
-            req_id,
-            fingerprint,
-            &pipeline_id,
-            result,
-            Arc::new(new_digest),
-        );
-        Ok(AnalyzeReply {
-            req_id,
-            fingerprint,
-            pipeline_id,
-            source,
-            wall_us: t0.elapsed().as_secs_f64() * 1e6,
-            result,
-        })
+        match class {
+            Some(class) if class.is_hit() => {
+                self.counters.inc(StatsCounter::DeltaHits);
+                return (ServeSource::Delta, result, digest);
+            }
+            Some(DeltaClass::Recompute) => self.counters.inc(StatsCounter::FallbackCold),
+            Some(_) => self.counters.inc(StatsCounter::DigestMismatch),
+            None => {}
+        }
+        self.counters.inc(StatsCounter::Cold);
+        (ServeSource::Cold, result, digest)
     }
 }
 
@@ -1175,6 +1108,100 @@ mod tests {
         let again = reanalyze(write_elf(&neutral.binary));
         assert_eq!(reply_source(&again), ServeSource::CacheHit);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Version 1 of the delta corpus analyzed cold, a neutral patch of
+    /// it, and the patch's cold answer from an independent service.
+    fn neutral_patch_of_analyzed(service: &AnalysisService) -> (u64, Vec<u8>, String) {
+        use fetch_synth::{patch_function, PatchKind};
+        let case = synthesize(&SynthConfig::small(11));
+        let neutral = patch_function(&case, 7, PatchKind::Neutral).expect("a neutral patch site");
+        let prev_fp = match service.handle(analyze_req(write_elf(&case.binary))) {
+            Reply::Analyze(a) => a.fingerprint,
+            other => panic!("{other:?}"),
+        };
+        let elf_v2 = write_elf(&neutral.binary);
+        let reference = AnalysisService::new(&ServeConfig::default()).unwrap();
+        let cold_v2 = result_json_of(&reference.handle(analyze_req(elf_v2.clone())));
+        (prev_fp, elf_v2, cold_v2)
+    }
+
+    fn reanalyze_req(prev_fingerprint: u64, elf: Vec<u8>) -> Request {
+        Request::Reanalyze {
+            prev_fingerprint,
+            input: AnalyzeInput::Bytes(elf),
+            pipeline: Pipeline::fetch(),
+        }
+    }
+
+    #[test]
+    fn concurrent_reanalyzes_of_one_version_run_the_ladder_once() {
+        // Every flight leader stalls before its compute, so all callers
+        // join the reanalyze's flight before its leader completes.
+        let service = AnalysisService::new(&ServeConfig {
+            faults: Arc::new(FaultPlan::parse("service.compute=stall:300").unwrap()),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let (prev_fp, elf_v2, cold_v2) = neutral_patch_of_analyzed(&service);
+
+        const CALLERS: usize = 8;
+        let barrier = std::sync::Barrier::new(CALLERS);
+        let replies: Vec<Reply> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..CALLERS)
+                .map(|_| {
+                    let (service, barrier, elf) = (&service, &barrier, elf_v2.clone());
+                    scope.spawn(move || {
+                        barrier.wait();
+                        service.handle(reanalyze_req(prev_fp, elf))
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+
+        let stats = service.stats();
+        assert_eq!(stats.counter(StatsCounter::Reanalyze), CALLERS as u64);
+        assert_eq!(stats.counter(StatsCounter::DeltaHits), 1, "one ladder run");
+        assert_eq!(stats.counter(StatsCounter::Coalesced), CALLERS as u64 - 1);
+        assert_eq!(stats.counter(StatsCounter::Cold), 1, "version 1 only");
+        for reply in &replies {
+            assert_eq!(result_json_of(reply), cold_v2, "byte-identical to cold");
+        }
+        let sources: Vec<ServeSource> = replies.iter().map(reply_source).collect();
+        assert_eq!(
+            sources.iter().filter(|s| **s == ServeSource::Delta).count(),
+            1,
+            "{sources:?}"
+        );
+    }
+
+    #[test]
+    fn injected_compute_fault_fails_one_reanalyze_and_the_retry_deltas() {
+        // The first leader (version 1's analyze) spends the stall rule;
+        // the second (the reanalyze) hits the io rule.
+        let service = AnalysisService::new(&ServeConfig {
+            faults: Arc::new(
+                FaultPlan::parse("service.compute=stall:1#1,service.compute=io#1").unwrap(),
+            ),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let (prev_fp, elf_v2, cold_v2) = neutral_patch_of_analyzed(&service);
+        match service.handle(reanalyze_req(prev_fp, elf_v2.clone())) {
+            Reply::Error { code, message } => {
+                assert_eq!(code, ErrorCode::Internal);
+                assert!(message.contains("injected fault"), "{message}");
+            }
+            other => panic!("{other:?}"),
+        }
+        let retry = service.handle(reanalyze_req(prev_fp, elf_v2));
+        assert_eq!(reply_source(&retry), ServeSource::Delta);
+        assert_eq!(result_json_of(&retry), cold_v2);
+        let stats = service.stats();
+        assert_eq!(stats.counter(StatsCounter::Errors), 1);
+        assert_eq!(stats.counter(StatsCounter::DeltaHits), 1);
+        assert_eq!(stats.faults_injected, 2);
     }
 
     #[test]

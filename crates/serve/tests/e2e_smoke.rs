@@ -465,3 +465,37 @@ fn fault_plan_flag_is_validated_and_arms_the_shipped_daemon() {
     assert!(armed.wait_exit().success());
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Every numeric daemon flag rejects `0` and a non-number: the shipped
+/// binary exits with status 2 and a message naming the flag, before it
+/// opens any transport.
+#[test]
+fn numeric_daemon_flags_reject_zero_and_garbage() {
+    for flag in [
+        "--cache-capacity",
+        "--cache-bytes",
+        "--poll-ms",
+        "--jobs",
+        "--queue-depth",
+        "--io-timeout-ms",
+        "--store-max-entries",
+        "--store-max-bytes",
+        "--store-max-age-secs",
+    ] {
+        for value in ["0", "x"] {
+            let child = Command::new(env!("CARGO_BIN_EXE_fetch-serve"))
+                .args(["daemon", flag, value])
+                .stdin(Stdio::null())
+                .stdout(Stdio::null())
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("spawn fetch-serve");
+            let mut daemon = Spawned(child);
+            assert_eq!(daemon.wait_exit().code(), Some(2), "{flag} {value}");
+            let mut stderr = String::new();
+            std::io::Read::read_to_string(&mut daemon.0.stderr.take().unwrap(), &mut stderr)
+                .unwrap();
+            assert!(stderr.contains(flag), "{flag} {value}: {stderr}");
+        }
+    }
+}

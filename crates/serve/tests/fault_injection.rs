@@ -9,8 +9,8 @@
 //! * a deterministic sweep over the full fault matrix (every
 //!   [`FaultPlan`] site × every kind), each combo driven through the
 //!   transport that owns the site (in-process for store/compute sites,
-//!   the real Unix socket for `conn.*`, the directory queue for
-//!   `queue.reply`);
+//!   the real Unix socket and stdio for `conn.*`, the directory queue
+//!   for `queue.reply`);
 //! * a property test over random *composite* plans (several sites,
 //!   budgets > 1) against the in-process service across a restart;
 //!
@@ -30,7 +30,7 @@ use fetch_serve::json::Json;
 use fetch_serve::protocol::{
     result_json, AnalyzeInput, ErrorCode, Reply, Request, StatsReply, STATS_COUNTERS,
 };
-use fetch_serve::server::{serve, ServerOptions};
+use fetch_serve::server::{serve, serve_io, ServerOptions};
 use fetch_serve::service::{AnalysisService, ServeConfig};
 use fetch_serve::{FaultPlan, StatsCounter};
 use fetch_synth::{patch_function, synthesize, PatchKind, SynthConfig};
@@ -38,7 +38,7 @@ use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Every fault kind's spec token (stalls kept short: they add latency,
@@ -249,6 +249,60 @@ fn drive_socket(spec: &str, elf: &[u8], reference: &str, dir: &Path) {
     assert!(plan.fired() >= 1, "spec {spec} never armed its site");
 }
 
+/// A cloneable writer over a shared buffer, standing in for stdout.
+#[derive(Clone, Default)]
+struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+impl Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// `conn.*` sites over the stdio transport: one `serve_io` session per
+/// attempt, each fed the analyze line. An injected failure must end its
+/// session with an `Err` (the stdio form of a dropped connection) and
+/// never write a wrong reply.
+fn drive_stdio(spec: &str, elf: &[u8], reference: &str) {
+    let plan = Arc::new(FaultPlan::parse(spec).unwrap());
+    let service = AnalysisService::new(&ServeConfig {
+        faults: plan.clone(),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let request = format!("{}\n", analyze_request(elf).to_line());
+    let mut last_correct = false;
+    for _ in 0..2 {
+        let mut out = SharedBuf::default();
+        let served = serve_io(&service, request.as_bytes(), &mut out);
+        let text = String::from_utf8(out.0.lock().unwrap().clone()).unwrap();
+        last_correct = match served {
+            Ok(handled) => {
+                assert_eq!(handled, 1, "spec {spec}");
+                check_wire_reply(text.trim(), reference, spec)
+            }
+            Err(e) => {
+                assert!(e.to_string().contains("injected fault"), "spec {spec}: {e}");
+                assert!(
+                    text.is_empty(),
+                    "spec {spec}: a failed session wrote {text:?}"
+                );
+                false
+            }
+        };
+    }
+    assert!(
+        last_correct,
+        "spec {spec}: with the budget spent stdio must answer correctly"
+    );
+    assert!(plan.fired() >= 1, "spec {spec} never armed its site");
+    assert_eq!(service.stats().faults_injected, 1, "spec {spec}");
+}
+
 /// `queue.reply`: drive the directory-queue transport. A failed reply
 /// write must leave the input in place, so the next poll retries it and
 /// the reply eventually lands — correct and byte-identical.
@@ -303,7 +357,8 @@ fn drive_queue(spec: &str, elf: &[u8], reference: &str, dir: &Path) {
 }
 
 /// The full matrix, deterministically: every site × every kind, one
-/// firing each, through the transport that owns the site.
+/// firing each, through the transport that owns the site (both stream
+/// transports for `conn.*`).
 #[test]
 fn every_single_fault_yields_a_correct_answer_or_a_structured_failure() {
     let (elf, reference) = reference();
@@ -312,7 +367,10 @@ fn every_single_fault_yields_a_correct_answer_or_a_structured_failure() {
             let spec = format!("{site}={kind}#1");
             let dir = scratch_dir(&spec);
             match site {
-                "conn.read" | "conn.write" => drive_socket(&spec, &elf, &reference, &dir),
+                "conn.read" | "conn.write" => {
+                    drive_socket(&spec, &elf, &reference, &dir);
+                    drive_stdio(&spec, &elf, &reference);
+                }
                 "queue.reply" => drive_queue(&spec, &elf, &reference, &dir),
                 _ => drive_in_process(&spec, &elf, &reference, &dir),
             }
