@@ -35,8 +35,10 @@
 //! eviction count and the live entry/byte footprint alongside
 //! hits/misses.
 
+use crate::facts::BinaryFacts;
 use crate::state::DetectionResult;
 use fetch_binary::{Binary, Section, SectionKind};
+use fetch_ehframe::EhFrame;
 use fetch_x64::{decode, Op, Reg, MAX_INST_LEN};
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
@@ -276,6 +278,20 @@ impl ImageDigest {
     /// A `prev` whose buckets do not tile their section (a digest no
     /// `compute` produced) is ignored.
     pub fn compute_from(prev: Option<&ImageDigest>, binary: &Binary, image: u64) -> ImageDigest {
+        ImageDigest::compute_with_facts(prev, binary, &BinaryFacts::new(), image)
+    }
+
+    /// [`ImageDigest::compute_from`] taking the FDE partition from
+    /// `facts` (which must describe `binary`): a caller that also runs
+    /// the pipeline over the same [`BinaryFacts`] parses `.eh_frame`
+    /// once for both. Returns exactly what `compute(binary, image)`
+    /// returns.
+    pub fn compute_with_facts(
+        prev: Option<&ImageDigest>,
+        binary: &Binary,
+        facts: &BinaryFacts,
+        image: u64,
+    ) -> ImageDigest {
         let mut symbols = Fnv::new(DOMAIN_SYMBOLS);
         symbols.u64(binary.symbols.len() as u64);
         for sym in &binary.symbols {
@@ -299,7 +315,7 @@ impl ImageDigest {
         for (i, s) in binary.sections.iter().enumerate() {
             if s.kind == SectionKind::Text {
                 let prev_buckets = prev.map(|p| p.sections[i].buckets.as_slice());
-                sections[i].buckets = text_buckets(binary, s, &spans, prev_buckets);
+                sections[i].buckets = text_buckets(binary, facts, s, &spans, prev_buckets);
             }
         }
         ImageDigest {
@@ -468,6 +484,7 @@ fn tiles(buckets: &[BucketDigest], addr: u64, len: u64) -> bool {
 /// reach, `end + SEM_LOOKAHEAD`.
 fn text_buckets(
     binary: &Binary,
+    facts: &BinaryFacts,
     text: &Section,
     spans: &[(u64, u64)],
     prev: Option<&[BucketDigest]>,
@@ -475,7 +492,7 @@ fn text_buckets(
     // Both hashes of every bucket are (re)computed or reused below.
     let mut buckets = match prev {
         Some(prev) => prev.to_vec(),
-        None => fde_partition(binary, text),
+        None => fde_partition(facts.eh_frame(binary).as_deref(), text),
     };
     for b in &mut buckets {
         b.raw = raw_hash(&text.bytes[(b.start - text.addr) as usize..(b.end - text.addr) as usize]);
@@ -499,17 +516,16 @@ fn text_buckets(
     buckets
 }
 
-/// The FDE-range partition of `.text`, hashes left zero.
-fn fde_partition(binary: &Binary, text: &Section) -> Vec<BucketDigest> {
+/// The FDE-range partition of `.text` (no FDEs when `.eh_frame` is
+/// malformed), hashes left zero.
+fn fde_partition(eh: Option<&EhFrame>, text: &Section) -> Vec<BucketDigest> {
     let text_end = text.end();
-    let mut ranges: Vec<(u64, u64)> = match binary.eh_frame() {
-        Ok(eh) => eh
-            .fdes()
-            .map(|fde| (fde.pc_begin.max(text.addr), fde.pc_end().min(text_end)))
-            .filter(|(s, e)| s < e)
-            .collect(),
-        Err(_) => Vec::new(),
-    };
+    let mut ranges: Vec<(u64, u64)> = eh
+        .into_iter()
+        .flat_map(|eh| eh.fdes())
+        .map(|fde| (fde.pc_begin.max(text.addr), fde.pc_end().min(text_end)))
+        .filter(|(s, e)| s < e)
+        .collect();
     ranges.sort_unstable();
     // Merge overlapping (not merely adjacent) ranges so the partition
     // is well defined; adjacent FDEs stay separate buckets — that is
@@ -682,9 +698,9 @@ impl CacheStats {
 struct Entry {
     result: Arc<DetectionResult>,
     /// The image digest the result was computed against, when known —
-    /// the anchor of version-delta lookups. `None` between a coalesced
-    /// leader's [`FlightGuard::complete`], which publishes before the
-    /// digest exists, and the digest-carrying insert that follows it.
+    /// the anchor of version-delta lookups. `None` for results inserted
+    /// without one ([`AnalysisCache::insert`], a flight completed without
+    /// one, a store entry saved without one).
     digest: Option<Arc<ImageDigest>>,
     /// [`DetectionResult::approx_bytes`], computed once at insert.
     bytes: usize,
@@ -815,10 +831,19 @@ impl FlightGuard<'_> {
     /// [`AnalysisCache::insert`]). Waiters receive the published `Arc`
     /// directly, so they are correct even if capacity bounds evict the
     /// entry immediately.
-    pub fn complete(mut self, result: Arc<DetectionResult>) -> Arc<DetectionResult> {
+    ///
+    /// `digest` is the image's [`ImageDigest`], when the leader has it:
+    /// the result and its digest become visible together, so a
+    /// version-delta lookup never finds the result without the digest
+    /// it could diff against.
+    pub fn complete(
+        mut self,
+        result: Arc<DetectionResult>,
+        digest: Option<Arc<ImageDigest>>,
+    ) -> Arc<DetectionResult> {
         let stored = self
             .cache
-            .insert(self.key.0, &self.key.1, Arc::clone(&result));
+            .insert_with_digest(self.key.0, &self.key.1, result, digest);
         self.publish(Some(Arc::clone(&stored)));
         stored
     }
@@ -892,11 +917,8 @@ impl AnalysisCache {
     /// [`AnalysisCache::insert`] carrying the [`ImageDigest`] the result
     /// was computed against, so later version-delta lookups
     /// ([`AnalysisCache::lookup_with_digest`]) can diff against it. When
-    /// the key is already resident, the existing result still wins, but
-    /// a digest-less entry adopts the incoming digest: a coalesced
-    /// leader's [`FlightGuard::complete`] publishes before the digest
-    /// exists, and the serving layer attaches it with this call once
-    /// computed.
+    /// the key is already resident, the existing entry, digest included,
+    /// wins.
     pub fn insert_with_digest(
         &self,
         fingerprint: u64,
@@ -905,18 +927,7 @@ impl AnalysisCache {
         digest: Option<Arc<ImageDigest>>,
     ) -> Arc<DetectionResult> {
         let mut inner = self.lock();
-        if let Some((existing, had_digest)) = inner.touch(fingerprint, pipeline_id) {
-            if had_digest.is_none() {
-                if let Some(d) = digest {
-                    if let Some(entry) = inner
-                        .map
-                        .get_mut(&fingerprint)
-                        .and_then(|m| m.get_mut(pipeline_id))
-                    {
-                        entry.digest = Some(d);
-                    }
-                }
-            }
+        if let Some((existing, _)) = inner.touch(fingerprint, pipeline_id) {
             return existing;
         }
         let tick = inner.next_tick;
@@ -1277,7 +1288,8 @@ mod tests {
                                 Flight::Hit(r) | Flight::Waited(Some(r)) => return r,
                                 Flight::Leader(guard) => {
                                     computes.fetch_add(1, Ordering::SeqCst);
-                                    return guard.complete(Arc::new(pipeline.run(&case.binary)));
+                                    return guard
+                                        .complete(Arc::new(pipeline.run(&case.binary)), None);
                                 }
                                 Flight::Waited(None) => continue,
                             }
@@ -1321,7 +1333,7 @@ mod tests {
         drop(guard); // leader aborts without completing
         match cache.join_flight(fp, &id) {
             Flight::Leader(g) => {
-                let done = g.complete(Arc::new(pipeline.run(&case.binary)));
+                let done = g.complete(Arc::new(pipeline.run(&case.binary)), None);
                 assert!(!done.starts.is_empty());
             }
             other => panic!("next joiner must inherit leadership, got {other:?}"),

@@ -99,38 +99,41 @@ pub fn run_delta(
     new_digest: &ImageDigest,
     engine: &mut RecEngine,
 ) -> DeltaOutcome {
+    let (class, sections_reused) = delta_tier(pipeline, prev_digest, new_digest);
+    let result = if class.is_hit() {
+        Arc::clone(prev_result)
+    } else {
+        Arc::new(pipeline.run_with_engine(new_binary, engine))
+    };
+    DeltaOutcome {
+        result,
+        class,
+        sections_reused,
+    }
+}
+
+/// The ladder's decision alone: which tier answers the new version, and
+/// how many text buckets the digest diff proved unchanged
+/// ([`DeltaOutcome::sections_reused`]). On a hit tier
+/// ([`DeltaClass::is_hit`]) the previous result is the answer verbatim;
+/// on tiers 3–4 the caller runs the pipeline cold — [`run_delta`] with
+/// a fresh state, or a caller that shares [`crate::BinaryFacts`] with
+/// another thread through [`crate::DetectionState::with_facts`].
+pub fn delta_tier(
+    pipeline: &Pipeline,
+    prev_digest: Option<&ImageDigest>,
+    new_digest: &ImageDigest,
+) -> (DeltaClass, usize) {
     let Some(old) = prev_digest else {
-        return DeltaOutcome {
-            result: Arc::new(pipeline.run_with_engine(new_binary, engine)),
-            class: DeltaClass::Cold,
-            sections_reused: 0,
-        };
+        return (DeltaClass::Cold, 0);
     };
     match diff_digests(old, new_digest) {
-        DigestDiff::Identical { buckets } => DeltaOutcome {
-            result: Arc::clone(prev_result),
-            class: DeltaClass::Unchanged,
-            sections_reused: buckets,
-        },
-        DigestDiff::LocalText { sem_equal, reused } => {
-            if sem_equal && pipeline.delta_safe() {
-                return DeltaOutcome {
-                    result: Arc::clone(prev_result),
-                    class: DeltaClass::SectionReuse,
-                    sections_reused: reused,
-                };
-            }
-            DeltaOutcome {
-                result: Arc::new(pipeline.run_with_engine(new_binary, engine)),
-                class: DeltaClass::Recompute,
-                sections_reused: reused,
-            }
+        DigestDiff::Identical { buckets } => (DeltaClass::Unchanged, buckets),
+        DigestDiff::LocalText { sem_equal, reused } if sem_equal && pipeline.delta_safe() => {
+            (DeltaClass::SectionReuse, reused)
         }
-        DigestDiff::NonLocal { .. } => DeltaOutcome {
-            result: Arc::new(pipeline.run_with_engine(new_binary, engine)),
-            class: DeltaClass::Cold,
-            sections_reused: 0,
-        },
+        DigestDiff::LocalText { reused, .. } => (DeltaClass::Recompute, reused),
+        DigestDiff::NonLocal { .. } => (DeltaClass::Cold, 0),
     }
 }
 

@@ -301,6 +301,7 @@
 mod algorithm1;
 mod cache;
 mod delta;
+mod facts;
 mod fetch;
 mod heuristics;
 mod pipeline;
@@ -314,7 +315,8 @@ pub use cache::{
     content_fingerprint, diff_digests, image_fingerprint, AnalysisCache, BucketDigest,
     CacheCapacity, CacheStats, DigestDiff, Flight, FlightGuard, ImageDigest, SectionDigest,
 };
-pub use delta::{run_delta, DeltaClass, DeltaOutcome};
+pub use delta::{delta_tier, run_delta, DeltaClass, DeltaOutcome};
+pub use facts::{BinaryFacts, FactsWork, FrameTable};
 pub use fetch::Fetch;
 pub use heuristics::{code_gaps, ToolStyle};
 pub use pipeline::{LayerSpec, Pipeline, PipelineParseError, Tool, KNOWN_LAYERS};
@@ -326,6 +328,4 @@ pub use serial::{
     deserialize_result_full, intern_layer_name, serialize_result_with_digest, SerialError,
     RESULT_MAGIC, RESULT_VERSION,
 };
-pub use state::{
-    DerivedWorkStats, DetectionResult, DetectionState, FrameTable, LayerTrace, Provenance,
-};
+pub use state::{DerivedWorkStats, DetectionResult, DetectionState, LayerTrace, Provenance};

@@ -2,47 +2,16 @@
 //! transforms, with provenance tracking for every start, a persistent
 //! incremental recursion engine, and generation-counted analysis caches.
 
+use crate::facts::{BinaryFacts, FrameTable};
 use fetch_binary::Binary;
 use fetch_disasm::{
     code_xrefs, function_extents, recursive_disassemble, ErrorCallPolicy, FunctionBody, RecEngine,
     RecOptions, RecResult, RecWorkStats, XrefIndex,
 };
-use fetch_ehframe::{stack_heights, EhFrame, HeightTable};
+use fetch_ehframe::EhFrame;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
-
-/// The CFI side-table of a binary: every FDE's stack-height table (where
-/// the CFIs are complete), the set of FDE-covered starts, and the sorted
-/// coverage ranges. A pure function of the immutable binary, so
-/// [`DetectionState`] computes it at most once per run — call-frame
-/// repair used to re-evaluate every CFI program on every invocation.
-#[derive(Debug, Clone, Default)]
-pub struct FrameTable {
-    /// Complete stack-height tables keyed by FDE `PC Begin`.
-    pub heights: BTreeMap<u64, HeightTable>,
-    /// Every FDE `PC Begin` in the binary.
-    pub has_fde: BTreeSet<u64>,
-    /// Sorted `(pc_begin, pc_end)` coverage ranges of every FDE.
-    pub ranges: Vec<(u64, u64)>,
-}
-
-impl FrameTable {
-    /// Evaluates an already-parsed `.eh_frame` (absent sections yield an
-    /// empty table).
-    fn from_eh(eh: &EhFrame) -> FrameTable {
-        let mut table = FrameTable::default();
-        for (cie, fde) in eh.fdes_with_cie() {
-            table.has_fde.insert(fde.pc_begin);
-            table.ranges.push((fde.pc_begin, fde.pc_end()));
-            if let Ok(Some(h)) = stack_heights(cie, fde) {
-                table.heights.insert(fde.pc_begin, h);
-            }
-        }
-        table.ranges.sort_unstable();
-        table
-    }
-}
 
 /// Where a detected start came from. Figure 5's per-layer accounting and
 /// the accuracy analysis both key off this.
@@ -230,23 +199,15 @@ type Tagged<T> = Option<(u64, Arc<T>)>;
 /// Generation-counted memoization of the analyses every repair/heuristic
 /// layer needs. Entries tagged with the starts- or disassembly-generation
 /// they were computed at; a stale tag means recompute. (Intra-state
-/// memoization — the cross-run result cache is [`crate::AnalysisCache`].)
+/// memoization of what the walk derives; the binary-pure memos are the
+/// state's [`BinaryFacts`], and the cross-run result cache is
+/// [`crate::AnalysisCache`].)
 #[derive(Debug, Clone, Default)]
 struct StateMemo {
     start_set: Tagged<BTreeSet<u64>>,
     xrefs: Tagged<XrefIndex>,
     extents: Tagged<BTreeMap<u64, FunctionBody>>,
     code_constants: Tagged<BTreeSet<u64>>,
-    /// Derived from the (immutable) binary alone: computed at most once.
-    data_ptrs: Option<Arc<BTreeMap<u64, Vec<u64>>>>,
-    /// CFI side-table, also binary-pure; the outer `Option` is the
-    /// "computed yet?" flag, the inner one records an unparseable
-    /// `.eh_frame` so the failure is memoized too.
-    frame_table: Option<Option<Arc<FrameTable>>>,
-    /// The parsed `.eh_frame`, binary-pure like the two above. FDE
-    /// seeding and the CFI side-table each parsed the section from
-    /// scratch before this memo existed.
-    eh: Option<Option<Arc<EhFrame>>>,
 }
 
 /// Mutable state threaded through a strategy stack.
@@ -290,6 +251,11 @@ pub struct DetectionState<'b> {
     starts_gen: u64,
     rec_gen: u64,
     cache: StateMemo,
+    /// The binary-pure memos (`.eh_frame`, frame table, data pointers),
+    /// shareable with other threads working on the same binary.
+    facts: Arc<BinaryFacts>,
+    /// Whether the data-pointer sweep's bytes were attributed yet.
+    data_ptrs_counted: bool,
     frame_hits: u64,
     frame_misses: u64,
     /// Monotone pointer-scan work counters, differenced per layer by
@@ -326,6 +292,18 @@ impl<'b> DetectionState<'b> {
     /// binary is dropped, not consulted. Reclaim the engine afterwards
     /// with [`DetectionState::into_result_with_engine`].
     pub fn with_engine(binary: &'b Binary, engine: RecEngine) -> DetectionState<'b> {
+        DetectionState::with_facts(binary, engine, Arc::default())
+    }
+
+    /// [`DetectionState::with_engine`] over facts another thread may
+    /// share ([`BinaryFacts`]): a fact computed there is read here, and
+    /// a fact this state computes first is read there. `facts` must
+    /// describe `binary`.
+    pub fn with_facts(
+        binary: &'b Binary,
+        engine: RecEngine,
+        facts: Arc<BinaryFacts>,
+    ) -> DetectionState<'b> {
         let error_funcs = binary
             .symbols
             .iter()
@@ -345,6 +323,8 @@ impl<'b> DetectionState<'b> {
             starts_gen: 0,
             rec_gen: 0,
             cache: StateMemo::default(),
+            facts,
+            data_ptrs_counted: false,
             frame_hits: 0,
             frame_misses: 0,
             scan_bytes: 0,
@@ -465,57 +445,54 @@ impl<'b> DetectionState<'b> {
     }
 
     /// The CFI side-table ([`FrameTable`]) — FDE stack heights, start
-    /// set, and coverage ranges — computed at most once per state (the
-    /// binary never changes underneath a run) and shared from then on.
-    /// `None` when the binary's `.eh_frame` is malformed; that outcome
-    /// is memoized too.
+    /// set, and coverage ranges — from the state's [`BinaryFacts`]:
+    /// computed at most once (the binary never changes underneath a
+    /// run) and shared from then on. `None` when the binary's
+    /// `.eh_frame` is malformed; that outcome is memoized too.
     ///
     /// Call-frame repair ([`crate::CallFrameRepair`]) re-ran this CFI
-    /// evaluation on every round before the cache existed; the
+    /// evaluation on every round before the memo existed; the
     /// [`DetectionState::frame_table_stats`] counters let tests assert
     /// the hit rate.
     pub fn frame_table(&mut self) -> Option<Arc<FrameTable>> {
-        if let Some(ft) = &self.cache.frame_table {
+        let (table, built) = self.facts.frame_table_counted(self.binary);
+        if built {
+            self.frame_misses += 1;
+        } else {
             self.frame_hits += 1;
-            return ft.clone();
         }
-        self.frame_misses += 1;
-        let ft = self.eh_frame().map(|eh| Arc::new(FrameTable::from_eh(&eh)));
-        self.cache.frame_table = Some(ft.clone());
-        ft
+        table
     }
 
-    /// The parsed `.eh_frame`, computed at most once per state and
-    /// shared by every consumer (`None` memoizes a malformed section).
-    /// FDE seeding and [`DetectionState::frame_table`] each re-parsed
-    /// the section before this existed — on FDE-dense binaries the
-    /// second parse was most of the repair layer's fixed cost.
+    /// The parsed `.eh_frame` from the state's [`BinaryFacts`], shared
+    /// by FDE seeding, the frame table and the image digest (`None`
+    /// memoizes a malformed section).
     pub fn eh_frame(&mut self) -> Option<Arc<EhFrame>> {
-        if let Some(eh) = &self.cache.eh {
-            return eh.clone();
-        }
-        let eh = self.binary.eh_frame().ok().map(Arc::new);
-        self.cache.eh = Some(eh.clone());
-        eh
+        self.facts.eh_frame(self.binary)
     }
 
-    /// `(hits, misses)` of [`DetectionState::frame_table`]. Misses can
-    /// never exceed one per state.
+    /// `(hits, misses)` of [`DetectionState::frame_table`]: a miss is a
+    /// call that built the table. Misses can never exceed one per
+    /// [`BinaryFacts`]; a table another thread built is a hit here.
     pub fn frame_table_stats(&self) -> (u64, u64) {
         (self.frame_hits, self.frame_misses)
     }
 
+    /// The binary-pure facts this state reads and fills.
+    pub fn facts(&self) -> &Arc<BinaryFacts> {
+        &self.facts
+    }
+
     /// The data-section pointer super-set (§IV-E), computed once per
-    /// state — the binary never changes underneath a run.
+    /// [`BinaryFacts`] — the binary never changes underneath a run. The
+    /// sweep's bytes are attributed to the first layer that reads it.
     pub fn data_pointers(&mut self) -> Arc<BTreeMap<u64, Vec<u64>>> {
-        if let Some(d) = &self.cache.data_ptrs {
-            return Arc::clone(d);
+        let (ptrs, bytes) = self.facts.data_pointers(self.binary);
+        if !self.data_ptrs_counted {
+            self.data_ptrs_counted = true;
+            self.scan_bytes += bytes;
         }
-        let (ptrs, bytes) = crate::pointer_scan::collect_data_pointers_counted(self.binary);
-        self.scan_bytes += bytes;
-        let d = Arc::new(ptrs);
-        self.cache.data_ptrs = Some(Arc::clone(&d));
-        d
+        ptrs
     }
 
     /// Records `n` pointer-scan candidates validated (called by the

@@ -32,6 +32,10 @@
 //! | `service.compute` | at the flight leader of an `analyze` or a       |
 //! |                 | `reanalyze`, before its compute (stall widens the    |
 //! |                 | coalescing window; io fails that one request)        |
+//! | `service.persist` | between a leader's reply and its store save, on  |
+//! |                 | the service's side worker (any kind but stall drops  |
+//! |                 | the save: the crash-after-reply shape, which costs   |
+//! |                 | restart warmth only; stall delays it)                |
 //!
 //! What each kind means is site-local: a `short` on `store.save`
 //! persists a truncated entry (the crash-mid-write shape the recovery
@@ -79,7 +83,7 @@ pub struct FaultPlan {
     /// Per-site firing counters, indexed like [`FaultPlan::SITES`] —
     /// surfaced by the daemon's `metrics` exposition so a chaos run can
     /// see *where* the plan landed, not just that it did.
-    fired_by_site: [Arc<AtomicU64>; 6],
+    fired_by_site: [Arc<AtomicU64>; 7],
 }
 
 impl FaultPlan {
@@ -95,15 +99,18 @@ impl FaultPlan {
     pub const CONN_WRITE: &'static str = "conn.write";
     /// The site name armed at a flight leader, before its compute.
     pub const COMPUTE: &'static str = "service.compute";
+    /// The site name armed between a leader's reply and its store save.
+    pub const PERSIST: &'static str = "service.persist";
 
     /// Every instrumented site, for spec validation and docs.
-    pub const SITES: [&'static str; 6] = [
+    pub const SITES: [&'static str; 7] = [
         Self::STORE_SAVE,
         Self::STORE_LOAD,
         Self::QUEUE_REPLY,
         Self::CONN_READ,
         Self::CONN_WRITE,
         Self::COMPUTE,
+        Self::PERSIST,
     ];
 
     /// Parses a plan spec (see the [module docs](self) for the
@@ -223,10 +230,10 @@ impl FaultPlan {
     }
 
     /// The shared atomics behind the per-site counters, in
-    /// [`FaultPlan::SITES`] order, for registry backing — always all six
-    /// sites, so the `metrics` exposition lists every instrumented site
+    /// [`FaultPlan::SITES`] order, for registry backing — always every
+    /// site, so the `metrics` exposition lists every instrumented site
     /// whether or not it fired.
-    pub fn site_counter_handles(&self) -> [(&'static str, Arc<AtomicU64>); 6] {
+    pub fn site_counter_handles(&self) -> [(&'static str, Arc<AtomicU64>); 7] {
         let mut i = 0;
         Self::SITES.map(|site| {
             let pair = (site, Arc::clone(&self.fired_by_site[i]));

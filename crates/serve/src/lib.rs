@@ -16,8 +16,13 @@
 //!   queue  ──▶ queue thread (polls in/) ────┼─ service ──┤    request coalescing)
 //!   stdio  ─────────────────────────────────┘     │      ├─ ResultStore (crash-safe,
 //!                                                 │      │    recovery sweep + GC)
-//!            FaultPlan ───────────────────────────┤      └─ flight leader: pipeline or
-//!            telemetry hub ◀──────────────────────┘         delta ladder (engine pool)
+//!            FaultPlan ───────────────────────────┤      ├─ flight leader: pipeline or
+//!            telemetry hub ◀──────────────────────┘      │    delta ladder (engine pool)
+//!                                                        └─ side worker (one thread,
+//!                                                             bounded queue): frame
+//!                                                             table + digest beside the
+//!                                                             pipeline, store save
+//!                                                             after the reply
 //! ```
 //!
 //! * [`protocol`] — the line-delimited JSON wire format: requests
@@ -42,7 +47,11 @@
 //!   otherwise — always byte-identical to a cold `analyze`. The new
 //!   version's digest is derived from the predecessor's
 //!   ([`fetch_core::ImageDigest::compute_from`]), so a one-function patch
-//!   re-sweeps one bucket.
+//!   re-sweeps one bucket. A cold leader shares the image's
+//!   [`fetch_core::BinaryFacts`] with the service's side worker, which
+//!   builds the CFI frame table and the digest while the pipeline runs,
+//!   and saves the result to the store after the reply; until the save
+//!   lands, lookups find the result among the pending saves.
 //! * [`store`] — [`ResultStore`]: one atomic, versioned, checksummed
 //!   file per `(content fingerprint, pipeline id)`, holding the full
 //!   [`fetch_core::DetectionResult`] *including its trace* and the
@@ -75,6 +84,7 @@
 //! |---|---|
 //! | store entry corrupt/truncated | rejected by checksum, recomputed cold, overwritten (`store_errors`); the startup sweep quarantines it |
 //! | store write fails | answer still served; warmth degraded (logged) |
+//! | crash between the reply and its save (`service.persist`) | answer already served; the restart recomputes it cold |
 //! | crash mid store-write | temp file reaped by the next startup sweep; no live key ever refers to a partial file |
 //! | leader compute fails (`analyze` or `reanalyze`) | waiters wake and elect a new leader; the failed request gets a structured `internal` error |
 //! | pending queue full | connection shed with structured `busy` (`shed_busy`) |
@@ -181,6 +191,7 @@ pub mod json;
 pub mod protocol;
 pub mod server;
 pub mod service;
+mod side;
 pub mod store;
 
 pub use fault::{FaultKind, FaultPlan};

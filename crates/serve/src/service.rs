@@ -7,14 +7,19 @@
 //! (and by the directory-queue and stdio transports) without an outer
 //! lock around request handling.
 //!
-//! `analyze` and `reanalyze` share one answer path, in order:
+//! `analyze` and `reanalyze` share one answer path, in order
+//! warm → flight → pipeline ∥ side (frames, digest) → publish → reply →
+//! side save:
 //!
 //! 1. **Warm lookup** — the bounded cache ([`fetch_core::AnalysisCache`]:
 //!    fingerprint hash + map lookup, no ELF materialization), then the
-//!    persistent store ([`ResultStore`]: one file read + checksummed
-//!    decode, promoted into the cache). A corrupt entry is *rejected*
-//!    (counted in [`StatsCounter::StoreErrors`]), recomputed, and
-//!    overwritten. A warm answer wins for either verb.
+//!    results whose store save is still pending (an answer cache
+//!    capacity already evicted stays visible until its save lands;
+//!    source `"cache"`), then the persistent store ([`ResultStore`]:
+//!    one file read + checksummed decode, promoted into the cache). A
+//!    corrupt entry is *rejected* (counted in
+//!    [`StatsCounter::StoreErrors`]), recomputed, and overwritten. A warm
+//!    answer wins for either verb.
 //! 2. **Flight** — the request joins the cache's flight table
 //!    ([`fetch_core::AnalysisCache::join_flight`]) for the new image's
 //!    key: the first arrival becomes the *leader*; every concurrent
@@ -23,21 +28,31 @@
 //!    one uncached fingerprint do the leader's work exactly once. A
 //!    leader that fails (panic or injected fault) wakes the waiters, one
 //!    of which takes over — a dead leader never strands the group.
-//! 3. **Leader** — an `analyze` runs the pipeline cold. A `reanalyze`
-//!    fetches the *predecessor* it names (cache, then store), derives
-//!    the new image's [`ImageDigest`] from the predecessor's, and runs
-//!    the delta ladder ([`run_delta`]): an unchanged or locally-patched
-//!    binary is answered verbatim (source `"delta"`, counted in
-//!    `stats.delta`); anything else, an unknown or digest-less
-//!    predecessor included, runs the pipeline cold. Every tier is
-//!    byte-identical to a cold `analyze` of the same image. Either way
-//!    the pipeline runs on a [`RecEngine`] borrowed from the service's
-//!    pool (decode caches persist across requests; concurrent leaders
-//!    each get their own engine).
-//! 4. **Publish** — the leader hands the result to the flight (cache and
-//!    waiters) first, then attaches the image's digest and persists
-//!    both to the store, so coalesced repliers never block on the digest
-//!    or the disk, and the next version deltas against this one.
+//! 3. **Leader: pipeline ∥ side** — an `analyze` runs the pipeline cold.
+//!    A `reanalyze` fetches the *predecessor* it names (cache, pending
+//!    saves, then store), derives the new image's [`ImageDigest`] from
+//!    the predecessor's, and picks the delta ladder's tier
+//!    ([`delta_tier`]): an unchanged or locally-patched binary is
+//!    answered verbatim (source `"delta"`, counted in `stats.delta`);
+//!    anything else, an unknown or digest-less predecessor included,
+//!    runs the pipeline cold. Every tier is byte-identical to a cold
+//!    `analyze` of the same image. A cold run hands the image's
+//!    [`BinaryFacts`] to the service's *side worker*, one persistent
+//!    thread with a bounded queue, which builds the CFI frame table and
+//!    then the digest while the pipeline runs on the same facts.
+//!    Whoever reaches a fact first computes it, so `.eh_frame` is
+//!    parsed once; a full queue leaves the work to the leader. The
+//!    pipeline runs on a [`RecEngine`] borrowed from the service's pool
+//!    (decode caches persist across requests; concurrent leaders each
+//!    get their own engine).
+//! 4. **Publish** — the leader enters the result and its digest in the
+//!    pending-save map, then completes the flight with both together
+//!    (cache and waiters), so the next version deltas against this one.
+//! 5. **Reply** — the answer returns to the transport.
+//! 6. **Side save** — the store save runs on the side worker (inline
+//!    when its queue is full) and retires the pending entry when it
+//!    lands or fails. `shutdown` and dropping the service drain the
+//!    pending saves, so a clean exit keeps every answer it gave.
 //!
 //! Every analyze/query answer also broadcasts its telemetry — a
 //! `request` event plus one `layer` event per [`fetch_core::LayerTrace`]
@@ -51,19 +66,20 @@ use crate::protocol::{
     telemetry_events, AnalyzeInput, AnalyzeReply, ErrorCode, MetricsReply, Reply, Request,
     ServeSource, StatsCounter, StatsReply, STATS_COUNTERS,
 };
+use crate::side::SideWorker;
 use crate::store::{GcPolicy, ResultStore};
 use fetch_binary::{Binary, ElfImage};
 use fetch_core::{
-    image_fingerprint, run_delta, AnalysisCache, CacheCapacity, DeltaClass, DetectionResult,
-    Flight, ImageDigest, Pipeline,
+    delta_tier, image_fingerprint, AnalysisCache, BinaryFacts, CacheCapacity, DeltaClass,
+    DetectionResult, DetectionState, Flight, ImageDigest, LayerSpec, Pipeline,
 };
 use fetch_disasm::RecEngine;
-use fetch_obs::{logmsg, Histogram, IdGen, LogLevel, MetricValue, Registry, Snapshot};
+use fetch_obs::{logmsg, Counter, Histogram, IdGen, LogLevel, MetricValue, Registry, Snapshot};
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Telemetry fan-out: registered sinks receive every event line. A sink
@@ -183,6 +199,8 @@ pub(crate) struct ServiceObs {
     coalesce_wait_us: Arc<Histogram>,
     /// Per-layer pipeline walls of fresh computes, keyed by layer name.
     layer_walls: Mutex<HashMap<&'static str, Arc<Histogram>>>,
+    /// `.eh_frame` parses by flight leaders (one per cold request).
+    eh_parses: Counter,
 }
 
 impl std::fmt::Debug for ServiceObs {
@@ -202,6 +220,7 @@ impl ServiceObs {
             coalesce_leader_us: registry.histogram("fetch_coalesce_leader_us"),
             coalesce_wait_us: registry.histogram("fetch_coalesce_wait_us"),
             layer_walls: Mutex::new(HashMap::new()),
+            eh_parses: registry.counter("fetch_eh_frame_parses_total"),
             request_us,
             registry,
         }
@@ -229,11 +248,103 @@ impl ServiceObs {
     }
 }
 
+/// A published result and the digest it travels with.
+type Published = (Arc<DetectionResult>, Arc<ImageDigest>);
+
+/// The store and the saves on their way to it, shared with the side
+/// worker that lands them.
+#[derive(Debug)]
+struct Persistence {
+    store: ResultStore,
+    /// Results published to the flight whose save has not landed yet:
+    /// a lookup finds them here after the cache (which may already have
+    /// evicted them) and before the store (which does not hold them
+    /// yet).
+    pending: Mutex<HashMap<(u64, String), Published>>,
+    faults: Arc<FaultPlan>,
+}
+
+impl Persistence {
+    fn pending(&self) -> std::sync::MutexGuard<'_, HashMap<(u64, String), Published>> {
+        self.pending.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Saves a published result (the `service.persist` site fires
+    /// first), then retires it from the pending map whether or not the
+    /// save landed: a failed save degrades restart warmth, not answers.
+    fn land(&self, req_id: u64, fingerprint: u64, pipeline_id: String, published: Published) {
+        let (result, digest) = &published;
+        let saved = match self.faults.fire(FaultPlan::PERSIST) {
+            Some(_) => Err(FaultPlan::injected_error(FaultPlan::PERSIST).into()),
+            None => self
+                .store
+                .save_with_digest(fingerprint, &pipeline_id, result, Some(digest)),
+        };
+        if let Err(e) = saved {
+            logmsg!(
+                LogLevel::Warn,
+                req_id,
+                "fetch-serve: failed to persist ({}, {pipeline_id}): {e}",
+                crate::protocol::hex_u64(fingerprint)
+            );
+        }
+        self.pending().remove(&(fingerprint, pipeline_id));
+    }
+}
+
+/// The binary-pure work of one image a flight leader computes: the
+/// binary, its [`BinaryFacts`] and its digest. Shared with the side
+/// worker, which runs ahead on it; whoever asks for a part first
+/// computes it, and the other reads it.
+struct ImageWork {
+    binary: Binary,
+    fingerprint: u64,
+    facts: Arc<BinaryFacts>,
+    digest: OnceLock<Arc<ImageDigest>>,
+}
+
+impl ImageWork {
+    fn new(binary: Binary, fingerprint: u64) -> ImageWork {
+        ImageWork {
+            binary,
+            fingerprint,
+            facts: Arc::default(),
+            digest: OnceLock::new(),
+        }
+    }
+
+    /// The image's digest. `prev` (a predecessor's digest) only saves
+    /// work: [`ImageDigest::compute_from`] returns what `compute` does.
+    fn digest(&self, prev: Option<&ImageDigest>) -> Arc<ImageDigest> {
+        Arc::clone(self.digest.get_or_init(|| {
+            Arc::new(ImageDigest::compute_with_facts(
+                prev,
+                &self.binary,
+                &self.facts,
+                self.fingerprint,
+            ))
+        }))
+    }
+
+    /// The side worker's share: the frame table (when the pipeline
+    /// reads one) first, the digest second.
+    fn run_ahead(&self, frames: bool) {
+        if frames {
+            self.facts.frame_table(&self.binary);
+        }
+        self.digest(None);
+    }
+}
+
 /// The daemon core (see the [module docs](self)).
 #[derive(Debug)]
 pub struct AnalysisService {
     cache: AnalysisCache,
-    store: Option<ResultStore>,
+    /// The store, when one is configured, with its pending saves.
+    persist: Option<Arc<Persistence>>,
+    /// Runs cold requests' frame tables and digests beside the
+    /// pipeline, and their store saves after the reply.
+    side: SideWorker,
     /// Decode engines for flight leaders: borrowed per compute, returned
     /// after, so decode caches persist across requests and concurrent
     /// leaders never contend on one engine.
@@ -266,6 +377,13 @@ impl AnalysisService {
                 registry.histogram("fetch_store_load_us"),
             );
         }
+        let persist = store.map(|store| {
+            Arc::new(Persistence {
+                store,
+                pending: Mutex::default(),
+                faults: config.faults.clone(),
+            })
+        });
         let counters = Counters::registered(&registry);
         let cache = AnalysisCache::with_capacity(config.cache_capacity);
         cache.register_metrics(&registry, "fetch_cache");
@@ -278,7 +396,8 @@ impl AnalysisService {
         }
         Ok(AnalysisService {
             cache,
-            store,
+            persist,
+            side: SideWorker::spawn(),
             engines: Mutex::new(Vec::new()),
             telemetry: TelemetryHub::default(),
             counters,
@@ -319,6 +438,19 @@ impl AnalysisService {
     /// The armed fault plan (transports fire connection-level sites).
     pub fn faults(&self) -> &FaultPlan {
         &self.faults
+    }
+
+    /// The persistent store, when one is configured.
+    fn store(&self) -> Option<&ResultStore> {
+        self.persist.as_ref().map(|p| &p.store)
+    }
+
+    /// Blocks until every store save queued so far has landed (or
+    /// failed). `shutdown` does this before it replies, and dropping the
+    /// service does it too; a harness that reopens the store directory
+    /// while this service lives calls it first.
+    pub fn drain_saves(&self) {
+        self.side.drain();
     }
 
     /// Whether a shutdown request has been handled; transports exit
@@ -400,6 +532,7 @@ impl AnalysisService {
             Request::Subscribe => return Reply::Subscribed,
             Request::Shutdown => {
                 self.shutdown.store(true, Ordering::SeqCst);
+                self.drain_saves();
                 return Reply::Shutdown;
             }
         };
@@ -445,7 +578,7 @@ impl AnalysisService {
             .registry
             .gauge("fetch_cache_bytes")
             .set(cache.bytes as u64);
-        if let Some(Ok(store)) = self.store.as_ref().map(|s| s.stats()) {
+        if let Some(Ok(store)) = self.store().map(|s| s.stats()) {
             self.obs
                 .registry
                 .gauge("fetch_store_entries")
@@ -466,7 +599,7 @@ impl AnalysisService {
     pub fn stats(&self) -> StatsReply {
         StatsReply {
             cache: self.cache.stats(),
-            store: self.store.as_ref().and_then(|s| s.stats().ok()),
+            store: self.store().and_then(|s| s.stats().ok()),
             counters: self.counters.snapshot(),
             faults_injected: self.faults.fired(),
         }
@@ -482,9 +615,10 @@ impl AnalysisService {
     }
 
     /// Cache-then-store lookup without computing (the `query` path; also
-    /// the warm step of the answer path). Promotes store hits — digest
-    /// included — into the cache. The reply's `wall_us` is stamped by
-    /// [`AnalysisService::handle_with_id`].
+    /// the warm step of the answer path). A result whose save is still
+    /// pending is found between the two and answers as a cache hit; store
+    /// hits are promoted — digest included — into the cache. The reply's
+    /// `wall_us` is stamped by [`AnalysisService::handle_with_id`].
     fn lookup_warm(
         &self,
         req_id: u64,
@@ -497,15 +631,26 @@ impl AnalysisService {
                 (ServeSource::CacheHit, result)
             }
             None => {
-                let (result, digest) = self.load_stored(req_id, fingerprint, pipeline_id)?;
-                self.counters.inc(StatsCounter::StoreHits);
-                let result = self.cache.insert_with_digest(
-                    fingerprint,
-                    pipeline_id,
-                    Arc::new(result),
-                    digest.map(Arc::new),
-                );
-                (ServeSource::StoreHit, result)
+                let (source, result, digest) = match self.lookup_pending(fingerprint, pipeline_id) {
+                    Some((result, digest)) => {
+                        self.counters.inc(StatsCounter::CacheHits);
+                        (ServeSource::CacheHit, result, Some(digest))
+                    }
+                    None => {
+                        let (result, digest) =
+                            self.load_stored(req_id, fingerprint, pipeline_id)?;
+                        self.counters.inc(StatsCounter::StoreHits);
+                        (
+                            ServeSource::StoreHit,
+                            Arc::new(result),
+                            digest.map(Arc::new),
+                        )
+                    }
+                };
+                let result =
+                    self.cache
+                        .insert_with_digest(fingerprint, pipeline_id, result, digest);
+                (source, result)
             }
         };
         Some(AnalyzeReply {
@@ -518,6 +663,15 @@ impl AnalysisService {
         })
     }
 
+    /// A published result whose store save has not landed yet.
+    fn lookup_pending(&self, fingerprint: u64, pipeline_id: &str) -> Option<Published> {
+        let persist = self.persist.as_ref()?;
+        let pending = persist.pending();
+        pending
+            .get(&(fingerprint, pipeline_id.to_string()))
+            .cloned()
+    }
+
     /// Loads `(fingerprint, pipeline_id)` from the store, when one is
     /// configured. A rejected entry is counted and logged, then treated
     /// as absent: the caller recomputes, and its save overwrites it.
@@ -527,7 +681,7 @@ impl AnalysisService {
         fingerprint: u64,
         pipeline_id: &str,
     ) -> Option<(DetectionResult, Option<ImageDigest>)> {
-        match self.store.as_ref()?.load_full(fingerprint, pipeline_id) {
+        match self.store()?.load_full(fingerprint, pipeline_id) {
             Ok(found) => found,
             Err(e) => {
                 self.counters.inc(StatsCounter::StoreErrors);
@@ -557,38 +711,30 @@ impl AnalysisService {
             .map_err(|e| (ErrorCode::BadRequest, format!("not a loadable ELF: {e}")))
     }
 
-    /// Attaches `digest` to the published result in the cache and (when
-    /// configured) the store. Returns the canonical cached `Arc`. A
-    /// failed persist degrades restart warmth, not answers.
-    fn publish_digest(
+    /// Queues the store save of a published result on the side worker
+    /// (inline when its queue is full). The result stays in the pending
+    /// map, where lookups find it, until the save lands.
+    fn persist_later(
         &self,
         req_id: u64,
         fingerprint: u64,
         pipeline_id: &str,
-        result: Arc<DetectionResult>,
-        digest: Arc<ImageDigest>,
-    ) -> Arc<DetectionResult> {
-        let result =
-            self.cache
-                .insert_with_digest(fingerprint, pipeline_id, result, Some(digest.clone()));
-        if let Some(store) = &self.store {
-            if let Err(e) = store.save_with_digest(fingerprint, pipeline_id, &result, Some(&digest))
-            {
-                logmsg!(
-                    LogLevel::Warn,
-                    req_id,
-                    "fetch-serve: failed to persist ({}, {pipeline_id}): {e}",
-                    crate::protocol::hex_u64(fingerprint)
-                );
-            }
+        published: Published,
+    ) {
+        let Some(persist) = &self.persist else {
+            return;
+        };
+        let (persist, pipeline_id) = (Arc::clone(persist), pipeline_id.to_string());
+        let save = Box::new(move || persist.land(req_id, fingerprint, pipeline_id, published));
+        if let Err(save) = self.side.submit(save) {
+            save();
         }
-        result
     }
 
     /// The answer path of `analyze` (`prev_fingerprint` = `None`) and
     /// `reanalyze` (the predecessor's fingerprint): warm lookup, then
-    /// the flight, whose leader computes and publishes (see the
-    /// [module docs](self)).
+    /// the flight, whose leader computes, publishes and queues the save
+    /// (see the [module docs](self)).
     fn answer(
         &self,
         req_id: u64,
@@ -602,20 +748,20 @@ impl AnalysisService {
         if let Some(warm) = self.lookup_warm(req_id, fingerprint, &pipeline_id) {
             return Ok(warm);
         }
-        let (source, result) = loop {
+        let (source, result, to_save) = loop {
             let t_join = Instant::now();
             match self.cache.join_flight(fingerprint, &pipeline_id) {
                 Flight::Hit(result) => {
                     // Completed between our lookup and the join.
                     self.counters.inc(StatsCounter::CacheHits);
-                    break (ServeSource::CacheHit, result);
+                    break (ServeSource::CacheHit, result, None);
                 }
                 Flight::Waited(Some(result)) => {
                     self.counters.inc(StatsCounter::Coalesced);
                     self.obs
                         .coalesce_wait_us
                         .record(t_join.elapsed().as_micros() as u64);
-                    break (ServeSource::Coalesced, result);
+                    break (ServeSource::Coalesced, result, None);
                 }
                 // The leader aborted without an answer; rejoin (one of
                 // the waiters — possibly us — takes over as leader).
@@ -631,37 +777,41 @@ impl AnalysisService {
                             FaultPlan::injected_error(FaultPlan::COMPUTE).to_string(),
                         ));
                     }
-                    let binary = image.to_binary();
-                    let (source, result, digest) = self.lead(
-                        req_id,
-                        prev_fingerprint,
-                        pipeline,
-                        &binary,
-                        fingerprint,
-                        &pipeline_id,
-                    );
-                    // Publish to cache and waiters first; digest + disk
-                    // after, so coalesced repliers never block on them.
-                    let result = guard.complete(result);
+                    let work = Arc::new(ImageWork::new(image.to_binary(), fingerprint));
+                    let (source, result) =
+                        self.lead(req_id, prev_fingerprint, pipeline, &work, &pipeline_id);
+                    // The digest is usually ready: the side worker built
+                    // it while the pipeline ran. The cache keeps it as
+                    // long as the entry, so this thread keeps a copy:
+                    // left in the side thread's malloc arena, cached
+                    // digests raised the daemon's peak RSS by 2-3 MiB
+                    // (+20%) under a reanalyze chain load.
+                    let digest = Arc::new(ImageDigest::clone(&work.digest(None)));
+                    self.obs.eh_parses.add(work.facts.work().eh_parses);
+                    if let Some(persist) = &self.persist {
+                        // Pending before the flight completes: from then
+                        // until the save lands, a lookup that misses the
+                        // cache still finds the result here.
+                        persist.pending().insert(
+                            (fingerprint, pipeline_id.clone()),
+                            (Arc::clone(&result), Arc::clone(&digest)),
+                        );
+                    }
+                    // Result and digest reach cache and waiters together.
+                    let result = guard.complete(result, Some(Arc::clone(&digest)));
                     self.obs
                         .coalesce_leader_us
                         .record(t_join.elapsed().as_micros() as u64);
                     if source == ServeSource::Cold {
                         self.obs.record_layer_walls(&result);
                     }
-                    let digest =
-                        digest.unwrap_or_else(|| ImageDigest::compute(&binary, fingerprint));
-                    let result = self.publish_digest(
-                        req_id,
-                        fingerprint,
-                        &pipeline_id,
-                        result,
-                        Arc::new(digest),
-                    );
-                    break (source, result);
+                    break (source, Arc::clone(&result), Some((result, digest)));
                 }
             }
         };
+        if let Some(published) = to_save {
+            self.persist_later(req_id, fingerprint, &pipeline_id, published);
+        }
         Ok(AnalyzeReply {
             req_id,
             fingerprint,
@@ -672,12 +822,14 @@ impl AnalysisService {
         })
     }
 
-    /// The flight leader's compute, on an engine borrowed from the pool:
-    /// the delta ladder ([`run_delta`]) against the predecessor a
-    /// `reanalyze` names, or the pipeline cold when there is nothing to
-    /// delta against. Counts the outcome, and returns the new image's
-    /// digest when the ladder already derived it.
+    /// The flight leader's compute: the delta ladder against the
+    /// predecessor a `reanalyze` names, or the pipeline cold when there
+    /// is nothing to delta against. Counts the outcome.
     ///
+    /// The predecessor comes from the cache, then the pending saves,
+    /// then the store. Its digest lets the new image's digest
+    /// ([`ImageDigest::compute_from`]) re-sweep only the buckets the
+    /// patch touched, and picks the ladder's tier ([`delta_tier`]).
     /// Tiers 1–2 reuse the previous result verbatim (source `"delta"`,
     /// counted in `delta_hits`). Tier 3 (a local change no verbatim tier
     /// can prove, counted as `fallback_cold`) and tier 4 (a non-local
@@ -688,65 +840,69 @@ impl AnalysisService {
         req_id: u64,
         prev_fingerprint: Option<u64>,
         pipeline: &Pipeline,
-        binary: &Binary,
-        fingerprint: u64,
+        work: &Arc<ImageWork>,
         pipeline_id: &str,
-    ) -> (ServeSource, Arc<DetectionResult>, Option<ImageDigest>) {
-        // The predecessor: cache first, then store (not counted as a
-        // store hit — it is an input of the ladder, not the answer).
-        // Load failures degrade to the cold tier.
+    ) -> (ServeSource, Arc<DetectionResult>) {
+        // Not counted as a store hit: the predecessor is an input of the
+        // ladder, not the answer. Load failures degrade to the cold tier.
         let prev = prev_fingerprint.and_then(|prev_fp| {
             self.cache
                 .lookup_with_digest(prev_fp, pipeline_id)
+                .or_else(|| {
+                    self.lookup_pending(prev_fp, pipeline_id)
+                        .map(|(result, digest)| (result, Some(digest)))
+                })
                 .or_else(|| {
                     self.load_stored(req_id, prev_fp, pipeline_id)
                         .map(|(result, digest)| (Arc::new(result), digest.map(Arc::new)))
                 })
         });
-        let mut engine = self
-            .engines
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .pop()
-            .unwrap_or_default();
-        let (result, class, digest) = match prev {
+        let class = match &prev {
             Some((prev_result, prev_digest)) => {
-                // Only the buckets the patch touched are swept: the rest
-                // of the digest is copied from the predecessor's.
-                let digest = ImageDigest::compute_from(prev_digest.as_deref(), binary, fingerprint);
-                let out = run_delta(
-                    pipeline,
-                    &prev_result,
-                    prev_digest.as_deref(),
-                    binary,
-                    &digest,
-                    &mut engine,
-                );
+                let digest = work.digest(prev_digest.as_deref());
+                let (class, reused) = delta_tier(pipeline, prev_digest.as_deref(), &digest);
                 self.counters
-                    .add(StatsCounter::SectionsReused, out.sections_reused as u64);
-                (out.result, Some(out.class), Some(digest))
+                    .add(StatsCounter::SectionsReused, reused as u64);
+                if class.is_hit() {
+                    self.counters.inc(StatsCounter::DeltaHits);
+                    return (ServeSource::Delta, Arc::clone(prev_result));
+                }
+                Some(class)
             }
-            None => (
-                Arc::new(pipeline.run_with_engine(binary, &mut engine)),
-                prev_fingerprint.map(|_| DeltaClass::Cold),
-                None,
-            ),
+            None => prev_fingerprint.map(|_| DeltaClass::Cold),
         };
-        self.engines
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push(engine);
         match class {
-            Some(class) if class.is_hit() => {
-                self.counters.inc(StatsCounter::DeltaHits);
-                return (ServeSource::Delta, result, digest);
-            }
             Some(DeltaClass::Recompute) => self.counters.inc(StatsCounter::FallbackCold),
             Some(_) => self.counters.inc(StatsCounter::DigestMismatch),
             None => {}
         }
         self.counters.inc(StatsCounter::Cold);
-        (ServeSource::Cold, result, digest)
+        (ServeSource::Cold, self.run_cold(pipeline, work))
+    }
+
+    /// Runs the pipeline over `work`'s binary on a [`RecEngine`]
+    /// borrowed from the pool, with the side worker building the frame
+    /// table and the digest on the same [`BinaryFacts`] meanwhile. A
+    /// full side queue skips that: the pipeline builds the table when
+    /// it reads it, and the leader the digest after.
+    fn run_cold(&self, pipeline: &Pipeline, work: &Arc<ImageWork>) -> Arc<DetectionResult> {
+        let frames = pipeline.specs().contains(&LayerSpec::CallFrameRepair);
+        let ahead = Arc::clone(work);
+        let _ = self.side.submit(Box::new(move || ahead.run_ahead(frames)));
+        let engine = self
+            .engines
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .pop()
+            .unwrap_or_default();
+        let mut state = DetectionState::with_facts(&work.binary, engine, Arc::clone(&work.facts));
+        pipeline.apply(&mut state);
+        let (result, engine) = state.into_result_with_engine();
+        self.engines
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .push(engine);
+        Arc::new(result)
     }
 }
 
@@ -863,6 +1019,8 @@ mod tests {
         };
         let service = AnalysisService::new(&config).unwrap();
         let cold = service.handle(analyze_req(elf.clone()));
+        // The save lands after the reply.
+        service.drain_saves();
 
         // Corrupt the single store file in place — *after* open, so the
         // recovery sweep has not seen it.
@@ -894,6 +1052,7 @@ mod tests {
         );
 
         // The overwrite healed the store: one more restart hits it.
+        healed.drain_saves();
         let third = AnalysisService::new(&config).unwrap();
         assert_eq!(
             reply_source(&third.handle(analyze_req(elf))),
@@ -1107,6 +1266,8 @@ mod tests {
         // plain resubmission of the neutral patch is now a cache hit.
         let again = reanalyze(write_elf(&neutral.binary));
         assert_eq!(reply_source(&again), ServeSource::CacheHit);
+        // Dropping the service drains its pending store saves.
+        drop(restarted);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1202,6 +1363,53 @@ mod tests {
         assert_eq!(stats.counter(StatsCounter::Errors), 1);
         assert_eq!(stats.counter(StatsCounter::DeltaHits), 1);
         assert_eq!(stats.faults_injected, 2);
+    }
+
+    #[test]
+    fn results_stay_visible_while_their_save_is_pending() {
+        use fetch_synth::{patch_function, PatchKind};
+        let dir = scratch_dir("pending");
+        // One cache slot, and the first save stalls on the side worker;
+        // every later save queues behind it, so nothing reaches the store
+        // while the requests below run.
+        let service = AnalysisService::new(&ServeConfig {
+            store_dir: Some(dir.clone()),
+            cache_capacity: CacheCapacity::entries(1),
+            faults: Arc::new(FaultPlan::parse("store.save=stall:1500#1").unwrap()),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let case = synthesize(&SynthConfig::small(11));
+        let neutral = patch_function(&case, 7, PatchKind::Neutral).expect("a neutral patch site");
+        let other = synthesize(&SynthConfig::small(68));
+        let (elf_a, elf_b) = (write_elf(&case.binary), write_elf(&other.binary));
+        let fp_a = match service.handle(analyze_req(elf_a.clone())) {
+            Reply::Analyze(a) => a.fingerprint,
+            other => panic!("{other:?}"),
+        };
+        let cold_b = service.handle(analyze_req(elf_b));
+        assert_eq!(reply_source(&cold_b), ServeSource::Cold, "B evicts A");
+
+        // A's predecessor entry is neither cached nor stored: the ladder
+        // finds it, digest included, among the pending saves.
+        let delta = service.handle(reanalyze_req(fp_a, write_elf(&neutral.binary)));
+        // And A itself answers warm, not cold.
+        let again = service.handle(analyze_req(elf_a));
+        assert_eq!(
+            (reply_source(&delta), reply_source(&again)),
+            (ServeSource::Delta, ServeSource::CacheHit)
+        );
+        let stats = service.stats();
+        assert_eq!(stats.counter(StatsCounter::Cold), 2);
+        assert_eq!(
+            stats.store.map(|s| s.entries),
+            Some(0),
+            "every answer above ran before the first save landed"
+        );
+        service.drain_saves();
+        assert_eq!(service.stats().store.map(|s| s.entries), Some(3));
+        drop(service);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

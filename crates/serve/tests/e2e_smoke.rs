@@ -167,22 +167,30 @@ fn daemon_serves_cache_and_store_hits_byte_identical_across_restart() {
     assert!(events[1].contains("\"event\":\"layer\"") && events[1].contains("\"layer\":\"FDE\""));
     assert!(events[5].contains("\"source\":\"cache\""));
 
-    // Stats expose the new cache counters.
-    let stats = roundtrip(&socket, &Request::Stats);
+    // Stats expose the new cache counters. The store save lands on the
+    // service's side worker after the reply, so the store's one entry
+    // is awaited (deadline-bounded) rather than assumed.
+    let store_entries = |stats: &Json| {
+        stats
+            .get("store")
+            .and_then(|s| s.get("entries"))
+            .and_then(Json::as_u64)
+    };
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let stats = loop {
+        let stats = roundtrip(&socket, &Request::Stats);
+        if store_entries(&stats) == Some(1) || Instant::now() > deadline {
+            break stats;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
     let cache_stats = stats.get("cache").expect("cache stats");
     assert_eq!(cache_stats.get("misses").and_then(Json::as_u64), Some(1));
     assert_eq!(cache_stats.get("hits").and_then(Json::as_u64), Some(2));
     assert_eq!(cache_stats.get("evictions").and_then(Json::as_u64), Some(0));
     assert_eq!(cache_stats.get("entries").and_then(Json::as_u64), Some(1));
     assert!(cache_stats.get("bytes").and_then(Json::as_u64).unwrap() > 0);
-    assert_eq!(
-        stats
-            .get("store")
-            .and_then(|s| s.get("entries"))
-            .and_then(Json::as_u64),
-        Some(1),
-        "{stats}"
-    );
+    assert_eq!(store_entries(&stats), Some(1), "{stats}");
 
     // Clean shutdown.
     let bye = roundtrip(&socket, &Request::Shutdown);
@@ -498,4 +506,63 @@ fn numeric_daemon_flags_reject_zero_and_garbage() {
             assert!(stderr.contains(flag), "{flag} {value}: {stderr}");
         }
     }
+}
+
+/// The shipped binary over stdio with a store: one request line in,
+/// then `shutdown`; returns the reply lines once the process exited.
+fn stdio_session(store: &Path, fault_plan: &str, request: &Request) -> Vec<Json> {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_fetch-serve"))
+        .arg("daemon")
+        .arg("--stdio")
+        .arg("--store")
+        .arg(store)
+        .args(["--fault-plan", fault_plan, "--log-level", "off"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn fetch-serve");
+    let input = format!("{}\n{}\n", request.to_line(), Request::Shutdown.to_line());
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(input.as_bytes())
+        .unwrap();
+    let mut stdout = child.stdout.take().unwrap();
+    let mut spawned = Spawned(child);
+    let mut out = String::new();
+    std::io::Read::read_to_string(&mut stdout, &mut out).unwrap();
+    assert!(spawned.wait_exit().success(), "{out}");
+    out.lines()
+        .map(|line| Json::parse(line).unwrap_or_else(|e| panic!("bad reply {line:?}: {e}")))
+        .collect()
+}
+
+/// A cold analyze answered just before `shutdown` is on disk when the
+/// shipped daemon exits, although its save lands after the reply (here
+/// stalled on purpose): shutting down drains the pending saves, and the
+/// restart answers from the store, byte-identical.
+#[test]
+fn shutdown_right_after_a_cold_answer_keeps_its_save() {
+    let dir = scratch_dir("drain");
+    let store = dir.join("store");
+    let case = synthesize(&SynthConfig::small(902));
+    let analyze = Request::Analyze {
+        input: AnalyzeInput::Bytes(write_elf(&case.binary)),
+        pipeline: Pipeline::fetch(),
+    };
+    let first = stdio_session(&store, "store.save=stall:300#1", &analyze);
+    assert_eq!(first.len(), 2, "one answer and the shutdown reply");
+    expect_source(&first[0], "cold");
+    assert_eq!(first[1].get("shutdown").and_then(Json::as_bool), Some(true));
+
+    let second = stdio_session(&store, "", &analyze);
+    expect_source(&second[0], "store");
+    assert_eq!(
+        result_text(&second[0]),
+        result_text(&first[0]),
+        "the restart's answer must be byte-identical to the cold one"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -32,7 +32,7 @@ use fetch_serve::protocol::{
 };
 use fetch_serve::server::{serve, serve_io, ServerOptions};
 use fetch_serve::service::{AnalysisService, ServeConfig};
-use fetch_serve::{FaultPlan, StatsCounter};
+use fetch_serve::{FaultPlan, ServeSource, StatsCounter};
 use fetch_synth::{patch_function, synthesize, PatchKind, SynthConfig};
 use proptest::prelude::*;
 use std::io::{BufRead, BufReader, Write};
@@ -163,6 +163,45 @@ fn drive_in_process(spec: &str, elf: &[u8], reference: &str, dir: &Path) {
         );
     }
     assert!(plan.fired() >= 1, "spec {spec} never armed its site");
+}
+
+/// `service.persist`: the site fires after the reply is ready, so the
+/// answer is always correct. A dropped save (any kind but a stall)
+/// leaves the store without the entry once the saves drain, and the
+/// restart answers cold, byte-identical; a stall only delays the save.
+fn drive_persist(spec: &str, elf: &[u8], reference: &str, dir: &Path) {
+    let plan = Arc::new(FaultPlan::parse(spec).unwrap());
+    let config = ServeConfig {
+        store_dir: Some(dir.join("store")),
+        faults: plan.clone(),
+        ..ServeConfig::default()
+    };
+    let source = |reply: &Reply| match reply {
+        Reply::Analyze(a) => a.source,
+        other => panic!("spec {spec}: {other:?}"),
+    };
+    let dropped = !spec.contains("stall");
+    let service = AnalysisService::new(&config).unwrap();
+    let reply = service.handle(analyze_request(elf));
+    assert!(check_reply(&reply, reference, spec));
+    assert_eq!(source(&reply), ServeSource::Cold);
+    service.drain_saves();
+    assert_eq!(
+        service.stats().store.expect("store stats").entries,
+        usize::from(!dropped),
+        "spec {spec}: a dropped save never reaches the store"
+    );
+    drop(service);
+    let restarted = AnalysisService::new(&config).unwrap();
+    let reply = restarted.handle(analyze_request(elf));
+    assert!(check_reply(&reply, reference, spec));
+    let expect = if dropped {
+        ServeSource::Cold
+    } else {
+        ServeSource::StoreHit
+    };
+    assert_eq!(source(&reply), expect, "spec {spec}: after the restart");
+    assert_eq!(plan.fired(), 1, "spec {spec} must fire exactly once");
 }
 
 fn wait_until(what: &str, mut ready: impl FnMut() -> bool) {
@@ -372,6 +411,7 @@ fn every_single_fault_yields_a_correct_answer_or_a_structured_failure() {
                     drive_stdio(&spec, &elf, &reference);
                 }
                 "queue.reply" => drive_queue(&spec, &elf, &reference, &dir),
+                "service.persist" => drive_persist(&spec, &elf, &reference, &dir),
                 _ => drive_in_process(&spec, &elf, &reference, &dir),
             }
             std::fs::remove_dir_all(&dir).unwrap();
@@ -381,7 +421,8 @@ fn every_single_fault_yields_a_correct_answer_or_a_structured_failure() {
 
 /// A random composite plan: several sites, budgets above one.
 fn arb_plan() -> impl Strategy<Value = (String, u32)> {
-    proptest::collection::vec((0usize..6, 0usize..4, 1u32..3), 1..4).prop_map(|entries| {
+    let sites = FaultPlan::SITES.len();
+    proptest::collection::vec((0..sites, 0usize..4, 1u32..3), 1..4).prop_map(|entries| {
         let budget = entries.iter().map(|(_, _, c)| *c).sum();
         let spec = entries
             .iter()
@@ -432,9 +473,11 @@ proptest! {
 }
 
 /// The chaos plan of the load test: store writes failing and torn,
-/// store reads corrupted and stalled, request reads stalled.
+/// store reads corrupted and stalled, request reads stalled, saves
+/// dropped and delayed between the reply and the store.
 const LOAD_PLAN: &str = "store.save=io#2,store.save=short#2,store.load=corrupt#3,\
-                         store.load=stall:5#3,conn.read=stall:5#3";
+                         store.load=stall:5#3,conn.read=stall:5#3,\
+                         service.persist=io#2,service.persist=stall:5#2";
 
 /// A `stats` reply and a `metrics` reply read in the same quiescent
 /// instant reconcile exactly: every counter equal, the outcome counters
@@ -588,7 +631,11 @@ fn fault_armed_socket_load_across_a_restart() {
                     .expect("text exposition");
                 let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join("fault_load_metrics.txt");
                 std::fs::write(&out, text).unwrap();
-                for site in [FaultPlan::STORE_SAVE, FaultPlan::STORE_LOAD] {
+                for site in [
+                    FaultPlan::STORE_SAVE,
+                    FaultPlan::STORE_LOAD,
+                    FaultPlan::PERSIST,
+                ] {
                     let series = format!("fetch_fault_fired_total{{site=\"{site}\"}}");
                     assert!(
                         text_series(text, &series) > 0,

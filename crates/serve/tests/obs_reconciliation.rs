@@ -222,6 +222,8 @@ proptest! {
             "every request must be timed into exactly one source histogram"
         );
 
+        // Dropping the service drains its pending store saves.
+        drop(service);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
