@@ -38,7 +38,9 @@
 //!   image: cold submit vs bounded-cache hit vs post-restart persistent
 //!   store hit (cache-hit ≥ 10× cold asserted; one `.eh_frame` parse
 //!   per cold submit asserted; the store answer is asserted `==` the
-//!   cold result), plus the `concurrency` subgroup —
+//!   cold result), `cold_vs_bare`: the cold submit over the bare large
+//!   pipeline best of the same run (asserted ≤ 1.1), plus the
+//!   `concurrency` subgroup —
 //!   warm p50/p95 latency vs client count against one shared service,
 //!   and the coalescing guarantee (8 concurrent submits of one uncached
 //!   image → exactly 1 cold compute, asserted, every reply identical),
@@ -682,6 +684,17 @@ fn main() {
             cold_result = Some(result);
         }
         let cold_result = cold_result.expect("reps >= 1");
+        // The cold submit against the bare pipeline's large best from
+        // this same process: the frame table and digest run beside the
+        // pipeline and the save lands after the reply, so the service
+        // adds little on top of the pipeline.
+        let bare_large_us = total_us(large_best.as_ref().expect("large corpus ran"));
+        let cold_vs_bare = cold_us / bare_large_us.max(1e-9);
+        assert!(
+            cold_vs_bare <= 1.1,
+            "a large cold submit must take at most 1.1x the bare pipeline \
+             (cold {cold_us:.1} µs, bare {bare_large_us:.1} µs, {cold_vs_bare:.2}x)"
+        );
 
         // Cache hit: one service, second submit.
         let warm_dir = base.join("warm");
@@ -829,6 +842,7 @@ fn main() {
             json,
             "  \"serve\": {{\n    \"image_bytes\": {},\n    \
              \"cold_submit_us\": {cold_us:.1},\n    \
+             \"cold_vs_bare\": {cold_vs_bare:.2},\n    \
              \"cold_eh_frame_parses\": {cold_eh_parses},\n    \
              \"reply_render_us\": {reply_render_us:.1},\n    \
              \"cache_hit_us\": {cache_us:.1},\n    \
@@ -843,7 +857,7 @@ fn main() {
             coalesce_coalesced,
         );
         println!(
-            " serve: cold {cold_us:.1} µs ({cold_eh_parses} .eh_frame parse), \
+            " serve: cold {cold_us:.1} µs ({cold_vs_bare:.2}x bare, {cold_eh_parses} .eh_frame parse), \
              cache hit {cache_us:.1} µs ({cache_speedup:.0}x), \
              store hit {store_us:.1} µs ({store_speedup:.0}x); coalesce@{coalesce_clients}: \
              {} cold, {} coalesced; reply render {reply_render_us:.1} µs",

@@ -112,8 +112,8 @@
 //!   format version ([`RESULT_VERSION`]) is read: a truncated,
 //!   bit-flipped or other-version store file is rejected, never
 //!   misread, and its result is recomputed.
-//! * **Daemon.** `fetch-serve` accepts work over a local socket and a
-//!   directory queue, answers bounded-cache-first, store-second,
+//! * **Daemon.** `fetch-serve` accepts work over a local socket or
+//!   stdio, answers bounded-cache-first, store-second,
 //!   cold-compute-last, and streams each request's per-layer trace to
 //!   telemetry subscribers.
 //!

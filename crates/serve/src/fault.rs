@@ -26,7 +26,6 @@
 //! |-----------------|------------------------------------------------------|
 //! | `store.save`    | persisting a result ([`crate::ResultStore::save_with_digest`]) |
 //! | `store.load`    | loading a result ([`crate::ResultStore::load_full`])  |
-//! | `queue.reply`   | writing a directory-queue reply file                 |
 //! | `conn.read`     | reading a request line off a socket/stdio transport  |
 //! | `conn.write`    | writing a reply line to a socket/stdio transport     |
 //! | `service.compute` | at the flight leader of an `analyze` or a       |
@@ -47,6 +46,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// How many sites [`FaultPlan::SITES`] lists.
+const SITE_COUNT: usize = FaultPlan::SITES.len();
 
 /// What an armed fault does when it fires (see the [module docs](self)
 /// for per-site semantics).
@@ -83,7 +85,7 @@ pub struct FaultPlan {
     /// Per-site firing counters, indexed like [`FaultPlan::SITES`] —
     /// surfaced by the daemon's `metrics` exposition so a chaos run can
     /// see *where* the plan landed, not just that it did.
-    fired_by_site: [Arc<AtomicU64>; 7],
+    fired_by_site: [Arc<AtomicU64>; SITE_COUNT],
 }
 
 impl FaultPlan {
@@ -91,8 +93,6 @@ impl FaultPlan {
     pub const STORE_SAVE: &'static str = "store.save";
     /// The site name for store reads.
     pub const STORE_LOAD: &'static str = "store.load";
-    /// The site name for directory-queue reply writes.
-    pub const QUEUE_REPLY: &'static str = "queue.reply";
     /// The site name for transport request reads.
     pub const CONN_READ: &'static str = "conn.read";
     /// The site name for transport reply writes.
@@ -102,11 +102,11 @@ impl FaultPlan {
     /// The site name armed between a leader's reply and its store save.
     pub const PERSIST: &'static str = "service.persist";
 
-    /// Every instrumented site, for spec validation and docs.
-    pub const SITES: [&'static str; 7] = [
+    /// Every instrumented site, for spec validation and docs — the one
+    /// list: the per-site counters are sized from it.
+    pub const SITES: [&'static str; 6] = [
         Self::STORE_SAVE,
         Self::STORE_LOAD,
-        Self::QUEUE_REPLY,
         Self::CONN_READ,
         Self::CONN_WRITE,
         Self::COMPUTE,
@@ -233,13 +233,8 @@ impl FaultPlan {
     /// [`FaultPlan::SITES`] order, for registry backing — always every
     /// site, so the `metrics` exposition lists every instrumented site
     /// whether or not it fired.
-    pub fn site_counter_handles(&self) -> [(&'static str, Arc<AtomicU64>); 7] {
-        let mut i = 0;
-        Self::SITES.map(|site| {
-            let pair = (site, Arc::clone(&self.fired_by_site[i]));
-            i += 1;
-            pair
-        })
+    pub fn site_counter_handles(&self) -> [(&'static str, Arc<AtomicU64>); SITE_COUNT] {
+        std::array::from_fn(|i| (Self::SITES[i], Arc::clone(&self.fired_by_site[i])))
     }
 
     /// The injected error every `Io` firing surfaces: stable text, so
@@ -270,7 +265,7 @@ mod tests {
         assert_eq!(by_site[1], (FaultPlan::STORE_LOAD, 2));
         assert_eq!(
             by_site[2],
-            (FaultPlan::QUEUE_REPLY, 0),
+            (FaultPlan::CONN_READ, 0),
             "unfired sites listed"
         );
 
@@ -300,6 +295,6 @@ mod tests {
             "stall returns None: the site resumes"
         );
         assert!(t.elapsed() >= Duration::from_millis(1));
-        assert_eq!(plan.fire(FaultPlan::QUEUE_REPLY), None, "unarmed site");
+        assert_eq!(plan.fire(FaultPlan::STORE_SAVE), None, "unarmed site");
     }
 }

@@ -13,7 +13,7 @@
 //!
 //! ```text
 //!   socket ──▶ accept loop ──▶ worker pool ─┐            ┌─ bounded AnalysisCache (LRU,
-//!   queue  ──▶ queue thread (polls in/) ────┼─ service ──┤    request coalescing)
+//!                                           ├─ service ──┤    request coalescing)
 //!   stdio  ─────────────────────────────────┘     │      ├─ ResultStore (crash-safe,
 //!                                                 │      │    recovery sweep + GC)
 //!            FaultPlan ───────────────────────────┤      ├─ flight leader: pipeline or
@@ -64,11 +64,10 @@
 //!   other-version file takes one path — rejected (quarantined by the
 //!   sweep), recomputed on demand, overwritten — and is never misread
 //!   or migrated.
-//! * [`server`] — the transports: a Unix-socket accept loop feeding a
-//!   bounded worker pool with per-connection deadlines and `busy` load
-//!   shedding, a directory queue on its own polling thread (`in/*.json`
-//!   → `out/*.json`, bad files quarantined to `failed/`), and stdio. The
-//!   socket and stdio transports share one request-line loop.
+//! * [`server`] — the transports, socket or stdio: a Unix-socket accept
+//!   loop feeding a bounded worker pool with per-connection deadlines
+//!   and `busy` load shedding, and stdio, the fallback on every
+//!   platform. Both share one request-line loop.
 //! * [`fault`] — [`FaultPlan`]: deterministic fault injection at named
 //!   sites in the store and the transports, armed in the daemon by
 //!   `--fault-plan`, so tests and chaos runs exercise the same code
@@ -89,9 +88,8 @@
 //! | leader compute fails (`analyze` or `reanalyze`) | waiters wake and elect a new leader; the failed request gets a structured `internal` error |
 //! | pending queue full | connection shed with structured `busy` (`shed_busy`) |
 //! | request over size caps | structured `too_large` (`rejected_too_large`) |
-//! | queue file malformed/unreadable | one grace poll, then moved to `failed/` with an error reply (`queue_quarantined`) |
-//! | queue reply write fails | input kept; retried next poll (handling is idempotent through the cache) |
 //! | client stalls or goes silent | connection dropped at the read/write deadline |
+//! | `--socket` path held by a live daemon | the new daemon exits with `AddrInUse`; the live one keeps its socket |
 //!
 //! ## Knobs
 //!

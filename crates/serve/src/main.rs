@@ -2,10 +2,9 @@
 //! `fetch_serve` library.
 //!
 //! ```text
-//! fetch-serve daemon [--socket PATH] [--queue DIR] [--stdio]
+//! fetch-serve daemon (--socket PATH | --stdio)
 //!                    [--store DIR] [--cache-capacity N] [--cache-bytes B]
-//!                    [--poll-ms M] [--jobs N] [--queue-depth N]
-//!                    [--io-timeout-ms M]
+//!                    [--jobs N] [--queue-depth N] [--io-timeout-ms M]
 //!                    [--store-max-entries N] [--store-max-bytes B]
 //!                    [--store-max-age-secs S] [--fault-plan SPEC]
 //!                    [--log-level LEVEL]
@@ -15,14 +14,11 @@
 //!                     | --subscribe | --shutdown | --json LINE)
 //! ```
 //!
-//! The daemon serves until a `shutdown` request arrives. The client
-//! sends one request line and prints the reply line (`--subscribe`
-//! keeps printing telemetry events until the daemon goes away) — small
-//! enough for shell scripting, no client library needed.
-//!
-//! `--poll-ms` sets how often the `--queue` directory is polled
-//! (default 20 ms). It is the queue's interval only: the socket
-//! transport blocks in `accept()` and never polls.
+//! The daemon serves one transport, a Unix socket or stdio, until a
+//! `shutdown` request arrives. The client sends one request line and
+//! prints the reply line (`--subscribe` keeps printing telemetry events
+//! until the daemon goes away) — small enough for shell scripting, no
+//! client library needed.
 //!
 //! `--fault-plan` arms deterministic fault injection — see
 //! [`fetch_serve::fault`] for the spec grammar. A malformed plan fails
@@ -46,14 +42,13 @@ use std::process::exit;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  fetch-serve daemon [--socket PATH] [--queue DIR] [--stdio] \
-         [--store DIR]\n                     [--cache-capacity N] [--cache-bytes B] [--poll-ms M]\n                     \
+        "usage:\n  fetch-serve daemon (--socket PATH | --stdio) [--store DIR]\n                     \
+         [--cache-capacity N] [--cache-bytes B]\n                     \
          [--jobs N] [--queue-depth N] [--io-timeout-ms M]\n                     \
          [--store-max-entries N] [--store-max-bytes B] [--store-max-age-secs S]\n                     \
          [--fault-plan SPEC] [--log-level LEVEL]\n  \
          fetch-serve client --socket PATH (--analyze FILE [--pipeline SPEC | --tool NAME]\n                     \
-         | --query FP [--pipeline SPEC] | --stats | --metrics | --subscribe | --shutdown | --json LINE)\n\n  \
-         --poll-ms M: poll interval of the --queue directory (default 20); the socket never polls"
+         | --query FP [--pipeline SPEC] | --stats | --metrics | --subscribe | --shutdown | --json LINE)"
     );
     exit(2)
 }
@@ -97,36 +92,31 @@ fn positive<T: std::str::FromStr + PartialOrd + Default>(
 }
 
 fn daemon(args: &[String]) {
-    let mut opts = ServerOptions::default();
+    let mut server = ServerOptions::default();
     let mut config = ServeConfig::default();
     let mut stdio = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--socket" => opts.socket = Some(PathBuf::from(flag_value(args, &mut i, "--socket"))),
-            "--queue" => opts.queue = Some(PathBuf::from(flag_value(args, &mut i, "--queue"))),
+            "--socket" => server.socket = PathBuf::from(flag_value(args, &mut i, "--socket")),
             "--store" => {
                 config.store_dir = Some(PathBuf::from(flag_value(args, &mut i, "--store")))
             }
             "--stdio" => stdio = true,
             // Every numeric flag rejects zero: a zero bound would evict
-            // every cache or store entry, a zero poll would spin the
-            // queue thread, and a zero deadline would fail every read.
+            // every cache or store entry, and a zero deadline would fail
+            // every read.
             "--cache-capacity" => {
                 config.cache_capacity.max_entries = Some(positive(args, &mut i, "entry count"))
             }
             "--cache-bytes" => {
                 config.cache_capacity.max_bytes = Some(positive(args, &mut i, "byte count"))
             }
-            "--poll-ms" => {
-                let ms = positive(args, &mut i, "queue poll interval in milliseconds");
-                opts.poll = Some(std::time::Duration::from_millis(ms));
-            }
-            "--jobs" => opts.jobs = Some(positive(args, &mut i, "worker count")),
-            "--queue-depth" => opts.queue_depth = Some(positive(args, &mut i, "bound")),
+            "--jobs" => server.jobs = Some(positive(args, &mut i, "worker count")),
+            "--queue-depth" => server.queue_depth = Some(positive(args, &mut i, "bound")),
             "--io-timeout-ms" => {
                 let ms = positive(args, &mut i, "deadline in milliseconds");
-                opts.io_timeout = Some(std::time::Duration::from_millis(ms));
+                server.io_timeout = Some(std::time::Duration::from_millis(ms));
             }
             "--store-max-entries" => {
                 config.store_gc.max_entries = Some(positive(args, &mut i, "entry count"))
@@ -154,6 +144,9 @@ fn daemon(args: &[String]) {
         }
         i += 1;
     }
+    if !stdio && server.socket.as_os_str().is_empty() {
+        fail("daemon needs --socket PATH or --stdio");
+    }
     let service = match AnalysisService::new(&config) {
         Ok(service) => service,
         Err(e) => fail(format_args!("cannot start service: {e}")),
@@ -166,15 +159,13 @@ fn daemon(args: &[String]) {
         }
         return;
     }
-    match serve(&service, &opts) {
+    match serve(&service, &server) {
         Ok(summary) => logmsg!(
             LogLevel::Info,
             0,
-            "fetch-serve: shut down after {} connections ({} shed), {} queue files ({} quarantined)",
+            "fetch-serve: shut down after {} connections ({} shed)",
             summary.connections,
-            summary.shed,
-            summary.queue_files,
-            summary.queue_quarantined
+            summary.shed
         ),
         Err(e) => fail(format_args!("serve loop failed: {e}")),
     }

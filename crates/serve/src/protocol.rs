@@ -392,8 +392,6 @@ stats_counters! {
     ShedBusy => "requests", "shed_busy", "fetch_requests_shed_busy_total";
     /// Requests rejected with a `too_large` error.
     RejectedTooLarge => "requests", "rejected_too_large", "fetch_requests_rejected_too_large_total";
-    /// Directory-queue requests moved to the `failed/` quarantine.
-    QueueQuarantined => "requests", "queue_quarantined", "fetch_requests_queue_quarantined_total";
     /// Reanalyzes answered verbatim from the previous result (ladder
     /// tiers 1–2: unchanged image, or a local semantically-equal text
     /// patch under a delta-safe pipeline).

@@ -3,9 +3,9 @@
 //! the telemetry hub, and turns parsed [`Request`]s into [`Reply`]s.
 //!
 //! The service is `Sync` — [`AnalysisService::handle`] takes `&self`,
-//! so one instance is shared by every worker of the server's pool
-//! (and by the directory-queue and stdio transports) without an outer
-//! lock around request handling.
+//! so one instance is shared by every worker of the server's socket
+//! pool (and by the stdio transport) without an outer lock around
+//! request handling.
 //!
 //! `analyze` and `reanalyze` share one answer path, in order
 //! warm → flight → pipeline ∥ side (frames, digest) → publish → reply →
@@ -430,11 +430,6 @@ impl AnalysisService {
         &self.telemetry
     }
 
-    /// The bounded cache (read-only access for harnesses).
-    pub fn cache(&self) -> &AnalysisCache {
-        &self.cache
-    }
-
     /// The armed fault plan (transports fire connection-level sites).
     pub fn faults(&self) -> &FaultPlan {
         &self.faults
@@ -472,11 +467,6 @@ impl AnalysisService {
     /// Records a request rejected with `too_large` (transport-level).
     pub fn note_rejected_too_large(&self) {
         self.counters.inc(StatsCounter::RejectedTooLarge);
-    }
-
-    /// Records a directory-queue request moved to quarantine.
-    pub fn note_queue_quarantined(&self) {
-        self.counters.inc(StatsCounter::QueueQuarantined);
     }
 
     /// Handles one request under a freshly drawn request ID. Every path

@@ -42,7 +42,7 @@ fn start_daemon(
             serve(
                 &service,
                 &ServerOptions {
-                    socket: Some(socket),
+                    socket,
                     ..ServerOptions::default()
                 },
             )
@@ -282,7 +282,7 @@ fn daemon_rejects_malformed_requests_and_keeps_serving() {
 /// Runs `serve` over `opts` on a daemon thread and returns once the
 /// socket accepts; the daemon's result lands on the returned channel.
 fn spawn_daemon(opts: ServerOptions) -> mpsc::Receiver<std::io::Result<ServeSummary>> {
-    let socket = opts.socket.clone().expect("a socket daemon");
+    let socket = opts.socket.clone();
     let (done_tx, done) = mpsc::channel();
     std::thread::spawn(move || {
         let out = AnalysisService::new(&ServeConfig::default())
@@ -308,55 +308,60 @@ fn expect_exit_within_2s(
         .expect("serve loop")
 }
 
-/// Shuts a daemon down over its socket, or — with `queue_file` — by
-/// dropping a `shutdown` file into its queue, and checks that `serve`
-/// returns within 2 s. No other connection is made until it has: any
-/// connection wakes a blocked acceptor and would hide a missing
-/// wake-up.
-fn shutdown_returns_promptly(name: &str, with_queue: bool, queue_file: bool) {
-    let dir = scratch_dir(name);
+/// Shuts a daemon down over its socket and checks that `serve` returns
+/// within 2 s. No other connection is made until it has: any connection
+/// wakes a blocked acceptor and would hide a missing wake-up.
+#[test]
+fn shutdown_over_the_socket_returns_promptly() {
+    let dir = scratch_dir("stop-socket");
     let socket = dir.join("fetch.sock");
-    let queue = dir.join("q");
     let done = spawn_daemon(ServerOptions {
-        socket: Some(socket.clone()),
-        queue: with_queue.then(|| queue.clone()),
+        socket: socket.clone(),
         ..ServerOptions::default()
     });
     // One answered request first: the acceptor is back in accept().
     assert!(roundtrip(&socket, &Request::Stats).get("cache").is_some());
 
     let sent = Instant::now();
-    if queue_file {
-        let tmp = queue.join("stop.tmp");
-        std::fs::write(&tmp, format!("{}\n", Request::Shutdown.to_line())).unwrap();
-        std::fs::rename(&tmp, queue.join("in/00-stop.json")).unwrap();
-    } else {
-        let bye = roundtrip(&socket, &Request::Shutdown);
-        assert_eq!(bye.get("shutdown").and_then(Json::as_bool), Some(true));
-    }
-    let summary = expect_exit_within_2s(&done, sent);
-    if queue_file {
-        assert_eq!(summary.queue_files, 1);
-        let reply = std::fs::read_to_string(queue.join("out/00-stop.json")).unwrap();
-        assert!(reply.contains("\"shutdown\":true"), "{reply}");
-    }
+    let bye = roundtrip(&socket, &Request::Shutdown);
+    assert_eq!(bye.get("shutdown").and_then(Json::as_bool), Some(true));
+    expect_exit_within_2s(&done, sent);
     assert!(!socket.exists(), "socket file removed on shutdown");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A second daemon started on a socket path where a live daemon listens
+/// fails with `AddrInUse` and leaves the live daemon's socket alone: the
+/// first daemon still answers on it, and still shuts down cleanly.
 #[test]
-fn shutdown_over_the_socket_returns_promptly() {
-    shutdown_returns_promptly("stop-socket", false, false);
-}
+fn second_daemon_on_a_live_socket_fails_and_leaves_it_serving() {
+    let dir = scratch_dir("steal");
+    let socket = dir.join("fetch.sock");
+    let first = spawn_daemon(ServerOptions {
+        socket: socket.clone(),
+        ..ServerOptions::default()
+    });
 
-#[test]
-fn shutdown_over_the_socket_with_a_queue_returns_promptly() {
-    shutdown_returns_promptly("stop-socket-queue", true, false);
-}
+    // `spawn_daemon`'s readiness probe reaches the first daemon, so it
+    // returns at once; the second daemon's result is on the channel.
+    let second = spawn_daemon(ServerOptions {
+        socket: socket.clone(),
+        ..ServerOptions::default()
+    });
+    let err = second
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the second serve must return at once, not take the socket over")
+        .expect_err("the second serve must fail");
+    assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse, "{err}");
+    assert!(err.to_string().contains("fetch.sock"), "{err}");
 
-#[test]
-fn shutdown_as_a_queue_file_returns_promptly() {
-    shutdown_returns_promptly("stop-queue-file", true, true);
+    assert!(roundtrip(&socket, &Request::Stats).get("cache").is_some());
+    let sent = Instant::now();
+    let bye = roundtrip(&socket, &Request::Shutdown);
+    assert_eq!(bye.get("shutdown").and_then(Json::as_bool), Some(true));
+    expect_exit_within_2s(&first, sent);
+    assert!(!socket.exists(), "socket file removed on shutdown");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A client that connects once the daemon has answered `shutdown` sees
@@ -368,7 +373,7 @@ fn client_connecting_after_shutdown_is_turned_away() {
     let dir = scratch_dir("stop-late");
     let socket = dir.join("fetch.sock");
     let done = spawn_daemon(ServerOptions {
-        socket: Some(socket.clone()),
+        socket: socket.clone(),
         ..ServerOptions::default()
     });
     let bye = roundtrip(&socket, &Request::Shutdown);
@@ -482,7 +487,6 @@ fn numeric_daemon_flags_reject_zero_and_garbage() {
     for flag in [
         "--cache-capacity",
         "--cache-bytes",
-        "--poll-ms",
         "--jobs",
         "--queue-depth",
         "--io-timeout-ms",
@@ -506,6 +510,45 @@ fn numeric_daemon_flags_reject_zero_and_garbage() {
             assert!(stderr.contains(flag), "{flag} {value}: {stderr}");
         }
     }
+}
+
+/// Runs the shipped binary with `args`, expects exit status 2, and
+/// returns its stderr.
+fn fails_with_status_2(args: &[&str]) -> String {
+    let child = Command::new(env!("CARGO_BIN_EXE_fetch-serve"))
+        .args(args)
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn fetch-serve");
+    let mut daemon = Spawned(child);
+    assert_eq!(daemon.wait_exit().code(), Some(2), "{args:?}");
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut daemon.0.stderr.take().unwrap(), &mut stderr).unwrap();
+    stderr
+}
+
+/// The daemon's transports are `--socket` and `--stdio`: any other
+/// transport flag is an unknown flag, and a daemon given neither
+/// transport exits before it opens anything (here: its store). Each
+/// exits with status 2 and a message naming what is wrong.
+#[test]
+fn daemon_rejects_unknown_transport_flags_and_a_missing_transport() {
+    for (flag, value) in [("--queue", "x"), ("--poll-ms", "20")] {
+        let stderr = fails_with_status_2(&["daemon", flag, value]);
+        assert!(stderr.contains("unknown daemon flag"), "{flag}: {stderr}");
+        assert!(stderr.contains(flag), "{flag}: {stderr}");
+    }
+    let dir = scratch_dir("no-transport");
+    let store = dir.join("store");
+    let stderr = fails_with_status_2(&["daemon", "--store", store.to_str().unwrap()]);
+    assert!(
+        stderr.contains("--socket") && stderr.contains("--stdio"),
+        "{stderr}"
+    );
+    assert!(!store.exists(), "the store was opened before the check");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// The shipped binary over stdio with a store: one request line in,

@@ -9,8 +9,7 @@
 //! * a deterministic sweep over the full fault matrix (every
 //!   [`FaultPlan`] site × every kind), each combo driven through the
 //!   transport that owns the site (in-process for store/compute sites,
-//!   the real Unix socket and stdio for `conn.*`, the directory queue
-//!   for `queue.reply`);
+//!   the real Unix socket and stdio for `conn.*`);
 //! * a property test over random *composite* plans (several sites,
 //!   budgets > 1) against the in-process service across a restart;
 //!
@@ -107,7 +106,7 @@ fn check_reply(reply: &Reply, reference: &str, spec: &str) -> bool {
     }
 }
 
-/// The invariant on one wire reply line (socket / queue transports).
+/// The invariant on one wire reply line (socket / stdio transports).
 fn check_wire_reply(line: &str, reference: &str, spec: &str) -> bool {
     let reply =
         Json::parse(line).unwrap_or_else(|e| panic!("spec {spec}: bad reply {line:?}: {e}"));
@@ -259,7 +258,7 @@ fn drive_socket(spec: &str, elf: &[u8], reference: &str, dir: &Path) {
             serve(
                 &service,
                 &ServerOptions {
-                    socket: Some(socket.clone()),
+                    socket: socket.clone(),
                     ..ServerOptions::default()
                 },
             )
@@ -342,59 +341,6 @@ fn drive_stdio(spec: &str, elf: &[u8], reference: &str) {
     assert_eq!(service.stats().faults_injected, 1, "spec {spec}");
 }
 
-/// `queue.reply`: drive the directory-queue transport. A failed reply
-/// write must leave the input in place, so the next poll retries it and
-/// the reply eventually lands — correct and byte-identical.
-fn drive_queue(spec: &str, elf: &[u8], reference: &str, dir: &Path) {
-    let elf_path = dir.join("sample.elf");
-    std::fs::write(&elf_path, elf).unwrap();
-    let queue = dir.join("q");
-    let plan = Arc::new(FaultPlan::parse(spec).unwrap());
-    let service = AnalysisService::new(&ServeConfig {
-        faults: plan.clone(),
-        ..ServeConfig::default()
-    })
-    .unwrap();
-    std::thread::scope(|scope| {
-        let daemon = scope.spawn(|| {
-            serve(
-                &service,
-                &ServerOptions {
-                    queue: Some(queue.clone()),
-                    poll: Some(Duration::from_millis(2)),
-                    ..ServerOptions::default()
-                },
-            )
-        });
-        wait_until("queue dirs", || queue.join("in").is_dir());
-        let request = Request::Analyze {
-            input: AnalyzeInput::Path(elf_path.clone()),
-            pipeline: Pipeline::fetch(),
-        };
-        // Write-then-rename, like a well-behaved producer.
-        let tmp = queue.join("00-a.tmp");
-        std::fs::write(&tmp, format!("{}\n", request.to_line())).unwrap();
-        std::fs::rename(&tmp, queue.join("in/00-a.json")).unwrap();
-        let reply_path = queue.join("out/00-a.json");
-        wait_until("queue reply", || reply_path.exists());
-        let line = std::fs::read_to_string(&reply_path).unwrap();
-        assert!(
-            check_wire_reply(line.trim(), reference, spec),
-            "spec {spec}: the retried queue reply must be the correct answer"
-        );
-        assert!(
-            !queue.join("in/00-a.json").exists(),
-            "spec {spec}: the input is consumed once the reply lands"
-        );
-        let tmp = queue.join("99-stop.tmp");
-        std::fs::write(&tmp, format!("{}\n", Request::Shutdown.to_line())).unwrap();
-        std::fs::rename(&tmp, queue.join("in/99-stop.json")).unwrap();
-        let summary = daemon.join().expect("daemon thread").expect("serve loop");
-        assert_eq!(summary.queue_quarantined, 0, "spec {spec}");
-    });
-    assert!(plan.fired() >= 1, "spec {spec} never armed its site");
-}
-
 /// The full matrix, deterministically: every site × every kind, one
 /// firing each, through the transport that owns the site (both stream
 /// transports for `conn.*`).
@@ -410,7 +356,6 @@ fn every_single_fault_yields_a_correct_answer_or_a_structured_failure() {
                     drive_socket(&spec, &elf, &reference, &dir);
                     drive_stdio(&spec, &elf, &reference);
                 }
-                "queue.reply" => drive_queue(&spec, &elf, &reference, &dir),
                 "service.persist" => drive_persist(&spec, &elf, &reference, &dir),
                 _ => drive_in_process(&spec, &elf, &reference, &dir),
             }
@@ -587,7 +532,7 @@ fn fault_armed_socket_load_across_a_restart() {
                 serve(
                     &service,
                     &ServerOptions {
-                        socket: Some(socket.clone()),
+                        socket: socket.clone(),
                         jobs: Some(4),
                         ..ServerOptions::default()
                     },
