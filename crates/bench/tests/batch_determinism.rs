@@ -64,8 +64,8 @@ fn fetch_pipeline_parallel_equals_serial() {
             // legitimately vary with shard layout and engine warmth).
             assert_eq!(p, r, "jobs={jobs}: case {i} diverged");
             assert_eq!(
-                format!("{:?} {:?}", p.starts, p.layers),
-                format!("{:?} {:?}", r.starts, r.layers),
+                format!("{:?} {:?}", p.starts, p.layer_names()),
+                format!("{:?} {:?}", r.starts, r.layer_names()),
                 "jobs={jobs}: case {i} canonical form diverged"
             );
         }

@@ -38,7 +38,7 @@ fn canonical(r: &DetectionResult) -> String {
         .iter()
         .map(|t| (t.name, &t.added, &t.removed, t.starts_after))
         .collect();
-    format!("{:?} | {:?} | {:?}", r.starts, r.layers, deltas)
+    format!("{:?} | {:?} | {:?}", r.starts, r.layer_names(), deltas)
 }
 
 /// Strict canonical comparison: `==` (starts, layers, deterministic

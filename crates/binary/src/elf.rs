@@ -56,8 +56,6 @@ pub enum ElfError {
     },
     /// The same loadable section name appears twice.
     DuplicateSection(&'static str),
-    /// The backing [`crate::ImageSource`] failed to produce bytes.
-    Io(String),
 }
 
 impl fmt::Display for ElfError {
@@ -73,7 +71,6 @@ impl fmt::Display for ElfError {
                 write!(f, "sections {a} and {b} overlap in the file")
             }
             ElfError::DuplicateSection(n) => write!(f, "section {n} appears twice"),
-            ElfError::Io(e) => write!(f, "image source failed: {e}"),
         }
     }
 }

@@ -15,11 +15,10 @@
 //!
 //! * **zero-copy** — [`ElfImage`] (owned, shareable) and [`ElfView`]
 //!   (borrowed) parse and validate the header and section table but
-//!   leave section bodies as windows of the one backing buffer, fed by
-//!   an [`ImageSource`] ([`MemSource`] or the lazily faulting
-//!   [`FileSource`]). [`ElfImage::to_binary`] materializes a [`Binary`]
-//!   whose sections all share that buffer — no body bytes are copied,
-//!   which [`LoadStats`] lets callers verify;
+//!   leave section bodies as windows of the one backing buffer.
+//!   [`ElfImage::to_binary`] materializes a [`Binary`] whose sections
+//!   all share that buffer — no body bytes are copied, which
+//!   [`LoadStats`] lets callers verify;
 //! * **eager** — [`read_elf`] copies every section body into an owned
 //!   [`Binary`] (validated through the same hardened parser).
 //!
@@ -62,4 +61,4 @@ pub use elf::{read_elf, write_elf, ElfError};
 pub use meta::{BuildInfo, Compiler, Lang, OptLevel};
 pub use section::{Section, SectionBytes, SectionKind};
 pub use truth::{FuncKind, FunctionTruth, GroundTruth, Part, Reach};
-pub use view::{ElfImage, ElfView, FileSource, ImageSource, LoadStats, MemSource, SectionRef};
+pub use view::{ElfImage, ElfView, LoadStats, SectionRef};

@@ -9,9 +9,6 @@
 //!   overflow-checked, overlapping or duplicate sections rejected with a
 //!   typed [`ElfError`]); section **bodies** stay as `Range<usize>`
 //!   windows resolved on demand, so looking at `.text` never copies it.
-//! * [`ImageSource`] — where the backing buffer comes from: already in
-//!   memory ([`MemSource`]) or a file faulted in on first use
-//!   ([`FileSource`], the safe stand-in for `mmap`).
 //! * [`ElfImage`] — the owning, shareable form: one `Arc`'d buffer plus
 //!   the validated layout. [`ElfImage::to_binary`] materializes a
 //!   [`Binary`] whose sections are all windows of that one buffer —
@@ -28,73 +25,7 @@ use crate::elf::{ElfError, EHDR_SIZE, SHDR_SIZE, SHT_PROGBITS, SHT_SYMTAB, SYM_S
 use crate::meta::BuildInfo;
 use crate::section::{Section, SectionBytes, SectionKind};
 use std::ops::Range;
-use std::path::PathBuf;
-use std::sync::{Arc, OnceLock};
-
-/// A provider of the resident image bytes an [`ElfView`] parses.
-///
-/// This is the mmap stand-in: the trait promises a stable `&[u8]` of the
-/// whole image, and implementations decide when those bytes become
-/// resident. [`MemSource`] already holds them; [`FileSource`] faults the
-/// file in on the first call and keeps it for later ones.
-pub trait ImageSource {
-    /// The full image bytes, loading them if necessary.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from the backing store (never for in-memory sources).
-    fn image(&self) -> std::io::Result<&[u8]>;
-}
-
-/// An [`ImageSource`] over bytes already in memory.
-#[derive(Debug, Clone)]
-pub struct MemSource(pub Vec<u8>);
-
-impl ImageSource for MemSource {
-    fn image(&self) -> std::io::Result<&[u8]> {
-        Ok(&self.0)
-    }
-}
-
-/// A file-backed [`ImageSource`]: the image is read into memory on the
-/// first [`ImageSource::image`] call and stays resident afterwards —
-/// the safe stand-in for `mmap` (which also materializes pages on first
-/// touch) in a `forbid(unsafe_code)` workspace.
-#[derive(Debug)]
-pub struct FileSource {
-    path: PathBuf,
-    resident: OnceLock<Vec<u8>>,
-}
-
-impl FileSource {
-    /// A lazy source over the file at `path` (nothing is read yet).
-    pub fn new(path: impl Into<PathBuf>) -> FileSource {
-        FileSource {
-            path: path.into(),
-            resident: OnceLock::new(),
-        }
-    }
-
-    /// The file path.
-    pub fn path(&self) -> &std::path::Path {
-        &self.path
-    }
-
-    /// Whether the image has been faulted in.
-    pub fn is_resident(&self) -> bool {
-        self.resident.get().is_some()
-    }
-}
-
-impl ImageSource for FileSource {
-    fn image(&self) -> std::io::Result<&[u8]> {
-        if let Some(bytes) = self.resident.get() {
-            return Ok(bytes);
-        }
-        let bytes = std::fs::read(&self.path)?;
-        Ok(self.resident.get_or_init(|| bytes))
-    }
-}
+use std::sync::Arc;
 
 /// Copy accounting for one load path, so benchmarks measure the
 /// zero-copy claim instead of assuming it.
@@ -346,17 +277,6 @@ impl<'a> ElfView<'a> {
         Ok(ElfView { data, layout })
     }
 
-    /// Parses the image provided by `source`, faulting it in if needed.
-    ///
-    /// # Errors
-    ///
-    /// [`ElfError::Io`] when the source fails to produce bytes, else as
-    /// [`ElfView::parse`].
-    pub fn open(source: &'a dyn ImageSource) -> Result<ElfView<'a>, ElfError> {
-        let data = source.image().map_err(|e| ElfError::Io(e.to_string()))?;
-        ElfView::parse(data)
-    }
-
     /// The raw image this view borrows.
     pub fn image(&self) -> &'a [u8] {
         self.data
@@ -365,11 +285,6 @@ impl<'a> ElfView<'a> {
     /// The program entry point.
     pub fn entry(&self) -> u64 {
         self.layout.entry
-    }
-
-    /// Number of recognized (loadable) sections.
-    pub fn section_count(&self) -> usize {
-        self.layout.sections.len()
     }
 
     /// Iterates over the recognized sections without copying bodies.
@@ -481,19 +396,6 @@ impl ElfImage {
         })
     }
 
-    /// Reads the file at `path` straight into the owned buffer and
-    /// validates it — the image is resident exactly once. (Going through
-    /// a borrowed [`ImageSource`] would leave the source's copy alive
-    /// next to this one; use [`ElfView::open`] for borrowed views.)
-    ///
-    /// # Errors
-    ///
-    /// [`ElfError::Io`] when the read fails, else as [`ElfView::parse`].
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<ElfImage, ElfError> {
-        let bytes = std::fs::read(path).map_err(|e| ElfError::Io(e.to_string()))?;
-        ElfImage::parse(bytes)
-    }
-
     /// A borrowed view over the resident image.
     pub fn view(&self) -> ElfView<'_> {
         ElfView {
@@ -505,11 +407,6 @@ impl ElfImage {
     /// The program entry point.
     pub fn entry(&self) -> u64 {
         self.layout.entry
-    }
-
-    /// Size of the resident image in bytes.
-    pub fn image_bytes(&self) -> usize {
-        self.buf.len()
     }
 
     /// The parsed function symbols.
@@ -593,7 +490,7 @@ mod tests {
         let image = write_elf(&bin);
         let view = ElfView::parse(&image).unwrap();
         assert_eq!(view.entry(), bin.entry);
-        assert_eq!(view.section_count(), 4);
+        assert_eq!(view.sections().count(), 4);
         for s in &bin.sections {
             let v = view.section(s.kind).expect("section present");
             assert_eq!(v.addr, s.addr);
@@ -626,37 +523,6 @@ mod tests {
         // A clone of the materialized binary still shares the image.
         let cloned = loaded.clone();
         assert!(cloned.sections[0].shares_image(&loaded.sections[1]));
-    }
-
-    #[test]
-    fn file_source_faults_in_lazily() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("fetch-view-test-{}.elf", std::process::id()));
-        std::fs::write(&path, write_elf(&sample())).unwrap();
-        let source = FileSource::new(&path);
-        assert!(!source.is_resident());
-        {
-            let view = ElfView::open(&source).unwrap();
-            assert_eq!(view.symbols().len(), 2);
-        }
-        assert!(source.is_resident());
-        // The owning loader reads the file once into its own buffer.
-        let image = ElfImage::load(&path).unwrap();
-        assert_eq!(image.symbols().len(), 2);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn missing_file_is_a_typed_error() {
-        let source = FileSource::new("/nonexistent/fetch-view-test.elf");
-        match ElfView::open(&source) {
-            Err(ElfError::Io(_)) => {}
-            other => panic!("expected ElfError::Io, got {other:?}"),
-        }
-        match ElfImage::load("/nonexistent/fetch-view-test.elf") {
-            Err(ElfError::Io(_)) => {}
-            other => panic!("expected ElfError::Io, got {other:?}"),
-        }
     }
 
     #[test]

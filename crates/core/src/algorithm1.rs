@@ -306,7 +306,7 @@ impl CallFrameRepair {
 
 /// Sorted `(begin, end)` FDE ranges with a running maximum of their
 /// ends, so an address inside a range that encloses later, shorter
-/// ranges is still found (as [`crate::OwnerIndex`] does for bodies).
+/// ranges is still found (as the pointer scan's owner index does for bodies).
 struct FdeRanges {
     ranges: Vec<(u64, u64)>,
     /// `reach[i]` is the largest end among `ranges[..=i]`.

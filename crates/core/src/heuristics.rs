@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 
 /// Computes the unexplored gaps of `.text`: maximal ranges covered by no
 /// decoded instruction.
-pub fn code_gaps(state: &DetectionState<'_>) -> Vec<(u64, u64)> {
+pub(crate) fn code_gaps(state: &DetectionState<'_>) -> Vec<(u64, u64)> {
     let text = state.binary.text();
     let mut gaps = Vec::new();
     let mut cursor = text.addr;

@@ -76,10 +76,11 @@
 //!    one traced step, [`LayerSpec::apply`], which dispatches by `match`
 //!    to the layer's body. Every entry point (`Fetch` detectors, tool
 //!    models, ad-hoc `Pipeline::parse("FDE+Rec+…")` stacks) funnels
-//!    through that step, so layer names in
-//!    [`DetectionResult::layers`] can never drift from what ran.
-//! 3. **Trace** — the executor records a [`LayerTrace`] per layer (wall
-//!    time, exact start delta with provenance, decode-cache work) into
+//!    through that step, so the layer names of
+//!    [`DetectionResult::layer_names`] can never drift from what ran.
+//! 3. **Trace** — the executor records a [`LayerTrace`] per layer (its
+//!    name and exact start delta with provenance — the content — plus
+//!    wall time and decode-cache work, instrumentation of that run) into
 //!    [`DetectionResult::trace`]. Traces replay:
 //!    [`DetectionResult::starts_after_layer`] reconstructs every prefix
 //!    stack's result from one run — the ablation harnesses consume that
@@ -104,9 +105,10 @@
 //!   the identical result — and [`CacheStats`] reports evictions and the
 //!   live footprint alongside hits/misses.
 //! * **Persistent store.** [`serialize_result_with_digest`] /
-//!   [`deserialize_result_full`] encode a [`DetectionResult`] *with its
-//!   full [`LayerTrace`] telemetry* into a versioned, checksummed,
-//!   deterministic byte format, keyed externally by
+//!   [`deserialize_result_full`] encode a [`DetectionResult`]'s content
+//!   (starts and per-layer start deltas; no timings or work counters)
+//!   into a versioned, checksummed, deterministic byte format — one
+//!   input, one encoding — keyed externally by
 //!   `(content fingerprint, pipeline id)` — the same stable identities
 //!   the cache uses — so a restarted daemon answers warm from disk. One
 //!   format version ([`RESULT_VERSION`]) is read: a truncated,
@@ -114,8 +116,8 @@
 //!   misread, and its result is recomputed.
 //! * **Daemon.** `fetch-serve` accepts work over a local socket or
 //!   stdio, answers bounded-cache-first, store-second,
-//!   cold-compute-last, and streams each request's per-layer trace to
-//!   telemetry subscribers.
+//!   cold-compute-last, and streams each cold request's per-layer trace
+//!   to telemetry subscribers.
 //!
 //! The full serving round trip, in process:
 //!
@@ -280,7 +282,7 @@
 //! assert_eq!(pipeline, Pipeline::parse("FDE+Rec+Xref").unwrap());
 //!
 //! let result = pipeline.run(&case.binary);
-//! assert_eq!(result.layers, ["FDE", "Rec", "Xref"]);
+//! assert_eq!(result.layer_names(), ["FDE", "Rec", "Xref"]);
 //! // The trace knows what each layer contributed...
 //! assert!(result.trace[0].added.len() > 10, "FDE seeded starts");
 //! // ...and replays: the prefix FDE+Rec falls out of the same run.
@@ -318,11 +320,10 @@ pub use cache::{
 pub use delta::{delta_tier, run_delta, DeltaClass, DeltaOutcome};
 pub use facts::{BinaryFacts, FactsWork, FrameTable};
 pub use fetch::Fetch;
-pub use heuristics::{code_gaps, ToolStyle};
+pub use heuristics::ToolStyle;
 pub use pipeline::{LayerSpec, Pipeline, PipelineParseError, Tool, KNOWN_LAYERS};
 pub use pointer_scan::{
-    collect_data_pointers, collect_data_pointers_counted, validate_candidate,
-    validate_candidate_indexed, OwnerIndex, ValidationError,
+    collect_data_pointers, collect_data_pointers_counted, validate_candidate, ValidationError,
 };
 pub use serial::{
     deserialize_result_full, intern_layer_name, serialize_result_with_digest, SerialError,

@@ -215,9 +215,9 @@ impl LayerSpec {
         }
     }
 
-    /// The display name the layer reports into
-    /// [`DetectionResult::layers`] — the paper's label, shared by every
-    /// configuration of a layer (`Fsig` for all three styles).
+    /// The display name the layer records in its [`LayerTrace`] — the
+    /// paper's label, shared by every configuration of a layer (`Fsig`
+    /// for all three styles).
     pub fn name(&self) -> &'static str {
         match self {
             LayerSpec::FdeSeeds => "FDE",
@@ -282,12 +282,11 @@ impl LayerSpec {
     }
 
     /// The one traced executor step: runs the layer on `state`, then
-    /// records its name and a [`LayerTrace`] (wall time, exact start
-    /// delta with provenance, decode-cache and pointer-scan work) in
-    /// lockstep. Every pipeline path — [`Pipeline::apply`] and the
-    /// `Fetch` entry points — funnels through here, so
-    /// [`DetectionResult::layers`] can never skip or double-count a
-    /// layer the way hand-pushed names could.
+    /// records its [`LayerTrace`] (name, wall time, exact start delta
+    /// with provenance, decode-cache and pointer-scan work). Every
+    /// pipeline path — [`Pipeline::apply`] and the `Fetch` entry points
+    /// — funnels through here, so [`DetectionResult::trace`] can never
+    /// skip or double-count a layer the way hand-pushed records could.
     pub fn apply(&self, state: &mut DetectionState<'_>) {
         let before = state.starts.clone();
         let (hits0, misses0) = state.engine_decode_stats();
@@ -298,7 +297,6 @@ impl LayerSpec {
         let (hits1, misses1) = state.engine_decode_stats();
         let (bytes1, cands1) = state.scan_stats();
         let (added, removed) = diff_starts(&before, &state.starts);
-        state.layers.push(self.name());
         state.trace.push(LayerTrace {
             name: self.name(),
             wall_nanos,
@@ -402,7 +400,7 @@ impl std::error::Error for PipelineParseError {}
 /// let pipeline = Pipeline::parse("FDE+Rec+Xref").unwrap();
 /// assert_eq!(pipeline.id(), "FDE+Rec+Xref");
 /// let result = pipeline.run(&case.binary);
-/// assert_eq!(result.layers, ["FDE", "Rec", "Xref"]);
+/// assert_eq!(result.layer_names(), ["FDE", "Rec", "Xref"]);
 /// assert_eq!(result.trace.len(), 3);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -712,8 +710,7 @@ mod tests {
         let case = synthesize(&SynthConfig::small(11));
         for (_, spec) in KNOWN_LAYERS {
             let result = Pipeline::new(vec![*spec]).run(&case.binary);
-            assert_eq!(result.layers, [spec.name()]);
-            assert_eq!(result.trace[0].name, spec.name());
+            assert_eq!(result.layer_names(), [spec.name()]);
             assert_eq!(crate::intern_layer_name(spec.name()), Some(spec.name()));
         }
     }
@@ -727,7 +724,7 @@ mod tests {
         LayerSpec::SafeRecursion(ErrorCallPolicy::SliceZero).apply(&mut state);
         let ad_hoc = state.into_result();
         assert_eq!(declarative, ad_hoc);
-        assert_eq!(declarative.layers, ["FDE", "Rec"]);
+        assert_eq!(declarative.layer_names(), ["FDE", "Rec"]);
     }
 
     #[test]

@@ -139,7 +139,7 @@ fn scan_windows_topbyte(
 /// start)` ordered by span start, plus a running maximum of span ends
 /// so a lookup knows how far left an overlapping body could begin.
 #[derive(Debug, Clone)]
-pub struct OwnerIndex<'e> {
+pub(crate) struct OwnerIndex<'e> {
     /// `(span_min, span_max, start)` sorted ascending; the body's exact
     /// membership is re-checked against `extents` on a span hit.
     spans: Vec<(u64, u64, u64)>,
@@ -199,10 +199,7 @@ impl<'e> OwnerIndex<'e> {
 /// Validates one candidate start against the four §IV-E error classes.
 ///
 /// `extents` are the bodies of currently detected functions; `known`
-/// is the current instruction map (for overlap checks). Callers
-/// validating many candidates against one extents snapshot should
-/// build an [`OwnerIndex`] once and use
-/// [`validate_candidate_indexed`] instead.
+/// is the current instruction map (for overlap checks).
 pub fn validate_candidate(
     bin: &Binary,
     candidate: u64,
@@ -211,27 +208,8 @@ pub fn validate_candidate(
     starts: &[u64],
     stop_calls: &[u64],
 ) -> Result<(), ValidationError> {
-    validate_candidate_indexed(
-        bin,
-        candidate,
-        known,
-        &OwnerIndex::build(extents),
-        starts,
-        stop_calls,
-    )
-}
-
-/// [`validate_candidate`] against a prebuilt [`OwnerIndex`] —
-/// verdict-identical, without the per-candidate extents walk.
-pub fn validate_candidate_indexed(
-    bin: &Binary,
-    candidate: u64,
-    known: &fetch_disasm::Disassembly,
-    owners: &OwnerIndex,
-    starts: &[u64],
-    stop_calls: &[u64],
-) -> Result<(), ValidationError> {
     validate_candidate_precheck(bin, candidate, known, stop_calls)?;
+    let owners = OwnerIndex::build(extents);
     validate_candidate_explore(
         bin,
         candidate,
@@ -581,6 +559,6 @@ mod tests {
     fn full_stack_runs_clean() {
         let case = pointered_case();
         let r = Pipeline::parse("FDE+Rec+Xref").unwrap().run(&case.binary);
-        assert_eq!(r.layers, vec!["FDE", "Rec", "Xref"]);
+        assert_eq!(r.layer_names(), ["FDE", "Rec", "Xref"]);
     }
 }

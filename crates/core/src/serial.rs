@@ -2,22 +2,25 @@
 //! the persistence format of the serving layer.
 //!
 //! A long-lived analysis daemon (`fetch-serve`) wants to answer warm
-//! after a restart, which means a [`DetectionResult`] — including its
-//! full [`LayerTrace`] telemetry — must survive the process. This module
-//! is the wire format: a compact little-endian binary encoding with a
-//! magic + version header and a trailing FNV-1a checksum, written and
-//! read by [`serialize_result_with_digest`] / [`deserialize_result_full`].
+//! after a restart, which means a [`DetectionResult`]'s content — its
+//! starts and, per layer, the [`LayerTrace`] name and start delta —
+//! must survive the process. This module is the wire format: a compact
+//! little-endian binary encoding with a magic + version header and a
+//! trailing FNV-1a checksum, written and read by
+//! [`serialize_result_with_digest`] / [`deserialize_result_full`].
 //!
 //! Design points:
 //!
-//! * **Deterministic.** The same result always encodes to the same
-//!   bytes (maps iterate in key order, every field has one encoding),
-//!   so persisted entries can be compared, deduplicated, and diffed
-//!   byte-wise across processes.
-//! * **Total round-trip.** `deserialize(serialize(r)) == r` including
-//!   the timing/decode fields `PartialEq` ignores — persistence keeps
-//!   the telemetry, not just the answer (property-tested in
-//!   `tests/proptest_serial.rs`).
+//! * **Deterministic.** The same content always encodes to the same
+//!   bytes (maps iterate in key order, every field has one encoding,
+//!   and no timing or work counter is written), so two analyses of one
+//!   image persist byte-identical entries that can be compared,
+//!   deduplicated, and diffed across processes.
+//! * **Content round-trip.** `deserialize(serialize(r)) == r`, and the
+//!   decoded result re-encodes to the same bytes. The trace's
+//!   instrumentation (wall time, decode and pointer-scan counters)
+//!   describes one run, so it is not persisted and reads zero after a
+//!   load (property-tested in `tests/proptest_serial.rs`).
 //! * **One version, checksummed.** Only [`RESULT_VERSION`] is read; a
 //!   blob of any other version is rejected by number, not misparsed,
 //!   and a truncated or bit-flipped payload fails the checksum instead
@@ -36,16 +39,17 @@ use std::hash::Hasher as _;
 
 /// Magic bytes opening every serialized [`DetectionResult`].
 pub const RESULT_MAGIC: [u8; 4] = *b"FRES";
-/// The one format version written and read. Each trace entry carries
-/// the pointer-scan work counters, an optional [`ImageDigest`] follows
-/// the trace, and digest bucket `sem` hashes are structural (the typed
-/// instruction, not its `Debug` text).
+/// The one format version written and read: the starts, then per
+/// layer its name, start delta and start count after it ran (no
+/// instrumentation), then an optional [`ImageDigest`] whose bucket
+/// `sem` hashes are structural (the typed instruction, not its `Debug`
+/// text).
 ///
 /// Any change to the encoding or to the `sem` scheme bumps this number.
 /// Blobs of every other version are [`SerialError::UnsupportedVersion`]:
 /// a store's open sweep quarantines them and the results are recomputed
 /// on demand — never migrated.
-pub const RESULT_VERSION: u16 = 4;
+pub const RESULT_VERSION: u16 = 5;
 
 /// Domain tag of the trailing checksum (separates it from the
 /// fingerprint domains of [`crate::content_fingerprint`]).
@@ -210,21 +214,12 @@ fn section_kind_from_tag(tag: u8) -> Result<SectionKind, SerialError> {
 /// # Errors
 ///
 /// [`SerialError::UnknownLayerName`] when the result carries a layer
-/// name outside [`KNOWN_LAYERS`] — such bytes
-/// could never be interned back, so they are refused up front.
+/// name outside [`KNOWN_LAYERS`] — such bytes could never be interned
+/// back, so none are returned.
 pub fn serialize_result_with_digest(
     result: &DetectionResult,
     digest: Option<&ImageDigest>,
 ) -> Result<Vec<u8>, SerialError> {
-    for name in result
-        .layers
-        .iter()
-        .chain(result.trace.iter().map(|t| &t.name))
-    {
-        if intern_layer_name(name).is_none() {
-            return Err(SerialError::UnknownLayerName((*name).to_string()));
-        }
-    }
     let mut w = Writer(Vec::with_capacity(64 + result.starts.len() * 9));
     w.0.extend_from_slice(&RESULT_MAGIC);
     w.u16(RESULT_VERSION);
@@ -233,21 +228,15 @@ pub fn serialize_result_with_digest(
         w.u64(addr);
         w.u8(provenance_tag(prov));
     }
-    w.count(result.layers.len());
-    for name in &result.layers {
-        w.str(name);
-    }
     w.count(result.trace.len());
     for t in &result.trace {
+        if intern_layer_name(t.name).is_none() {
+            return Err(SerialError::UnknownLayerName(t.name.to_string()));
+        }
         w.str(t.name);
-        w.u64(t.wall_nanos);
         w.delta(&t.added);
         w.delta(&t.removed);
         w.u64(t.starts_after as u64);
-        w.u64(t.decode_hits);
-        w.u64(t.decode_misses);
-        w.u64(t.bytes_scanned);
-        w.u64(t.candidates_checked);
     }
     match digest {
         None => w.u8(0),
@@ -382,33 +371,16 @@ pub fn deserialize_result_full(
         prev = Some(addr);
         starts.insert(addr, prov);
     }
-    let n_layers = r.count(2)?;
-    let mut layers = Vec::with_capacity(n_layers);
-    for _ in 0..n_layers {
-        layers.push(r.layer_name()?);
-    }
-    let n_trace = r.count(2)?;
+    // name length + two delta counts + starts_after.
+    let n_trace = r.count(2 + 4 + 4 + 8)?;
     let mut trace = Vec::with_capacity(n_trace);
     for _ in 0..n_trace {
-        let name = r.layer_name()?;
-        let wall_nanos = r.u64()?;
-        let added = r.delta()?;
-        let removed = r.delta()?;
-        let starts_after = r.u64()? as usize;
-        let decode_hits = r.u64()?;
-        let decode_misses = r.u64()?;
-        let bytes_scanned = r.u64()?;
-        let candidates_checked = r.u64()?;
         trace.push(LayerTrace {
-            name,
-            wall_nanos,
-            added,
-            removed,
-            starts_after,
-            decode_hits,
-            decode_misses,
-            bytes_scanned,
-            candidates_checked,
+            name: r.layer_name()?,
+            added: r.delta()?,
+            removed: r.delta()?,
+            starts_after: r.u64()? as usize,
+            ..LayerTrace::default()
         });
     }
     let digest = match r.u8()? {
@@ -419,14 +391,7 @@ pub fn deserialize_result_full(
     if r.pos != payload.len() {
         return Err(SerialError::Corrupt("trailing bytes after encoding"));
     }
-    Ok((
-        DetectionResult {
-            starts,
-            layers,
-            trace,
-        },
-        digest,
-    ))
+    Ok((DetectionResult { starts, trace }, digest))
 }
 
 fn read_digest(r: &mut Reader<'_>) -> Result<ImageDigest, SerialError> {
@@ -491,27 +456,28 @@ mod tests {
     use crate::Pipeline;
     use fetch_synth::{synthesize, SynthConfig};
 
-    fn trace_fields_equal(a: &DetectionResult, b: &DetectionResult) -> bool {
-        // PartialEq ignores timing/decode/scan fields by design;
-        // persistence must keep them, so compare every field explicitly.
-        a == b
-            && a.trace.len() == b.trace.len()
-            && a.trace.iter().zip(&b.trace).all(|(x, y)| {
-                x.wall_nanos == y.wall_nanos
-                    && x.decode_hits == y.decode_hits
-                    && x.decode_misses == y.decode_misses
-                    && x.bytes_scanned == y.bytes_scanned
-                    && x.candidates_checked == y.candidates_checked
-            })
+    /// Whether every instrumentation field of `r`'s trace is zero.
+    fn uninstrumented(r: &DetectionResult) -> bool {
+        r.trace.iter().all(|t| {
+            (
+                t.wall_nanos,
+                t.decode_hits,
+                t.decode_misses,
+                t.bytes_scanned,
+                t.candidates_checked,
+            ) == (0, 0, 0, 0, 0)
+        })
     }
 
     #[test]
-    fn round_trip_is_identity_including_timing() {
+    fn round_trip_keeps_content_and_drops_instrumentation() {
         let case = synthesize(&SynthConfig::small(41));
         let result = Pipeline::fetch().run(&case.binary);
+        assert!(!uninstrumented(&result), "a fresh run is instrumented");
         let bytes = serialize_result_with_digest(&result, None).unwrap();
         let (back, _) = deserialize_result_full(&bytes).unwrap();
-        assert!(trace_fields_equal(&result, &back));
+        assert_eq!(back, result);
+        assert!(uninstrumented(&back));
         assert_eq!(
             serialize_result_with_digest(&back, None).unwrap(),
             bytes,
@@ -527,7 +493,7 @@ mod tests {
             crate::ImageDigest::compute(&case.binary, crate::content_fingerprint(&case.binary));
         let bytes = serialize_result_with_digest(&result, Some(&digest)).unwrap();
         let (back, d) = deserialize_result_full(&bytes).unwrap();
-        assert!(trace_fields_equal(&result, &back));
+        assert_eq!(back, result);
         assert_eq!(d.as_ref(), Some(&digest));
 
         // A digest-less current-version encoding reads back as None.
@@ -564,10 +530,11 @@ mod tests {
         let mut bad_magic = bytes.clone();
         bad_magic[0] ^= 0xff;
         assert_eq!(decode(&bad_magic), Err(SerialError::BadMagic));
-        // Only the current version is read — older ones included. The
-        // version is checked before the checksum would even matter:
+        // Only the current version is read — every older one included.
+        // The version is checked before the checksum would even matter:
         // recompute a valid checksum to prove it.
-        for version in [0, 1, 2, 3, 5, 0x7f] {
+        let others = (0..RESULT_VERSION).chain([RESULT_VERSION + 1, 0x7f]);
+        for version in others {
             let mut bad_version = bytes.clone();
             bad_version[4..6].copy_from_slice(&u16::to_le_bytes(version));
             let n = bad_version.len() - 8;
@@ -591,7 +558,6 @@ mod tests {
         let case = synthesize(&SynthConfig::small(43));
         let mut result = Pipeline::parse("FDE").unwrap().run(&case.binary);
         assert!(serialize_result_with_digest(&result, None).is_ok());
-        result.layers.push("Custom");
         result.trace.push(LayerTrace {
             name: "Custom",
             ..result.trace[0].clone()

@@ -63,18 +63,19 @@ impl fmt::Display for Provenance {
 /// deltas with provenance), how long it took, and how much decode work
 /// it caused.
 ///
-/// # Equality
+/// # Content and instrumentation
 ///
-/// Only the *deterministic* fields participate in `==`: `name`, `added`,
-/// `removed`, and `starts_after`. Wall time and decode-cache counters are
-/// instrumentation — they vary run-to-run and with engine warmth, and the
-/// differential suites (`shared engine ≡ fresh engine`, `cache hit ≡
-/// cold run`) compare results across exactly those axes.
-#[derive(Debug, Clone)]
+/// `name`, `added`, `removed` and `starts_after` are the layer's
+/// content: deterministic, persisted, and the only fields `==` compares.
+/// Wall time and the work counters are instrumentation of the run that
+/// computed the record; they vary run-to-run and with engine warmth, are
+/// never persisted, and read zero after a load
+/// ([`crate::deserialize_result_full`]).
+#[derive(Debug, Clone, Default)]
 pub struct LayerTrace {
     /// The layer's display name ([`crate::LayerSpec::name`]).
     pub name: &'static str,
-    /// Wall time of the layer, in nanoseconds (excluded from `==`).
+    /// Wall time of the layer, in nanoseconds (instrumentation).
     pub wall_nanos: u64,
     /// Starts the layer added (net of its own removals), ascending. An
     /// address whose provenance changed appears in `removed` (old) and
@@ -84,17 +85,17 @@ pub struct LayerTrace {
     pub removed: Vec<(u64, Provenance)>,
     /// Size of the start set after the layer ran.
     pub starts_after: usize,
-    /// Decode-cache hits attributed to the layer (excluded from `==`).
+    /// Decode-cache hits attributed to the layer (instrumentation).
     pub decode_hits: u64,
     /// Decode-cache misses — fresh decodes — attributed to the layer
-    /// (excluded from `==`).
+    /// (instrumentation).
     pub decode_misses: u64,
     /// Data-section bytes the §IV-E pointer sweep covered during this
-    /// layer (excluded from `==`). Decode counters alone made the
-    /// `Xref` layer look idle — its work is scanning, not decoding.
+    /// layer (instrumentation). Decode counters alone made the `Xref`
+    /// layer look idle — its work is scanning, not decoding.
     pub bytes_scanned: u64,
     /// Pointer-scan candidates run through §IV-E validation during
-    /// this layer (excluded from `==`).
+    /// this layer (instrumentation).
     pub candidates_checked: u64,
 }
 
@@ -117,19 +118,27 @@ impl PartialEq for LayerTrace {
 impl Eq for LayerTrace {}
 
 /// The final, immutable output of a detector run.
+///
+/// Its content is the start map and, per layer, the name and start
+/// delta of [`LayerTrace`]; that is what `==` compares and what
+/// [`crate::serialize_result_with_digest`] persists. The trace's timing
+/// and work counters are instrumentation of the run that computed it
+/// and read zero after a load.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DetectionResult {
     /// Detected function starts with provenance.
     pub starts: BTreeMap<u64, Provenance>,
-    /// Names of the strategy layers that ran, in order.
-    pub layers: Vec<&'static str>,
-    /// Per-layer execution records ([`LayerTrace`]), parallel to
-    /// `layers`. Timing/decode fields are instrumentation and excluded
-    /// from `==`; the start deltas are deterministic and included.
+    /// Per-layer execution records ([`LayerTrace`]), one per layer that
+    /// ran, in order.
     pub trace: Vec<LayerTrace>,
 }
 
 impl DetectionResult {
+    /// Names of the strategy layers that ran, in order.
+    pub fn layer_names(&self) -> Vec<&'static str> {
+        self.trace.iter().map(|t| t.name).collect()
+    }
+
     /// The start addresses as a set.
     pub fn start_set(&self) -> BTreeSet<u64> {
         self.starts.keys().copied().collect()
@@ -186,10 +195,7 @@ impl DetectionResult {
                 std::mem::size_of::<LayerTrace>() + (t.added.len() + t.removed.len()) * delta_entry
             })
             .sum();
-        std::mem::size_of::<DetectionResult>()
-            + self.starts.len() * start_entry
-            + self.layers.len() * std::mem::size_of::<&'static str>()
-            + traces
+        std::mem::size_of::<DetectionResult>() + self.starts.len() * start_entry + traces
     }
 }
 
@@ -232,11 +238,8 @@ pub struct DetectionState<'b> {
     /// from symbol names, modeling dynamic-symbol knowledge of libc).
     /// Shared so recursion re-runs never copy the set.
     pub error_funcs: Arc<BTreeSet<u64>>,
-    /// Layer names applied so far (pushed by
-    /// [`crate::LayerSpec::apply`], never by hand — the executor owns
-    /// the bookkeeping so names and traces cannot drift apart).
-    pub layers: Vec<&'static str>,
-    /// Per-layer execution records, parallel to `layers`.
+    /// Per-layer execution records of the layers applied so far (pushed
+    /// by [`crate::LayerSpec::apply`], never by hand).
     pub trace: Vec<LayerTrace>,
     /// The report of the most recent [`crate::CallFrameRepair`] run, for
     /// callers that want it after driving a whole pipeline (see
@@ -315,7 +318,6 @@ impl<'b> DetectionState<'b> {
             starts: BTreeMap::new(),
             rec: Arc::new(RecResult::default()),
             error_funcs: Arc::new(error_funcs),
-            layers: Vec::new(),
             trace: Vec::new(),
             last_repair: None,
             engine,
@@ -589,7 +591,6 @@ impl<'b> DetectionState<'b> {
         (
             DetectionResult {
                 starts: self.starts,
-                layers: self.layers,
                 trace: self.trace,
             },
             self.engine,

@@ -53,7 +53,7 @@ mod tests {
     fn fde_plus_rec_stack_runs() {
         let case = synthesize(&SynthConfig::small(8));
         let result = run(&case.binary, "FDE+Rec");
-        assert_eq!(result.layers, vec!["FDE", "Rec"]);
+        assert_eq!(result.layer_names(), ["FDE", "Rec"]);
         // FDE starts cover at least every compiled function entry.
         let fde_count = result
             .starts

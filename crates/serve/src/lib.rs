@@ -53,9 +53,10 @@
 //!   and saves the result to the store after the reply; until the save
 //!   lands, lookups find the result among the pending saves.
 //! * [`store`] — [`ResultStore`]: one atomic, versioned, checksummed
-//!   file per `(content fingerprint, pipeline id)`, holding the full
-//!   [`fetch_core::DetectionResult`] *including its trace* and the
-//!   image's [`fetch_core::ImageDigest`], via
+//!   file per `(content fingerprint, pipeline id)`, holding the
+//!   content of a [`fetch_core::DetectionResult`] (starts and per-layer
+//!   start deltas, no timings) and the image's
+//!   [`fetch_core::ImageDigest`], via
 //!   [`fetch_core::serialize_result_with_digest`]. Opening runs a
 //!   recovery sweep (orphaned temps reaped, invalid entries
 //!   quarantined); a [`store::GcPolicy`] bounds the store by entries /
@@ -126,8 +127,7 @@
 //!   observation per answer-path request), pending-queue wait,
 //!   reply-write, coalescing leader/waiter walls, store save/load, and
 //!   per-layer pipeline walls (`fetch_layer_wall_us{layer="…"}`,
-//!   recorded on fresh computes only — replayed traces are not
-//!   re-counted).
+//!   recorded on cold answers only — no other answer runs a layer).
 //! * **The `metrics` verb.** `{"cmd":"metrics"}` returns both a
 //!   Prometheus-style text exposition (`text`) and the same snapshot as
 //!   structured JSON (`metrics`). Gauges (cache/store residency) are

@@ -2,9 +2,9 @@
 //! `fetch_serve` library.
 //!
 //! ```text
-//! fetch-serve daemon (--socket PATH | --stdio)
+//! fetch-serve daemon (--socket PATH [--jobs N] [--queue-depth N]
+//!                              [--io-timeout-ms M] | --stdio)
 //!                    [--store DIR] [--cache-capacity N] [--cache-bytes B]
-//!                    [--jobs N] [--queue-depth N] [--io-timeout-ms M]
 //!                    [--store-max-entries N] [--store-max-bytes B]
 //!                    [--store-max-age-secs S] [--fault-plan SPEC]
 //!                    [--log-level LEVEL]
@@ -15,10 +15,12 @@
 //! ```
 //!
 //! The daemon serves one transport, a Unix socket or stdio, until a
-//! `shutdown` request arrives. The client sends one request line and
-//! prints the reply line (`--subscribe` keeps printing telemetry events
-//! until the daemon goes away) — small enough for shell scripting, no
-//! client library needed.
+//! `shutdown` request arrives. `--jobs`, `--queue-depth` and
+//! `--io-timeout-ms` configure the socket transport, so `--stdio`
+//! rejects them. The client sends one request line and prints the reply
+//! line (`--subscribe` keeps printing telemetry events until the daemon
+//! goes away) — small enough for shell scripting, no client library
+//! needed.
 //!
 //! `--fault-plan` arms deterministic fault injection — see
 //! [`fetch_serve::fault`] for the spec grammar. A malformed plan fails
@@ -42,9 +44,9 @@ use std::process::exit;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  fetch-serve daemon (--socket PATH | --stdio) [--store DIR]\n                     \
+        "usage:\n  fetch-serve daemon (--socket PATH [--jobs N] [--queue-depth N]\n                     \
+         [--io-timeout-ms M] | --stdio) [--store DIR]\n                     \
          [--cache-capacity N] [--cache-bytes B]\n                     \
-         [--jobs N] [--queue-depth N] [--io-timeout-ms M]\n                     \
          [--store-max-entries N] [--store-max-bytes B] [--store-max-age-secs S]\n                     \
          [--fault-plan SPEC] [--log-level LEVEL]\n  \
          fetch-serve client --socket PATH (--analyze FILE [--pipeline SPEC | --tool NAME]\n                     \
@@ -95,9 +97,18 @@ fn daemon(args: &[String]) {
     let mut server = ServerOptions::default();
     let mut config = ServeConfig::default();
     let mut stdio = false;
+    // The last socket-transport flag given, which `--stdio` rejects.
+    let mut socket_flag = None;
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
+        let flag = args[i].as_str();
+        if matches!(
+            flag,
+            "--socket" | "--jobs" | "--queue-depth" | "--io-timeout-ms"
+        ) {
+            socket_flag = Some(flag);
+        }
+        match flag {
             "--socket" => server.socket = PathBuf::from(flag_value(args, &mut i, "--socket")),
             "--store" => {
                 config.store_dir = Some(PathBuf::from(flag_value(args, &mut i, "--store")))
@@ -146,6 +157,11 @@ fn daemon(args: &[String]) {
     }
     if !stdio && server.socket.as_os_str().is_empty() {
         fail("daemon needs --socket PATH or --stdio");
+    }
+    if let (true, Some(flag)) = (stdio, socket_flag) {
+        fail(format_args!(
+            "{flag} configures the socket transport; --stdio does not take it"
+        ));
     }
     let service = match AnalysisService::new(&config) {
         Ok(service) => service,

@@ -28,7 +28,8 @@
 //!   plus a structured `metrics` JSON object (counters as numbers,
 //!   histograms as `{count,sum,max,p50,p95,p99}`).
 //! * `{"cmd":"subscribe"}` — switch this connection to the telemetry
-//!   stream (one JSON event line per request and per layer).
+//!   stream (one JSON event line per request, and per layer a cold
+//!   request ran).
 //! * `{"cmd":"shutdown"}` — reply, then stop the daemon.
 //!
 //! ## Replies
@@ -262,18 +263,18 @@ impl AnalyzeReply {
     fn to_line_with(&self, req_id: u64) -> String {
         let result = &self.result;
         let mut out = String::with_capacity(
-            160 + self.pipeline_id.len() + 16 * result.layers.len() + 32 * result.starts.len(),
+            160 + self.pipeline_id.len() + 16 * result.trace.len() + 32 * result.starts.len(),
         );
         out.push_str("{\"fingerprint\":\"");
         push_hex(&mut out, self.fingerprint);
         out.push_str("\",\"ok\":true,\"pipeline\":");
         escape_into(&mut out, &self.pipeline_id);
         let _ = write!(out, ",\"req_id\":{req_id},\"result\":{{\"layers\":[");
-        for (i, layer) in result.layers.iter().enumerate() {
+        for (i, t) in result.trace.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            escape_into(&mut out, layer);
+            escape_into(&mut out, t.name);
         }
         let _ = write!(
             out,
@@ -716,19 +717,18 @@ impl Request {
     }
 }
 
-/// The deterministic `result` object of an analysis reply: starts (hex
-/// address, provenance token) in address order, layer names, and the
-/// start count. Timing and decode-work fields are deliberately
-/// *excluded* — they differ between a cold run and a replayed one, and
-/// this object must render byte-identically for both (telemetry events
-/// carry the timing).
+/// The `result` object of an analysis reply: starts (hex address,
+/// provenance token) in address order, layer names, and the start
+/// count. It renders only the result's content, so a cold run, a cache
+/// or store hit, and a delta answer render it byte-identically; the
+/// layer timings of a cold run travel in its telemetry events.
 pub fn result_json(result: &DetectionResult) -> Json {
     let starts: Vec<Json> = result
         .starts
         .iter()
         .map(|(addr, prov)| Json::Arr(vec![Json::str(hex_u64(*addr)), Json::str(prov.to_string())]))
         .collect();
-    let layers: Vec<Json> = result.layers.iter().map(|l| Json::str(*l)).collect();
+    let layers: Vec<Json> = result.trace.iter().map(|t| Json::str(t.name)).collect();
     obj([
         ("start_count", Json::int(result.starts.len() as u64)),
         ("starts", Json::Arr(starts)),
@@ -830,14 +830,19 @@ impl Reply {
 }
 
 /// Renders the telemetry event stream of one handled request: a
-/// `request` event (source, wall time), then one `layer` event per
-/// [`LayerTrace`] — per-layer wall time, start delta sizes, and
-/// decode-cache work. Warm answers replay the trace persisted with the
-/// result, so subscribers see the per-layer telemetry either way.
-/// Every event carries the reply's `req_id`, so a subscriber can
-/// correlate layer events with the originating request.
+/// `request` event (source, wall time), then — for a `cold` answer only
+/// — one `layer` event per [`LayerTrace`]: per-layer wall time, start
+/// delta sizes, and decode-cache work. The events describe only layers
+/// that ran for this request: a cache, store, coalesced or delta answer
+/// ran none, so it emits the `request` event alone. Every event carries
+/// the reply's `req_id`, so a subscriber can correlate layer events
+/// with the originating request.
 pub fn telemetry_events(reply: &AnalyzeReply) -> Vec<String> {
-    let mut events = Vec::with_capacity(1 + reply.result.trace.len());
+    let ran: &[LayerTrace] = match reply.source {
+        ServeSource::Cold => &reply.result.trace,
+        _ => &[],
+    };
+    let mut events = Vec::with_capacity(1 + ran.len());
     events.push(
         obj([
             ("event", Json::str("request")),
@@ -850,7 +855,7 @@ pub fn telemetry_events(reply: &AnalyzeReply) -> Vec<String> {
         ])
         .to_string(),
     );
-    for (index, t) in reply.result.trace.iter().enumerate() {
+    for (index, t) in ran.iter().enumerate() {
         events.push(layer_event(reply, index, t));
     }
     events
@@ -1109,8 +1114,13 @@ mod tests {
                             .into_iter()
                             .map(|(addr, p)| (addr, PROVENANCES[p]))
                             .collect(),
-                        layers: layers.into_iter().map(|l| LAYER_NAMES[l]).collect(),
-                        trace: Vec::new(),
+                        trace: layers
+                            .into_iter()
+                            .map(|l| LayerTrace {
+                                name: LAYER_NAMES[l],
+                                ..LayerTrace::default()
+                            })
+                            .collect(),
                     }),
                 },
             )

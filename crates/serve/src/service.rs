@@ -54,11 +54,12 @@
 //!    lands or fails. `shutdown` and dropping the service drain the
 //!    pending saves, so a clean exit keeps every answer it gave.
 //!
-//! Every analyze/query answer also broadcasts its telemetry — a
-//! `request` event plus one `layer` event per [`fetch_core::LayerTrace`]
-//! — to the subscribers registered on the [`TelemetryHub`]. Warm
-//! answers replay the trace persisted with the result, so the per-layer
-//! telemetry survives both the cache and a restart.
+//! Every analyze/query answer also broadcasts its telemetry to the
+//! subscribers registered on the [`TelemetryHub`]: a `request` event,
+//! plus, for a `cold` answer, one `layer` event per
+//! [`fetch_core::LayerTrace`] of the run it just did. A warm, coalesced
+//! or delta answer ran no layer, so it sends the `request` event alone
+//! (see [`telemetry_events`]).
 
 use crate::fault::{FaultKind, FaultPlan};
 use crate::json::Json;
@@ -234,8 +235,8 @@ impl ServiceObs {
         &self.request_us[idx]
     }
 
-    /// Records the per-layer walls of a freshly computed trace (warm
-    /// answers replay persisted traces and are *not* re-recorded).
+    /// Records the per-layer walls of a freshly computed trace (only a
+    /// cold answer ran its layers).
     fn record_layer_walls(&self, result: &DetectionResult) {
         let mut walls = self.layer_walls.lock().unwrap_or_else(|p| p.into_inner());
         for t in &result.trace {
@@ -1099,12 +1100,14 @@ mod tests {
 
         let text = String::from_utf8(captured.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        // Two answered requests × (1 request event + 4 layer events).
-        assert_eq!(lines.len(), 10, "{text}");
+        // The cold answer: 1 request event + 4 layer events. The cache
+        // hit ran no layer: its request event alone.
+        assert_eq!(lines.len(), 6, "{text}");
         assert!(lines[0].contains("\"event\":\"request\""));
         assert!(lines[0].contains("\"source\":\"cold\""));
         assert!(lines[1].contains("\"event\":\"layer\""));
         assert!(lines[1].contains("\"layer\":\"FDE\""));
+        assert!(lines[5].contains("\"event\":\"request\""));
         assert!(lines[5].contains("\"source\":\"cache\""));
         let stats = service.stats();
         assert_eq!(stats.counter(StatsCounter::Query), 2);

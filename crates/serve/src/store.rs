@@ -265,11 +265,6 @@ impl ResultStore {
         self.load_us = Some(load_us);
     }
 
-    /// The store's root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// The lifecycle counters of this store instance.
     pub fn lifecycle(&self) -> StoreLifecycle {
         StoreLifecycle {
@@ -586,12 +581,6 @@ impl ResultStore {
         Ok(())
     }
 
-    /// Whether the key has a (syntactically present, not validated)
-    /// entry.
-    pub fn contains(&self, fingerprint: u64, pipeline_id: &str) -> bool {
-        self.path_for(fingerprint, pipeline_id).exists()
-    }
-
     /// Entry count and total disk bytes (by directory scan), plus the
     /// lifecycle counters of this instance.
     pub fn stats(&self) -> io::Result<crate::protocol::StoreStats> {
@@ -639,12 +628,11 @@ mod tests {
         let fp = content_fingerprint(&case.binary);
 
         let store = ResultStore::open(&dir).unwrap();
-        assert!(!store.contains(fp, &pipeline.id()));
         assert!(store.load_full(fp, &pipeline.id()).unwrap().is_none());
         store
             .save_with_digest(fp, &pipeline.id(), &result, None)
             .unwrap();
-        assert!(store.contains(fp, &pipeline.id()));
+        assert!(store.load_full(fp, &pipeline.id()).unwrap().is_some());
 
         // A second instance over the same directory — the restart shape.
         let restarted = ResultStore::open(&dir).unwrap();
@@ -772,8 +760,9 @@ mod tests {
         assert_eq!(stats.entries, 2, "GC must hold the entry bound");
         assert_eq!(stats.gc_removed, 2);
         assert!(stats.gc_bytes_freed > 0);
-        assert!(!store.contains(fps[0], &pipeline.id()), "oldest evicted");
-        assert!(store.contains(fps[3], &pipeline.id()), "newest kept");
+        let present = |fp| store.load_full(fp, &pipeline.id()).unwrap().is_some();
+        assert!(!present(fps[0]), "oldest evicted");
+        assert!(present(fps[3]), "newest kept");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -801,7 +790,8 @@ mod tests {
         let file = fs::read(&path).unwrap();
         let id_len = u16::from_le_bytes(file[14..16].try_into().unwrap()) as usize;
         let version_at = 16 + id_len + 4;
-        for version in [1u16, 2, 3, 5] {
+        let others = (1..fetch_core::RESULT_VERSION).chain([fetch_core::RESULT_VERSION + 1]);
+        for version in others {
             let mut other = file.clone();
             other[version_at..version_at + 2].copy_from_slice(&version.to_le_bytes());
             fs::write(&path, &other).unwrap();

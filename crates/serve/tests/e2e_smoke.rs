@@ -152,9 +152,10 @@ fn daemon_serves_cache_and_store_hits_byte_identical_across_restart() {
     expect_source(&queried, "cache");
     assert_eq!(result_text(&queried), cold_result);
 
-    // Telemetry: the subscriber saw a request event per answer plus one
-    // layer event per pipeline layer, warm or cold.
-    let expected_events = 3 * (1 + Pipeline::fetch().len());
+    // Telemetry: the subscriber saw a request event per answer, and one
+    // layer event per pipeline layer for the cold answer only (the two
+    // warm answers ran no layer).
+    let expected_events = 3 + Pipeline::fetch().len();
     let mut events = Vec::new();
     for _ in 0..expected_events {
         let mut event = String::new();
@@ -165,7 +166,12 @@ fn daemon_serves_cache_and_store_hits_byte_identical_across_restart() {
         events[0].contains("\"event\":\"request\"") && events[0].contains("\"source\":\"cold\"")
     );
     assert!(events[1].contains("\"event\":\"layer\"") && events[1].contains("\"layer\":\"FDE\""));
-    assert!(events[5].contains("\"source\":\"cache\""));
+    for warm in &events[5..] {
+        assert!(
+            warm.contains("\"event\":\"request\"") && warm.contains("\"source\":\"cache\""),
+            "{warm}"
+        );
+    }
 
     // Stats expose the new cache counters. The store save lands on the
     // service's side worker after the reply, so the store's one entry
@@ -530,9 +536,11 @@ fn fails_with_status_2(args: &[&str]) -> String {
 }
 
 /// The daemon's transports are `--socket` and `--stdio`: any other
-/// transport flag is an unknown flag, and a daemon given neither
-/// transport exits before it opens anything (here: its store). Each
-/// exits with status 2 and a message naming what is wrong.
+/// transport flag is an unknown flag, a daemon given neither transport
+/// exits before it opens anything (here: its store), and `--stdio`
+/// rejects each socket-transport flag before it creates the socket or
+/// the store. Each exits with status 2 and a message naming what is
+/// wrong.
 #[test]
 fn daemon_rejects_unknown_transport_flags_and_a_missing_transport() {
     for (flag, value) in [("--queue", "x"), ("--poll-ms", "20")] {
@@ -542,12 +550,26 @@ fn daemon_rejects_unknown_transport_flags_and_a_missing_transport() {
     }
     let dir = scratch_dir("no-transport");
     let store = dir.join("store");
-    let stderr = fails_with_status_2(&["daemon", "--store", store.to_str().unwrap()]);
+    let store_arg = store.to_str().unwrap();
+    let stderr = fails_with_status_2(&["daemon", "--store", store_arg]);
     assert!(
         stderr.contains("--socket") && stderr.contains("--stdio"),
         "{stderr}"
     );
     assert!(!store.exists(), "the store was opened before the check");
+    let socket = dir.join("fetch.sock");
+    for (flag, value) in [
+        ("--socket", socket.to_str().unwrap()),
+        ("--jobs", "3"),
+        ("--queue-depth", "4"),
+        ("--io-timeout-ms", "5"),
+    ] {
+        let args = ["daemon", "--stdio", flag, value, "--store", store_arg];
+        let stderr = fails_with_status_2(&args);
+        assert!(stderr.contains(flag), "{flag}: {stderr}");
+        assert!(!socket.exists(), "{flag}: a socket was created");
+        assert!(!store.exists(), "{flag}: the store was opened");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

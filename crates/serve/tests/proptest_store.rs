@@ -10,7 +10,10 @@
 //! blob version field set to any `u16`, the pipeline-id length field
 //! set past the end of the file, or an appended trailing byte.
 
-use fetch_core::{content_fingerprint, DetectionResult, ImageDigest, Pipeline, KNOWN_LAYERS};
+use fetch_core::{
+    content_fingerprint, serialize_result_with_digest, DetectionResult, ImageDigest, Pipeline,
+    KNOWN_LAYERS,
+};
 use fetch_serve::store::{ResultStore, QUARANTINE_DIR, STORE_EXT};
 use fetch_synth::{synthesize, FeatureRates, SynthConfig};
 use proptest::collection::vec;
@@ -104,16 +107,10 @@ fn arb_mutation() -> impl Strategy<Value = Mutation> {
     ]
 }
 
-/// Field-exact equality: `==` plus the telemetry fields it excludes.
+/// Content equality: `==`, and the same persisted encoding.
 fn identical(a: &DetectionResult, b: &DetectionResult) -> bool {
-    a == b
-        && a.trace.iter().zip(&b.trace).all(|(x, y)| {
-            x.wall_nanos == y.wall_nanos
-                && x.decode_hits == y.decode_hits
-                && x.decode_misses == y.decode_misses
-                && x.bytes_scanned == y.bytes_scanned
-                && x.candidates_checked == y.candidates_checked
-        })
+    let encode = |r| serialize_result_with_digest(r, None).expect("known-layer results serialize");
+    a == b && encode(a) == encode(b)
 }
 
 /// The one entry file of a store holding a single key.

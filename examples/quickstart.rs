@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\ndetected {} function starts via layers {:?}",
         result.len(),
-        result.layers
+        result.layer_names()
     );
     println!(
         "call-frame repair: merged {} non-contiguous parts, confirmed {} tail \
