@@ -9,7 +9,7 @@
 //! is tracked, commit-over-commit, from the PR that introduced the dense
 //! instruction store and the incremental recursion engine onward.
 //!
-//! Seven further groups:
+//! Eight further groups:
 //!
 //! * `scaling` — the full pipeline over the large corpus once more: its
 //!   per-layer walls, the large total asserted under the 10 ms budget,
@@ -28,6 +28,10 @@
 //!   `facts_work`, the `.eh_frame` parses and frame-table builds of the
 //!   run plus the image digest over the same
 //!   [`fetch_core::BinaryFacts`] (asserted: one parse).
+//! * `elf_load` — the one ELF loader, [`ElfImage::parse`] plus
+//!   [`ElfImage::to_binary`], on the stripped large binary (the loaded
+//!   sections are asserted byte-identical to the synthesized ones and
+//!   windows of one shared buffer).
 //! * `cache` — the serving layer: a cold image-keyed cache miss vs
 //!   a warm hit on the same image (the snapshot asserts the hit is
 //!   ≥ 10× faster), the hit rate of a two-round corpus sweep through
@@ -80,7 +84,7 @@
 //! it.
 
 use fetch_bench::{dataset2, default_jobs, BatchDriver, BenchOpts};
-use fetch_binary::{read_elf, write_elf, ElfImage, ElfView};
+use fetch_binary::{write_elf, ElfImage};
 use fetch_core::{
     content_fingerprint, image_fingerprint, run_delta, AnalysisCache, BinaryFacts, DeltaClass,
     DerivedWorkStats, DetectionState, ImageDigest, LayerTrace, Pipeline,
@@ -206,7 +210,7 @@ fn main() {
 
     let mut large_best: Option<PipelineRun> = None;
     let mut ips_curve: Vec<(&str, f64)> = Vec::new();
-    let mut json = String::from("{\n  \"schema\": \"fetch-perf-snapshot/v8\",\n  \"corpora\": [\n");
+    let mut json = String::from("{\n  \"schema\": \"fetch-perf-snapshot/v9\",\n  \"corpora\": [\n");
     for (ci, (name, seed, n_funcs)) in corpora.iter().enumerate() {
         let mut cfg = SynthConfig::small(*seed);
         cfg.n_funcs = *n_funcs;
@@ -441,63 +445,47 @@ fn main() {
         );
     }
 
-    // ELF-load group: the eager `read_elf` path (every section body
-    // copied into its own Vec) vs the zero-copy `ElfImage` view path
-    // (sections as windows of one shared buffer). Byte-for-byte
-    // identical results; the copies column is measured, not assumed.
-    // Measured on the stripped large binary — the motivating workload
-    // is a huge stripped image whose bodies dominate the file.
+    // ELF-load group: the one loader, `ElfImage::parse` + `to_binary`
+    // (sections as windows of one shared buffer). Measured on the
+    // stripped large binary — the motivating workload is a huge stripped
+    // image whose bodies dominate the file.
     let large_image = {
         let mut cfg = SynthConfig::small(9003);
         cfg.n_funcs = 900;
         cfg.rates.split_cold = 0.08;
         cfg.rates.asm_funcs = 45;
-        let case = synthesize(&cfg);
-        let elf = write_elf(&case.binary.stripped());
+        let stripped = synthesize(&cfg).binary.stripped();
+        let elf = write_elf(&stripped);
 
-        // Copy accounting is rep-invariant: compute it once, outside
-        // the timing loop.
-        let eager_stats = ElfView::parse(&elf).unwrap().to_owned_with_stats().1;
-        let view_stats = ElfImage::parse(elf.clone()).unwrap().load_stats();
-
-        let mut eager_us = f64::INFINITY;
-        let mut view_us = f64::INFINITY;
+        let mut load_us = f64::INFINITY;
         for _ in 0..reps {
-            let t = Instant::now();
-            let eager = read_elf(&elf).expect("own ELF parses");
-            eager_us = eager_us.min(t.elapsed().as_secs_f64() * 1e6);
             // The clone stands in for ownership transfer of an already
             // resident buffer — keep it out of the timed region.
             let buf = elf.clone();
             let t = Instant::now();
             let image = ElfImage::parse(buf).expect("own ELF parses");
-            let viewed = image.to_binary();
-            view_us = view_us.min(t.elapsed().as_secs_f64() * 1e6);
+            let loaded = image.to_binary();
+            load_us = load_us.min(t.elapsed().as_secs_f64() * 1e6);
             assert_eq!(
-                eager.sections, viewed.sections,
-                "view path must load byte-identical sections"
+                loaded.sections, stripped.sections,
+                "the loader must load byte-identical sections"
+            );
+            assert!(
+                loaded.sections.windows(2).all(|p| p[0].shares_image(&p[1])),
+                "the loader copied a section body"
             );
         }
-        assert_eq!(
-            view_stats.section_bytes_copied, 0,
-            "view path copies bodies"
-        );
+        let section_bytes: usize = stripped.sections.iter().map(|s| s.bytes.len()).sum();
         let _ = write!(
             json,
             "  \"elf_load\": {{\n    \"image_bytes\": {},\n    \
-             \"section_bytes\": {},\n    \
-             \"eager_read_elf\": {{ \"wall_us\": {eager_us:.1}, \"section_bytes_copied\": {} }},\n    \
-             \"view\": {{ \"wall_us\": {view_us:.1}, \"section_bytes_copied\": {} }}\n  }},\n",
+             \"section_bytes\": {section_bytes},\n    \
+             \"wall_us\": {load_us:.1}\n  }},\n",
             elf.len(),
-            view_stats.section_bytes,
-            eager_stats.section_bytes_copied,
-            view_stats.section_bytes_copied,
         );
         println!(
-            "  load: {} KiB image — eager {eager_us:.1} µs ({} B copied), \
-             view {view_us:.1} µs (0 B copied)",
+            "  load: {} KiB image — {load_us:.1} µs (sections share the image)",
             elf.len() / 1024,
-            eager_stats.section_bytes_copied,
         );
         ElfImage::parse(elf).expect("own ELF parses")
     };
@@ -632,7 +620,7 @@ fn main() {
         let base =
             std::env::temp_dir().join(format!("fetch-serve-snapshot-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&base);
-        let elf_bytes = large_image.view().image().to_vec();
+        let elf_bytes = large_image.bytes().to_vec();
         let submit = |service: &AnalysisService| {
             let t = Instant::now();
             let reply = service.handle(Request::Analyze {

@@ -2,8 +2,8 @@
 //! byte-identical to the pre-refactor hand-assembled stacks.
 //!
 //! Before the `Pipeline` subsystem, every Table III tool model was an
-//! imperative call over a hardcoded slice of layer objects, and `Fetch`
-//! sequenced its four layers by hand. Once the nine stacks became data
+//! imperative call over a hardcoded slice of layer objects, and the FETCH
+//! detector sequenced its four layers by hand. Once the nine stacks became data
 //! (and their [`Pipeline::id`] strings pinned each stack's
 //! composition), a differential against those literal stacks had done
 //! its job. What remains is its output: a golden snapshot of every
@@ -12,7 +12,7 @@
 //! checked here with shared and fresh engines.
 
 use fetch_bench::{dataset2, BenchOpts};
-use fetch_core::{DetectionResult, Fetch, LayerSpec, Pipeline, Tool};
+use fetch_core::{CallFrameRepair, DetectionResult, DetectionState, LayerSpec, Pipeline, Tool};
 use fetch_disasm::{ErrorCallPolicy, RecEngine};
 use fetch_synth::corpus::CorpusScale;
 use fetch_tools::run_tool;
@@ -114,60 +114,64 @@ fn for_tool_pipelines_match_pre_refactor_stacks() {
 
 #[test]
 fn fetch_entry_points_match_pre_refactor_sequence() {
-    // Both `Fetch::detect*` entry points and the engine-threaded
-    // `Fetch::pipeline` run are one executor path; each
-    // must still equal the old hand-sequenced pipeline, including the
-    // ablation-knob variants (which drop layers, not reorder them).
+    // `Pipeline::fetch()` and its ablation specs (which drop layers, not
+    // reorder them) must each equal the old hand-sequenced pipeline, on
+    // a fresh engine and on one threaded through every run.
     let cases = determinism_corpus();
     let case = &cases[cases.len() / 2];
     let mut engine = RecEngine::new();
     for (skip_scan, skip_repair) in [(false, false), (true, false), (false, true), (true, true)] {
-        let fetch = Fetch {
-            skip_pointer_scan: skip_scan,
-            skip_repair,
-        };
         let mut legacy_layers = vec![
             LayerSpec::FdeSeeds,
             LayerSpec::SafeRecursion(ErrorCallPolicy::SliceZero),
         ];
+        let mut id = String::from("FDE+Rec");
         if !skip_scan {
             legacy_layers.push(LayerSpec::PointerScan);
+            id.push_str("+Xref");
         }
         if !skip_repair {
             legacy_layers.push(LayerSpec::CallFrameRepair);
+            id.push_str("+TcallFix");
         }
         let legacy = Pipeline::new(legacy_layers).run_with_engine(&case.binary, &mut engine);
+        let spec = Pipeline::parse(&id).unwrap();
+        assert_identical(&spec.run(&case.binary), &legacy, &format!("{id} run"));
         assert_identical(
-            &fetch.detect(&case.binary),
+            &spec.run_with_engine(&case.binary, &mut engine),
             &legacy,
-            &format!("detect (skip_scan={skip_scan}, skip_repair={skip_repair})"),
+            &format!("{id} run_with_engine"),
         );
-        assert_identical(
-            &fetch.pipeline().run_with_engine(&case.binary, &mut engine),
-            &legacy,
-            "pipeline().run_with_engine",
-        );
-        let (with_report, report) = fetch.detect_with_report(&case.binary);
-        assert_identical(&with_report, &legacy, "detect_with_report");
-        if skip_repair {
-            // No repair layer ran: the report must be the empty default.
-            assert!(report.merged.is_empty() && report.tail_calls.is_empty());
-            assert!(report.bad_fdes_removed.is_empty());
-            assert_eq!(report.skipped_incomplete, 0);
-        } else {
-            // The report is the repair layer's: its removals are exactly
-            // the TcallFix trace's net removed starts.
-            let tcall_trace = with_report.trace.last().expect("repair ran");
-            assert_eq!(tcall_trace.name, "TcallFix");
-            let mut reported: Vec<u64> = report
-                .merged
-                .iter()
-                .map(|(removed, _)| *removed)
-                .chain(report.bad_fdes_removed.iter().copied())
-                .collect();
-            reported.sort_unstable();
-            let traced: Vec<u64> = tcall_trace.removed.iter().map(|(a, _)| *a).collect();
-            assert_eq!(reported, traced, "report/trace removal mismatch");
-        }
     }
+    let fetch = Pipeline::fetch().run(&case.binary);
+    assert_eq!(fetch.layer_names(), ["FDE", "Rec", "Xref", "TcallFix"]);
+
+    // The repair report, from Algorithm 1 run by hand on an
+    // `FDE+Rec+Xref` state: its removals are exactly the starts the
+    // repair removed, which are the pipeline's TcallFix trace's.
+    let mut state = DetectionState::new(&case.binary);
+    Pipeline::parse("FDE+Rec+Xref").unwrap().apply(&mut state);
+    let before = state.starts().clone();
+    let report = CallFrameRepair::default().repair(&mut state);
+    let removed: Vec<u64> = before
+        .keys()
+        .filter(|a| !state.starts().contains_key(a))
+        .copied()
+        .collect();
+    let mut reported: Vec<u64> = report
+        .merged
+        .iter()
+        .map(|(removed, _)| *removed)
+        .chain(report.bad_fdes_removed.iter().copied())
+        .collect();
+    reported.sort_unstable();
+    assert!(
+        !reported.is_empty(),
+        "the repair merged or removed something"
+    );
+    assert_eq!(reported, removed, "report/state removal mismatch");
+    let tcall_trace = fetch.trace.last().expect("repair ran");
+    assert_eq!(tcall_trace.name, "TcallFix");
+    let traced: Vec<u64> = tcall_trace.removed.iter().map(|(a, _)| *a).collect();
+    assert_eq!(reported, traced, "report/trace removal mismatch");
 }

@@ -1,21 +1,14 @@
-//! Minimal ELF64 writer and eager reader.
+//! Minimal ELF64 writer.
 //!
 //! Corpus binaries can be serialized to real System-V ELF executables
-//! (readable by `readelf`/`objdump`) and loaded back. Only the features
-//! the paper's detectors need are modeled: progbits sections, a function
-//! symbol table, and the entry point. Build metadata is not representable
-//! in plain ELF, so [`read_elf`] restores a default
-//! [`BuildInfo`](crate::BuildInfo).
-//!
-//! [`read_elf`] is the eager bridge: it validates through the hardened
-//! [`crate::ElfView`] parser and then copies every section body into an
-//! owned [`Binary`]. Callers that keep the image buffer should prefer
-//! [`crate::ElfImage`], whose sections are zero-copy windows of one
-//! shared buffer.
+//! (readable by `readelf`/`objdump`) and loaded back through
+//! [`crate::ElfImage`]. Only the features the paper's detectors need are
+//! modeled: progbits sections, a function symbol table, and the entry
+//! point. Build metadata is not representable in plain ELF, so a loaded
+//! image gets a default [`BuildInfo`](crate::BuildInfo).
 
 use crate::binary::Binary;
 use crate::section::SectionKind;
-use crate::view::ElfView;
 use std::fmt;
 
 pub(crate) const EHDR_SIZE: usize = 64;
@@ -233,27 +226,17 @@ pub fn write_elf(bin: &Binary) -> Vec<u8> {
     out
 }
 
-/// Parses an ELF64 image produced by [`write_elf`] (or any conforming
-/// ELF with the standard four section names) into an owned [`Binary`],
-/// copying every section body.
-///
-/// Validation goes through the hardened [`ElfView`] parser; prefer
-/// [`crate::ElfImage`] when the image buffer can be kept alive — its
-/// sections are zero-copy windows of the shared buffer.
-///
-/// # Errors
-///
-/// Returns an [`ElfError`] describing the first structural problem.
-pub fn read_elf(bytes: &[u8]) -> Result<Binary, ElfError> {
-    Ok(ElfView::parse(bytes)?.to_owned())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::binary::Symbol;
     use crate::meta::BuildInfo;
     use crate::section::Section;
+    use crate::view::ElfImage;
+
+    fn load(bytes: &[u8]) -> Result<Binary, ElfError> {
+        ElfImage::parse(bytes.to_vec()).map(|image| image.to_binary())
+    }
 
     fn sample() -> Binary {
         Binary {
@@ -285,7 +268,7 @@ mod tests {
     fn roundtrip() {
         let bin = sample();
         let elf = write_elf(&bin);
-        let back = read_elf(&elf).unwrap();
+        let back = load(&elf).unwrap();
         assert_eq!(back.sections, bin.sections);
         assert_eq!(back.symbols, bin.symbols);
         assert_eq!(back.entry, bin.entry);
@@ -295,17 +278,17 @@ mod tests {
     fn roundtrip_stripped() {
         let bin = sample().stripped();
         let elf = write_elf(&bin);
-        let back = read_elf(&elf).unwrap();
+        let back = load(&elf).unwrap();
         assert!(back.symbols.is_empty());
         assert_eq!(back.sections, bin.sections);
     }
 
     #[test]
     fn magic_is_checked() {
-        assert_eq!(read_elf(b"not an elf").unwrap_err(), ElfError::BadMagic);
+        assert_eq!(load(b"not an elf").unwrap_err(), ElfError::BadMagic);
         let mut elf = write_elf(&sample());
         elf[4] = 1; // ELFCLASS32
-        assert_eq!(read_elf(&elf).unwrap_err(), ElfError::BadMagic);
+        assert_eq!(load(&elf).unwrap_err(), ElfError::BadMagic);
     }
 
     #[test]

@@ -10,17 +10,12 @@
 //! per part, provenance ([`FuncKind`]) and reachability ([`Reach`])
 //! classes. A [`TestCase`] pairs the two.
 //!
-//! Binaries serialize to real ELF64 images via [`write_elf`]. Loading
-//! back has two paths:
-//!
-//! * **zero-copy** — [`ElfImage`] (owned, shareable) and [`ElfView`]
-//!   (borrowed) parse and validate the header and section table but
-//!   leave section bodies as windows of the one backing buffer.
-//!   [`ElfImage::to_binary`] materializes a [`Binary`] whose sections
-//!   all share that buffer — no body bytes are copied, which
-//!   [`LoadStats`] lets callers verify;
-//! * **eager** — [`read_elf`] copies every section body into an owned
-//!   [`Binary`] (validated through the same hardened parser).
+//! Binaries serialize to real ELF64 images via [`write_elf`] and load
+//! back through one loader, [`ElfImage`]: it parses and validates the
+//! header and section table but leaves section bodies as windows of the
+//! one backing buffer. [`ElfImage::to_binary`] materializes a [`Binary`]
+//! whose sections all share that buffer — no body bytes are copied,
+//! which [`Section::shares_image`] lets callers check.
 //!
 //! Malformed images — truncated headers, offsets that overflow or point
 //! outside the file, overlapping or duplicated sections — are rejected
@@ -42,7 +37,6 @@
 //! let image = ElfImage::parse(write_elf(&bin))?;
 //! let back = image.to_binary(); // zero section-body copies
 //! assert_eq!(back.sections, bin.sections);
-//! assert_eq!(image.load_stats().section_bytes_copied, 0);
 //! # Ok::<(), fetch_binary::ElfError>(())
 //! ```
 
@@ -57,8 +51,8 @@ mod truth;
 mod view;
 
 pub use binary::{Binary, Symbol, TestCase};
-pub use elf::{read_elf, write_elf, ElfError};
+pub use elf::{write_elf, ElfError};
 pub use meta::{BuildInfo, Compiler, Lang, OptLevel};
 pub use section::{Section, SectionBytes, SectionKind};
 pub use truth::{FuncKind, FunctionTruth, GroundTruth, Part, Reach};
-pub use view::{ElfImage, ElfView, LoadStats, SectionRef};
+pub use view::ElfImage;

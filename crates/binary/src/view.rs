@@ -1,24 +1,14 @@
-//! Zero-copy, lazily sliced ELF views.
+//! The ELF loader: one owned, zero-copy [`ElfImage`].
 //!
-//! [`crate::read_elf`] copies every section body into its own `Vec<u8>`,
-//! so a large stripped binary is resident twice while it is analysed.
-//! This module is the streaming-input substrate that avoids that:
-//!
-//! * [`ElfView`] — a *borrowed* parse of an ELF64 image. The header and
-//!   section table are validated eagerly (every offset bounds- and
-//!   overflow-checked, overlapping or duplicate sections rejected with a
-//!   typed [`ElfError`]); section **bodies** stay as `Range<usize>`
-//!   windows resolved on demand, so looking at `.text` never copies it.
-//! * [`ElfImage`] — the owning, shareable form: one `Arc`'d buffer plus
-//!   the validated layout. [`ElfImage::to_binary`] materializes a
-//!   [`Binary`] whose sections are all windows of that one buffer —
-//!   zero body-byte copies, and clones of the image (e.g. one per batch
-//!   worker) share the same resident bytes.
-//!
-//! The eager bridge for callers that need an owned [`Binary`] from a
-//! borrowed buffer is [`ElfView::to_owned`]; [`LoadStats`] reports how
-//! many body bytes each path copied so the benchmarks can verify the
-//! zero-copy claim rather than assume it.
+//! [`ElfImage::parse`] takes ownership of an ELF64 image and validates
+//! its header and section table eagerly (every offset bounds- and
+//! overflow-checked, overlapping or duplicate sections rejected with a
+//! typed [`ElfError`]). Section **bodies** stay as `Range<usize>` windows
+//! of the one `Arc`'d buffer: [`ElfImage::to_binary`] materializes a
+//! [`Binary`] whose sections all share that buffer — zero body-byte
+//! copies, which [`Section::shares_image`] lets callers check — and
+//! clones of the image (e.g. one per batch worker) share the same
+//! resident bytes.
 
 use crate::binary::{Binary, Symbol};
 use crate::elf::{ElfError, EHDR_SIZE, SHDR_SIZE, SHT_PROGBITS, SHT_SYMTAB, SYM_SIZE};
@@ -27,22 +17,8 @@ use crate::section::{Section, SectionBytes, SectionKind};
 use std::ops::Range;
 use std::sync::Arc;
 
-/// Copy accounting for one load path, so benchmarks measure the
-/// zero-copy claim instead of assuming it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LoadStats {
-    /// Size of the backing image in bytes.
-    pub image_bytes: usize,
-    /// Total section-body bytes reachable through the loaded sections.
-    pub section_bytes: usize,
-    /// Section-body bytes that were copied out of the image to build the
-    /// result — `0` on the shared-image path, `section_bytes` on the
-    /// eager [`ElfView::to_owned`] bridge.
-    pub section_bytes_copied: usize,
-}
-
-/// The validated layout shared by [`ElfView`] and [`ElfImage`]: section
-/// windows and symbol-table location, but no section bodies.
+/// The validated layout of an [`ElfImage`]: section windows and
+/// symbol-table location, but no section bodies.
 #[derive(Debug, Clone)]
 struct Layout {
     entry: u64,
@@ -220,128 +196,6 @@ fn parse_symbols(bytes: &[u8], layout: &Layout) -> Vec<Symbol> {
     symbols
 }
 
-/// One section of an [`ElfView`]: kind, virtual address, and the body as
-/// a borrowed slice of the image (no copy was made to produce it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SectionRef<'a> {
-    /// Section role.
-    pub kind: SectionKind,
-    /// Virtual address of the first byte.
-    pub addr: u64,
-    /// The body, borrowed from the image.
-    pub bytes: &'a [u8],
-}
-
-/// A borrowed, lazily sliced parse of an ELF64 image.
-///
-/// Construction validates the header and section table (see the crate
-/// docs); section bodies are *not* touched until asked for, and are
-/// handed out as borrows of the backing buffer.
-///
-/// # Examples
-///
-/// ```
-/// use fetch_binary::{Binary, BuildInfo, ElfView, Section, SectionKind, write_elf};
-///
-/// let bin = Binary {
-///     name: "demo".into(),
-///     info: BuildInfo::gcc_o2(),
-///     sections: vec![Section::new(SectionKind::Text, 0x40_1000, vec![0x55, 0xc3])],
-///     symbols: vec![],
-///     entry: 0x40_1000,
-/// };
-/// let image = write_elf(&bin);
-/// let view = ElfView::parse(&image)?;
-/// let text = view.section(SectionKind::Text).expect("has text");
-/// assert_eq!(text.addr, 0x40_1000);
-/// assert_eq!(text.bytes, &[0x55, 0xc3]); // borrowed from `image`, not copied
-/// # Ok::<(), fetch_binary::ElfError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct ElfView<'a> {
-    data: &'a [u8],
-    layout: Layout,
-}
-
-impl<'a> ElfView<'a> {
-    /// Parses and validates the image's header and section table.
-    ///
-    /// # Errors
-    ///
-    /// A typed [`ElfError`] for every structural problem — truncation,
-    /// offset/size overflow, overlapping or duplicated sections,
-    /// unrecognized section names. Malformed input never panics and
-    /// never produces an out-of-bounds window.
-    pub fn parse(data: &'a [u8]) -> Result<ElfView<'a>, ElfError> {
-        let layout = parse_layout(data)?;
-        Ok(ElfView { data, layout })
-    }
-
-    /// The raw image this view borrows.
-    pub fn image(&self) -> &'a [u8] {
-        self.data
-    }
-
-    /// The program entry point.
-    pub fn entry(&self) -> u64 {
-        self.layout.entry
-    }
-
-    /// Iterates over the recognized sections without copying bodies.
-    pub fn sections(&self) -> impl Iterator<Item = SectionRef<'a>> + '_ {
-        let data = self.data;
-        self.layout
-            .sections
-            .iter()
-            .map(move |(kind, addr, range)| SectionRef {
-                kind: *kind,
-                addr: *addr,
-                bytes: &data[range.clone()],
-            })
-    }
-
-    /// The section of the given kind, body borrowed on demand.
-    pub fn section(&self, kind: SectionKind) -> Option<SectionRef<'a>> {
-        self.sections().find(|s| s.kind == kind)
-    }
-
-    /// Parses the function symbols (names are the only allocation).
-    pub fn symbols(&self) -> Vec<Symbol> {
-        parse_symbols(self.data, &self.layout)
-    }
-
-    /// The eager bridge: an owned [`Binary`] whose sections each copy
-    /// their body out of the image — for callers that cannot keep the
-    /// backing buffer alive. Prefer [`ElfImage::to_binary`] (zero-copy)
-    /// when the buffer is owned.
-    pub fn to_owned(&self) -> Binary {
-        self.to_owned_with_stats().0
-    }
-
-    /// [`ElfView::to_owned`], also reporting how many body bytes were
-    /// copied (always every section byte on this path).
-    pub fn to_owned_with_stats(&self) -> (Binary, LoadStats) {
-        let sections: Vec<Section> = self
-            .sections()
-            .map(|s| Section::new(s.kind, s.addr, s.bytes.to_vec()))
-            .collect();
-        let copied = sections.iter().map(|s| s.bytes.len()).sum();
-        let binary = Binary {
-            name: "elf".into(),
-            info: BuildInfo::gcc_o2(),
-            sections,
-            symbols: self.symbols(),
-            entry: self.layout.entry,
-        };
-        let stats = LoadStats {
-            image_bytes: self.data.len(),
-            section_bytes: copied,
-            section_bytes_copied: copied,
-        };
-        (binary, stats)
-    }
-}
-
 /// An owned, shareable ELF image: one `Arc`'d backing buffer plus the
 /// validated layout.
 ///
@@ -369,7 +223,6 @@ impl<'a> ElfView<'a> {
 /// assert_eq!(loaded.sections, bin.sections);
 /// // Both sections are windows of one shared buffer: zero body copies.
 /// assert!(loaded.sections[0].shares_image(&loaded.sections[1]));
-/// assert_eq!(image.load_stats().section_bytes_copied, 0);
 /// # Ok::<(), fetch_binary::ElfError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -385,7 +238,10 @@ impl ElfImage {
     ///
     /// # Errors
     ///
-    /// As [`ElfView::parse`].
+    /// A typed [`ElfError`] for every structural problem — truncation,
+    /// offset/size overflow, overlapping or duplicated sections,
+    /// unrecognized section names. Malformed input never panics and
+    /// never produces an out-of-bounds window.
     pub fn parse(bytes: Vec<u8>) -> Result<ElfImage, ElfError> {
         let layout = parse_layout(&bytes)?;
         let symbols = parse_symbols(&bytes, &layout);
@@ -396,12 +252,9 @@ impl ElfImage {
         })
     }
 
-    /// A borrowed view over the resident image.
-    pub fn view(&self) -> ElfView<'_> {
-        ElfView {
-            data: &self.buf,
-            layout: self.layout.clone(),
-        }
+    /// The whole backing image, as parsed.
+    pub fn bytes(&self) -> &[u8] {
+        &self.buf
     }
 
     /// The program entry point.
@@ -418,9 +271,9 @@ impl ElfImage {
     /// image's shared buffer — **zero** section-body bytes are copied,
     /// and every produced section keeps the one image buffer alive.
     ///
-    /// ELF carries no build metadata, so like [`crate::read_elf`] the
-    /// result gets a default [`BuildInfo`] and the name `"elf"`; callers
-    /// with out-of-band metadata overwrite both fields.
+    /// ELF carries no build metadata, so the result gets a default
+    /// [`BuildInfo`] and the name `"elf"`; callers with out-of-band
+    /// metadata overwrite both fields.
     pub fn to_binary(&self) -> Binary {
         let sections = self
             .layout
@@ -439,16 +292,6 @@ impl ElfImage {
             sections,
             symbols: self.symbols.clone(),
             entry: self.layout.entry,
-        }
-    }
-
-    /// Copy accounting for the shared-image path ([`ElfImage::to_binary`]):
-    /// `section_bytes_copied` is zero by construction.
-    pub fn load_stats(&self) -> LoadStats {
-        LoadStats {
-            image_bytes: self.buf.len(),
-            section_bytes: self.layout.sections.iter().map(|(_, _, r)| r.len()).sum(),
-            section_bytes_copied: 0,
         }
     }
 }
@@ -487,20 +330,18 @@ mod tests {
     #[test]
     fn view_matches_eager_reader() {
         let bin = sample();
-        let image = write_elf(&bin);
-        let view = ElfView::parse(&image).unwrap();
-        assert_eq!(view.entry(), bin.entry);
-        assert_eq!(view.sections().count(), 4);
+        let bytes = write_elf(&bin);
+        let image = ElfImage::parse(bytes.clone()).unwrap();
+        assert_eq!(image.entry(), bin.entry);
+        assert_eq!(image.bytes(), &bytes[..]);
+        assert_eq!(image.symbols(), bin.symbols);
+        let loaded = image.to_binary();
+        assert_eq!(loaded.sections.len(), 4);
         for s in &bin.sections {
-            let v = view.section(s.kind).expect("section present");
+            let v = loaded.section(s.kind).expect("section present");
             assert_eq!(v.addr, s.addr);
-            assert_eq!(v.bytes, &s.bytes[..]);
+            assert_eq!(v.bytes, s.bytes);
         }
-        assert_eq!(view.symbols(), bin.symbols);
-        let (owned, stats) = view.to_owned_with_stats();
-        assert_eq!(owned.sections, bin.sections);
-        assert_eq!(stats.section_bytes_copied, stats.section_bytes);
-        assert_eq!(stats.image_bytes, image.len());
     }
 
     #[test]
@@ -514,12 +355,6 @@ mod tests {
         for pair in loaded.sections.windows(2) {
             assert!(pair[0].shares_image(&pair[1]), "one backing buffer");
         }
-        let stats = image.load_stats();
-        assert_eq!(stats.section_bytes_copied, 0);
-        assert_eq!(
-            stats.section_bytes,
-            bin.sections.iter().map(|s| s.bytes.len()).sum::<usize>()
-        );
         // A clone of the materialized binary still shares the image.
         let cloned = loaded.clone();
         assert!(cloned.sections[0].shares_image(&loaded.sections[1]));
@@ -535,7 +370,7 @@ mod tests {
         let rodata_off = shoff + 2 * SHDR_SIZE + 24;
         let text_at: [u8; 8] = image[text_off..text_off + 8].try_into().unwrap();
         image[rodata_off..rodata_off + 8].copy_from_slice(&text_at);
-        match ElfView::parse(&image) {
+        match ElfImage::parse(image) {
             Err(ElfError::OverlappingSections { .. }) => {}
             other => panic!("expected overlap error, got {other:?}"),
         }
@@ -549,7 +384,7 @@ mod tests {
         // Rename .rodata's header to point at .text's name offset.
         let text_name = image[shoff + SHDR_SIZE..shoff + SHDR_SIZE + 4].to_vec();
         image[shoff + 2 * SHDR_SIZE..shoff + 2 * SHDR_SIZE + 4].copy_from_slice(&text_name);
-        match ElfView::parse(&image) {
+        match ElfImage::parse(image) {
             Err(ElfError::DuplicateSection(".text")) => {}
             // The two sections also overlap nowhere, so the duplicate
             // check must fire first.
@@ -565,7 +400,7 @@ mod tests {
         let mut image = base.clone();
         image[40..48].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(
-            ElfView::parse(&image),
+            ElfImage::parse(image),
             Err(ElfError::RangeOverflow { .. } | ElfError::Truncated)
         ));
         // A section size that overflows its offset.
@@ -574,7 +409,7 @@ mod tests {
         let size_off = shoff + SHDR_SIZE + 32; // .text sh_size
         image[size_off..size_off + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(
-            ElfView::parse(&image),
+            ElfImage::parse(image),
             Err(ElfError::RangeOverflow { .. } | ElfError::Truncated)
         ));
     }

@@ -1,7 +1,7 @@
 //! Malformed-ELF hardening suite: every structurally broken image must
 //! come back as a typed [`ElfError`] — never a panic, arithmetic wrap,
-//! or out-of-bounds slice — through both the lazy ([`ElfView`],
-//! [`ElfImage`]) and eager ([`read_elf`]) loaders.
+//! or out-of-bounds slice — through the one loader, [`ElfImage`], and
+//! the [`fetch_binary::Binary`] it materializes.
 //!
 //! The table-driven half pins down one regression per hardening rule;
 //! the property-based half fuzzes random mutations and truncations of a
@@ -9,8 +9,7 @@
 //! the unchecked `shoff + i * SHDR_SIZE` / `off + size` arithmetic.
 
 use fetch_binary::{
-    read_elf, write_elf, Binary, BuildInfo, ElfError, ElfImage, ElfView, Section, SectionKind,
-    Symbol,
+    write_elf, Binary, BuildInfo, ElfError, ElfImage, Section, SectionKind, Symbol,
 };
 use proptest::prelude::*;
 
@@ -40,28 +39,15 @@ fn sample() -> Binary {
     }
 }
 
-/// Parses through every entry point; asserts they agree on ok/err and
-/// returns the view-path result. Reaching the return at all means no
-/// path panicked.
+/// Parses through the loader and, on success, materializes the binary
+/// and touches every section body, the symbols and the entry point.
+/// Reaching the return at all means nothing panicked.
 fn parse_everywhere(bytes: &[u8]) -> Result<(), ElfError> {
-    let view = ElfView::parse(bytes).map(|v| {
-        // Force the lazy parts too: section bodies, symbols, bridge.
-        let _ = v.sections().map(|s| s.bytes.len()).sum::<usize>();
-        let _ = v.symbols();
-        let _ = v.to_owned();
-    });
-    let eager = read_elf(bytes);
-    let image = ElfImage::parse(bytes.to_vec()).map(|i| {
-        let _ = i.to_binary();
-        let _ = i.load_stats();
-    });
-    assert_eq!(view.is_ok(), eager.is_ok(), "lazy and eager paths agree");
-    assert_eq!(
-        view.is_ok(),
-        image.is_ok(),
-        "borrowed and owned views agree"
-    );
-    view
+    ElfImage::parse(bytes.to_vec()).map(|i| {
+        let binary = i.to_binary();
+        let _ = binary.sections.iter().map(|s| s.bytes.len()).sum::<usize>();
+        let _ = (i.symbols().len(), i.entry(), i.bytes().len());
+    })
 }
 
 fn shoff_of(image: &[u8]) -> usize {
@@ -194,8 +180,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     /// Arbitrary byte mutations of a valid image parse to Ok or a typed
-    /// error through every loader — never a panic (a panic fails the
-    /// test) and never a disagreement between the lazy and eager paths.
+    /// error — never a panic (a panic fails the test).
     #[test]
     fn random_mutations_never_panic(
         edits in proptest::collection::vec((any::<u16>(), any::<u8>()), 1..12),
@@ -224,8 +209,8 @@ proptest! {
         let _ = parse_everywhere(&image);
     }
 
-    /// Valid images round-trip through every loader with identical
-    /// sections, symbols and entry — and the image path copies nothing.
+    /// Valid images round-trip with identical sections, symbols and
+    /// entry — and every section is a window of the one image buffer.
     #[test]
     fn valid_images_roundtrip_all_paths(
         n_syms in 0usize..6,
@@ -243,15 +228,13 @@ proptest! {
                 size: 8,
             })
             .collect();
-        let elf = write_elf(&bin);
-        let eager = read_elf(&elf).unwrap();
-        prop_assert_eq!(&eager.sections, &bin.sections);
-        prop_assert_eq!(&eager.symbols, &bin.symbols);
-        prop_assert_eq!(eager.entry, bin.entry);
-        let image = ElfImage::parse(elf).unwrap();
+        let image = ElfImage::parse(write_elf(&bin)).unwrap();
         let viewed = image.to_binary();
         prop_assert_eq!(&viewed.sections, &bin.sections);
         prop_assert_eq!(&viewed.symbols, &bin.symbols);
-        prop_assert_eq!(image.load_stats().section_bytes_copied, 0);
+        prop_assert_eq!(viewed.entry, bin.entry);
+        for pair in viewed.sections.windows(2) {
+            prop_assert!(pair[0].shares_image(&pair[1]));
+        }
     }
 }

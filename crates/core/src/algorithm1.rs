@@ -24,9 +24,7 @@ use fetch_analyses::{validate_calling_convention_cached, CallConvVerdict};
 use fetch_disasm::{code_xrefs_to, ErrorCallPolicy, XrefKind};
 use std::collections::BTreeSet;
 
-/// What the repair pass did. Also deposited on the state
-/// ([`DetectionState::take_repair_report`]) so pipeline drivers can
-/// retrieve it after running a whole declarative stack.
+/// What the repair pass did, as returned by [`CallFrameRepair::repair`].
 #[derive(Debug, Clone, Default)]
 pub struct RepairReport {
     /// Non-contiguous parts merged into their functions:
@@ -59,16 +57,8 @@ pub struct CallFrameRepair {
 }
 
 impl CallFrameRepair {
-    /// Runs the repair, returning a detailed report (also deposited on
-    /// the state for pipeline drivers — see
-    /// [`DetectionState::take_repair_report`]).
+    /// Runs the repair, returning a detailed report.
     pub fn repair(&self, state: &mut DetectionState<'_>) -> RepairReport {
-        let report = self.repair_inner(state);
-        state.last_repair = Some(report.clone());
-        report
-    }
-
-    fn repair_inner(&self, state: &mut DetectionState<'_>) -> RepairReport {
         let mut report = RepairReport::default();
         if state.rec.disasm.is_empty() {
             state.run_recursion(true, ErrorCallPolicy::SliceZero);

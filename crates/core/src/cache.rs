@@ -155,7 +155,7 @@ pub fn content_fingerprint(binary: &Binary) -> u64 {
 /// opportunity, never a wrong answer).
 pub fn image_fingerprint(image: &fetch_binary::ElfImage) -> u64 {
     let mut h = Fnv::new(DOMAIN_IMAGE);
-    h.bytes(image.view().image());
+    h.bytes(image.bytes());
     h.0
 }
 

@@ -16,9 +16,10 @@
 //! (prologue matching), `Tcall` (tail-call heuristic), `Scan`, `CFR`,
 //! `Fmerg`, `Thunk`, `Align`, `ByteWeight`, `Nucleus` and `Flirt`.
 //!
-//! The [`Fetch`] type wires the optimal stack together: [`Fetch::detect`]
-//! runs [`Fetch::pipeline`] on a [`fetch_binary::Binary`]. Other inputs
-//! compose that pipeline with [`Pipeline::run_with_engine`],
+//! [`Pipeline::fetch`] is the optimal stack and the one detector:
+//! `Pipeline::fetch().run(&binary)` runs it on a [`fetch_binary::Binary`],
+//! and an ablation is a spec (`Pipeline::parse("FDE+Rec+Xref")`). Other
+//! inputs compose that pipeline with [`Pipeline::run_with_engine`],
 //! [`fetch_binary::ElfImage::to_binary`], [`AnalysisCache`] or
 //! [`run_delta`].
 //!
@@ -74,7 +75,7 @@
 //!    stacks as declarative data.
 //! 2. **Executor** — [`Pipeline::apply`] runs each spec through the
 //!    one traced step, [`LayerSpec::apply`], which dispatches by `match`
-//!    to the layer's body. Every entry point (`Fetch` detectors, tool
+//!    to the layer's body. Every entry point (the FETCH stack, tool
 //!    models, ad-hoc `Pipeline::parse("FDE+Rec+…")` stacks) funnels
 //!    through that step, so the layer names of
 //!    [`DetectionResult::layer_names`] can never drift from what ran.
@@ -229,7 +230,7 @@
 //!    property-tested in `tests/proptest_delta.rs`).
 //!
 //! ```
-//! use fetch_core::{image_fingerprint, run_delta, DeltaClass, Fetch, ImageDigest};
+//! use fetch_core::{image_fingerprint, run_delta, DeltaClass, ImageDigest, Pipeline};
 //! use fetch_binary::{write_elf, ElfImage};
 //! use fetch_disasm::RecEngine;
 //! use fetch_synth::{patch_function, synthesize, PatchKind, SynthConfig};
@@ -238,8 +239,7 @@
 //! // Version 1: analyze cold, keep the result and its digest.
 //! let case = synthesize(&SynthConfig::small(11));
 //! let mut engine = RecEngine::new();
-//! let fetch = Fetch::new();
-//! let pipeline = fetch.pipeline();
+//! let pipeline = Pipeline::fetch();
 //! let v1_image = ElfImage::parse(write_elf(&case.binary)).unwrap();
 //! let v1 = Arc::new(pipeline.run_with_engine(&v1_image.to_binary(), &mut engine));
 //! let v1_digest = ImageDigest::compute(&case.binary, 0);
@@ -255,7 +255,7 @@
 //! let out = run_delta(&pipeline, &v1, Some(&v1_digest), &v2, &v2_digest, &mut engine);
 //! assert_eq!(out.class, DeltaClass::SectionReuse);
 //! // ...and is byte-identical to a cold run on the new version.
-//! assert_eq!(*out.result, fetch.detect(&patched.binary));
+//! assert_eq!(*out.result, pipeline.run(&patched.binary));
 //! // The incrementally derived digest is the full one.
 //! let full = ImageDigest::compute(&patched.binary, image_fingerprint(&v2_image));
 //! assert_eq!(v2_digest, full);
@@ -304,7 +304,6 @@ mod algorithm1;
 mod cache;
 mod delta;
 mod facts;
-mod fetch;
 mod heuristics;
 mod pipeline;
 mod pointer_scan;
@@ -319,14 +318,11 @@ pub use cache::{
 };
 pub use delta::{delta_tier, run_delta, DeltaClass, DeltaOutcome};
 pub use facts::{BinaryFacts, FactsWork, FrameTable};
-pub use fetch::Fetch;
 pub use heuristics::ToolStyle;
 pub use pipeline::{LayerSpec, Pipeline, PipelineParseError, Tool, KNOWN_LAYERS};
-pub use pointer_scan::{
-    collect_data_pointers, collect_data_pointers_counted, validate_candidate, ValidationError,
-};
+pub use pointer_scan::collect_data_pointers;
 pub use serial::{
-    deserialize_result_full, intern_layer_name, serialize_result_with_digest, SerialError,
-    RESULT_MAGIC, RESULT_VERSION,
+    deserialize_result_full, serialize_result_with_digest, SerialError, RESULT_MAGIC,
+    RESULT_VERSION,
 };
 pub use state::{DerivedWorkStats, DetectionResult, DetectionState, LayerTrace, Provenance};

@@ -284,9 +284,9 @@ impl LayerSpec {
     /// The one traced executor step: runs the layer on `state`, then
     /// records its [`LayerTrace`] (name, wall time, exact start delta
     /// with provenance, decode-cache and pointer-scan work). Every
-    /// pipeline path — [`Pipeline::apply`] and the `Fetch` entry points
-    /// — funnels through here, so [`DetectionResult::trace`] can never
-    /// skip or double-count a layer the way hand-pushed records could.
+    /// pipeline path funnels through here via [`Pipeline::apply`], so
+    /// [`DetectionResult::trace`] can never skip or double-count a layer
+    /// the way hand-pushed records could.
     pub fn apply(&self, state: &mut DetectionState<'_>) {
         let before = state.starts.clone();
         let (hits0, misses0) = state.engine_decode_stats();
@@ -489,6 +489,21 @@ impl Pipeline {
     }
 
     /// The paper's optimal FETCH stack: `FDE+Rec+Xref+TcallFix`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use fetch_core::Pipeline;
+    /// use fetch_synth::{synthesize, SynthConfig};
+    ///
+    /// let case = synthesize(&SynthConfig::small(9));
+    /// let result = Pipeline::fetch().run(&case.binary);
+    /// // High coverage: nearly every true start is found.
+    /// let truth = case.truth.starts();
+    /// let found = result.start_set();
+    /// let covered = truth.intersection(&found).count();
+    /// assert!(covered * 100 >= truth.len() * 95);
+    /// ```
     pub fn fetch() -> Pipeline {
         Pipeline::new(vec![
             LayerSpec::FdeSeeds,
@@ -600,6 +615,7 @@ impl FromStr for Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fetch_binary::Reach;
     use fetch_synth::{synthesize, SynthConfig};
 
     #[test]
@@ -711,7 +727,10 @@ mod tests {
         for (_, spec) in KNOWN_LAYERS {
             let result = Pipeline::new(vec![*spec]).run(&case.binary);
             assert_eq!(result.layer_names(), [spec.name()]);
-            assert_eq!(crate::intern_layer_name(spec.name()), Some(spec.name()));
+            assert_eq!(
+                crate::serial::intern_layer_name(spec.name()),
+                Some(spec.name())
+            );
         }
     }
 
@@ -745,6 +764,65 @@ mod tests {
             assert_eq!(replayed, direct, "prefix {k} replay diverged");
         }
         assert_eq!(full.starts_after_layer(pipeline.len()), full.starts);
+    }
+
+    #[test]
+    fn fetch_end_to_end_shape() {
+        // The paper's headline: near-full coverage, near-full accuracy.
+        let mut cfg = SynthConfig::small(81);
+        cfg.n_funcs = 200;
+        cfg.rates.split_cold = 0.08;
+        cfg.rates.asm_funcs = 8;
+        cfg.rates.mislabeled_fdes = 1;
+        let case = synthesize(&cfg);
+        let result = Pipeline::fetch().run(&case.binary);
+
+        let truth = case.truth.starts();
+        let found = result.start_set();
+
+        // False negatives: only harmless classes (single-caller
+        // tail-only and unreachable functions).
+        for missed in truth.difference(&found) {
+            let f = case.truth.function_at(*missed).unwrap();
+            assert!(
+                matches!(
+                    f.reach,
+                    Reach::TailCalled { callers: 1 } | Reach::Unreachable
+                ),
+                "harmful miss: {} at {missed:#x} ({:?})",
+                f.name,
+                f.reach
+            );
+        }
+
+        // False positives: the overwhelming majority of FDE cold-part
+        // starts are repaired; remaining FPs must be cold parts of
+        // frame-pointer functions (incomplete CFI).
+        let part_starts = case.truth.part_starts();
+        for fp in found.difference(&truth) {
+            assert!(
+                part_starts.contains(fp),
+                "unexplained false positive {fp:#x}"
+            );
+        }
+    }
+
+    #[test]
+    fn ablations_change_results() {
+        let mut cfg = SynthConfig::small(82);
+        cfg.n_funcs = 150;
+        cfg.rates.split_cold = 0.12;
+        let case = synthesize(&cfg);
+        let full = Pipeline::fetch().run(&case.binary);
+        let no_repair = Pipeline::parse("FDE+Rec+Xref").unwrap().run(&case.binary);
+        let truth = case.truth.starts();
+        let fp = |r: &DetectionResult| r.start_set().difference(&truth).count();
+        assert!(
+            fp(&no_repair) > fp(&full),
+            "repair reduces false positives ({} > {})",
+            fp(&no_repair),
+            fp(&full)
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 /// Why a candidate pointer was rejected (§IV-E's four error classes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ValidationError {
+pub(crate) enum ValidationError {
     /// (i) Disassembly from the candidate hits an invalid opcode.
     InvalidOpcode,
     /// (ii) Disassembly runs into the middle of previously disassembled
@@ -51,7 +51,7 @@ pub fn collect_data_pointers(bin: &Binary) -> BTreeMap<u64, Vec<u64>> {
 /// are identical to the naive sliding window (each flagged position
 /// still passes the exact bounds check; the filter only skips
 /// positions that cannot pass it).
-pub fn collect_data_pointers_counted(bin: &Binary) -> (BTreeMap<u64, Vec<u64>>, u64) {
+pub(crate) fn collect_data_pointers_counted(bin: &Binary) -> (BTreeMap<u64, Vec<u64>>, u64) {
     let text = bin.text();
     let lo = text.addr;
     let hi = text.addr + text.bytes.len() as u64;
@@ -196,35 +196,12 @@ impl<'e> OwnerIndex<'e> {
     }
 }
 
-/// Validates one candidate start against the four §IV-E error classes.
-///
-/// `extents` are the bodies of currently detected functions; `known`
-/// is the current instruction map (for overlap checks).
-pub fn validate_candidate(
-    bin: &Binary,
-    candidate: u64,
-    known: &fetch_disasm::Disassembly,
-    extents: &BTreeMap<u64, FunctionBody>,
-    starts: &[u64],
-    stop_calls: &[u64],
-) -> Result<(), ValidationError> {
-    validate_candidate_precheck(bin, candidate, known, stop_calls)?;
-    let owners = OwnerIndex::build(extents);
-    validate_candidate_explore(
-        bin,
-        candidate,
-        known,
-        &mut |t| owners.owner_of(t),
-        starts,
-        stop_calls,
-    )
-}
-
 /// The owner-free first half of candidate validation — bounds, calling
-/// convention (iv), and body plausibility. Split out so batch callers
-/// can defer the extents/[`OwnerIndex`] build until some candidate
-/// actually survives this far (most fail here).
-pub fn validate_candidate_precheck(
+/// convention (iv), and body plausibility. Kept apart from
+/// [`validate_candidate_explore`] so [`pointer_scan`] can defer the
+/// extents/[`OwnerIndex`] build until some candidate actually survives
+/// this far (most fail here).
+pub(crate) fn validate_candidate_precheck(
     bin: &Binary,
     candidate: u64,
     known: &fetch_disasm::Disassembly,
@@ -257,7 +234,7 @@ pub fn validate_candidate_precheck(
 /// passed. `owner_of` is [`OwnerIndex::owner_of`] over the bodies of
 /// `known`'s functions; it is asked only about addresses `known`
 /// decoded, so a caller can build the index on the first question.
-pub fn validate_candidate_explore(
+pub(crate) fn validate_candidate_explore(
     bin: &Binary,
     candidate: u64,
     known: &fetch_disasm::Disassembly,
@@ -531,10 +508,24 @@ mod tests {
         assert_eq!(pointer_scan(&mut state), Vec::<u64>::new());
         // The owner query built the extents, once.
         assert_eq!(state.derived_work_stats().extents_builds, 1);
+        // The two halves `pointer_scan` runs name the rejection class.
         let starts: Vec<u64> = state.start_set().iter().copied().collect();
         let extents = state.extents();
+        let owners = OwnerIndex::build(&extents);
+        let known = &state.rec.disasm;
         assert_eq!(
-            validate_candidate(&bin, candidate, &state.rec.disasm, &extents, &starts, &[]),
+            validate_candidate_precheck(&bin, candidate, known, &[]),
+            Ok(())
+        );
+        assert_eq!(
+            validate_candidate_explore(
+                &bin,
+                candidate,
+                known,
+                &mut |t| owners.owner_of(t),
+                &starts,
+                &[]
+            ),
             Err(ValidationError::JumpsIntoFunction)
         );
     }

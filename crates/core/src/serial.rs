@@ -139,7 +139,7 @@ fn provenance_from_tag(tag: u8) -> Result<Provenance, SerialError> {
 /// Interns a parsed layer name back to the `&'static str` the executor
 /// records — the display names of the [`KNOWN_LAYERS`] vocabulary.
 /// `None` for out-of-vocabulary names.
-pub fn intern_layer_name(name: &str) -> Option<&'static str> {
+pub(crate) fn intern_layer_name(name: &str) -> Option<&'static str> {
     KNOWN_LAYERS
         .iter()
         .map(|(_, spec)| spec.name())

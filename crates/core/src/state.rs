@@ -241,10 +241,6 @@ pub struct DetectionState<'b> {
     /// Per-layer execution records of the layers applied so far (pushed
     /// by [`crate::LayerSpec::apply`], never by hand).
     pub trace: Vec<LayerTrace>,
-    /// The report of the most recent [`crate::CallFrameRepair`] run, for
-    /// callers that want it after driving a whole pipeline (see
-    /// [`DetectionState::take_repair_report`]).
-    pub(crate) last_repair: Option<crate::algorithm1::RepairReport>,
     /// The persistent engine reusing decode and walk state across
     /// [`DetectionState::run_recursion`] calls.
     engine: RecEngine,
@@ -319,7 +315,6 @@ impl<'b> DetectionState<'b> {
             rec: Arc::new(RecResult::default()),
             error_funcs: Arc::new(error_funcs),
             trace: Vec::new(),
-            last_repair: None,
             engine,
             incremental: true,
             starts_gen: 0,
@@ -553,13 +548,6 @@ impl<'b> DetectionState<'b> {
         if changed {
             self.rec_gen += 1;
         }
-    }
-
-    /// Takes the report of the most recent [`crate::CallFrameRepair`]
-    /// run, if one ran (repair layers deposit it as they execute, so
-    /// pipeline drivers need no side channel).
-    pub fn take_repair_report(&mut self) -> Option<crate::algorithm1::RepairReport> {
-        self.last_repair.take()
     }
 
     /// `(hits, misses)` of the engine's decode cache (monotone; see

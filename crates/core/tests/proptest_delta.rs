@@ -28,7 +28,7 @@
 
 use fetch_binary::{write_elf, Binary, ElfImage, Section, SectionKind, TestCase};
 use fetch_core::{
-    content_fingerprint, image_fingerprint, run_delta, DeltaClass, Fetch, ImageDigest, Pipeline,
+    content_fingerprint, image_fingerprint, run_delta, DeltaClass, ImageDigest, Pipeline,
     KNOWN_LAYERS,
 };
 use fetch_disasm::RecEngine;
@@ -198,7 +198,7 @@ proptest! {
 /// Each hop derives its digest from the previous hop's through
 /// [`ImageDigest::compute_from`], as the serving layer's `reanalyze`
 /// path does. Each hop's answer must equal a fresh-engine cold
-/// [`Fetch::detect`] of that version, and each hop's digest is what the
+/// [`Pipeline::fetch`] run of that version, and each hop's digest is what the
 /// next hop deltas against.
 #[test]
 fn fetch_delta_chain_matches_cold_at_every_version() {
@@ -209,10 +209,9 @@ fn fetch_delta_chain_matches_cold_at_every_version() {
         .find_map(|s| patch_function(&case, s, PatchKind::Resize))
         .expect("resize site");
 
-    let fetch = Fetch::new();
-    let pipeline = fetch.pipeline();
+    let pipeline = Pipeline::fetch();
     let image_of = |b: &Binary| ElfImage::parse(write_elf(b)).unwrap();
-    let cold_of = |b: &Binary| fetch.detect(&image_of(b).to_binary());
+    let cold_of = |b: &Binary| pipeline.run(&image_of(b).to_binary());
 
     let mut engine = RecEngine::new();
     let v0_image = image_of(&case.binary);

@@ -1,7 +1,7 @@
 //! Property tests on the FETCH detector: the paper's safety claims must
 //! hold for arbitrary corpora, not just the calibrated seeds.
 
-use fetch_core::{Fetch, Pipeline};
+use fetch_core::Pipeline;
 use fetch_synth::{synthesize, FeatureRates, SynthConfig};
 use proptest::prelude::*;
 
@@ -35,7 +35,7 @@ proptest! {
     #[test]
     fn fetch_is_safe_on_arbitrary_corpora(cfg in arb_config()) {
         let case = synthesize(&cfg);
-        let result = Fetch::new().detect(&case.binary);
+        let result = Pipeline::fetch().run(&case.binary);
         let truth = case.truth.starts();
         let parts = case.truth.part_starts();
         let found = result.start_set();
@@ -67,8 +67,8 @@ proptest! {
     fn repair_never_adds_false_positives(cfg in arb_config()) {
         let case = synthesize(&cfg);
         let truth = case.truth.starts();
-        let without = Fetch { skip_repair: true, ..Fetch::new() }.detect(&case.binary);
-        let with = Fetch::new().detect(&case.binary);
+        let without = Pipeline::parse("FDE+Rec+Xref").unwrap().run(&case.binary);
+        let with = Pipeline::fetch().run(&case.binary);
         let fp_without: Vec<u64> =
             without.start_set().difference(&truth).copied().collect();
         let fp_with: Vec<u64> = with.start_set().difference(&truth).copied().collect();

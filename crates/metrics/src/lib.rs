@@ -10,11 +10,11 @@
 //!
 //! ```
 //! use fetch_metrics::evaluate;
-//! use fetch_core::Fetch;
+//! use fetch_core::Pipeline;
 //! use fetch_synth::{synthesize, SynthConfig};
 //!
 //! let case = synthesize(&SynthConfig::small(2));
-//! let result = Fetch::new().detect(&case.binary);
+//! let result = Pipeline::fetch().run(&case.binary);
 //! let eval = evaluate(&result.start_set(), &case);
 //! assert!(eval.true_positives > 0);
 //! assert!(eval.recall() > 0.9);

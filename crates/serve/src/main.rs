@@ -20,7 +20,9 @@
 //! rejects them. The client sends one request line and prints the reply
 //! line (`--subscribe` keeps printing telemetry events until the daemon
 //! goes away) — small enough for shell scripting, no client library
-//! needed.
+//! needed. It takes exactly one request flag, and `--pipeline` or
+//! `--tool` (not both) only beside `--analyze` or `--query`; any other
+//! combination exits 2, naming the two flags, before it connects.
 //!
 //! `--fault-plan` arms deterministic fault injection — see
 //! [`fetch_serve::fault`] for the spec grammar. A malformed plan fails
@@ -208,9 +210,20 @@ fn client(args: &[String]) {
     let mut query: Option<u64> = None;
     let mut pipeline: Option<Pipeline> = None;
     let mut subscribe = false;
+    // The request and pipeline flags given, in order: the client sends
+    // one request, and only `--analyze` and `--query` take a pipeline.
+    let mut requests = Vec::new();
+    let mut pipelines = Vec::new();
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
+        let flag = args[i].as_str();
+        match flag {
+            "--analyze" | "--query" | "--stats" | "--metrics" | "--subscribe" | "--shutdown"
+            | "--json" => requests.push(flag),
+            "--pipeline" | "--tool" => pipelines.push(flag),
+            _ => {}
+        }
+        match flag {
             "--socket" => socket = Some(PathBuf::from(flag_value(args, &mut i, "--socket"))),
             "--analyze" => analyze = Some(PathBuf::from(flag_value(args, &mut i, "--analyze"))),
             "--query" => {
@@ -238,6 +251,23 @@ fn client(args: &[String]) {
             other => fail(format_args!("unknown client flag {other:?}")),
         }
         i += 1;
+    }
+    if let [first, second, ..] = requests[..] {
+        fail(format_args!(
+            "{first} and {second} are two requests; the client sends one"
+        ));
+    }
+    if let [first, second, ..] = pipelines[..] {
+        fail(format_args!(
+            "{first} and {second} both choose the pipeline; give one"
+        ));
+    }
+    match (pipelines.first(), requests.first()) {
+        (Some(_), Some(&"--analyze" | &"--query")) | (None, _) => {}
+        (Some(flag), Some(request)) => fail(format_args!(
+            "{flag} applies to --analyze or --query, not {request}"
+        )),
+        (Some(flag), None) => fail(format_args!("{flag} needs --analyze or --query")),
     }
     let line = if subscribe {
         Request::Subscribe.to_line()

@@ -573,6 +573,63 @@ fn daemon_rejects_unknown_transport_flags_and_a_missing_transport() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The client sends one request: two request flags, two pipeline
+/// flags, or a pipeline flag beside a request that takes none exit 2
+/// with a message naming both flags, before the client connects (the
+/// socket here does not exist, so a connect would fail differently).
+#[test]
+fn client_rejects_conflicting_request_flags() {
+    let dir = scratch_dir("client-flags");
+    let socket = dir.join("none.sock");
+    let socket = socket.to_str().unwrap();
+    for (args, named) in [
+        (
+            &["--shutdown", "--subscribe"][..],
+            ["--shutdown", "--subscribe"],
+        ),
+        (
+            &["--analyze", "/nonexistent", "--stats"],
+            ["--analyze", "--stats"],
+        ),
+        (&["--stats", "--shutdown"], ["--stats", "--shutdown"]),
+        (&["--metrics", "--json", "{}"], ["--metrics", "--json"]),
+        (&["--query", "ab", "--query", "cd"], ["--query", "--query"]),
+        (&["--tool", "ghidra", "--stats"], ["--tool", "--stats"]),
+        (
+            &["--subscribe", "--pipeline", "FDE"],
+            ["--pipeline", "--subscribe"],
+        ),
+        (
+            &[
+                "--analyze",
+                "/nonexistent",
+                "--pipeline",
+                "FDE",
+                "--tool",
+                "ghidra",
+            ],
+            ["--pipeline", "--tool"],
+        ),
+    ] {
+        let mut full = vec!["client", "--socket", socket];
+        full.extend_from_slice(args);
+        let stderr = fails_with_status_2(&full);
+        for flag in named {
+            assert!(stderr.contains(flag), "{args:?}: {stderr}");
+        }
+        assert!(!stderr.contains("cannot connect"), "{args:?}: {stderr}");
+    }
+    let stderr = fails_with_status_2(&["client", "--socket", socket, "--tool", "ghidra"]);
+    assert!(stderr.contains("--tool"), "{stderr}");
+    assert!(!stderr.contains("cannot connect"), "{stderr}");
+    // One request with its pipeline gets as far as the connect.
+    let stderr = fails_with_status_2(&[
+        "client", "--socket", socket, "--query", "ab", "--tool", "angr",
+    ]);
+    assert!(stderr.contains("cannot connect"), "{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// The shipped binary over stdio with a store: one request line in,
 /// then `shutdown`; returns the reply lines once the process exited.
 fn stdio_session(store: &Path, fault_plan: &str, request: &Request) -> Vec<Json> {

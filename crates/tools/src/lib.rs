@@ -152,7 +152,7 @@ mod tests {
         }
         let (fetch_fp, fetch_fn) = totals[&Tool::Fetch];
         for (tool, (fp, _)) in &totals {
-            if *tool != Tool::Fetch {
+            if !matches!(tool, Tool::Fetch) {
                 assert!(
                     fetch_fp <= *fp,
                     "FETCH fp {fetch_fp} must not exceed {tool} fp {fp}"

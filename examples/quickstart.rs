@@ -5,14 +5,14 @@
 //! cargo run --example quickstart
 //! ```
 
-use fetch_core::Fetch;
+use fetch_core::{CallFrameRepair, DetectionState, Pipeline};
 use fetch_metrics::evaluate;
 use fetch_synth::{synthesize, SynthConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Build a synthetic x86-64 System-V binary with exact ground truth.
     //    (In a real deployment you would load an ELF with
-    //    `fetch_binary::read_elf` instead.)
+    //    `fetch_binary::ElfImage::parse` and `to_binary` instead.)
     let mut cfg = SynthConfig::small(2024);
     cfg.n_funcs = 80;
     cfg.rates.split_cold = 0.10; // plenty of non-contiguous functions
@@ -25,12 +25,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("FDEs in .eh_frame: {}", eh.fde_count());
 
     // 3. Run the full FETCH pipeline: FDE → Rec → Xref → TcallFix.
-    let (result, report) = Fetch::new().detect_with_report(&case.binary);
+    let result = Pipeline::fetch().run(&case.binary);
     println!(
         "\ndetected {} function starts via layers {:?}",
         result.len(),
         result.layer_names()
     );
+    // Algorithm 1's report: run its layer by hand after FDE+Rec+Xref.
+    let mut state = DetectionState::new(&case.binary);
+    Pipeline::parse("FDE+Rec+Xref")?.apply(&mut state);
+    let report = CallFrameRepair::default().repair(&mut state);
     println!(
         "call-frame repair: merged {} non-contiguous parts, confirmed {} tail \
          calls, removed {} mislabeled FDEs",

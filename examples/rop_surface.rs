@@ -6,7 +6,7 @@
 //! ```
 
 use fetch_analyses::scan_gadgets;
-use fetch_core::Fetch;
+use fetch_core::Pipeline;
 use fetch_synth::{synthesize, SynthConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Run FETCH: the repaired start set no longer contains the cold
     // parts, so those gadgets are no longer legitimate branch targets.
-    let result = Fetch::new().detect(&case.binary);
+    let result = Pipeline::fetch().run(&case.binary);
     let survivors: Vec<(u64, u64)> = false_start_blocks
         .iter()
         .filter(|(s, _)| result.starts.contains_key(s))

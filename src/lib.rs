@@ -18,11 +18,11 @@
 //! # Examples
 //!
 //! ```
-//! use fetch::core::Fetch;
+//! use fetch::core::Pipeline;
 //! use fetch::synth::{synthesize, SynthConfig};
 //!
 //! let case = synthesize(&SynthConfig::small(1));
-//! let result = Fetch::new().detect(&case.binary);
+//! let result = Pipeline::fetch().run(&case.binary);
 //! assert!(!result.is_empty());
 //! ```
 

@@ -1,8 +1,8 @@
 //! Workspace-level integration tests: the full pipeline over multiple
 //! corpus configurations, exercising every crate together.
 
-use fetch::binary::{read_elf, write_elf, FuncKind, Reach, TestCase};
-use fetch::core::{Fetch, Pipeline};
+use fetch::binary::{write_elf, ElfImage, FuncKind, Reach, TestCase};
+use fetch::core::Pipeline;
 use fetch::disasm::RecEngine;
 use fetch::metrics::{evaluate, Aggregate};
 use fetch::synth::{synthesize, FeatureRates, SynthConfig};
@@ -27,7 +27,7 @@ fn fetch_on_rich_corpora_meets_paper_shape() {
     let mut agg = Aggregate::new();
     for seed in [11u64, 22, 33, 44, 55] {
         let case = rich_case(seed);
-        let result = Fetch::new().detect(&case.binary);
+        let result = Pipeline::fetch().run(&case.binary);
         let e = evaluate(&result.start_set(), &case);
         // Near-full recall and precision on every binary.
         assert!(e.recall() > 0.93, "seed {seed}: recall {:.3}", e.recall());
@@ -46,7 +46,7 @@ fn fetch_on_rich_corpora_meets_paper_shape() {
 fn misses_are_only_harmless_classes() {
     for seed in [66u64, 77] {
         let case = rich_case(seed);
-        let result = Fetch::new().detect(&case.binary);
+        let result = Pipeline::fetch().run(&case.binary);
         let truth = case.truth.starts();
         let found = result.start_set();
         for missed in truth.difference(&found) {
@@ -71,7 +71,7 @@ fn misses_are_only_harmless_classes() {
 fn false_positives_are_only_residual_cold_parts() {
     for seed in [88u64, 99] {
         let case = rich_case(seed);
-        let result = Fetch::new().detect(&case.binary);
+        let result = Pipeline::fetch().run(&case.binary);
         let truth = case.truth.starts();
         let parts = case.truth.part_starts();
         for fp in result.start_set().difference(&truth) {
@@ -85,32 +85,26 @@ fn false_positives_are_only_residual_cold_parts() {
 #[test]
 fn detection_is_deterministic() {
     let case = rich_case(123);
-    let a = Fetch::new().detect(&case.binary);
-    let b = Fetch::new().detect(&case.binary);
+    let a = Pipeline::fetch().run(&case.binary);
+    let b = Pipeline::fetch().run(&case.binary);
     assert_eq!(a, b);
 }
 
 #[test]
 fn detection_survives_elf_round_trip() {
-    // Write the binary to a real ELF image, read it back, and verify the
-    // detector sees the same world.
+    // Write the binary to a real ELF image, load it back, and verify the
+    // detector sees the same world, with every section a window of one
+    // shared resident buffer.
     let case = rich_case(321);
-    let elf_bytes = write_elf(&case.binary);
-    let reloaded = read_elf(&elf_bytes).expect("own ELF parses");
-    let direct = Fetch::new().detect(&case.binary);
-    let via_elf = Fetch::new().detect(&reloaded);
-    assert_eq!(direct.start_set(), via_elf.start_set());
-
-    // The zero-copy image path sees the same world too, with every
-    // section a window of one shared resident buffer.
-    let image = fetch::binary::ElfImage::parse(elf_bytes).expect("own ELF parses");
-    assert_eq!(image.load_stats().section_bytes_copied, 0);
+    let image = ElfImage::parse(write_elf(&case.binary)).expect("own ELF parses");
     let viewed = image.to_binary();
     for pair in viewed.sections.windows(2) {
         assert!(pair[0].shares_image(&pair[1]), "one backing buffer");
     }
-    let via_image = Fetch::new().detect(&viewed);
+    let direct = Pipeline::fetch().run(&case.binary);
+    let via_image = Pipeline::fetch().run(&viewed);
     assert_eq!(direct.start_set(), via_image.start_set());
+    assert_eq!(direct, via_image);
 }
 
 #[test]
@@ -118,8 +112,8 @@ fn stripping_symbols_barely_affects_fetch() {
     // FETCH is FDE-driven: removing the symbol table must not change
     // detection except through the error()-name knowledge.
     let case = rich_case(456);
-    let full = Fetch::new().detect(&case.binary);
-    let stripped = Fetch::new().detect(&case.binary.stripped());
+    let full = Pipeline::fetch().run(&case.binary);
+    let stripped = Pipeline::fetch().run(&case.binary.stripped());
     let d1 = full.start_set();
     let d2 = stripped.start_set();
     let sym_only: Vec<_> = d1.symmetric_difference(&d2).collect();

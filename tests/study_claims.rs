@@ -147,7 +147,7 @@ fn claim_table3_orderings() {
     let [fetch, bap, r2] = [Tool::Fetch, Tool::Bap, Tool::Radare2].map(|t| t3.total(t));
     for tool in Tool::ALL {
         let [fp, fn_] = t3.total(tool);
-        if tool != Tool::Fetch {
+        if !matches!(tool, Tool::Fetch) {
             assert!(fetch[0] < fp, "FETCH FP {} vs {tool:?} {fp}", fetch[0]);
         }
         if tool != Tool::Fetch && tool != Tool::Angr {
@@ -159,7 +159,7 @@ fn claim_table3_orderings() {
         if tool != Tool::Radare2 {
             assert!(r2[1] > fn_, "RADARE2 FN {} vs {tool:?} {fn_}", r2[1]);
         }
-        if tool != Tool::Radare2 && tool != Tool::Fetch {
+        if !matches!(tool, Tool::Radare2 | Tool::Fetch) {
             assert!(r2[0] < fp, "RADARE2 FP {} vs {tool:?} {fp}", r2[0]);
         }
     }
