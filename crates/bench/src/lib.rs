@@ -13,11 +13,7 @@
 //! * `--scale <N>` — keep one of every `N` binaries (default 8);
 //! * `--funcs <F>` — function-count multiplier (default 0.35);
 //! * `--jobs <N>` — batch-driver workers (default: available
-//!   parallelism);
-//! * `--pipeline <spec>` — a custom strategy stack as a `+`-separated
-//!   layer list (`FDE+Rec+Xref`; see [`fetch_core::KNOWN_LAYERS`]),
-//!   consumed by the `pipeline_run` harness for ad-hoc ablations.
-//!   Unknown layer names are rejected with the full known-layer list.
+//!   parallelism).
 //!
 //! Any other argument is an error naming it, unless the harness declares
 //! it as one of its own flags (`repro fig5 --panel`; see [`opts_from`]).
@@ -52,11 +48,6 @@ pub struct BenchOpts {
     /// Batch-driver worker count (`--jobs`; defaults to the machine's
     /// available parallelism).
     pub jobs: usize,
-    /// A custom strategy stack (`--pipeline FDE+Rec+Xref`), parsed
-    /// through [`fetch_core::Pipeline::parse`]. `None` when the harness
-    /// should run its default stacks; the `pipeline_run` bin consumes
-    /// it for ad-hoc ablations.
-    pub pipeline: Option<fetch_core::Pipeline>,
     /// `(flag, value)` of every harness-local flag given, in
     /// command-line order (see [`opts_from`] and [`BenchOpts::local`]).
     pub local_flags: Vec<(String, String)>,
@@ -70,7 +61,6 @@ impl Default for BenchOpts {
                 func_scale: 0.35,
             },
             jobs: default_jobs(),
-            pipeline: None,
             local_flags: Vec::new(),
         }
     }
@@ -147,16 +137,6 @@ pub fn opts_from(args: &[String], local: &[&str]) -> Result<BenchOpts, String> {
             "--jobs" => {
                 i += 1;
                 opts.jobs = positive("--jobs", args.get(i), "a positive integer")?;
-            }
-            "--pipeline" => {
-                i += 1;
-                let spec = args.get(i).ok_or_else(|| {
-                    "--pipeline takes a +-separated layer list (e.g. FDE+Rec+Xref), got nothing"
-                        .to_string()
-                })?;
-                let pipeline =
-                    fetch_core::Pipeline::parse(spec).map_err(|e| format!("--pipeline: {e}"))?;
-                opts.pipeline = Some(pipeline);
             }
             flag if local.contains(&flag) => {
                 i += 1;
@@ -362,9 +342,10 @@ mod tests {
 
     #[test]
     fn unknown_arguments_are_rejected() {
-        // A removed flag, a typo, and a stray value are each named.
+        // Removed flags, a typo, and a stray value are each named.
         for (bad, named) in [
             (vec!["--intra-jobs", "4"], "\"--intra-jobs\""),
+            (vec!["--pipeline", "Entry"], "\"--pipeline\""),
             (vec!["--job", "4"], "\"--job\""),
             (vec!["--jobs", "2", "4"], "\"4\""),
             (vec!["4"], "\"4\""),
@@ -413,31 +394,5 @@ mod tests {
         assert_eq!(opts.local("--rounds"), None);
         let err = parse_with(&["--panel"], &["--panel"]).expect_err("missing value");
         assert!(err.contains("--panel takes a value"), "{err}");
-    }
-
-    #[test]
-    fn pipeline_flag_parses_layer_lists() {
-        let opts = parse(&["--pipeline", "FDE+Rec+Xref"]).unwrap();
-        let p = opts.pipeline.expect("pipeline set");
-        assert_eq!(p.id(), "FDE+Rec+Xref");
-        // Case-insensitive, like the underlying parser.
-        let opts = parse(&["--pipeline", "fde+tcallfix"]).unwrap();
-        assert_eq!(opts.pipeline.unwrap().id(), "FDE+TcallFix");
-        assert!(parse(&[]).unwrap().pipeline.is_none());
-    }
-
-    #[test]
-    fn pipeline_flag_rejects_unknown_layers_helpfully() {
-        let err = parse(&["--pipeline", "FDE+Bogus"]).expect_err("unknown layer");
-        assert!(err.contains("--pipeline"), "{err}");
-        assert!(err.contains("\"Bogus\""), "{err}");
-        // The error teaches the vocabulary: every known token is listed.
-        for (token, _) in fetch_core::KNOWN_LAYERS {
-            assert!(err.contains(token), "error must list {token}: {err}");
-        }
-        let err = parse(&["--pipeline", "+"]).expect_err("empty list");
-        assert!(err.contains("empty pipeline"), "{err}");
-        let err = parse(&["--pipeline"]).expect_err("missing value");
-        assert!(err.contains("got nothing"), "{err}");
     }
 }

@@ -444,7 +444,6 @@ pub fn table4(cases: &[TestCase], driver: &BatchDriver) -> BTreeMap<(usize, OptL
 /// first 40 binaries, serially. Absolute numbers are not comparable with
 /// the paper (the substrate is a simulator and the models are
 /// lightweight); the relative cost ordering is the reproduced shape.
-/// `cargo bench` (`tool_timing`) gives statistically robust versions.
 pub fn table5(cases: &[TestCase]) -> Vec<(Tool, f64)> {
     banner("Table V — average time per binary");
     let sample = &cases[..cases.len().min(40)]; // enough for stable averages

@@ -23,8 +23,9 @@
 //!
 //! A long-lived daemon cannot let the cache grow with the traffic, so
 //! an [`AnalysisCache`] can be bounded ([`AnalysisCache::with_capacity`])
-//! by entry count, by approximate resident bytes
-//! ([`DetectionResult::approx_bytes`]), or both ([`CacheCapacity`]).
+//! by entry count, by approximate resident bytes (each entry's
+//! [`DetectionResult::approx_bytes`] plus, when it carries one, its
+//! [`ImageDigest::approx_bytes`]), or both ([`CacheCapacity`]).
 //! Whenever an insert pushes the cache over either bound, the
 //! least-recently-used entries are evicted until it fits again (a single
 //! entry larger than the byte bound is evicted immediately — the cache
@@ -342,6 +343,16 @@ impl ImageDigest {
     pub fn text_bucket_count(&self) -> usize {
         self.sections.iter().map(|s| s.buckets.len()).sum::<usize>()
     }
+
+    /// Approximate resident heap footprint of the digest, in bytes —
+    /// what a cache entry holding it pays on top of its result's
+    /// [`DetectionResult::approx_bytes`]. Deterministic for a given
+    /// digest and dominated by the `.text` buckets.
+    pub fn approx_bytes(&self) -> usize {
+        std::mem::size_of::<ImageDigest>()
+            + self.sections.len() * std::mem::size_of::<SectionDigest>()
+            + self.text_bucket_count() * std::mem::size_of::<BucketDigest>()
+    }
 }
 
 /// Classification of the change between two [`ImageDigest`]s — the
@@ -624,8 +635,8 @@ fn sem_fingerprint(text: &Section, spans: &[(u64, u64)], start: u64, end: u64) -
 pub struct CacheCapacity {
     /// Maximum resident entries (`None` = unbounded).
     pub max_entries: Option<usize>,
-    /// Maximum approximate resident bytes
-    /// ([`DetectionResult::approx_bytes`]; `None` = unbounded).
+    /// Maximum approximate resident bytes (results plus their digests,
+    /// see [`CacheStats::bytes`]; `None` = unbounded).
     pub max_bytes: Option<usize>,
 }
 
@@ -675,8 +686,9 @@ pub struct CacheStats {
     pub coalesced: u64,
     /// Resident entries at snapshot time.
     pub entries: usize,
-    /// Approximate resident bytes at snapshot time
-    /// ([`DetectionResult::approx_bytes`] summed over entries).
+    /// Approximate resident bytes at snapshot time: over the entries,
+    /// [`DetectionResult::approx_bytes`] plus the
+    /// [`ImageDigest::approx_bytes`] of each digest held.
     pub bytes: usize,
 }
 
@@ -702,7 +714,8 @@ struct Entry {
     /// without one ([`AnalysisCache::insert`], a flight completed without
     /// one, a store entry saved without one).
     digest: Option<Arc<ImageDigest>>,
-    /// [`DetectionResult::approx_bytes`], computed once at insert.
+    /// [`DetectionResult::approx_bytes`] plus the digest's
+    /// [`ImageDigest::approx_bytes`], computed once at insert.
     bytes: usize,
     /// Recency tick; key into [`Inner::recency`].
     tick: u64,
@@ -927,7 +940,7 @@ impl AnalysisCache {
         }
         let tick = inner.next_tick;
         inner.next_tick += 1;
-        let bytes = result.approx_bytes();
+        let bytes = result.approx_bytes() + digest.as_ref().map_or(0, |d| d.approx_bytes());
         inner
             .recency
             .insert(tick, (fingerprint, pipeline_id.to_string()));
@@ -1241,6 +1254,54 @@ mod tests {
         }
         assert_eq!(cache.stats().evictions, 3);
         assert_eq!(cache.stats().hits, 0);
+    }
+
+    #[test]
+    fn byte_capacity_counts_the_digests_entries_hold() {
+        let pipeline = Pipeline::fetch();
+        let entries: Vec<_> = (41u64..45)
+            .map(|s| {
+                let case = synthesize(&SynthConfig::small(s));
+                let fp = content_fingerprint(&case.binary);
+                let result = Arc::new(pipeline.run(&case.binary));
+                let digest = Arc::new(ImageDigest::compute(&case.binary, fp));
+                (fp, result, digest)
+            })
+            .collect();
+        let entry_bytes = |(_, r, d): &(u64, Arc<DetectionResult>, Arc<ImageDigest>)| {
+            r.approx_bytes() + d.approx_bytes()
+        };
+        // Exactly the first two entries' bytes: the later inserts evict.
+        let bound = entry_bytes(&entries[0]) + entry_bytes(&entries[1]);
+        let cache = AnalysisCache::with_capacity(CacheCapacity::bytes(bound));
+        for (fp, result, digest) in &entries {
+            cache.insert_with_digest(
+                *fp,
+                &pipeline.id(),
+                Arc::clone(result),
+                Some(Arc::clone(digest)),
+            );
+            let stats = cache.stats();
+            assert!(
+                stats.bytes <= bound,
+                "{} B resident over a {bound} B bound",
+                stats.bytes
+            );
+        }
+        let resident: usize = entries
+            .iter()
+            .filter(|(fp, _, _)| cache.lookup(*fp, &pipeline.id()).is_some())
+            .map(entry_bytes)
+            .sum();
+        let stats = cache.stats();
+        assert!(
+            stats.evictions > 0,
+            "four entries do not fit a two-entry bound"
+        );
+        assert_eq!(
+            stats.bytes, resident,
+            "the footprint is results plus digests"
+        );
     }
 
     #[test]

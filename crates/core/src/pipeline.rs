@@ -7,7 +7,7 @@
 //! traced step [`LayerSpec::apply`]) dispatches each spec to its layer
 //! body, recording a [`crate::LayerTrace`] per layer, so every
 //! caller — the FETCH detector, the nine Table III tool models, the
-//! bench harnesses, ad-hoc `--pipeline` experiments — shares one
+//! bench harnesses, the daemon's `--pipeline` requests — shares one
 //! sequencing/bookkeeping/instrumentation path instead of hand-rolling
 //! its own.
 //!
