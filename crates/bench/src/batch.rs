@@ -24,11 +24,19 @@
 //! * **Per-worker [`RecEngine`].** Each worker owns one persistent
 //!   recursion engine for its whole shard, so the decode cache is
 //!   shared across the tool models and strategy stacks run on a binary
-//!   (the engine's binary fingerprint resets it between binaries —
-//!   soundness never depends on the shard layout). Item callbacks
-//!   receive `&mut RecEngine` and thread it through
-//!   [`fetch_core::Pipeline::run_with_engine`], `fetch_tools::run_tool`, or
-//!   [`fetch_core::DetectionState::with_engine`].
+//!   (the engine's binary fingerprint resets it between binaries, so no
+//!   result depends on the shard layout). Item callbacks receive
+//!   `&mut RecEngine` and thread it through
+//!   [`fetch_core::Pipeline::run_with_engine`], `fetch_tools::run_tool`,
+//!   or [`fetch_core::DetectionState::with_engine`]. That a shared
+//!   engine's results equal fresh engines' is property-tested
+//!   (`proptest_incremental::shared_engine_equals_fresh_engines`), not
+//!   guaranteed by construction: an engine may extend its last walk.
+//!   The engine stays because it pays. With a fresh engine per stack,
+//!   `repro all --scale 32 --jobs 2` printed the same tables, but over
+//!   8 alternating pairs on a 2-vCPU host `repro fig5 --scale 32
+//!   --jobs 1` went from ~127 to ~170 ms and `repro table3` from ~134
+//!   to ~148 ms.
 //! * **Panic containment.** A panicking item is caught in the worker,
 //!   converted into an error, and reported by [`BatchDriver::try_run`]
 //!   after the remaining workers drain — the scope never deadlocks and
@@ -122,29 +130,6 @@ impl BatchDriver {
             Ok(out) => out,
             Err(e) => panic!("{e}"),
         }
-    }
-
-    /// [`BatchDriver::run`] with a shared serving-layer
-    /// [`fetch_core::AnalysisCache`] threaded to every worker alongside
-    /// its engine: the cache is one instance behind `&self`-safe
-    /// interior mutability, so all workers consult and fill the same
-    /// result store (e.g. through
-    /// [`fetch_core::AnalysisCache::get_or_compute`]). Because cache hits are
-    /// observationally identical to cold runs, the determinism guarantee
-    /// is unchanged: output is byte-identical for every worker count and
-    /// every cache warmth.
-    pub fn run_with_cache<C, T, F>(
-        &self,
-        items: &[C],
-        cache: &fetch_core::AnalysisCache,
-        f: F,
-    ) -> Vec<T>
-    where
-        C: Sync,
-        T: Send,
-        F: Fn(&mut RecEngine, &fetch_core::AnalysisCache, &C) -> T + Sync,
-    {
-        self.run(items, |engine, item| f(engine, cache, item))
     }
 
     /// [`BatchDriver::run`], but a worker panic is returned as a

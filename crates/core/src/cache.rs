@@ -1,23 +1,21 @@
 //! The serving-layer result cache: memoized [`DetectionResult`]s keyed
-//! by `(binary content fingerprint, pipeline id)`, with optional
-//! capacity bounds and size-aware LRU eviction.
+//! by `(image fingerprint, pipeline id)`, with optional capacity bounds
+//! and size-aware LRU eviction.
 //!
 //! A production detection service answers the same query — the same
 //! binary under the same pipeline — over and over. [`AnalysisCache`]
 //! makes the repeat a lookup: results are stored as
 //! `Arc<DetectionResult>` behind an internal mutex, so one cache is
-//! shared by every worker of a batch sweep ([`BatchDriver::run_with_cache`]
-//! in `fetch-bench`) and every cached entry is handed out without
-//! copying. Entry points: [`AnalysisCache::get_or_compute`] for
-//! in-process callers, and the `fetch-serve` daemon.
+//! shared by every worker of the `fetch-serve` daemon and every cached
+//! entry is handed out without copying. The daemon's answer path is its
+//! one client: [`AnalysisCache::lookup`], then on a miss
+//! [`AnalysisCache::insert_with_digest`] when a pending save or the
+//! daemon's store holds the result, else [`AnalysisCache::join_flight`]
+//! and a cold compute.
 //!
-//! Keys are 64-bit FNV-1a content fingerprints ([`content_fingerprint`]
-//! over a materialized [`Binary`], [`image_fingerprint`] over a raw ELF
-//! image — domain-separated so the two keyspaces cannot alias each
-//! other) plus the pipeline's stable [`crate::Pipeline::id`]. The
-//! fingerprint covers everything detection reads — entry point, section
-//! kinds/addresses/bytes, symbols — and nothing it does not (display
-//! name, build metadata), so renaming a binary still hits.
+//! Keys are [`image_fingerprint`]s — 64-bit FNV-1a over the raw ELF
+//! image, so a lookup needs no parse — plus the pipeline's stable
+//! [`crate::Pipeline::id`].
 //!
 //! ## Capacity and eviction
 //!
@@ -49,8 +47,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
-/// Domain tag mixed into [`content_fingerprint`] keys.
-const DOMAIN_CONTENT: u64 = 0x636f_6e74_656e_7431; // "content1"
 /// Domain tag mixed into [`image_fingerprint`] keys.
 const DOMAIN_IMAGE: u64 = 0x696d_6167_6562_7566; // "imagebuf"
 /// Domain tag of per-section / per-bucket raw fingerprints.
@@ -126,34 +122,9 @@ impl Hasher for Fnv {
     }
 }
 
-/// 64-bit content fingerprint of a materialized [`Binary`]: entry point,
-/// sections (kind, address, bytes), and symbols (name, address, size) —
-/// exactly the inputs detection reads. The display name and build
-/// metadata are excluded on purpose: they never influence a
-/// [`DetectionResult`].
-pub fn content_fingerprint(binary: &Binary) -> u64 {
-    let mut h = Fnv::new(DOMAIN_CONTENT);
-    h.u64(binary.entry);
-    h.u64(binary.sections.len() as u64);
-    for s in &binary.sections {
-        h.u64(s.kind as u64);
-        h.u64(s.addr);
-        h.bytes(&s.bytes);
-    }
-    h.u64(binary.symbols.len() as u64);
-    for sym in &binary.symbols {
-        h.bytes(sym.name.as_bytes());
-        h.u64(sym.addr);
-        h.u64(sym.size);
-    }
-    h.0
-}
-
 /// 64-bit fingerprint of a raw ELF image buffer — one linear pass, no
 /// section walk, so image-path lookups skip materialization entirely on
-/// a hit. Domain-separated from [`content_fingerprint`]; the two key
-/// different entries for the same underlying binary (a missed dedup
-/// opportunity, never a wrong answer).
+/// a hit. The one cache and store key.
 pub fn image_fingerprint(image: &fetch_binary::ElfImage) -> u64 {
     let mut h = Fnv::new(DOMAIN_IMAGE);
     h.bytes(image.bytes());
@@ -236,9 +207,8 @@ pub struct SectionDigest {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ImageDigest {
     /// Whole-image fingerprint of the bytes the digest was computed
-    /// from ([`image_fingerprint`] on the serve path,
-    /// [`content_fingerprint`] when only a materialized [`Binary`]
-    /// exists) — the cache key the digest travels with.
+    /// from ([`image_fingerprint`]) — the cache key the digest travels
+    /// with. Carried, never recomputed from the digest's inputs.
     pub image: u64,
     /// Entry point address.
     pub entry: u64,
@@ -254,10 +224,9 @@ pub struct ImageDigest {
 
 impl ImageDigest {
     /// Computes the digest of `binary`. `image` is the whole-image
-    /// fingerprint the caller keys its caches with
-    /// ([`image_fingerprint`] / [`content_fingerprint`]); it is carried,
-    /// not recomputed, so the digest stays usable whichever keyspace the
-    /// caller lives in.
+    /// fingerprint the caller keys its caches with ([`image_fingerprint`]
+    /// of the image `binary` was loaded from); it is carried, not
+    /// recomputed.
     pub fn compute(binary: &Binary, image: u64) -> ImageDigest {
         ImageDigest::compute_from(None, binary, image)
     }
@@ -627,9 +596,8 @@ fn sem_fingerprint(text: &Section, spans: &[(u64, u64)], start: u64, end: u64) -
     h.finish()
 }
 
-/// Capacity bounds of an [`AnalysisCache`]. The default is unbounded —
-/// the batch-sweep shape, where the corpus is the bound. A serving
-/// daemon bounds one or both axes ([`CacheCapacity::entries`],
+/// Capacity bounds of an [`AnalysisCache`]. The default is unbounded.
+/// A serving daemon bounds one or both axes ([`CacheCapacity::entries`],
 /// [`CacheCapacity::bytes`]); exceeding either triggers LRU eviction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheCapacity {
@@ -711,8 +679,8 @@ struct Entry {
     result: Arc<DetectionResult>,
     /// The image digest the result was computed against, when known —
     /// the anchor of version-delta lookups. `None` for results inserted
-    /// without one ([`AnalysisCache::insert`], a flight completed without
-    /// one, a store entry saved without one).
+    /// without one (a flight completed without one, a store entry saved
+    /// without one).
     digest: Option<Arc<ImageDigest>>,
     /// [`DetectionResult::approx_bytes`] plus the digest's
     /// [`ImageDigest::approx_bytes`], computed once at insert.
@@ -759,12 +727,12 @@ impl Inner {
     }
 }
 
-/// The fingerprint-keyed result cache: `(binary fingerprint, pipeline
+/// The fingerprint-keyed result cache: `(image fingerprint, pipeline
 /// id) → Arc<DetectionResult>`, optionally bounded with size-aware LRU
 /// eviction ([`CacheCapacity`]).
 ///
 /// Thread-safe behind `&self` (internal mutex, atomic counters), so one
-/// instance serves every worker of a parallel sweep. Detection is
+/// instance serves every worker of the daemon. Detection is
 /// deterministic — two workers racing to fill the same key compute
 /// identical results, the first insert wins, and both receive the
 /// winning `Arc` — so a warm hit is observationally identical to a cold
@@ -774,17 +742,22 @@ impl Inner {
 /// # Examples
 ///
 /// ```
-/// use fetch_core::{content_fingerprint, AnalysisCache, CacheCapacity, Pipeline};
+/// use fetch_binary::{write_elf, ElfImage};
+/// use fetch_core::{image_fingerprint, AnalysisCache, CacheCapacity, Pipeline};
 /// use fetch_synth::{synthesize, SynthConfig};
+/// use std::sync::Arc;
 ///
 /// let case = synthesize(&SynthConfig::small(3));
+/// let image = ElfImage::parse(write_elf(&case.binary)).unwrap();
 /// let cache = AnalysisCache::with_capacity(CacheCapacity::entries(64));
-/// let pipeline = Pipeline::fetch();
-/// let fp = content_fingerprint(&case.binary);
-/// let cold = cache.get_or_compute(fp, &pipeline.id(), || pipeline.run(&case.binary));
-/// let warm = cache.get_or_compute(fp, &pipeline.id(), || unreachable!("warm hit"));
-/// assert!(std::sync::Arc::ptr_eq(&cold, &warm));
-/// assert_eq!(cache.stats().hits, 1);
+/// let (fp, id) = (image_fingerprint(&image), Pipeline::fetch().id());
+/// // A miss: the caller computes and inserts.
+/// assert!(cache.lookup(fp, &id).is_none());
+/// let run = Pipeline::fetch().run(&image.to_binary());
+/// let cold = cache.insert_with_digest(fp, &id, Arc::new(run), None);
+/// let warm = cache.lookup(fp, &id).expect("warm hit");
+/// assert!(Arc::ptr_eq(&cold, &warm));
+/// assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
 /// assert_eq!(cache.stats().bytes, cold.approx_bytes());
 /// ```
 #[derive(Debug, Default)]
@@ -841,7 +814,7 @@ pub struct FlightGuard<'a> {
 impl FlightGuard<'_> {
     /// Publishes `result` to every waiter and inserts it into the cache
     /// (returning the resident `Arc`, exactly like
-    /// [`AnalysisCache::insert`]). Waiters receive the published `Arc`
+    /// [`AnalysisCache::insert_with_digest`]). Waiters receive the published `Arc`
     /// directly, so they are correct even if capacity bounds evict the
     /// entry immediately.
     ///
@@ -906,27 +879,15 @@ impl AnalysisCache {
     }
 
     /// Inserts a result for `(fingerprint, pipeline_id)` without
-    /// consulting the hit/miss counters — the store-restore path of a
-    /// serving daemon (the result was computed in a previous process).
-    /// If the key is already resident the existing entry wins (results
-    /// are deterministic, so both are identical) and is returned;
-    /// either way the returned `Arc` is what the cache now serves —
-    /// unless capacity bounds evicted it on arrival, which is still a
-    /// correct (merely cold) cache.
-    pub fn insert(
-        &self,
-        fingerprint: u64,
-        pipeline_id: &str,
-        result: Arc<DetectionResult>,
-    ) -> Arc<DetectionResult> {
-        self.insert_with_digest(fingerprint, pipeline_id, result, None)
-    }
-
-    /// [`AnalysisCache::insert`] carrying the [`ImageDigest`] the result
-    /// was computed against, so later version-delta lookups
-    /// ([`AnalysisCache::lookup_with_digest`]) can diff against it. When
-    /// the key is already resident, the existing entry, digest included,
-    /// wins.
+    /// consulting the hit/miss counters — the daemon's path for a result
+    /// a pending save or its store holds. `digest` is the
+    /// [`ImageDigest`] the result was computed against, when known, so
+    /// later version-delta lookups ([`AnalysisCache::lookup_with_digest`])
+    /// can diff against it. If the key is already resident the existing
+    /// entry, digest included, wins (results are deterministic, so both
+    /// are identical) and is returned; either way the returned `Arc` is
+    /// what the cache now serves — unless capacity bounds evicted it on
+    /// arrival, which is still a correct (merely cold) cache.
     pub fn insert_with_digest(
         &self,
         fingerprint: u64,
@@ -974,24 +935,6 @@ impl AnalysisCache {
             None => self.misses.fetch_add(1, Ordering::Relaxed),
         };
         hit
-    }
-
-    /// Returns the cached result for `(fingerprint, pipeline_id)`, or
-    /// runs `compute` and caches its output. `compute` runs outside the
-    /// lock (detection is slow; the map must stay available to other
-    /// workers), so two racers may both compute — determinism makes the
-    /// results identical, the first insert wins, and every caller gets
-    /// the winning `Arc`.
-    pub fn get_or_compute(
-        &self,
-        fingerprint: u64,
-        pipeline_id: &str,
-        compute: impl FnOnce() -> DetectionResult,
-    ) -> Arc<DetectionResult> {
-        if let Some(hit) = self.lookup(fingerprint, pipeline_id) {
-            return hit;
-        }
-        self.insert(fingerprint, pipeline_id, Arc::new(compute()))
     }
 
     /// Joins the single-flight compute for `(fingerprint, pipeline_id)`
@@ -1110,8 +1053,7 @@ impl AnalysisCache {
 
     /// Entries are only ever inserted whole, so the map is consistent
     /// even if a panicking worker poisoned the mutex — recover instead
-    /// of propagating (the batch driver catches worker panics and keeps
-    /// the remaining shards running).
+    /// of propagating, so the other workers keep their cache.
     fn lock(&self) -> MutexGuard<'_, Inner> {
         self.inner
             .lock()
@@ -1126,29 +1068,22 @@ mod tests {
     use fetch_binary::{write_elf, ElfImage};
     use fetch_synth::{synthesize, SynthConfig};
 
-    #[test]
-    fn fingerprint_ignores_name_but_not_content() {
-        let case = synthesize(&SynthConfig::small(21));
-        let fp = content_fingerprint(&case.binary);
-        let mut renamed = case.binary.clone();
-        renamed.name = "other-name".into();
-        assert_eq!(content_fingerprint(&renamed), fp, "name must not key");
-        let stripped = case.binary.stripped();
-        assert_ne!(
-            content_fingerprint(&stripped),
-            fp,
-            "symbol removal changes detection inputs, so it must re-key"
-        );
+    /// The cache key of `binary`: [`image_fingerprint`] of its ELF.
+    fn fp_of(binary: &Binary) -> u64 {
+        image_fingerprint(&ElfImage::parse(write_elf(binary)).unwrap())
     }
 
-    #[test]
-    fn image_and_content_domains_never_alias() {
-        let case = synthesize(&SynthConfig::small(22));
-        let image = ElfImage::parse(write_elf(&case.binary)).unwrap();
-        assert_ne!(
-            image_fingerprint(&image),
-            content_fingerprint(&image.to_binary())
-        );
+    /// The daemon's answer sequence (`AnalysisService::lookup_warm`): a
+    /// counted lookup, then on a miss the computed result inserted.
+    fn serve(
+        cache: &AnalysisCache,
+        fp: u64,
+        id: &str,
+        run: impl FnOnce() -> DetectionResult,
+    ) -> Arc<DetectionResult> {
+        cache
+            .lookup(fp, id)
+            .unwrap_or_else(|| cache.insert_with_digest(fp, id, Arc::new(run()), None))
     }
 
     /// `sem` hashes are persisted, so their scheme — the sweep plus the
@@ -1195,11 +1130,11 @@ mod tests {
     fn cache_is_keyed_by_pipeline_id_too() {
         let case = synthesize(&SynthConfig::small(23));
         let cache = AnalysisCache::new();
-        let fp = content_fingerprint(&case.binary);
+        let fp = fp_of(&case.binary);
         let fde = Pipeline::parse("FDE").unwrap();
         let fde_rec = Pipeline::parse("FDE+Rec").unwrap();
-        let a = cache.get_or_compute(fp, &fde.id(), || fde.run(&case.binary));
-        let b = cache.get_or_compute(fp, &fde_rec.id(), || fde_rec.run(&case.binary));
+        let a = serve(&cache, fp, &fde.id(), || fde.run(&case.binary));
+        let b = serve(&cache, fp, &fde_rec.id(), || fde_rec.run(&case.binary));
         assert_ne!(a.layer_names(), b.layer_names());
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().misses, 2);
@@ -1214,16 +1149,13 @@ mod tests {
         let pipeline = Pipeline::parse("FDE").unwrap();
         let id = pipeline.id();
         let cache = AnalysisCache::with_capacity(CacheCapacity::entries(2));
-        let fps: Vec<u64> = cases
-            .iter()
-            .map(|c| content_fingerprint(&c.binary))
-            .collect();
+        let fps: Vec<u64> = cases.iter().map(|c| fp_of(&c.binary)).collect();
 
-        cache.get_or_compute(fps[0], &id, || pipeline.run(&cases[0].binary));
-        cache.get_or_compute(fps[1], &id, || pipeline.run(&cases[1].binary));
+        serve(&cache, fps[0], &id, || pipeline.run(&cases[0].binary));
+        serve(&cache, fps[1], &id, || pipeline.run(&cases[1].binary));
         // Touch 0 so 1 becomes the LRU victim.
         assert!(cache.lookup(fps[0], &id).is_some());
-        cache.get_or_compute(fps[2], &id, || pipeline.run(&cases[2].binary));
+        serve(&cache, fps[2], &id, || pipeline.run(&cases[2].binary));
 
         assert_eq!(cache.len(), 2);
         assert!(
@@ -1244,9 +1176,9 @@ mod tests {
         // A bound smaller than any single result: nothing is admitted,
         // every lookup recomputes, answers stay correct.
         let cache = AnalysisCache::with_capacity(CacheCapacity::bytes(cold.approx_bytes() / 2));
-        let fp = content_fingerprint(&case.binary);
+        let fp = fp_of(&case.binary);
         for _ in 0..3 {
-            let served = cache.get_or_compute(fp, &pipeline.id(), || pipeline.run(&case.binary));
+            let served = serve(&cache, fp, &pipeline.id(), || pipeline.run(&case.binary));
             assert_eq!(*served, cold);
             let stats = cache.stats();
             assert_eq!(stats.entries, 0, "oversized entry must not be admitted");
@@ -1262,7 +1194,7 @@ mod tests {
         let entries: Vec<_> = (41u64..45)
             .map(|s| {
                 let case = synthesize(&SynthConfig::small(s));
-                let fp = content_fingerprint(&case.binary);
+                let fp = fp_of(&case.binary);
                 let result = Arc::new(pipeline.run(&case.binary));
                 let digest = Arc::new(ImageDigest::compute(&case.binary, fp));
                 (fp, result, digest)
@@ -1309,7 +1241,7 @@ mod tests {
         use std::sync::atomic::AtomicUsize;
         let case = synthesize(&SynthConfig::small(38));
         let pipeline = Pipeline::fetch();
-        let fp = content_fingerprint(&case.binary);
+        let fp = fp_of(&case.binary);
         let id = pipeline.id();
         let cache = AnalysisCache::new();
         let computes = AtomicUsize::new(0);
@@ -1364,7 +1296,7 @@ mod tests {
     fn aborted_flight_hands_leadership_over() {
         let case = synthesize(&SynthConfig::small(39));
         let pipeline = Pipeline::parse("FDE").unwrap();
-        let fp = content_fingerprint(&case.binary);
+        let fp = fp_of(&case.binary);
         let id = pipeline.id();
         let cache = AnalysisCache::new();
         let guard = match cache.join_flight(fp, &id) {
@@ -1389,10 +1321,13 @@ mod tests {
     fn insert_is_idempotent_and_first_writer_wins() {
         let case = synthesize(&SynthConfig::small(37));
         let pipeline = Pipeline::parse("FDE").unwrap();
-        let fp = content_fingerprint(&case.binary);
+        let fp = fp_of(&case.binary);
         let cache = AnalysisCache::new();
-        let first = cache.insert(fp, &pipeline.id(), Arc::new(pipeline.run(&case.binary)));
-        let second = cache.insert(fp, &pipeline.id(), Arc::new(pipeline.run(&case.binary)));
+        let insert = || {
+            let result = Arc::new(pipeline.run(&case.binary));
+            cache.insert_with_digest(fp, &pipeline.id(), result, None)
+        };
+        let (first, second) = (insert(), insert());
         assert!(Arc::ptr_eq(&first, &second), "first insert wins");
         assert_eq!(cache.len(), 1);
         let stats = cache.stats();

@@ -87,10 +87,9 @@
 //!    stack's result from one run — the ablation harnesses consume that
 //!    instead of re-running shared prefixes.
 //! 4. **Cache** — [`AnalysisCache`] memoizes `Arc<DetectionResult>`
-//!    under `(binary content fingerprint, pipeline id)`; re-analyzing a
-//!    seen binary under a seen pipeline is a lookup
-//!    ([`AnalysisCache::get_or_compute`] keyed by [`image_fingerprint`]
-//!    or [`content_fingerprint`] and [`Pipeline::id`]).
+//!    under `(image fingerprint, pipeline id)`; re-analyzing a seen
+//!    image under a seen pipeline is a lookup ([`AnalysisCache::lookup`]
+//!    keyed by [`image_fingerprint`] and [`Pipeline::id`]).
 //!
 //! ## Serving: spec → executor → trace → bounded cache → persistent store → daemon
 //!
@@ -110,7 +109,7 @@
 //!   (starts and per-layer start deltas; no timings or work counters)
 //!   into a versioned, checksummed, deterministic byte format — one
 //!   input, one encoding — keyed externally by
-//!   `(content fingerprint, pipeline id)` — the same stable identities
+//!   `(image fingerprint, pipeline id)` — the same stable identities
 //!   the cache uses — so a restarted daemon answers warm from disk. One
 //!   format version ([`RESULT_VERSION`]) is read: a truncated,
 //!   bit-flipped or other-version store file is rejected, never
@@ -123,27 +122,32 @@
 //! The full serving round trip, in process:
 //!
 //! ```
+//! use fetch_binary::{write_elf, ElfImage};
 //! use fetch_core::{
-//!     content_fingerprint, deserialize_result_full, serialize_result_with_digest,
+//!     deserialize_result_full, image_fingerprint, serialize_result_with_digest,
 //!     AnalysisCache, CacheCapacity, Pipeline,
 //! };
 //! use fetch_synth::{synthesize, SynthConfig};
 //! use std::sync::Arc;
 //!
 //! let case = synthesize(&SynthConfig::small(6));
+//! let image = ElfImage::parse(write_elf(&case.binary)).unwrap();
 //! let pipeline = Pipeline::fetch();
-//! let fp = content_fingerprint(&case.binary);
+//! let fp = image_fingerprint(&image);
 //!
-//! // A bounded serving cache: at most 128 entries stay resident.
+//! // A bounded serving cache: at most 128 entries stay resident. A miss
+//! // computes cold and inserts the result.
 //! let cache = AnalysisCache::with_capacity(CacheCapacity::entries(128));
-//! let cold = cache.get_or_compute(fp, &pipeline.id(), || pipeline.run(&case.binary));
+//! assert!(cache.lookup(fp, &pipeline.id()).is_none());
+//! let run = Arc::new(pipeline.run(&image.to_binary()));
+//! let cold = cache.insert_with_digest(fp, &pipeline.id(), run, None);
 //!
 //! // Persist across a "restart": serialize, then restore into a fresh
 //! // cache — the answer (and its trace) survives byte-identically.
 //! let bytes = serialize_result_with_digest(&cold, None).unwrap();
 //! let (restored, _digest) = deserialize_result_full(&bytes).unwrap();
 //! let restarted = AnalysisCache::with_capacity(CacheCapacity::entries(128));
-//! let warm = restarted.insert(fp, &pipeline.id(), Arc::new(restored));
+//! let warm = restarted.insert_with_digest(fp, &pipeline.id(), Arc::new(restored), None);
 //! assert_eq!(*warm, *cold);
 //! assert_eq!(restarted.lookup(fp, &pipeline.id()).as_deref(), Some(&*cold));
 //! ```
@@ -163,6 +167,7 @@
 //! use fetch_core::{AnalysisCache, CacheCapacity, Pipeline};
 //! use fetch_obs::{MetricValue, Registry};
 //! use fetch_synth::{synthesize, SynthConfig};
+//! use std::sync::Arc;
 //!
 //! let cache = AnalysisCache::with_capacity(CacheCapacity::entries(8));
 //! let registry = Registry::new();
@@ -170,9 +175,11 @@
 //!
 //! let case = synthesize(&SynthConfig::small(3));
 //! let pipeline = Pipeline::fetch();
-//! let fp = fetch_core::content_fingerprint(&case.binary);
-//! cache.get_or_compute(fp, &pipeline.id(), || pipeline.run(&case.binary));
-//! cache.get_or_compute(fp, &pipeline.id(), || unreachable!());
+//! // Any stable key will do here; the daemon uses `image_fingerprint`.
+//! let fp = 0x5eed;
+//! assert!(cache.lookup(fp, &pipeline.id()).is_none());
+//! cache.insert_with_digest(fp, &pipeline.id(), Arc::new(pipeline.run(&case.binary)), None);
+//! assert!(cache.lookup(fp, &pipeline.id()).is_some());
 //!
 //! // The registry sees the hit the cache's own stats saw.
 //! let snap = registry.snapshot();
@@ -267,9 +274,11 @@
 //! repeat query from the cache:
 //!
 //! ```
-//! use fetch_core::{content_fingerprint, AnalysisCache, LayerSpec, Pipeline};
+//! use fetch_binary::{write_elf, ElfImage};
+//! use fetch_core::{image_fingerprint, AnalysisCache, LayerSpec, Pipeline};
 //! use fetch_disasm::ErrorCallPolicy;
 //! use fetch_synth::{synthesize, SynthConfig};
+//! use std::sync::Arc;
 //!
 //! let case = synthesize(&SynthConfig::small(5));
 //!
@@ -291,10 +300,10 @@
 //!
 //! // Serve the same query again: one fingerprint, one lookup.
 //! let cache = AnalysisCache::new();
-//! let fp = content_fingerprint(&case.binary);
-//! let cold = cache.get_or_compute(fp, &pipeline.id(), || pipeline.run(&case.binary));
-//! let warm = cache.get_or_compute(fp, &pipeline.id(), || unreachable!());
-//! assert!(std::sync::Arc::ptr_eq(&cold, &warm));
+//! let fp = image_fingerprint(&ElfImage::parse(write_elf(&case.binary)).unwrap());
+//! let cold = cache.insert_with_digest(fp, &pipeline.id(), Arc::new(result), None);
+//! let warm = cache.lookup(fp, &pipeline.id()).expect("warm hit");
+//! assert!(Arc::ptr_eq(&cold, &warm));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -313,8 +322,8 @@ mod strategy;
 
 pub use algorithm1::{CallFrameRepair, RepairReport};
 pub use cache::{
-    content_fingerprint, diff_digests, image_fingerprint, AnalysisCache, BucketDigest,
-    CacheCapacity, CacheStats, DigestDiff, Flight, FlightGuard, ImageDigest, SectionDigest,
+    diff_digests, image_fingerprint, AnalysisCache, BucketDigest, CacheCapacity, CacheStats,
+    DigestDiff, Flight, FlightGuard, ImageDigest, SectionDigest,
 };
 pub use delta::{delta_tier, run_delta, DeltaClass, DeltaOutcome};
 pub use facts::{BinaryFacts, FactsWork, FrameTable};

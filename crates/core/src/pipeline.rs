@@ -586,9 +586,13 @@ impl Pipeline {
 
     /// Runs the pipeline through a caller-owned [`RecEngine`], so the
     /// decode cache survives across stacks run over the same binary (the
-    /// cross-tool sharing the batch driver builds on). Observationally
-    /// identical to [`Pipeline::run`]: the engine's binary fingerprint
-    /// and option/seed checks guarantee stale state is never consulted.
+    /// cross-tool sharing the batch driver builds on). The engine's
+    /// binary fingerprint drops its state between binaries, but on one
+    /// binary it extends its last walk when the new seeds are a superset,
+    /// so the result can follow the engine's history (see [`RecEngine`]).
+    /// Equality with [`Pipeline::run`] is property-tested
+    /// (`proptest_incremental::shared_engine_equals_fresh_engines`), not
+    /// guaranteed by construction.
     pub fn run_with_engine(&self, binary: &Binary, engine: &mut RecEngine) -> DetectionResult {
         let mut state = DetectionState::with_engine(binary, std::mem::take(engine));
         self.apply(&mut state);

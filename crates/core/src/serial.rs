@@ -52,7 +52,7 @@ pub const RESULT_MAGIC: [u8; 4] = *b"FRES";
 pub const RESULT_VERSION: u16 = 5;
 
 /// Domain tag of the trailing checksum (separates it from the
-/// fingerprint domains of [`crate::content_fingerprint`]).
+/// fingerprint domains of [`crate::image_fingerprint`]).
 const DOMAIN_SERIAL: u64 = 0x7365_7269_616c_3176; // "serial1v"
 
 /// A malformed or unreadable serialized [`DetectionResult`].
@@ -489,8 +489,7 @@ mod tests {
     fn digest_round_trips_and_absent_digest_reads_as_none() {
         let case = synthesize(&SynthConfig::small(44));
         let result = Pipeline::fetch().run(&case.binary);
-        let digest =
-            crate::ImageDigest::compute(&case.binary, crate::content_fingerprint(&case.binary));
+        let digest = crate::ImageDigest::compute(&case.binary, 0x5eed);
         let bytes = serialize_result_with_digest(&result, Some(&digest)).unwrap();
         let (back, d) = deserialize_result_full(&bytes).unwrap();
         assert_eq!(back, result);

@@ -27,10 +27,7 @@
 //! reuse rules rest on.
 
 use fetch_binary::{write_elf, Binary, ElfImage, Section, SectionKind, TestCase};
-use fetch_core::{
-    content_fingerprint, image_fingerprint, run_delta, DeltaClass, ImageDigest, Pipeline,
-    KNOWN_LAYERS,
-};
+use fetch_core::{image_fingerprint, run_delta, DeltaClass, ImageDigest, Pipeline, KNOWN_LAYERS};
 use fetch_disasm::RecEngine;
 use fetch_synth::{
     patch_function, synthesize, FeatureRates, FunctionPatch, PatchKind, SynthConfig,
@@ -280,9 +277,8 @@ fn assert_same_digest(incremental: &ImageDigest, full: &ImageDigest, what: &str)
 /// `compute_from(prev, binary)` against `compute(binary)`; returns the
 /// incremental digest, the `prev` of the next step in a chain.
 fn check_incremental(prev: &ImageDigest, binary: &Binary, what: &str) -> ImageDigest {
-    let fp = content_fingerprint(binary);
-    let incremental = ImageDigest::compute_from(Some(prev), binary, fp);
-    assert_same_digest(&incremental, &ImageDigest::compute(binary, fp), what);
+    let incremental = ImageDigest::compute_from(Some(prev), binary, 0);
+    assert_same_digest(&incremental, &ImageDigest::compute(binary, 0), what);
     incremental
 }
 
@@ -327,7 +323,7 @@ proptest! {
     ) {
         const KINDS: [PatchKind; 3] = [PatchKind::Neutral, PatchKind::Behavioral, PatchKind::Resize];
         let mut case = synthesize(&cfg);
-        let mut digest = ImageDigest::compute(&case.binary, content_fingerprint(&case.binary));
+        let mut digest = ImageDigest::compute(&case.binary, 0);
         for (step, &seed) in seeds.iter().enumerate() {
             // Fall through to the next kind when a corpus has no site
             // for this one, so every step patches something.

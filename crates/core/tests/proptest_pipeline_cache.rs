@@ -4,18 +4,39 @@
 //! Random corpora × random pipelines × random query interleavings, all
 //! funneled through one shared cache and one shared engine (the
 //! production shape: a worker's engine is warm with arbitrary prior
-//! state, the cache is shared by everyone). Every answer must equal a
-//! cold, cache-free, fresh-engine run of the same `(binary, pipeline)`
-//! — and the cache's bookkeeping (hit/miss counts, entry count) must
-//! add up exactly.
+//! state, the cache is shared by everyone). Each query runs the daemon's
+//! answer sequence (`AnalysisService::lookup_warm`): a counted lookup
+//! keyed by [`image_fingerprint`], then on a miss the computed result
+//! inserted. Every answer must equal a cold, cache-free, fresh-engine
+//! run of the same `(binary, pipeline)` — and the cache's bookkeeping
+//! (hit/miss counts, entry count) must add up exactly.
 
+use fetch_binary::{write_elf, Binary, ElfImage};
 use fetch_core::{
-    content_fingerprint, image_fingerprint, AnalysisCache, CacheCapacity, LayerSpec, Pipeline,
+    image_fingerprint, AnalysisCache, CacheCapacity, DetectionResult, LayerSpec, Pipeline,
     KNOWN_LAYERS,
 };
 use fetch_synth::{synthesize, FeatureRates, SynthConfig};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::Arc;
+
+/// The cache key of `binary`: [`image_fingerprint`] of its ELF.
+fn fp_of(binary: &Binary) -> u64 {
+    image_fingerprint(&ElfImage::parse(write_elf(binary)).unwrap())
+}
+
+/// A counted lookup, then on a miss `run`'s result inserted.
+fn serve(
+    cache: &AnalysisCache,
+    fp: u64,
+    id: &str,
+    run: impl FnOnce() -> DetectionResult,
+) -> Arc<DetectionResult> {
+    cache
+        .lookup(fp, id)
+        .unwrap_or_else(|| cache.insert_with_digest(fp, id, Arc::new(run()), None))
+}
 
 fn arb_config() -> impl Strategy<Value = SynthConfig> {
     (any::<u64>(), 15usize..60, 0.0f64..0.15, 0usize..8).prop_map(|(seed, n_funcs, split, asm)| {
@@ -54,17 +75,19 @@ proptest! {
         queries in proptest::collection::vec((any::<u8>(), any::<u8>()), 4..14),
     ) {
         let cases: Vec<_> = cfgs.iter().map(synthesize).collect();
+        let fps: Vec<u64> = cases.iter().map(|c| fp_of(&c.binary)).collect();
         let cache = AnalysisCache::new();
         let mut engine = fetch_disasm::RecEngine::new();
 
         let mut distinct: BTreeSet<(u64, String)> = BTreeSet::new();
         for (bi, pi) in &queries {
-            let case = &cases[*bi as usize % cases.len()];
+            let bi = *bi as usize % cases.len();
+            let case = &cases[bi];
             let pipeline = &pipelines[*pi as usize % pipelines.len()];
-            let fp = content_fingerprint(&case.binary);
+            let fp = fps[bi];
             distinct.insert((fp, pipeline.id()));
 
-            let served = cache.get_or_compute(fp, &pipeline.id(), || {
+            let served = serve(&cache, fp, &pipeline.id(), || {
                 pipeline.run_with_engine(&case.binary, &mut engine)
             });
             let cold = pipeline.run(&case.binary);
@@ -98,6 +121,7 @@ proptest! {
         // The shim has no `proptest::option::of`; derive Option here.
         let byte_divisor = byte_bound.0.then_some(byte_bound.1);
         let cases: Vec<_> = cfgs.iter().map(synthesize).collect();
+        let fps: Vec<u64> = cases.iter().map(|c| fp_of(&c.binary)).collect();
 
         // Cold reference results, computed once, cache-free.
         let mut colds: Vec<Vec<_>> = Vec::new();
@@ -116,8 +140,7 @@ proptest! {
             let (bi, pi) = (*bi as usize % cases.len(), *pi as usize % pipelines.len());
             let case = &cases[bi];
             let pipeline = &pipelines[pi];
-            let fp = content_fingerprint(&case.binary);
-            let served = cache.get_or_compute(fp, &pipeline.id(), || {
+            let served = serve(&cache, fps[bi], &pipeline.id(), || {
                 pipeline.run_with_engine(&case.binary, &mut engine)
             });
             prop_assert_eq!(
@@ -154,7 +177,6 @@ proptest! {
     /// hits handing back the same entry.
     #[test]
     fn cached_image_detection_equals_cold(cfg in arb_config(), repeats in 1usize..4) {
-        use fetch_binary::{write_elf, ElfImage};
         let case = synthesize(&cfg);
         let image = ElfImage::parse(write_elf(&case.binary)).unwrap();
         let pipeline = fetch_core::Pipeline::fetch();
@@ -163,7 +185,7 @@ proptest! {
         let cache = AnalysisCache::new();
         let mut engine = fetch_disasm::RecEngine::new();
         let mut cached = || {
-            cache.get_or_compute(fp, &id, || {
+            serve(&cache, fp, &id, || {
                 pipeline.run_with_engine(&image.to_binary(), &mut engine)
             })
         };
@@ -174,7 +196,7 @@ proptest! {
         for _ in 0..repeats {
             let again = cached();
             prop_assert!(
-                std::sync::Arc::ptr_eq(&first, &again),
+                Arc::ptr_eq(&first, &again),
                 "repeat query must be served from the cache"
             );
         }

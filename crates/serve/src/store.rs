@@ -609,7 +609,7 @@ impl ResultStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fetch_core::{content_fingerprint, Pipeline};
+    use fetch_core::Pipeline;
     use fetch_synth::{synthesize, SynthConfig};
 
     fn scratch_dir(name: &str) -> PathBuf {
@@ -625,7 +625,7 @@ mod tests {
         let case = synthesize(&SynthConfig::small(51));
         let pipeline = Pipeline::fetch();
         let result = pipeline.run(&case.binary);
-        let fp = content_fingerprint(&case.binary);
+        let fp = 0x51;
 
         let store = ResultStore::open(&dir).unwrap();
         assert!(store.load_full(fp, &pipeline.id()).unwrap().is_none());
@@ -652,7 +652,7 @@ mod tests {
         let case = synthesize(&SynthConfig::small(52));
         let pipeline = Pipeline::parse("FDE+Rec").unwrap();
         let result = pipeline.run(&case.binary);
-        let fp = content_fingerprint(&case.binary);
+        let fp = 0x52;
         let store = ResultStore::open(&dir).unwrap();
         store
             .save_with_digest(fp, &pipeline.id(), &result, None)
@@ -699,7 +699,7 @@ mod tests {
         let case = synthesize(&SynthConfig::small(53));
         let pipeline = Pipeline::fetch();
         let result = pipeline.run(&case.binary);
-        let fp = content_fingerprint(&case.binary);
+        let fp = 0x53;
         {
             let store = ResultStore::open(&dir).unwrap();
             store
@@ -748,7 +748,7 @@ mod tests {
         let mut fps = Vec::new();
         for seed in 55u64..59 {
             let case = synthesize(&SynthConfig::small(seed));
-            let fp = content_fingerprint(&case.binary);
+            let fp = 0x5500 + seed;
             store
                 .save_with_digest(fp, &pipeline.id(), &pipeline.run(&case.binary), None)
                 .unwrap();
@@ -773,7 +773,7 @@ mod tests {
         let case = synthesize(&SynthConfig::small(57));
         let pipeline = Pipeline::fetch();
         let result = pipeline.run(&case.binary);
-        let fp = content_fingerprint(&case.binary);
+        let fp = 0x57;
         let digest = ImageDigest::compute(&case.binary, fp);
 
         let store = ResultStore::open(&dir).unwrap();
@@ -815,7 +815,7 @@ mod tests {
         let case = synthesize(&SynthConfig::small(58));
         let pipeline = Pipeline::parse("FDE+Rec").unwrap();
         let result = pipeline.run(&case.binary);
-        let fp = content_fingerprint(&case.binary);
+        let fp = 0x58;
         let id = pipeline.id();
         {
             let store = ResultStore::open(&dir).unwrap();
@@ -839,7 +839,7 @@ mod tests {
         let case = synthesize(&SynthConfig::small(56));
         let pipeline = Pipeline::fetch();
         let result = pipeline.run(&case.binary);
-        let fp = content_fingerprint(&case.binary);
+        let fp = 0x56;
         let plan = Arc::new(
             FaultPlan::parse("store.save=io#1,store.save=short#1,store.load=corrupt#1").unwrap(),
         );

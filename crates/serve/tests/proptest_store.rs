@@ -11,8 +11,7 @@
 //! set past the end of the file, or an appended trailing byte.
 
 use fetch_core::{
-    content_fingerprint, serialize_result_with_digest, DetectionResult, ImageDigest, Pipeline,
-    KNOWN_LAYERS,
+    serialize_result_with_digest, DetectionResult, ImageDigest, Pipeline, KNOWN_LAYERS,
 };
 use fetch_serve::store::{ResultStore, QUARANTINE_DIR, STORE_EXT};
 use fetch_synth::{synthesize, FeatureRates, SynthConfig};
@@ -139,7 +138,7 @@ proptest! {
         let _ = fs::remove_dir_all(&dir);
         let case = synthesize(&cfg);
         let result = pipeline.run(&case.binary);
-        let fp = content_fingerprint(&case.binary);
+        let fp = cfg.seed;
         let id = pipeline.id();
         let digest = with_digest.then(|| ImageDigest::compute(&case.binary, fp));
         let store = ResultStore::open(&dir).unwrap();

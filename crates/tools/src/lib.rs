@@ -36,7 +36,9 @@
 //! use fetch_synth::{synthesize, SynthConfig};
 //!
 //! let case = synthesize(&SynthConfig::small(4));
-//! // One engine shared across tools: the second model reuses the decodes.
+//! // One engine shared across tools: the second model reuses the
+//! // decodes. Its results equal fresh engines' by property test, not by
+//! // construction (see `run_tool`).
 //! let mut engine = RecEngine::new();
 //! let fetch = run_tool(Tool::Fetch, &case.binary, &mut engine).expect("fetch runs");
 //! let radare = run_tool(Tool::Radare2, &case.binary, &mut engine).expect("radare runs");
@@ -55,10 +57,13 @@ pub use fetch_core::Tool;
 /// Runs `tool` on `binary` through a caller-owned [`RecEngine`], so the
 /// decode cache built by one tool model is reused by the next — every
 /// model re-disassembles the same `.text`, and decoding dominates the
-/// cost; pass `&mut RecEngine::new()` for a one-off run. The result does
-/// not depend on the engine's history: it only replays work whose inputs
-/// (binary fingerprint, seeds, options) match exactly, which a property
-/// test in `fetch-core` enforces.
+/// cost; pass `&mut RecEngine::new()` for a one-off run. The engine
+/// extends its last walk when the new seeds are a superset of the old,
+/// so the result can follow the engine's history (see [`RecEngine`]).
+/// That it equals a fresh engine's is property-tested
+/// (`proptest_incremental::shared_engine_equals_fresh_engines` in
+/// `fetch-core`, and `shared_engine_matches_fresh_engines` here), not
+/// guaranteed by construction.
 ///
 /// Returns `None` when the tool fails to open the binary (ANGR could
 /// not open 9 of the 1,352 corpus binaries — §IV-C; modeled
