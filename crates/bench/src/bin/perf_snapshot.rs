@@ -42,9 +42,12 @@
 //!   windows of one shared buffer).
 //! * `serve` — the `fetch-serve` daemon core driven over the corpus
 //!   image: cold submit vs bounded-cache hit vs post-restart persistent
-//!   store hit (cache-hit ≥ 10× cold asserted; one `.eh_frame` parse
-//!   per cold submit asserted; the store answer is asserted `==` the
-//!   cold result), `cold_vs_bare`: the median over the reps of the cold
+//!   store hit (cache-hit ≥ 10× cold asserted; one ELF parse and one
+//!   `.eh_frame` parse per cold submit and no ELF parse on a cache or
+//!   store hit asserted; the store answer is asserted `==` the cold
+//!   result), `cache_hit_symbols_us`: a cache hit on the same binary with
+//!   its symbols kept (the shape of daemonbench's warm_repeat; published
+//!   only), `cold_vs_bare`: the median over the reps of the cold
 //!   submit over the bare pipeline on the same binary, the two run back
 //!   to back in each rep (asserted ≤ 1.1; the best of each is published
 //!   beside it), plus the `concurrency` subgroup —
@@ -204,7 +207,7 @@ fn main() {
     let mut large_binary = None;
     let mut ips_curve: Vec<(&str, f64)> = Vec::new();
     let mut json =
-        String::from("{\n  \"schema\": \"fetch-perf-snapshot/v11\",\n  \"corpora\": [\n");
+        String::from("{\n  \"schema\": \"fetch-perf-snapshot/v12\",\n  \"corpora\": [\n");
     for (ci, (name, seed, n_funcs)) in corpora.iter().enumerate() {
         let mut cfg = SynthConfig::small(*seed);
         cfg.n_funcs = *n_funcs;
@@ -495,12 +498,13 @@ fn main() {
     // (sections as windows of one shared buffer). Measured on the
     // stripped large binary — the motivating workload is a huge stripped
     // image whose bodies dominate the file.
-    let large_image = {
+    let (large_image, symbols_elf) = {
         let mut cfg = SynthConfig::small(9003);
         cfg.n_funcs = 900;
         cfg.rates.split_cold = 0.08;
         cfg.rates.asm_funcs = 45;
-        let stripped = synthesize(&cfg).binary.stripped();
+        let case = synthesize(&cfg);
+        let stripped = case.binary.stripped();
         let elf = write_elf(&stripped);
 
         let mut load_us = f64::INFINITY;
@@ -533,7 +537,10 @@ fn main() {
             "  load: {} KiB image — {load_us:.1} µs (sections share the image)",
             elf.len() / 1024,
         );
-        ElfImage::parse(elf).expect("own ELF parses")
+        (
+            ElfImage::parse(elf).expect("own ELF parses"),
+            write_elf(&case.binary),
+        )
     };
 
     // Serve group: the fetch-serve daemon core driven in-process over
@@ -551,10 +558,10 @@ fn main() {
             std::env::temp_dir().join(format!("fetch-serve-snapshot-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&base);
         let elf_bytes = large_image.bytes().to_vec();
-        let submit = |service: &AnalysisService| {
+        let submit_elf = |service: &AnalysisService, elf: &[u8]| {
             let t = Instant::now();
             let reply = service.handle(Request::Analyze {
-                input: AnalyzeInput::Bytes(elf_bytes.clone()),
+                input: AnalyzeInput::Bytes(elf.to_vec()),
                 pipeline: Pipeline::fetch(),
             });
             let us = t.elapsed().as_secs_f64() * 1e6;
@@ -563,27 +570,31 @@ fn main() {
                 other => panic!("serve group: unexpected reply {other:?}"),
             }
         };
+        let submit = |service: &AnalysisService| submit_elf(service, &elf_bytes);
         let config_for = |dir: &std::path::Path| ServeConfig {
             store_dir: Some(dir.to_path_buf()),
             ..ServeConfig::default()
         };
 
         // Cold: a fresh service over a fresh store each rep. Its leader
-        // shares one `.eh_frame` parse between the pipeline and the
-        // digest the side worker builds beside it.
-        let eh_parses = |service: &AnalysisService| {
+        // parses the ELF once (a warm answer parses nothing) and shares
+        // one `.eh_frame` parse between the pipeline and the digest the
+        // side worker builds beside it.
+        let counter = |service: &AnalysisService, name: &str| {
             service
                 .registry()
                 .snapshot()
                 .entries
                 .iter()
-                .find(|(name, _)| name == "fetch_eh_frame_parses_total")
+                .find(|(metric, _)| metric == name)
                 .map(|(_, v)| match v {
                     fetch_obs::MetricValue::Counter(n) => *n,
-                    other => panic!("eh parses is a counter: {other:?}"),
+                    other => panic!("{name} is a counter: {other:?}"),
                 })
-                .expect("the service exports its .eh_frame parses")
+                .unwrap_or_else(|| panic!("the service exports {name}"))
         };
+        let eh_parses = |service: &AnalysisService| counter(service, "fetch_eh_frame_parses_total");
+        let elf_parses = |service: &AnalysisService| counter(service, "fetch_elf_parses_total");
         // Each rep also runs the bare pipeline on the same binary, next
         // to the cold submit: both halves of a pair see the same host
         // phase, and `cold_vs_bare` is the median of the per-rep ratios.
@@ -592,7 +603,7 @@ fn main() {
         let (mut cold_us, mut bare_us) = (f64::INFINITY, f64::INFINITY);
         let mut ratios = Vec::with_capacity(reps);
         let mut cold_result = None;
-        let mut cold_eh_parses = 0;
+        let (mut cold_eh_parses, mut cold_elf_parses) = (0, 0);
         for rep in 0..reps {
             // Alternate which half runs first, as the obs group does.
             let bare_first = rep % 2 == 0;
@@ -605,6 +616,11 @@ fn main() {
             assert_eq!(
                 cold_eh_parses, 1,
                 "a cold submit must parse .eh_frame exactly once"
+            );
+            cold_elf_parses = elf_parses(&service);
+            assert_eq!(
+                cold_elf_parses, 1,
+                "a cold submit must parse its ELF exactly once"
             );
             // Dropping the service drains its store save, so a bare half
             // that runs second does not share the host with it.
@@ -644,6 +660,31 @@ fn main() {
             assert_eq!(*result, *cold_result);
             cache_us = cache_us.min(us);
         }
+        assert_eq!(
+            elf_parses(&warm_service),
+            1,
+            "a cache hit must not parse the ELF"
+        );
+
+        // Cache hit on the same large binary with its symbols kept, the
+        // shape daemonbench's warm_repeat sends: a parse would read every
+        // symbol name, so this is where fingerprint-first pays.
+        let symbols_service = AnalysisService::new(&ServeConfig::default()).expect("service");
+        let (_, source, symbols_result) = submit_elf(&symbols_service, &symbols_elf);
+        assert_eq!(source, ServeSource::Cold);
+        let mut cache_symbols_us = f64::INFINITY;
+        for _ in 0..reps.max(3) {
+            let (us, source, result) = submit_elf(&symbols_service, &symbols_elf);
+            assert_eq!(source, ServeSource::CacheHit);
+            assert!(Arc::ptr_eq(&result, &symbols_result));
+            cache_symbols_us = cache_symbols_us.min(us);
+        }
+        assert_eq!(
+            elf_parses(&symbols_service),
+            1,
+            "a cache hit must not parse the ELF"
+        );
+        drop(symbols_service);
 
         let cache_speedup = cold_us / cache_us.max(1e-9);
         assert!(
@@ -767,6 +808,11 @@ fn main() {
             let (us, source, result) = submit(&restarted);
             assert_eq!(source, ServeSource::StoreHit, "restart must answer warm");
             assert_eq!(
+                elf_parses(&restarted),
+                0,
+                "a store hit must not parse the ELF"
+            );
+            assert_eq!(
                 *result, *cold_result,
                 "the persisted answer must equal the cold run"
             );
@@ -781,8 +827,10 @@ fn main() {
              \"cold_vs_bare\": {cold_vs_bare:.2},\n    \
              \"bare_pipeline_us\": {bare_us:.1},\n    \
              \"cold_eh_frame_parses\": {cold_eh_parses},\n    \
+             \"cold_elf_parses\": {cold_elf_parses},\n    \
              \"reply_render_us\": {reply_render_us:.1},\n    \
              \"cache_hit_us\": {cache_us:.1},\n    \
+             \"cache_hit_symbols_us\": {cache_symbols_us:.1},\n    \
              \"store_hit_us\": {store_us:.1},\n    \
              \"cache_hit_speedup\": {cache_speedup:.1},\n    \
              \"cache_entry_bytes\": {cache_entry_bytes},\n    \
@@ -798,7 +846,8 @@ fn main() {
         println!(
             " serve: cold {cold_us:.1} µs, bare {bare_us:.1} µs (paired median {cold_vs_bare:.2}x, \
              {cold_eh_parses} .eh_frame parse), \
-             cache hit {cache_us:.1} µs ({cache_speedup:.0}x), \
+             cache hit {cache_us:.1} µs ({cache_speedup:.0}x; \
+             {cache_symbols_us:.1} µs with symbols), \
              store hit {store_us:.1} µs ({store_speedup:.0}x); coalesce@{coalesce_clients}: \
              {} cold, {} coalesced; reply render {reply_render_us:.1} µs",
             coalesce_cold, coalesce_coalesced,

@@ -13,9 +13,9 @@
 //! daemon's store holds the result, else [`AnalysisCache::join_flight`]
 //! and a cold compute.
 //!
-//! Keys are [`image_fingerprint`]s — 64-bit FNV-1a over the raw ELF
-//! image, so a lookup needs no parse — plus the pipeline's stable
-//! [`crate::Pipeline::id`].
+//! Keys are [`bytes_fingerprint`]s of the raw ELF image (what
+//! [`image_fingerprint`] returns for a parsed one), so a lookup needs no
+//! parse, plus the pipeline's stable [`crate::Pipeline::id`].
 //!
 //! ## Capacity and eviction
 //!
@@ -47,7 +47,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
-/// Domain tag mixed into [`image_fingerprint`] keys.
+/// Domain tag mixed into [`bytes_fingerprint`] keys.
 const DOMAIN_IMAGE: u64 = 0x696d_6167_6562_7566; // "imagebuf"
 /// Domain tag of per-section / per-bucket raw fingerprints.
 const DOMAIN_SECTION: u64 = 0x7365_6374_6275_6631; // "sectbuf1"
@@ -122,13 +122,43 @@ impl Hasher for Fnv {
     }
 }
 
-/// 64-bit fingerprint of a raw ELF image buffer — one linear pass, no
-/// section walk, so image-path lookups skip materialization entirely on
-/// a hit. The one cache and store key.
-pub fn image_fingerprint(image: &fetch_binary::ElfImage) -> u64 {
+/// 64-bit fingerprint of raw image bytes — the one cache and store key,
+/// computed before any parse, so a warm lookup never materializes the
+/// ELF.
+///
+/// Four independent FNV-1a lanes run over interleaved 8-byte words
+/// (lane *i* takes words *i*, *i* + 4, …, and is seeded by the image
+/// domain and *i*), so the four multiply chains overlap instead of
+/// waiting on each other. The lanes, the length and the tail bytes
+/// past the last whole 32-byte block then fold through one more FNV
+/// chain. Every step is a bijection of the lane state, so two buffers
+/// of one length that differ in a single byte always hash apart.
+pub fn bytes_fingerprint(bytes: &[u8]) -> u64 {
+    let mut lanes: [Fnv; 4] = std::array::from_fn(|i| {
+        let mut lane = Fnv::new(DOMAIN_IMAGE);
+        lane.u64(i as u64);
+        lane
+    });
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            lane.u64(u64::from_le_bytes(word.try_into().expect("8-byte word")));
+        }
+    }
     let mut h = Fnv::new(DOMAIN_IMAGE);
-    h.bytes(image.bytes());
+    h.u64(bytes.len() as u64);
+    for lane in &lanes {
+        h.u64(lane.0);
+    }
+    for &b in blocks.remainder() {
+        h.u64(b.into());
+    }
     h.0
+}
+
+/// [`bytes_fingerprint`] of the buffer `image` was parsed from.
+pub fn image_fingerprint(image: &fetch_binary::ElfImage) -> u64 {
+    bytes_fingerprint(image.bytes())
 }
 
 /// One FDE-range bucket of the `.text` section in an [`ImageDigest`]:
@@ -1125,6 +1155,44 @@ mod tests {
     }
 
     const PINNED_SEM: u64 = 0xa1a2_6511_c492_cfec;
+
+    /// The image fingerprint is the cache key, the store key and a reply
+    /// field, so its scheme must not drift silently either.
+    #[test]
+    fn image_fingerprint_is_pinned() {
+        // Three whole 32-byte blocks and a 4-byte tail.
+        let bytes: Vec<u8> = (0u8..100).collect();
+        assert_eq!(
+            bytes_fingerprint(&bytes),
+            PINNED_IMAGE,
+            "the image fingerprint scheme changed: bump serial::RESULT_VERSION, so a \
+             store's open sweep quarantines entries keyed under the old scheme and they \
+             are recomputed on demand"
+        );
+    }
+
+    const PINNED_IMAGE: u64 = 0x4305_e049_cead_3505;
+
+    /// Every lane, every tail size: a single flipped bit (the top bit of
+    /// a byte included, the one FNV spreads least) or a byte more or
+    /// less always moves the fingerprint.
+    #[test]
+    fn one_byte_or_one_length_apart_hashes_apart() {
+        for len in 0..=72usize {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+            let fp = bytes_fingerprint(&bytes);
+            for pos in 0..len {
+                for mask in [0x01u8, 0x80] {
+                    let mut flipped = bytes.clone();
+                    flipped[pos] ^= mask;
+                    assert_ne!(bytes_fingerprint(&flipped), fp, "len {len}, byte {pos}");
+                }
+            }
+            let mut longer = bytes.clone();
+            longer.push(0);
+            assert_ne!(bytes_fingerprint(&longer), fp, "len {len} vs {}", len + 1);
+        }
+    }
 
     #[test]
     fn cache_is_keyed_by_pipeline_id_too() {

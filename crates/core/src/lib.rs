@@ -89,7 +89,9 @@
 //! 4. **Cache** — [`AnalysisCache`] memoizes `Arc<DetectionResult>`
 //!    under `(image fingerprint, pipeline id)`; re-analyzing a seen
 //!    image under a seen pipeline is a lookup ([`AnalysisCache::lookup`]
-//!    keyed by [`image_fingerprint`] and [`Pipeline::id`]).
+//!    keyed by [`bytes_fingerprint`] of the raw image, which
+//!    [`image_fingerprint`] returns for a parsed one, and
+//!    [`Pipeline::id`]).
 //!
 //! ## Serving: spec → executor → trace → bounded cache → persistent store → daemon
 //!
@@ -115,9 +117,10 @@
 //!   bit-flipped or other-version store file is rejected, never
 //!   misread, and its result is recomputed.
 //! * **Daemon.** `fetch-serve` accepts work over a local socket or
-//!   stdio, answers bounded-cache-first, store-second,
-//!   cold-compute-last, and streams each cold request's per-layer trace
-//!   to telemetry subscribers.
+//!   stdio, fingerprints the request's raw bytes, answers
+//!   bounded-cache-first and store-second, parses the ELF only for the
+//!   cold compute that comes last, and streams each cold request's
+//!   per-layer trace to telemetry subscribers.
 //!
 //! The full serving round trip, in process:
 //!
@@ -322,8 +325,8 @@ mod strategy;
 
 pub use algorithm1::{CallFrameRepair, RepairReport};
 pub use cache::{
-    diff_digests, image_fingerprint, AnalysisCache, BucketDigest, CacheCapacity, CacheStats,
-    DigestDiff, Flight, FlightGuard, ImageDigest, SectionDigest,
+    bytes_fingerprint, diff_digests, image_fingerprint, AnalysisCache, BucketDigest, CacheCapacity,
+    CacheStats, DigestDiff, Flight, FlightGuard, ImageDigest, SectionDigest,
 };
 pub use delta::{delta_tier, run_delta, DeltaClass, DeltaOutcome};
 pub use facts::{BinaryFacts, FactsWork, FrameTable};

@@ -45,11 +45,13 @@ pub const RESULT_MAGIC: [u8; 4] = *b"FRES";
 /// `sem` hashes are structural (the typed instruction, not its `Debug`
 /// text).
 ///
-/// Any change to the encoding or to the `sem` scheme bumps this number.
+/// Any change to the encoding, to the `sem` scheme or to the image
+/// fingerprint ([`crate::bytes_fingerprint`], the store's key and the
+/// digest's `image` field) bumps this number.
 /// Blobs of every other version are [`SerialError::UnsupportedVersion`]:
 /// a store's open sweep quarantines them and the results are recomputed
 /// on demand — never migrated.
-pub const RESULT_VERSION: u16 = 5;
+pub const RESULT_VERSION: u16 = 6;
 
 /// Domain tag of the trailing checksum (separates it from the
 /// fingerprint domains of [`crate::image_fingerprint`]).

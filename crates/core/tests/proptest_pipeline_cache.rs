@@ -13,8 +13,8 @@
 
 use fetch_binary::{write_elf, Binary, ElfImage};
 use fetch_core::{
-    image_fingerprint, AnalysisCache, CacheCapacity, DetectionResult, LayerSpec, Pipeline,
-    KNOWN_LAYERS,
+    bytes_fingerprint, image_fingerprint, AnalysisCache, CacheCapacity, DetectionResult, LayerSpec,
+    Pipeline, KNOWN_LAYERS,
 };
 use fetch_synth::{synthesize, FeatureRates, SynthConfig};
 use proptest::prelude::*;
@@ -203,5 +203,15 @@ proptest! {
         let stats = cache.stats();
         prop_assert_eq!(stats.misses, 1);
         prop_assert_eq!(stats.hits, repeats as u64);
+    }
+
+    /// The key a request gets before any parse is the key of its parsed
+    /// image: the daemon fingerprints raw bytes, everything else keys by
+    /// [`image_fingerprint`].
+    #[test]
+    fn image_fingerprint_is_the_raw_bytes_fingerprint(cfg in arb_config()) {
+        let bytes = write_elf(&synthesize(&cfg).binary);
+        let image = ElfImage::parse(bytes.clone()).unwrap();
+        prop_assert_eq!(image_fingerprint(&image), bytes_fingerprint(&bytes));
     }
 }

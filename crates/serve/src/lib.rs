@@ -35,8 +35,9 @@
 //!   ([`protocol::MAX_LINE_BYTES`], [`protocol::MAX_INLINE_BYTES`]).
 //! * [`service`] — [`AnalysisService`], the transport-agnostic core.
 //!   `Sync`: one instance serves every worker. `analyze` and
-//!   `reanalyze` share one answer path: bounded cache → persistent
-//!   store (promoting hits into the cache) → a *coalesced* flight —
+//!   `reanalyze` share one answer path: the raw bytes' fingerprint →
+//!   bounded cache → pending saves → persistent store (promoting hits
+//!   into the cache) → only then the ELF parse → a *coalesced* flight —
 //!   concurrent requests for one uncached key elect a single leader and
 //!   share its answer, so N identical requests cost exactly one
 //!   compute. An `analyze` leader runs the pipeline; a `reanalyze`
@@ -53,7 +54,8 @@
 //!   and saves the result to the store after the reply; until the save
 //!   lands, lookups find the result among the pending saves.
 //! * [`store`] — [`ResultStore`]: one atomic, versioned, checksummed
-//!   file per `(content fingerprint, pipeline id)`, holding the
+//!   file per `(image fingerprint, pipeline id)` (the
+//!   [`fetch_core::bytes_fingerprint`] of the raw ELF), holding the
 //!   content of a [`fetch_core::DetectionResult`] (starts and per-layer
 //!   start deltas, no timings) and the image's
 //!   [`fetch_core::ImageDigest`], via

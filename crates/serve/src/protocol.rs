@@ -42,8 +42,9 @@
 //! the daemon writes also carries a monotonic `req_id` (stamped by
 //! [`Reply::to_line_with`]) which the telemetry events of the same
 //! request echo, so subscribers can correlate layer events with the
-//! originating request. Analysis replies carry the content fingerprint
-//! (hex string — it does not fit a JSON double), the canonical pipeline
+//! originating request. Analysis replies carry the image fingerprint
+//! ([`fetch_core::bytes_fingerprint`] of the raw ELF, as a hex string —
+//! it does not fit a JSON double), the canonical pipeline
 //! id, the answer `source`
 //! (`"cold"` / `"cache"` / `"store"` / `"coalesced"` / `"delta"`), the
 //! request wall time, and a `result` object whose rendering is

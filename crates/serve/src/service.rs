@@ -8,19 +8,25 @@
 //! request handling.
 //!
 //! `analyze` and `reanalyze` share one answer path, in order
-//! warm → flight → pipeline ∥ side (frames, digest) → publish → reply →
-//! side save:
+//! read → fingerprint → warm → parse → flight → pipeline ∥ side (frames,
+//! digest) → publish → reply → side save:
 //!
-//! 1. **Warm lookup** — the bounded cache ([`fetch_core::AnalysisCache`]:
-//!    fingerprint hash + map lookup, no ELF materialization), then the
-//!    results whose store save is still pending (an answer cache
-//!    capacity already evicted stays visible until its save lands;
-//!    source `"cache"`), then the persistent store ([`ResultStore`]:
-//!    one file read + checksummed decode, promoted into the cache). A
-//!    corrupt entry is *rejected* (counted in
+//! 1. **Read and fingerprint** — the request's bytes, from its path or
+//!    inline, are hashed whole ([`fetch_core::bytes_fingerprint`], the
+//!    one cache and store key). Nothing is parsed yet.
+//! 2. **Warm lookup** — the bounded cache ([`fetch_core::AnalysisCache`]:
+//!    a map lookup), then the results whose store save is still pending
+//!    (an answer cache capacity already evicted stays visible until its
+//!    save lands; source `"cache"`), then the persistent store
+//!    ([`ResultStore`]: one file read + checksummed decode, promoted
+//!    into the cache). A corrupt entry is *rejected* (counted in
 //!    [`StatsCounter::StoreErrors`]), recomputed, and overwritten. A warm
-//!    answer wins for either verb.
-//! 2. **Flight** — the request joins the cache's flight table
+//!    answer wins for either verb, so a repeat costs a hash and a lookup.
+//! 3. **Parse** — only when all three miss is the ELF parsed
+//!    ([`ElfImage::parse`], counted in `fetch_elf_parses_total`). A
+//!    malformed image fails here with `bad_request`, before it joins a
+//!    flight, so it is never cached or stored.
+//! 4. **Flight** — the request joins the cache's flight table
 //!    ([`fetch_core::AnalysisCache::join_flight`]) for the new image's
 //!    key: the first arrival becomes the *leader*; every concurrent
 //!    arrival for the same key blocks on the flight and receives the
@@ -28,7 +34,7 @@
 //!    one uncached fingerprint do the leader's work exactly once. A
 //!    leader that fails (panic or injected fault) wakes the waiters, one
 //!    of which takes over — a dead leader never strands the group.
-//! 3. **Leader: pipeline ∥ side** — an `analyze` runs the pipeline cold.
+//! 5. **Leader: pipeline ∥ side** — an `analyze` runs the pipeline cold.
 //!    A `reanalyze` fetches the *predecessor* it names (cache, pending
 //!    saves, then store), derives the new image's [`ImageDigest`] from
 //!    the predecessor's, and picks the delta ladder's tier
@@ -45,11 +51,11 @@
 //!    pipeline runs on a [`RecEngine`] borrowed from the service's pool
 //!    (decode caches persist across requests; concurrent leaders each
 //!    get their own engine).
-//! 4. **Publish** — the leader enters the result and its digest in the
+//! 6. **Publish** — the leader enters the result and its digest in the
 //!    pending-save map, then completes the flight with both together
 //!    (cache and waiters), so the next version deltas against this one.
-//! 5. **Reply** — the answer returns to the transport.
-//! 6. **Side save** — the store save runs on the side worker (inline
+//! 7. **Reply** — the answer returns to the transport.
+//! 8. **Side save** — the store save runs on the side worker (inline
 //!    when its queue is full) and retires the pending entry when it
 //!    lands or fails. `shutdown` and dropping the service drain the
 //!    pending saves, so a clean exit keeps every answer it gave.
@@ -71,7 +77,7 @@ use crate::side::SideWorker;
 use crate::store::{GcPolicy, ResultStore};
 use fetch_binary::{Binary, ElfImage};
 use fetch_core::{
-    delta_tier, image_fingerprint, AnalysisCache, BinaryFacts, CacheCapacity, DeltaClass,
+    bytes_fingerprint, delta_tier, AnalysisCache, BinaryFacts, CacheCapacity, DeltaClass,
     DetectionResult, DetectionState, Flight, ImageDigest, LayerSpec, Pipeline,
 };
 use fetch_disasm::RecEngine;
@@ -202,6 +208,8 @@ pub(crate) struct ServiceObs {
     layer_walls: Mutex<HashMap<&'static str, Arc<Histogram>>>,
     /// `.eh_frame` parses by flight leaders (one per cold request).
     eh_parses: Counter,
+    /// ELF parses: one per request that missed every warm tier.
+    elf_parses: Counter,
 }
 
 impl std::fmt::Debug for ServiceObs {
@@ -222,6 +230,7 @@ impl ServiceObs {
             coalesce_wait_us: registry.histogram("fetch_coalesce_wait_us"),
             layer_walls: Mutex::new(HashMap::new()),
             eh_parses: registry.counter("fetch_eh_frame_parses_total"),
+            elf_parses: registry.counter("fetch_elf_parses_total"),
             request_us,
             registry,
         }
@@ -687,21 +696,6 @@ impl AnalysisService {
         }
     }
 
-    /// Reads and parses a request's ELF image.
-    fn load_image(&self, input: AnalyzeInput) -> Result<ElfImage, (ErrorCode, String)> {
-        let bytes = match input {
-            AnalyzeInput::Path(path) => std::fs::read(&path).map_err(|e| {
-                (
-                    ErrorCode::BadRequest,
-                    format!("cannot read {}: {e}", path.display()),
-                )
-            })?,
-            AnalyzeInput::Bytes(bytes) => bytes,
-        };
-        ElfImage::parse(bytes)
-            .map_err(|e| (ErrorCode::BadRequest, format!("not a loadable ELF: {e}")))
-    }
-
     /// Queues the store save of a published result on the side worker
     /// (inline when its queue is full). The result stays in the pending
     /// map, where lookups find it, until the save lands.
@@ -723,9 +717,10 @@ impl AnalysisService {
     }
 
     /// The answer path of `analyze` (`prev_fingerprint` = `None`) and
-    /// `reanalyze` (the predecessor's fingerprint): warm lookup, then
-    /// the flight, whose leader computes, publishes and queues the save
-    /// (see the [module docs](self)).
+    /// `reanalyze` (the predecessor's fingerprint): read and fingerprint
+    /// the bytes, look up warm, and only on a miss parse the ELF and
+    /// join the flight, whose leader computes, publishes and queues the
+    /// save (see the [module docs](self)).
     fn answer(
         &self,
         req_id: u64,
@@ -733,12 +728,25 @@ impl AnalysisService {
         input: AnalyzeInput,
         pipeline: &Pipeline,
     ) -> Result<AnalyzeReply, (ErrorCode, String)> {
-        let image = self.load_image(input)?;
-        let fingerprint = image_fingerprint(&image);
+        let bytes = match input {
+            AnalyzeInput::Path(path) => std::fs::read(&path).map_err(|e| {
+                (
+                    ErrorCode::BadRequest,
+                    format!("cannot read {}: {e}", path.display()),
+                )
+            })?,
+            AnalyzeInput::Bytes(bytes) => bytes,
+        };
+        let fingerprint = bytes_fingerprint(&bytes);
         let pipeline_id = pipeline.id();
         if let Some(warm) = self.lookup_warm(req_id, fingerprint, &pipeline_id) {
             return Ok(warm);
         }
+        // Past every warm tier: only a request that computes parses, and
+        // a malformed image fails before it can join a flight.
+        self.obs.elf_parses.inc();
+        let image = ElfImage::parse(bytes)
+            .map_err(|e| (ErrorCode::BadRequest, format!("not a loadable ELF: {e}")))?;
         let (source, result, to_save) = loop {
             let t_join = Instant::now();
             match self.cache.join_flight(fingerprint, &pipeline_id) {
@@ -1077,7 +1085,7 @@ mod tests {
 
         let fp = {
             let image = ElfImage::parse(elf.clone()).unwrap();
-            image_fingerprint(&image)
+            fetch_core::image_fingerprint(&image)
         };
         let miss = service.handle(Request::Query {
             fingerprint: fp,
@@ -1402,6 +1410,111 @@ mod tests {
         service.drain_saves();
         assert_eq!(service.stats().store.map(|s| s.entries), Some(3));
         drop(service);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The service's `fetch_elf_parses_total`.
+    fn elf_parses(service: &AnalysisService) -> u64 {
+        service.registry().counter("fetch_elf_parses_total").get()
+    }
+
+    fn error_of(reply: &Reply) -> (ErrorCode, String) {
+        match reply {
+            Reply::Error { code, message } => (*code, message.clone()),
+            other => panic!("expected an error reply, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn only_a_request_that_misses_every_warm_tier_parses_its_elf() {
+        let dir = scratch_dir("parses");
+        // One cache slot, and the first save stalls, so B's cold answer
+        // evicts A while A's save is still pending.
+        let config = ServeConfig {
+            store_dir: Some(dir.clone()),
+            cache_capacity: CacheCapacity::entries(1),
+            faults: Arc::new(FaultPlan::parse("store.save=stall:1500#1").unwrap()),
+            ..ServeConfig::default()
+        };
+        let service = AnalysisService::new(&config).unwrap();
+        let elf_a = write_elf(&synthesize(&SynthConfig::small(69)).binary);
+        let elf_b = write_elf(&synthesize(&SynthConfig::small(70)).binary);
+        let fp_a = match service.handle(analyze_req(elf_a.clone())) {
+            Reply::Analyze(a) => {
+                assert_eq!(a.source, ServeSource::Cold);
+                a.fingerprint
+            }
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(elf_parses(&service), 1, "a cold submit parses once");
+        let hit = service.handle(analyze_req(elf_a.clone()));
+        assert_eq!(reply_source(&hit), ServeSource::CacheHit);
+        assert_eq!(elf_parses(&service), 1, "a cache hit parses nothing");
+        let cold_b = service.handle(analyze_req(elf_b));
+        assert_eq!(reply_source(&cold_b), ServeSource::Cold, "B evicts A");
+        assert_eq!(elf_parses(&service), 2);
+        let pending = service.handle(analyze_req(elf_a.clone()));
+        assert_eq!(reply_source(&pending), ServeSource::CacheHit);
+        assert_eq!(
+            service.stats().store.map(|s| s.entries),
+            Some(0),
+            "A came from the pending saves"
+        );
+        assert_eq!(elf_parses(&service), 2, "a pending-save hit parses nothing");
+
+        // A malformed image misses every tier, parses once per attempt
+        // and fails before it joins a flight: never cached or stored.
+        let junk = b"\x7fELF but not really an image".to_vec();
+        let before = service.stats();
+        let mut errors = Vec::new();
+        for attempt in 1..=2 {
+            errors.push(error_of(&service.handle(analyze_req(junk.clone()))));
+            let stats = service.stats();
+            assert_eq!(elf_parses(&service), 2 + attempt);
+            assert_eq!(
+                stats.counter(StatsCounter::Errors),
+                before.counter(StatsCounter::Errors) + attempt
+            );
+            assert_eq!(stats.cache.misses, before.cache.misses + attempt);
+            assert_eq!(stats.cache.entries, before.cache.entries);
+        }
+        let (code, message) = &errors[0];
+        assert_eq!(*code, ErrorCode::BadRequest);
+        assert!(message.starts_with("not a loadable ELF"), "{message}");
+        assert_eq!(errors[0], errors[1]);
+
+        // A reanalyze of the same bytes against a known predecessor:
+        // the same error, and the delta ladder never runs.
+        let delta = [
+            StatsCounter::DeltaHits,
+            StatsCounter::SectionsReused,
+            StatsCounter::FallbackCold,
+            StatsCounter::DigestMismatch,
+        ];
+        let re = service.handle(reanalyze_req(fp_a, junk));
+        assert_eq!(error_of(&re), errors[0]);
+        assert_eq!(elf_parses(&service), 5);
+        let stats = service.stats();
+        for counter in delta {
+            assert_eq!(stats.counter(counter), 0, "{counter:?}");
+        }
+        service.drain_saves();
+        assert_eq!(
+            service.stats().store.map(|s| s.entries),
+            Some(2),
+            "A and B only"
+        );
+        drop(service);
+
+        let restarted = AnalysisService::new(&ServeConfig {
+            faults: Arc::default(),
+            ..config
+        })
+        .unwrap();
+        let stored = restarted.handle(analyze_req(elf_a));
+        assert_eq!(reply_source(&stored), ServeSource::StoreHit);
+        assert_eq!(elf_parses(&restarted), 0, "a store hit parses nothing");
+        drop(restarted);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

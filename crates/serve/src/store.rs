@@ -1,4 +1,4 @@
-//! The persistent result store: `(content fingerprint, pipeline id)` →
+//! The persistent result store: `(image fingerprint, pipeline id)` →
 //! a serialized [`DetectionResult`] on disk, so a restarted daemon
 //! answers warm.
 //!
